@@ -17,14 +17,7 @@ from .errors import (
     SolverError,
     UnsupportedOrderError,
 )
-from .legendre import (
-    LegendreSeq,
-    f_sequence,
-    kernel_K,
-    kernel_matrix,
-    legendre_poly,
-    scaled_legendre_seq,
-)
+from .legendre import kernel_matrix, kernel_sum, legendre_poly
 from .quadrature import (
     QuadratureRule,
     available_orders,

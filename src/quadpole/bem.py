@@ -11,8 +11,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, GeometryError, SolverError
-from .expansion import SurfaceExpansion
-from .legendre import grad_scaled_legendre_stack, scaled_legendre_stack
+from .expansion import SurfaceExpansion, _exterior_sum, _interior_sum
+from .legendre import grad_scaled_legendre_stack
 from .quadrature import QuadratureRule, rule_for_expansion
 
 __all__ = [
@@ -64,40 +64,22 @@ class FlowSolution:
 
 def single_layer_ext(exp, x):
     """Exterior single-layer potential; identical to the outer-expansion sum."""
-    x = np.asarray(x, dtype=float)
-    rel = x - exp.center
-    a = exp.radius * exp.rule.points
-    L = scaled_legendre_stack(a, rel[..., None, :], exp.order)
-    return np.sum(L, axis=0) @ exp.surface_weights
+    return _exterior_sum(exp, x, np.ones(exp.order))
 
 
 def double_layer_ext(exp, x):
     """Exterior double-layer potential, sum of (m/R) L_m terms."""
-    x = np.asarray(x, dtype=float)
-    rel = x - exp.center
-    a = exp.radius * exp.rule.points
-    L = scaled_legendre_stack(a, rel[..., None, :], exp.order)
-    m = np.arange(exp.order) / exp.radius
-    return np.tensordot(m, L, axes=(0, 0)) @ exp.surface_weights
+    return _exterior_sum(exp, x, np.arange(exp.order) / exp.radius)
 
 
 def single_layer_int(exp, y):
     """Interior single-layer potential, sum of L_m(y, R rhat_i) terms."""
-    y = np.asarray(y, dtype=float)
-    rel = y - exp.center
-    a = exp.radius * exp.rule.points
-    L = scaled_legendre_stack(rel[..., None, :], a, exp.order)
-    return np.sum(L, axis=0) @ exp.surface_weights
+    return _interior_sum(exp, y, np.ones(exp.order))
 
 
 def double_layer_int(exp, y):
     """Interior double-layer potential, sum of -(m+1)/R L_m terms."""
-    y = np.asarray(y, dtype=float)
-    rel = y - exp.center
-    a = exp.radius * exp.rule.points
-    L = scaled_legendre_stack(rel[..., None, :], a, exp.order)
-    m = -(np.arange(exp.order) + 1.0) / exp.radius
-    return np.tensordot(m, L, axes=(0, 0)) @ exp.surface_weights
+    return _interior_sum(exp, y, -(np.arange(exp.order) + 1.0) / exp.radius)
 
 
 def jump_check(exp, yhat):

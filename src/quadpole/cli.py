@@ -97,20 +97,21 @@ def cmd_racc(args):
         rng = _trial_rng(args.seed, trial)
         cloud = _sample_cloud(rng, args.charges)
         inv = _invert(cloud) if len(cloud) else cloud
+        # the direct sums do not depend on the order: one per radius and trial
+        xs = [r * eval_rule.points for r in radii]
+        ys = [(1.0 / r) * eval_rule.points for r in radii]
+        exacts = [direct_potential(cloud, x) for x in xs]
+        exacts_i = [direct_potential(inv, y) for y in ys]
         for p in orders:
             rule = rule_for_expansion(p, min_order=args.rule_order)
             outer = fit_outer(cloud, np.zeros(3), 1.0, p, rule=rule)
             inner = fit_inner(inv, np.zeros(3), 1.0, p, rule=rule)
-            for r in radii:
-                x = r * eval_rule.points
-                exact = direct_potential(cloud, x)
+            for r, x, y, exact, exact_i in zip(radii, xs, ys, exacts, exacts_i):
                 series = eval_outer_potential(outer, x)
                 points = eval_point_charge_potential(outer, x)
                 acc_add(acc, ("outer", p, r), np.mean(np.abs(series - exact)))
                 acc_add(acc, ("outer_points", p, r), np.mean(np.abs(points - exact)))
                 acc_add(acc, ("outer_diff", p, r), np.mean(np.abs(series - points)))
-                y = (1.0 / r) * eval_rule.points
-                exact_i = direct_potential(inv, y)
                 series_i = eval_inner_potential(inner, y)
                 points_i = eval_point_charge_potential(inner, y)
                 acc_add(acc, ("inner", p, 1.0 / r), np.mean(np.abs(series_i - exact_i)))
@@ -128,6 +129,7 @@ def cmd_racc(args):
 
 
 def acc_add(acc, key, value):
+    """Add a scalar or an array to the running total under key."""
     acc[key] = acc.get(key, 0.0) + value
 
 
@@ -151,7 +153,7 @@ def cmd_tacc(args):
                 shifted = shift_outer(src_exp, np.zeros(3), 1.0)
                 x = 2.0 * eval_rule.points
                 err = np.abs(eval_outer_potential(shifted, x) - direct_potential(moved, x))
-                acc_add_vec(acc, ("outer", p, s), err)
+                acc_add(acc, ("outer", p, s), err)
             for s in INNER_SHIFTS:
                 t = np.array([s, 0.0, 0.0])
                 r1 = 0.5 - s
@@ -159,7 +161,7 @@ def cmd_tacc(args):
                 shifted = shift_inner(src_exp, t, r1)
                 y = t + r1 * eval_rule.points
                 err = np.abs(eval_inner_potential(shifted, y) - direct_potential(inv, y))
-                acc_add_vec(acc, ("inner", p, s), err)
+                acc_add(acc, ("inner", p, s), err)
     rows = []
     for (kind, p, s), total in acc.items():
         err = total / max(args.trials, 1)
@@ -169,10 +171,6 @@ def cmd_tacc(args):
         args.seed, args.charges, args.trials, orders, args.rule_order)
     _write_csv(args.out, ["kind", "p", "shift", "cos_theta", "abs_error"], rows, note)
     return 0
-
-
-def acc_add_vec(acc, key, vec):
-    acc[key] = acc.get(key, 0.0) + vec
 
 
 def cmd_flow(args):

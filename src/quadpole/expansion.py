@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractViolation, DomainError, GeometryError, SingularityError
-from .legendre import kernel_matrix, scaled_legendre_stack
+from .legendre import kernel_matrix, kernel_sum
 from .quadrature import QuadratureRule, lebedev_rule
 
 __all__ = [
@@ -114,9 +114,7 @@ def fit_outer(sources, center, R, p, rule=None):
     else:
         rel = (sources.positions - center) / R
         dist = np.linalg.norm(rel, axis=1)
-        # K(y/R, rhat_i): sources in rows, surface points in columns
-        kmat = kernel_matrix(rel[:, None, :], rule.points[None, :, :], p)
-        weights = rule.weights * (sources.charges @ kmat)
+        weights = _project("outer", rel, sources.charges, rule, p)
         diag = {
             "n_sources_outside": int(np.sum(dist > 1.0)),
             "max_source_radius": float(dist.max() * R),
@@ -139,10 +137,17 @@ def fit_inner(sources, center, R, p, rule=None):
         dist = np.linalg.norm(rel, axis=1)
         if np.any(np.abs(dist - 1.0) <= 1e-12):
             raise SingularityError("source lies on the bounding sphere")
-        kmat = kernel_matrix(rule.points[:, None, :], rel[None, :, :], p)
-        weights = rule.weights * (kmat @ sources.charges)
+        weights = _project("inner", rel, sources.charges, rule, p)
     return SurfaceExpansion(center=center, radius=R, rule=rule,
                             surface_weights=weights, order=p, kind="inner")
+
+
+def _project(kind, rel, charges, rule, p):
+    """Surface weights of an order-p expansion of charges at unit-scaled positions rel."""
+    pts = rule.points
+    if kind == "outer":   # K(y/R, rhat_i): sources in rows, surface points in columns
+        return rule.weights * (charges @ kernel_matrix(rel[:, None, :], pts[None, :, :], p))
+    return rule.weights * (kernel_matrix(pts[:, None, :], rel[None, :, :], p) @ charges)
 
 
 def _default_rule(p):
@@ -150,26 +155,32 @@ def _default_rule(p):
     return rule_for_expansion(p)
 
 
+def _exterior_sum(exp, x, coef):
+    """sum_i w_i sum_n coef[n] L_n(R rhat_i, x - c), for x outside the sphere."""
+    rel = np.asarray(x, dtype=float) - exp.center
+    a = exp.radius * exp.rule.points
+    return kernel_sum(a, rel[..., None, :], coef) @ exp.surface_weights
+
+
+def _interior_sum(exp, y, coef):
+    """sum_i w_i sum_n coef[n] L_n(y - c, R rhat_i), for y inside the sphere."""
+    rel = np.asarray(y, dtype=float) - exp.center
+    a = exp.radius * exp.rule.points
+    return kernel_sum(rel[..., None, :], a, coef) @ exp.surface_weights
+
+
 def eval_outer_potential(exp, x):
     """Potential of an outer expansion at exterior point(s) x."""
     if exp.kind != "outer":
         raise ContractViolation("outer expansion required")
-    x = np.asarray(x, dtype=float)
-    rel = x - exp.center
-    a = exp.radius * exp.rule.points                      # (N, 3)
-    L = scaled_legendre_stack(a, rel[..., None, :], exp.order)
-    return np.sum(L, axis=0) @ exp.surface_weights
+    return _exterior_sum(exp, x, np.ones(exp.order))
 
 
 def eval_inner_potential(exp, y):
     """Potential of an inner expansion at interior point(s) y."""
     if exp.kind != "inner":
         raise ContractViolation("inner expansion required")
-    y = np.asarray(y, dtype=float)
-    rel = y - exp.center
-    a = exp.radius * exp.rule.points
-    L = scaled_legendre_stack(rel[..., None, :], a, exp.order)
-    return np.sum(L, axis=0) @ exp.surface_weights
+    return _interior_sum(exp, y, np.ones(exp.order))
 
 
 def eval_point_charge_potential(exp, x):
@@ -188,8 +199,7 @@ def interaction_energy(outer, inner):
         raise ContractViolation("expected (outer, inner) expansions")
     _require_same_geometry(outer, inner)
     rhat = outer.rule.points
-    L = scaled_legendre_stack(rhat[:, None, :], rhat[None, :, :], outer.order)
-    M = np.sum(L, axis=0)
+    M = kernel_sum(rhat[:, None, :], rhat[None, :, :], np.ones(outer.order))
     return float(outer.surface_weights @ M @ inner.surface_weights) / outer.radius
 
 

@@ -10,32 +10,19 @@ The two-argument sequence is generated by the two-term recurrence
 with a = -1 giving L_n(x, y) = (|x|^n / |y|^{n+1}) P_n(xhat.yhat), the
 terms of the expansion 1/|x-y| = sum_n L_n(x, y) for |x| < |y|.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, SingularityError
 
 __all__ = [
-    "LegendreSeq",
     "legendre_poly",
     "legendre_poly_table",
-    "f_sequence",
     "f_sequence_raw",
-    "scaled_legendre_seq",
     "scaled_legendre_stack",
-    "kernel_K",
+    "kernel_sum",
     "kernel_matrix",
     "grad_scaled_legendre_stack",
 ]
-
-
-@dataclass(frozen=True)
-class LegendreSeq:
-    """Values F_0..F_{p-1} of the scaled sequence for one argument pair."""
-
-    values: np.ndarray
-    alpha: float
 
 
 def legendre_poly(n, t):
@@ -71,61 +58,84 @@ def legendre_poly_table(n_max, t):
     return out
 
 
+def _terms(xy, xx, yy, alpha, p):
+    """Yield F_0..F_{p-1} from broadcast inner products.
+
+    Only two terms are kept: the array holding F_n is reused for F_{n+2},
+    so a consumer must copy what it needs before asking for the next term.
+    """
+    xy, xx, yy = (np.asarray(a, dtype=float) for a in (xy, xx, yy))
+    if np.any(yy <= 0.0):
+        raise SingularityError("second argument must be nonzero")
+    shape = np.broadcast_shapes(xy.shape, xx.shape, yy.shape)
+    f_prev = np.empty(shape)
+    f_prev[...] = yy ** (alpha / 2.0)
+    yield f_prev
+    if p < 2:
+        return
+    u = xy / yy
+    v = xx / yy
+    f_cur = np.multiply(u, -alpha, out=np.empty(shape))
+    f_cur *= f_prev
+    yield f_cur
+    tmp = np.empty(shape)
+    for n in range(2, p):
+        # F_n = [(2n-2-a)/n] u F_{n-1} + [(a+2-n)/n] v F_{n-2}, written over F_{n-2}
+        np.multiply(v, (alpha + 2 - n) / n, out=tmp)
+        tmp *= f_prev
+        np.multiply(u, (2 * n - 2 - alpha) / n, out=f_prev)
+        f_prev *= f_cur
+        f_prev += tmp
+        f_prev, f_cur = f_cur, f_prev
+        yield f_cur
+
+
+def _inner_products(x, y):
+    """x.y, x.x and y.y over the last axis, summed in the order np.sum uses."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def dot(a, b):
+        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+    return dot(x, y), dot(x, x), dot(y, y)
+
+
 def f_sequence_raw(xy, xx, yy, alpha, p):
     """Sequence F_0..F_{p-1} from the inner products x.y, x.x, y.y.
 
     Inputs broadcast; the result has shape (p,) + broadcast shape.
     """
-    xy, xx, yy = np.broadcast_arrays(
-        np.asarray(xy, dtype=float), np.asarray(xx, dtype=float), np.asarray(yy, dtype=float)
-    )
-    if np.any(yy <= 0.0):
-        raise SingularityError("second argument must be nonzero")
-    out = np.empty((p,) + yy.shape)
-    out[0] = yy ** (alpha / 2.0)
-    if p > 1:
-        out[1] = -alpha * (xy / yy) * out[0]
-    for n in range(2, p):
-        out[n] = ((2 * n - 2 - alpha) / n) * (xy / yy) * out[n - 1] \
-            + ((alpha + 2 - n) / n) * (xx / yy) * out[n - 2]
+    out = np.empty((p,) + np.broadcast_shapes(np.shape(xy), np.shape(xx), np.shape(yy)))
+    for n, f in enumerate(_terms(xy, xx, yy, alpha, p)):
+        out[n] = f
     return out
-
-
-def f_sequence(x, y, alpha, p):
-    """Two-argument scaled sequence for a single (x, y) pair."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if p < 1:
-        raise DomainError("sequence length must be positive")
-    vals = f_sequence_raw(x @ y, x @ x, y @ y, alpha, p)
-    return LegendreSeq(values=vals, alpha=alpha)
-
-
-def scaled_legendre_seq(x, y, p):
-    """L_0..L_{p-1} for one pair; the alpha = -1 (Coulomb) case."""
-    return f_sequence(x, y, -1.0, p)
 
 
 def scaled_legendre_stack(x, y, p):
     """L_n stack for broadcast arrays of 3-vectors; shape (p,) + batch."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xy = np.sum(x * y, axis=-1)
-    xx = np.sum(x * x, axis=-1)
-    yy = np.sum(y * y, axis=-1)
-    return f_sequence_raw(xy, xx, yy, -1.0, p)
+    return f_sequence_raw(*_inner_products(x, y), -1.0, p)
 
 
-def kernel_K(x, y, p):
-    """Reproducing kernel K(x, y) = sum_{n<p} (2n+1)/(4 pi) L_n(x, y)."""
-    return kernel_matrix(x, y, p)
+def kernel_sum(x, y, coef):
+    """sum_n coef[n] L_n(x, y) over broadcast batches of 3-vectors, p = len(coef).
+
+    Terms are added in order n = 0..p-1 as the recurrence produces them,
+    so no (p,) + batch stack is built.
+    """
+    if len(coef) < 1:
+        raise DomainError("at least one coefficient required")
+    terms = _terms(*_inner_products(x, y), -1.0, len(coef))
+    total = np.multiply(next(terms), coef[0])
+    tmp = np.empty_like(total)
+    for c, f in zip(coef[1:], terms):
+        total += np.multiply(f, c, out=tmp)
+    return total
 
 
 def kernel_matrix(x, y, p):
-    """K evaluated with broadcasting over batches of 3-vectors."""
-    L = scaled_legendre_stack(x, y, p)
-    coef = (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi)
-    return np.tensordot(coef, L, axes=(0, 0))
+    """Reproducing kernel K(x, y) = sum_{n<p} (2n+1)/(4 pi) L_n(x, y), broadcast."""
+    return kernel_sum(x, y, (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi))
 
 
 def grad_scaled_legendre_stack(a, x, p):

@@ -1,16 +1,15 @@
 """Shift operators between expansion centers and radii.
 
-All three shifts are single applications of the scaled reproducing
-kernel; arriving at an outer expansion is the same operation as the
-initial fitting, and both shifts arriving at an inner expansion share
-one formula.
+Every shift refits the old expansion's surface weights, taken as point
+charges at its surface points, onto the new sphere: the same kernel
+projection that ``fit_outer`` and ``fit_inner`` apply to point charges.
 """
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import ContractViolation, GeometryError
-from .legendre import kernel_matrix
+from .expansion import _project
 
 __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
 
@@ -22,10 +21,12 @@ def _require_kind(src, kind):
         raise ContractViolation("expected a %s expansion, got %s" % (kind, src.kind))
 
 
-def _shifted_sources(src, new_center, new_R):
-    """Old surface points relative to the new sphere, scaled to unit radius."""
-    t = np.asarray(new_center, dtype=float) - src.center
-    return (src.radius * src.rule.points - t) / new_R
+def _refit(src, kind, new_center, new_R):
+    """Fit the old weights, as charges at the old surface points, on the new sphere."""
+    rel = (src.surface_points - new_center) / new_R
+    weights = _project(kind, rel, src.surface_weights, src.rule, src.order)
+    return replace(src, center=new_center, radius=new_R, surface_weights=weights,
+                   kind=kind, diagnostics=None)
 
 
 def shift_outer(src, new_center, new_R):
@@ -35,28 +36,20 @@ def shift_outer(src, new_center, new_R):
     t = np.linalg.norm(new_center - src.center)
     if t + src.radius > new_R + _SLACK:
         raise GeometryError("source sphere not contained in the new sphere")
-    s = _shifted_sources(src, new_center, new_R)       # (N, 3)
-    kmat = kernel_matrix(s[:, None, :], src.rule.points[None, :, :], src.order)
-    weights = src.rule.weights * (src.surface_weights @ kmat)
-    return replace(src, center=new_center, radius=new_R, surface_weights=weights,
-                   diagnostics=None)
+    return _refit(src, "outer", new_center, new_R)
 
 
 def outer_to_inner(src, new_center, new_R):
     """Outer -> inner shift (multipole-to-local translation)."""
     _require_kind(src, "outer")
     new_center = np.asarray(new_center, dtype=float)
-    s = _shifted_sources(src, new_center, new_R)
-    dist = np.linalg.norm(s, axis=1)
+    dist = np.linalg.norm(src.surface_points - new_center, axis=1) / new_R
     bad = np.nonzero(dist <= 1.0 + 1e-9)[0]
     if bad.size:
         raise GeometryError(
             "kernel argument reaches the unit sphere at source points %s" % bad.tolist()
         )
-    kmat = kernel_matrix(src.rule.points[:, None, :], s[None, :, :], src.order)
-    weights = src.rule.weights * (kmat @ src.surface_weights)
-    return replace(src, center=new_center, radius=new_R, surface_weights=weights,
-                   kind="inner", diagnostics=None)
+    return _refit(src, "inner", new_center, new_R)
 
 
 def shift_inner(src, new_center, new_R):
@@ -66,8 +59,4 @@ def shift_inner(src, new_center, new_R):
     t = np.linalg.norm(new_center - src.center)
     if t + new_R > src.radius + _SLACK:
         raise GeometryError("new sphere not contained in the old sphere")
-    s = _shifted_sources(src, new_center, new_R)
-    kmat = kernel_matrix(src.rule.points[:, None, :], s[None, :, :], src.order)
-    weights = src.rule.weights * (kmat @ src.surface_weights)
-    return replace(src, center=new_center, radius=new_R, surface_weights=weights,
-                   diagnostics=None)
+    return _refit(src, "inner", new_center, new_R)

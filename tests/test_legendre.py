@@ -5,6 +5,7 @@ import quadpole as qp
 from quadpole.legendre import (
     grad_scaled_legendre_stack,
     kernel_matrix,
+    kernel_sum,
     legendre_poly_table,
     scaled_legendre_stack,
 )
@@ -31,21 +32,21 @@ def test_legendre_poly_domain():
 
 def test_f_sequence_paper_values():
     x = np.array([1.0, 0.0, 0.0])
-    assert qp.f_sequence(x, np.array([0.0, 0.0, 2.0]), -1.0, 1).values == pytest.approx([0.5])
-    vals = qp.f_sequence(x, np.array([2.0, 0.0, 0.0]), -1.0, 2).values
+    assert scaled_legendre_stack(x, np.array([0.0, 0.0, 2.0]), 1) == pytest.approx([0.5])
+    vals = scaled_legendre_stack(x, np.array([2.0, 0.0, 0.0]), 2)
     assert vals == pytest.approx([0.5, 0.25])
-    vals = qp.f_sequence(x, np.array([0.0, 0.0, 2.0]), -1.0, 3).values
+    vals = scaled_legendre_stack(x, np.array([0.0, 0.0, 2.0]), 3)
     assert vals == pytest.approx([0.5, 0.0, -0.0625], abs=1e-15)
 
 
 def test_f_sequence_singularity():
     with pytest.raises(qp.SingularityError):
-        qp.f_sequence(np.ones(3), np.zeros(3), -1.0, 3)
+        scaled_legendre_stack(np.ones(3), np.zeros(3), 3)
 
 
 def test_scaled_legendre_zero_x():
     y = np.array([0.3, -1.2, 0.4])
-    vals = qp.scaled_legendre_seq(np.zeros(3), y, 2).values
+    vals = scaled_legendre_stack(np.zeros(3), y, 2)
     assert vals == pytest.approx([1.0 / np.linalg.norm(y), 0.0])
 
 
@@ -53,7 +54,7 @@ def test_scaled_legendre_matches_closed_form():
     rng = np.random.default_rng(7)
     x = np.array([0.3, 0.1, -0.2])
     y = np.array([1.5, 0.5, 2.0])
-    vals = qp.scaled_legendre_seq(x, y, 6).values
+    vals = scaled_legendre_stack(x, y, 6)
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     t = x @ y / (nx * ny)
     for n in range(6):
@@ -70,7 +71,7 @@ def test_route_equivalence_random():
         y = rng.standard_normal(3)
         x *= rng.uniform(0.1, 10) / np.linalg.norm(x)
         y *= rng.uniform(0.1, 10) / np.linalg.norm(y)
-        vals = qp.scaled_legendre_seq(x, y, p).values
+        vals = scaled_legendre_stack(x, y, p)
         nx, ny = np.linalg.norm(x), np.linalg.norm(y)
         t = np.clip(x @ y / (nx * ny), -1, 1)
         for n in range(p):
@@ -83,8 +84,8 @@ def test_exchange_symmetry():
     for _ in range(50):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        lx = qp.scaled_legendre_seq(x, y, 8).values
-        ly = qp.scaled_legendre_seq(y, x, 8).values
+        lx = scaled_legendre_stack(x, y, 8)
+        ly = scaled_legendre_stack(y, x, 8)
         ny, nx = np.linalg.norm(y), np.linalg.norm(x)
         for n in range(8):
             assert lx[n] * ny ** (2 * n + 1) == pytest.approx(ly[n] * nx ** (2 * n + 1),
@@ -100,7 +101,7 @@ def test_series_converges_to_coulomb():
         y *= 2.0 / np.linalg.norm(y)
         ratio = np.linalg.norm(x) / np.linalg.norm(y)
         for p in (4, 8, 12):
-            partial = qp.scaled_legendre_seq(x, y, p).values.sum()
+            partial = scaled_legendre_stack(x, y, p).sum()
             resid = abs(partial - 1.0 / np.linalg.norm(x - y))
             assert resid <= 5.0 * ratio ** p / np.linalg.norm(y)
 
@@ -108,22 +109,22 @@ def test_series_converges_to_coulomb():
 def test_kernel_trivial_and_closed_form():
     xh = np.array([1.0, 0.0, 0.0])
     yh = np.array([0.0, 1.0, 0.0])
-    assert qp.kernel_K(xh, yh, 1) == pytest.approx(1.0 / (4 * np.pi))
+    assert kernel_matrix(xh, yh, 1) == pytest.approx(1.0 / (4 * np.pi))
     rng = np.random.default_rng(19)
     for _ in range(10):
         a, b = rng.standard_normal((2, 3))
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         t = a @ b
-        assert qp.kernel_K(a, b, 2) == pytest.approx((1 + 3 * t) / (4 * np.pi), rel=1e-12)
+        assert kernel_matrix(a, b, 2) == pytest.approx((1 + 3 * t) / (4 * np.pi), rel=1e-12)
 
 
 def test_kernel_term_by_term():
     x = np.array([0.5, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
-    expect = sum((2 * n + 1) / (4 * np.pi) * qp.scaled_legendre_seq(x, y, 3).values[n]
+    expect = sum((2 * n + 1) / (4 * np.pi) * scaled_legendre_stack(x, y, 3)[n]
                  for n in range(3))
-    assert qp.kernel_K(x, y, 3) == pytest.approx(expect, rel=1e-14)
+    assert kernel_matrix(x, y, 3) == pytest.approx(expect, rel=1e-14)
 
 
 def test_stack_and_matrix_broadcast():
@@ -133,7 +134,20 @@ def test_stack_and_matrix_broadcast():
     L = scaled_legendre_stack(xs[:, None, :], ys[None, :, :], 6)
     assert L.shape == (6, 4, 5)
     K = kernel_matrix(xs[:, None, :], ys[None, :, :], 6)
-    assert K[2, 3] == pytest.approx(qp.kernel_K(xs[2], ys[3], 6), rel=1e-13)
+    assert K[2, 3] == pytest.approx(kernel_matrix(xs[2], ys[3], 6), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 2, 30])
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((4, 1, 3), (1, 5, 3))])
+def test_kernel_sum_matches_weighted_stack(p, shapes):
+    rng = np.random.default_rng(41 + p)
+    coef = rng.standard_normal(p)
+    x = rng.standard_normal(shapes[0])
+    y = 3.0 * rng.standard_normal(shapes[1])
+    expect = np.tensordot(coef, scaled_legendre_stack(x, y, p), axes=(0, 0))
+    got = kernel_sum(x, y, coef)
+    assert np.shape(got) == np.shape(expect)
+    assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
 
 
 def test_gradient_matches_finite_differences():

@@ -1,3 +1,6 @@
+import hashlib
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,19 @@ def test_rule_invariants():
         assert np.allclose(np.linalg.norm(rule.points, axis=1), 1.0, atol=1e-12)
         assert abs(rule.weights.sum() - 4 * np.pi) < 1e-10
         assert rule.weights.min() > 0.0
+
+
+def test_sha256sums_match_shipped_tables():
+    # the manifest is the tables' provenance: it must cover exactly the
+    # shipped rules and match every file byte for byte
+    root = resources.files("quadpole.data") / "lebedev"
+    lines = (root / "SHA256SUMS").read_text().splitlines()
+    manifest = {name: digest for digest, name in map(str.split, lines)}
+    expected = ["lebedev_%03d.txt" % order for order in qp.available_orders()]
+    shipped = sorted(f.name for f in root.iterdir() if f.name.startswith("lebedev_"))
+    assert sorted(manifest) == shipped == expected
+    for name in shipped:
+        assert hashlib.sha256((root / name).read_bytes()).hexdigest() == manifest[name], name
 
 
 def test_unsupported_order():
@@ -104,5 +120,5 @@ def test_reproducing_property():
         xh = rng.standard_normal(3)
         xh /= np.linalg.norm(xh)
         approx = np.sum(rule.weights * sigma(rule.points)
-                        * qp.kernel_K(xh, rule.points, p))
+                        * qp.kernel_matrix(xh, rule.points, p))
         assert approx == pytest.approx(sigma(xh[None, :])[0], abs=1e-9)

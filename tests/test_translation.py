@@ -90,6 +90,7 @@ def test_shift_inner_containment():
     e = qp.fit_inner(qp.PointCharges.empty(), np.zeros(3), 1.0, 4)
     with pytest.raises(qp.GeometryError):
         qp.shift_inner(e, np.array([0.8, 0.0, 0.0]), 0.5)
+    qp.shift_inner(e, np.array([0.5, 0.0, 0.0]), 0.5)  # touching is allowed
 
 
 def test_shift_preserves_kind_and_order():
