@@ -1,9 +1,9 @@
 """Boundary quadratures on spheres and a multi-sphere potential-flow solver.
 
 The single/double layer sums are exact for polynomial surface densities
-of degree < p.  The flow solver collocates the normal-velocity boundary
-condition at each sphere's quadrature points, with surface weights as
-the unknowns.
+of degree < p.  The flow solver fits the normal-velocity boundary condition
+with each sphere's surface weights, by weighted least squares on a finer
+fit rule, cut at the system's rank sum_j p_j^2.
 """
 from dataclasses import dataclass
 
@@ -12,7 +12,7 @@ import scipy.linalg
 
 from .errors import DomainError, GeometryError, SolverError
 from .expansion import SurfaceExpansion, _exterior_sum, _interior_sum
-from .legendre import grad_scaled_legendre_stack
+from .legendre import grad_kernel_sum
 from .quadrature import QuadratureRule, rule_for_expansion
 
 __all__ = [
@@ -49,9 +49,8 @@ class SphereBoundary:
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
 
     @staticmethod
-    def make(center, radius, velocity, order, rule=None):
-        return SphereBoundary(center, radius, velocity,
-                              rule or rule_for_expansion(order), order)
+    def make(center, radius, velocity, order):
+        return SphereBoundary(center, radius, velocity, rule_for_expansion(order), order)
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,8 @@ class FlowSolution:
     """Solved singularity weights, one outer expansion per sphere."""
 
     expansions: tuple
-    residual_report: np.ndarray   # per-sphere RMS collocation residual
+    residual_report: np.ndarray   # per-sphere RMS residual on the fit rule
+    rank: int                     # rank of the solved least-squares system
 
 
 def single_layer_ext(exp, x):
@@ -95,90 +95,71 @@ def jump_check(exp, yhat):
 
 def outer_gradient(exp, x):
     """Gradient of the outer-expansion potential at exterior point(s) x."""
-    x = np.asarray(x, dtype=float)
-    rel = x - exp.center
-    a = exp.radius * exp.rule.points
-    G = grad_scaled_legendre_stack(a, rel[..., None, :], exp.order)  # (p,...,N,3)
-    return np.tensordot(np.sum(G, axis=0), exp.surface_weights, axes=(-2, 0))
+    rel = np.asarray(x, dtype=float) - exp.center
+    G = grad_kernel_sum(exp.radius * exp.rule.points, rel[..., None, :], np.ones(exp.order))
+    return np.tensordot(G, exp.surface_weights, axes=(-2, 0))
 
 
-def _check_disjoint(spheres):
+def _boundary_system(spheres, sources, rule):
+    """Rows n.grad(Phi) and right-hand side -n.v0 at rule's points, times sqrt(w).
+
+    Row blocks follow the spheres and column blocks the sources' surface
+    weights, so A @ weights - b is sqrt(w) times the mismatch n.v0 + n.grad(Phi).
+    """
+    normals, sqw = rule.points, np.sqrt(rule.weights)
+
+    def block(s, src):
+        rel = s.center + s.radius * normals - src.center
+        g = grad_kernel_sum(src.radius * src.rule.points, rel[:, None, :], np.ones(src.order))
+        return np.einsum("ijk,ik->ij", g, normals) * sqw[:, None]
+
+    A = np.block([[block(s, src) for src in sources] for s in spheres])
+    return A, np.concatenate([-(normals @ s.velocity) * sqw for s in spheres])
+
+
+def _rms_per_sphere(resid, rule):
+    """Weighted RMS of the mismatch on each sphere's block of sqrt(w)-scaled rows."""
+    return np.sqrt(np.sum(resid.reshape(-1, len(rule)) ** 2, axis=1) / np.sum(rule.weights))
+
+
+def solve_potential_flow(spheres):
+    """Solve for surface weights enforcing n.v0 = -n.grad(Phi) on every sphere.
+
+    Unknowns are the surface weights on each sphere's own rule; their field
+    has rank p^2 per sphere, so the condition is met by weighted least
+    squares on a fit rule fine enough that raising p can only shrink the
+    minimized mismatch.
+    """
+    spheres = list(spheres)
+    if not spheres:
+        raise DomainError("at least one sphere required")
     for i in range(len(spheres)):
         for j in range(i + 1, len(spheres)):
             sep = np.linalg.norm(spheres[i].center - spheres[j].center)
             if sep <= spheres[i].radius + spheres[j].radius:
                 raise GeometryError("spheres %d and %d overlap" % (i, j))
-
-
-def solve_potential_flow(spheres, fit_rule=None):
-    """Solve for surface weights enforcing n.v0 = -n.grad(Phi) on every sphere.
-
-    Unknowns are the surface weights on each sphere's own rule.  The
-    boundary condition is enforced in the quadrature-weighted
-    least-squares sense on ``fit_rule`` points scaled onto each sphere
-    (the weight-to-field map has rank p^2 per sphere, so an exact
-    square collocation solve does not exist in general).  The default
-    fit rule is fine enough that enlarging the expansion order can only
-    shrink the minimized boundary mismatch.
-    """
-    spheres = list(spheres)
-    if not spheres:
-        raise DomainError("at least one sphere required")
-    _check_disjoint(spheres)
-    if fit_rule is None:
-        fit_rule = rule_for_expansion(max(s.order for s in spheres), min_order=29)
-    counts = [len(s.rule) for s in spheres]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    total = offsets[-1]
-    nfit = len(fit_rule)
-    A = np.empty((nfit * len(spheres), total))
-    b = np.empty(nfit * len(spheres))
-    sqw = np.sqrt(fit_rule.weights)
-    normals = fit_rule.points
-    for si, s in enumerate(spheres):
-        r0, r1 = si * nfit, (si + 1) * nfit
-        pts = s.center + s.radius * fit_rule.points
-        b[r0:r1] = -(normals @ s.velocity) * sqw
-        for sj, src in enumerate(spheres):
-            a = src.radius * src.rule.points
-            rel = pts[:, None, :] - src.center
-            G = grad_scaled_legendre_stack(a, rel, src.order)   # (p, Ni, Nj, 3)
-            block = np.einsum("nijk,ik->ij", G, normals)
-            A[r0:r1, offsets[sj]:offsets[sj + 1]] = block * sqw[:, None]
+    fit_rule = rule_for_expansion(max(s.order for s in spheres), min_order=29)
+    A, b = _boundary_system(spheres, spheres, fit_rule)
     try:
-        w, _, _, _ = scipy.linalg.lstsq(A, b, lapack_driver="gelsd")
+        # A's singular values are those of the rank sum_j p_j^2 field map
+        # (>= 5e-2 of the largest on the three-sphere scene) and roundoff
+        # (<= 1e-15 of it); a cut inside that gap drops the roundoff directions.
+        w, _, rank, _ = scipy.linalg.lstsq(A, b, cond=1e-10, lapack_driver="gelsd")
     except Exception as exc:  # pragma: no cover - LAPACK failure
         raise SolverError("least-squares solve failed: %s" % exc) from exc
     if not np.all(np.isfinite(w)):
         raise SolverError("non-finite solution from the boundary solve")
-    resid = A @ w - b
-    report = np.array([
-        np.sqrt(np.sum(resid[i * nfit:(i + 1) * nfit] ** 2) / np.sum(fit_rule.weights))
-        for i in range(len(spheres))
-    ])
-    expansions = []
-    for si, s in enumerate(spheres):
-        expansions.append(SurfaceExpansion(
-            center=s.center, radius=s.radius, rule=s.rule,
-            surface_weights=w[offsets[si]:offsets[si + 1]].copy(),
-            order=s.order, kind="outer"))
-    return FlowSolution(expansions=tuple(expansions), residual_report=report)
+    split = np.split(w, np.cumsum([len(s.rule) for s in spheres])[:-1])
+    expansions = tuple(SurfaceExpansion(s.center, s.radius, s.rule, ws, s.order, "outer")
+                       for s, ws in zip(spheres, split))
+    return FlowSolution(expansions, _rms_per_sphere(A @ w - b, fit_rule), int(rank))
 
 
 def boundary_error(sol, spheres, reference_rule):
     """Weighted RMS of |n.v0 + n.grad(Phi)| per sphere on a finer rule."""
-    spheres = list(spheres)
-    errs = []
-    for s in spheres:
-        pts = s.center + s.radius * reference_rule.points
-        normals = reference_rule.points
-        grad = np.zeros_like(pts)
-        for exp in sol.expansions:
-            grad += outer_gradient(exp, pts)
-        mismatch = normals @ s.velocity + np.sum(normals * grad, axis=1)
-        errs.append(np.sqrt(np.sum(reference_rule.weights * mismatch ** 2)
-                            / np.sum(reference_rule.weights)))
-    return np.array(errs)
+    A, b = _boundary_system(list(spheres), sol.expansions, reference_rule)
+    w = np.concatenate([exp.surface_weights for exp in sol.expansions])
+    return _rms_per_sphere(A @ w - b, reference_rule)
 
 
 def parse_scene(text):

@@ -154,10 +154,10 @@ def cmd_tacc(args):
                 x = 2.0 * eval_rule.points
                 err = np.abs(eval_outer_potential(shifted, x) - direct_potential(moved, x))
                 acc_add(acc, ("outer", p, s), err)
+            src_exp = fit_inner(inv, np.zeros(3), 0.5, p, rule=rule)
             for s in INNER_SHIFTS:
                 t = np.array([s, 0.0, 0.0])
                 r1 = 0.5 - s
-                src_exp = fit_inner(inv, np.zeros(3), 0.5, p, rule=rule)
                 shifted = shift_inner(src_exp, t, r1)
                 y = t + r1 * eval_rule.points
                 err = np.abs(eval_inner_potential(shifted, y) - direct_potential(inv, y))

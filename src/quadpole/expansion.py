@@ -70,14 +70,17 @@ class SurfaceExpansion:
     def __post_init__(self):
         if self.kind not in ("outer", "inner"):
             raise DomainError("kind must be 'outer' or 'inner'")
-        if self.radius <= 0.0:
-            raise DomainError("radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0.0):
+            raise DomainError("radius must be finite and positive")
         if self.rule.exactness_degree < 2 * self.order - 2:
             raise DomainError("rule exactness inadequate for expansion order")
         w = np.asarray(self.surface_weights, dtype=float)
-        if w.shape != (len(self.rule),):
-            raise DomainError("one surface weight per quadrature point required")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if w.shape != (len(self.rule),) or not np.all(np.isfinite(w)):
+            raise DomainError("one finite surface weight per quadrature point required")
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (3,) or not np.all(np.isfinite(center)):
+            raise DomainError("center must be a finite 3-vector")
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "surface_weights", w)
 
     @property
@@ -242,23 +245,35 @@ def expansion_to_text(exp):
 
 
 def expansion_from_text(text):
-    """Parse the output of :func:`expansion_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if not head or head[0] != "quadpole-expansion":
+    """Parse the output of :func:`expansion_to_text`.
+
+    Malformed input raises a DomainError that names the offending line.
+    """
+    lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1][0] != "quadpole-expansion":
         raise DomainError("not a serialized surface expansion")
-    fields = dict(item.split("=", 1) for item in head[1:])
-    rule = lebedev_rule(int(fields["rule_order"]))
-    data = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    if data.shape != (len(rule), 4):
+    head_no = lines[0][0]
+    try:
+        fields = dict(item.split("=", 1) for item in lines[0][1][1:])
+        rule = lebedev_rule(int(fields["rule_order"]))
+        header = dict(center=[float(v) for v in fields["center"].split(",")],
+                      radius=float(fields["R"]), order=int(fields["p"]), kind=fields["kind"])
+    except (KeyError, ValueError) as exc:
+        raise DomainError("expansion line %d: bad or missing header field (%s)"
+                          % (head_no, exc)) from exc
+    if len(lines) - 1 != len(rule):
         raise DomainError("surface point count does not match the rule")
+    data = np.empty((len(rule), 4))
+    for row, (lineno, parts) in zip(data, lines[1:]):
+        try:
+            row[:] = [float(v) for v in parts]
+            if not np.all(np.isfinite(row)):
+                raise ValueError("non-finite value")
+        except ValueError as exc:
+            raise DomainError("expansion line %d: expected 4 finite numbers" % lineno) from exc
     if not np.allclose(data[:, :3], rule.points, atol=1e-12):
         raise DomainError("surface points do not match the embedded rule")
-    return SurfaceExpansion(
-        center=np.array([float(v) for v in fields["center"].split(",")]),
-        radius=float(fields["R"]),
-        rule=rule,
-        surface_weights=data[:, 3].copy(),
-        order=int(fields["p"]),
-        kind=fields["kind"],
-    )
+    try:
+        return SurfaceExpansion(rule=rule, surface_weights=data[:, 3].copy(), **header)
+    except DomainError as exc:
+        raise DomainError("expansion line %d: %s" % (head_no, exc)) from exc

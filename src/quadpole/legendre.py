@@ -21,6 +21,7 @@ __all__ = [
     "scaled_legendre_stack",
     "kernel_sum",
     "kernel_matrix",
+    "grad_kernel_sum",
     "grad_scaled_legendre_stack",
 ]
 
@@ -138,36 +139,52 @@ def kernel_matrix(x, y, p):
     return kernel_sum(x, y, (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi))
 
 
-def grad_scaled_legendre_stack(a, x, p):
-    """Gradients d/dx of L_n(a, x), shape (p,) + batch + (3,).
+def _grad_terms(xy, xx, yy, p):
+    """Yield (F_n, H_n), n < p: F_n = L_n(a, x), H_n = s dF_n/du (u = a.x, s = x.x).
 
-    Obtained by differentiating the recurrence with respect to the
-    inner products u = a.x and s = x.x, so no angles or unit vectors
-    are introduced.
+    xy, xx, yy are a.x, a.a and x.x.  Differentiating the recurrence gives
+    H_0 = 0, H_n = [(2n-1)/n] (F_{n-1} + (u/s) H_{n-1}) + [(1-n)/n] (a.a/s) H_{n-2}.
+    Each array is reused two terms later, as in :func:`_terms`.
     """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    u = np.sum(a * x, axis=-1)
-    aa = np.sum(a * a, axis=-1)
-    s = np.sum(x * x, axis=-1)
-    if np.any(s <= 0.0):
-        raise SingularityError("evaluation point at the expansion singularity")
-    u, aa, s = np.broadcast_arrays(u, aa, s)
-    F = np.empty((p,) + s.shape)
-    dFu = np.zeros_like(F)
-    dFs = np.zeros_like(F)
-    F[0] = s ** -0.5
-    dFs[0] = -0.5 * s ** -1.5
-    if p > 1:
-        F[1] = u * s ** -1.5
-        dFu[1] = s ** -1.5
-        dFs[1] = -1.5 * u * s ** -2.5
-    for n in range(2, p):
-        c1 = (2 * n - 1) / n
-        c2 = (1 - n) / n
-        F[n] = c1 * (u / s) * F[n - 1] + c2 * (aa / s) * F[n - 2]
-        dFu[n] = c1 * (F[n - 1] / s + (u / s) * dFu[n - 1]) + c2 * (aa / s) * dFu[n - 2]
-        dFs[n] = c1 * (-(u / s ** 2) * F[n - 1] + (u / s) * dFs[n - 1]) \
-            + c2 * (-(aa / s ** 2) * F[n - 2] + (aa / s) * dFs[n - 2])
-    a_b, x_b = np.broadcast_arrays(a, x)
-    return dFu[..., None] * a_b + 2.0 * dFs[..., None] * x_b
+    terms = _terms(xy, xx, yy, -1.0, p)
+    f_last = next(terms)
+    h_prev, h_cur = np.zeros(f_last.shape), np.zeros(f_last.shape)
+    yield f_last, h_cur
+    t, v = xy / yy, xx / yy
+    tmp = np.empty(f_last.shape)
+    for n, f in enumerate(terms, start=1):
+        np.multiply(v, (1 - n) / n, out=tmp)
+        tmp *= h_prev
+        np.multiply(t, h_cur, out=h_prev)
+        h_prev += f_last
+        h_prev *= (2 * n - 1) / n
+        h_prev += tmp
+        h_prev, h_cur = h_cur, h_prev
+        yield f, h_cur
+        f_last = f
+
+
+def grad_kernel_sum(a, x, coef):
+    """sum_n coef[n] grad_x L_n(a, x) over broadcast batches; shape batch + (3,).
+
+    Terms are added as the recurrence produces them, so no (p,) + batch
+    stack is built.
+    """
+    if len(coef) < 1:
+        raise DomainError("at least one coefficient required")
+    xy, xx, yy = _inner_products(a, x)
+    terms = _grad_terms(xy, xx, yy, len(coef))
+    s_f, s_h = (np.multiply(t, coef[0]) for t in next(terms))
+    tmp = np.empty_like(s_f)
+    for n, c, (f, h) in zip(range(2, len(coef) + 1), coef[1:], terms):
+        s_f += np.multiply(f, n * c, out=tmp)   # (n+1) c_n F_n, counting n from 0
+        s_h += np.multiply(h, c, out=tmp)
+    # L_n(a, x) is homogeneous of degree -(n+1) in x, so dF_n/ds follows from
+    # u dF_n/du + 2 s dF_n/ds = -(n+1) F_n and needs no recurrence of its own.
+    return (s_h[..., None] * a - (s_f + xy / yy * s_h)[..., None] * x) / yy[..., None]
+
+
+def grad_scaled_legendre_stack(a, x, p):
+    """Gradients d/dx of L_n(a, x), shape (p,) + batch + (3,), one degree per
+    :func:`grad_kernel_sum` call; tests compare the fused sum against it."""
+    return np.stack([grad_kernel_sum(a, x, np.eye(n + 1)[n]) for n in range(p)])

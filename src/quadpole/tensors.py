@@ -242,14 +242,30 @@ def polytensor_to_text(pt):
 
 
 def polytensor_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if not head or head[0] != "quadpole-polytensor":
+    """Parse the output of :func:`polytensor_to_text`.
+
+    Malformed input raises a DomainError that names the offending line.
+    """
+    lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1][0] != "quadpole-polytensor":
         raise DomainError("not a serialized polytensor")
-    p = int(dict(item.split("=", 1) for item in head[1:])["p"])
+    try:
+        p = int(dict(item.split("=", 1) for item in lines[0][1][1:])["p"])
+    except (KeyError, ValueError) as exc:
+        raise DomainError("polytensor line %d: bad or missing order p (%s)"
+                          % (lines[0][0], exc)) from exc
+    if not 1 <= p <= MAX_ORDER:
+        raise DomainError("polytensor line %d: order must be in 1..%d" % (lines[0][0], MAX_ORDER))
     coeffs = [{t: 0.0 for t in triples(n)} for n in range(p)]
-    for ln in lines[1:]:
-        parts = ln.split()
-        n = int(parts[0])
-        coeffs[n][(int(parts[1]), int(parts[2]), int(parts[3]))] = float(parts[4])
+    for lineno, parts in lines[1:]:
+        try:
+            n, n1, n2, n3, value = parts
+            n, t, value = int(n), (int(n1), int(n2), int(n3)), float(value)
+        except ValueError as exc:
+            raise DomainError("polytensor line %d: expected 'n n1 n2 n3 value'"
+                              % lineno) from exc
+        if not 0 <= n < p or t not in coeffs[n]:
+            raise DomainError("polytensor line %d: no moment %s of degree %d in an order-%d "
+                              "polytensor" % (lineno, t, n, p))
+        coeffs[n][t] = value
     return Polytensor(p, tuple(coeffs))

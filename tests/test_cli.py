@@ -148,3 +148,25 @@ def test_stdout_output(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1] == "kind,p,r,mean_error,scaled_prefactor"
+
+
+def _expansion_text():
+    import quadpole as qp
+    cloud = qp.PointCharges(np.array([[0.1, 0.2, 0.3]]), np.array([1.0]))
+    return qp.expansion_to_text(qp.fit_outer(cloud, np.zeros(3), 1.0, 3))
+
+
+@pytest.mark.parametrize("direction, text, line", [
+    # an expansion header without a field
+    ("exp2charges", _expansion_text().replace(" rule_order=", " order="), 1),
+    # an expansion with a non-finite radius or center
+    ("exp2charges", _expansion_text().replace(" R=1 ", " R=nan "), 1),
+    ("exp2charges", _expansion_text().replace("center=0,", "center=inf,"), 1),
+    # a polytensor line with an out-of-range degree
+    ("poly2exp", "quadpole-polytensor p=2\n0 0 0 0 1\n2 2 0 0 1\n", 3),
+], ids=["missing-header-field", "nan-radius", "inf-center", "polytensor-degree"])
+def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
+    src = tmp_path / "input.txt"
+    src.write_text(text)
+    assert run(["convert", direction, str(src)]) == 3
+    assert "line %d:" % line in capsys.readouterr().err

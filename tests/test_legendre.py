@@ -3,6 +3,7 @@ import pytest
 
 import quadpole as qp
 from quadpole.legendre import (
+    grad_kernel_sum,
     grad_scaled_legendre_stack,
     kernel_matrix,
     kernel_sum,
@@ -148,6 +149,12 @@ def test_kernel_sum_matches_weighted_stack(p, shapes):
     got = kernel_sum(x, y, coef)
     assert np.shape(got) == np.shape(expect)
     assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
+    # the gradient sum reassociates its terms, and its components can cancel
+    # to near zero, so it is compared relative to the largest component
+    expect = np.tensordot(coef, grad_scaled_legendre_stack(x, y, p), axes=(0, 0))
+    got = grad_kernel_sum(x, y, coef)
+    assert np.shape(got) == np.shape(expect)
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_gradient_matches_finite_differences():

@@ -212,3 +212,13 @@ def test_polytensor_serialization_round_trip():
 def test_polytensor_text_rejects_garbage():
     with pytest.raises(qp.DomainError):
         qp.polytensor_from_text("not a polytensor\n")
+    head = "quadpole-polytensor p=3\n0 0 0 0 1.0\n"
+    for bad in ("3 3 0 0 1.0",      # degree out of range
+                "-1 0 0 0 1.0",     # negative degree
+                "2 1 1 1 1.0",      # triple of the wrong degree
+                "2 1 1",            # short line
+                "2 1 x 0 1.0"):     # unparsable
+        with pytest.raises(qp.DomainError, match="line 3"):
+            qp.polytensor_from_text(head + bad + "\n")
+    with pytest.raises(qp.DomainError, match="line 1"):
+        qp.polytensor_from_text("quadpole-polytensor q=3\n")
