@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, GeometryError, SingularityError
+from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
+                     UnsupportedOrderError)
 from .legendre import kernel_matrix, kernel_sum
 from .quadrature import QuadratureRule, lebedev_rule
 
@@ -28,6 +29,9 @@ __all__ = [
     "expansion_to_text",
     "expansion_from_text",
 ]
+
+# Tolerance, relative to the radius, for "on the sphere" in the geometry checks.
+_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,6 @@ class SurfaceExpansion:
         """Absolute positions center + R rhat_i, shape (N, 3)."""
         return self.center + self.radius * self.rule.points
 
-    def scaled_by(self, c):
-        return replace(self, surface_weights=c * self.surface_weights)
-
     def __add__(self, other):
         _require_same_geometry(self, other)
         if self.kind != other.kind:
@@ -135,14 +136,20 @@ def fit_inner(sources, center, R, p, rule=None):
     center = np.asarray(center, dtype=float)
     if len(sources) == 0:
         weights = np.zeros(len(rule))
+        diag = {"n_sources_inside": 0, "min_source_radius": float("inf")}
     else:
         rel = (sources.positions - center) / R
         dist = np.linalg.norm(rel, axis=1)
         if np.any(np.abs(dist - 1.0) <= 1e-12):
             raise SingularityError("source lies on the bounding sphere")
         weights = _project("inner", rel, sources.charges, rule, p)
+        diag = {
+            "n_sources_inside": int(np.sum(dist < 1.0)),
+            "min_source_radius": float(dist.min() * R),
+        }
     return SurfaceExpansion(center=center, radius=R, rule=rule,
-                            surface_weights=weights, order=p, kind="inner")
+                            surface_weights=weights, order=p, kind="inner",
+                            diagnostics=diag)
 
 
 def _project(kind, rel, charges, rule, p):
@@ -176,6 +183,8 @@ def eval_outer_potential(exp, x):
     """Potential of an outer expansion at exterior point(s) x."""
     if exp.kind != "outer":
         raise ContractViolation("outer expansion required")
+    if np.any(_radius_of(exp, x) < (1.0 - _SLACK) * exp.radius):
+        raise GeometryError("outer expansion evaluated inside its sphere")
     return _exterior_sum(exp, x, np.ones(exp.order))
 
 
@@ -183,17 +192,19 @@ def eval_inner_potential(exp, y):
     """Potential of an inner expansion at interior point(s) y."""
     if exp.kind != "inner":
         raise ContractViolation("inner expansion required")
+    if np.any(_radius_of(exp, y) > (1.0 + _SLACK) * exp.radius):
+        raise GeometryError("inner expansion evaluated outside its sphere")
     return _interior_sum(exp, y, np.ones(exp.order))
+
+
+def _radius_of(exp, x):
+    """Distance of point(s) x from the expansion center."""
+    return np.linalg.norm(np.asarray(x, dtype=float) - exp.center, axis=-1)
 
 
 def eval_point_charge_potential(exp, x):
     """Potential from the surface weights treated as literal point charges."""
-    x = np.asarray(x, dtype=float)
-    diff = x[..., None, :] - exp.surface_points
-    dist = np.linalg.norm(diff, axis=-1)
-    if np.any(dist < 1e-12):
-        raise SingularityError("evaluation point coincides with a surface point")
-    return (1.0 / dist) @ exp.surface_weights
+    return _coulomb(x, exp.surface_points, exp.surface_weights)
 
 
 def interaction_energy(outer, inner):
@@ -211,26 +222,32 @@ def energy_between_outers(a, b):
     sep = np.linalg.norm(a.center - b.center)
     if sep <= a.radius + b.radius:
         raise GeometryError("bounding spheres overlap")
-    diff = a.surface_points[:, None, :] - b.surface_points[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    return float(a.surface_weights @ (1.0 / dist) @ b.surface_weights)
+    return float(a.surface_weights @ _coulomb(a.surface_points, b.surface_points,
+                                              b.surface_weights))
 
 
 def direct_potential(sources, x):
     """Brute-force Coulomb sum over the sources at point(s) x."""
-    x = np.asarray(x, dtype=float)
-    if len(sources) == 0:
-        return np.zeros(x.shape[:-1])[()] if x.ndim > 1 else 0.0
-    dist = np.linalg.norm(x[..., None, :] - sources.positions, axis=-1)
-    return (1.0 / dist) @ sources.charges
+    return _coulomb(x, sources.positions, sources.charges)
 
 
 def direct_energy(a, b):
     """Brute-force double Coulomb sum between two charge sets."""
-    if len(a) == 0 or len(b) == 0:
-        return 0.0
-    dist = np.linalg.norm(a.positions[:, None, :] - b.positions[None, :, :], axis=-1)
-    return float(a.charges @ (1.0 / dist) @ b.charges)
+    return float(a.charges @ _coulomb(a.positions, b.positions, b.charges))
+
+
+def _coulomb(x, positions, charges):
+    """sum_j charges[j] / |x - positions[j]| at each point of x, shape (..., 3).
+
+    The squared distance is summed one component at a time, in the order
+    np.linalg.norm adds them, so no (..., M, 3) difference array is built.
+    """
+    x = np.asarray(x, dtype=float)
+    r2 = sum((x[..., k, None] - positions[:, k]) ** 2 for k in range(3))
+    dist = np.sqrt(r2)
+    if np.any(dist < 1e-12):
+        raise SingularityError("evaluation point coincides with a source point")
+    return ((1.0 / dist) @ charges)[()]
 
 
 def expansion_to_text(exp):
@@ -258,7 +275,7 @@ def expansion_from_text(text):
         rule = lebedev_rule(int(fields["rule_order"]))
         header = dict(center=[float(v) for v in fields["center"].split(",")],
                       radius=float(fields["R"]), order=int(fields["p"]), kind=fields["kind"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, UnsupportedOrderError) as exc:
         raise DomainError("expansion line %d: bad or missing header field (%s)"
                           % (head_no, exc)) from exc
     if len(lines) - 1 != len(rule):

@@ -256,7 +256,7 @@ def polytensor_from_text(text):
                           % (lines[0][0], exc)) from exc
     if not 1 <= p <= MAX_ORDER:
         raise DomainError("polytensor line %d: order must be in 1..%d" % (lines[0][0], MAX_ORDER))
-    coeffs = [{t: 0.0 for t in triples(n)} for n in range(p)]
+    values = {}
     for lineno, parts in lines[1:]:
         try:
             n, n1, n2, n3, value = parts
@@ -264,8 +264,15 @@ def polytensor_from_text(text):
         except ValueError as exc:
             raise DomainError("polytensor line %d: expected 'n n1 n2 n3 value'"
                               % lineno) from exc
-        if not 0 <= n < p or t not in coeffs[n]:
+        if not 0 <= n < p or min(t) < 0 or sum(t) != n:
             raise DomainError("polytensor line %d: no moment %s of degree %d in an order-%d "
                               "polytensor" % (lineno, t, n, p))
-        coeffs[n][t] = value
-    return Polytensor(p, tuple(coeffs))
+        if (n, t) in values:
+            raise DomainError("polytensor line %d: moment %s of degree %d repeated"
+                              % (lineno, t, n))
+        values[n, t] = value
+    for n in range(p):
+        for t in triples(n):
+            if (n, t) not in values:
+                raise DomainError("polytensor: moment %s of degree %d missing" % (t, n))
+    return Polytensor(p, tuple({t: values[n, t] for t in triples(n)} for n in range(p)))

@@ -9,11 +9,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ContractViolation, GeometryError
-from .expansion import _project
+from .expansion import _SLACK, _project
 
 __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
-
-_SLACK = 1e-12
 
 
 def _require_kind(src, kind):
@@ -34,7 +32,7 @@ def shift_outer(src, new_center, new_R):
     _require_kind(src, "outer")
     new_center = np.asarray(new_center, dtype=float)
     t = np.linalg.norm(new_center - src.center)
-    if t + src.radius > new_R + _SLACK:
+    if t + src.radius > (1.0 + _SLACK) * new_R:
         raise GeometryError("source sphere not contained in the new sphere")
     return _refit(src, "outer", new_center, new_R)
 
@@ -44,7 +42,7 @@ def outer_to_inner(src, new_center, new_R):
     _require_kind(src, "outer")
     new_center = np.asarray(new_center, dtype=float)
     dist = np.linalg.norm(src.surface_points - new_center, axis=1) / new_R
-    bad = np.nonzero(dist <= 1.0 + 1e-9)[0]
+    bad = np.nonzero(dist <= 1.0 + _SLACK)[0]
     if bad.size:
         raise GeometryError(
             "kernel argument reaches the unit sphere at source points %s" % bad.tolist()
@@ -57,6 +55,6 @@ def shift_inner(src, new_center, new_R):
     _require_kind(src, "inner")
     new_center = np.asarray(new_center, dtype=float)
     t = np.linalg.norm(new_center - src.center)
-    if t + new_R > src.radius + _SLACK:
+    if t + new_R > (1.0 + _SLACK) * src.radius:
         raise GeometryError("new sphere not contained in the old sphere")
     return _refit(src, "inner", new_center, new_R)

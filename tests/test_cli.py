@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,9 +164,12 @@ def _expansion_text():
     # an expansion with a non-finite radius or center
     ("exp2charges", _expansion_text().replace(" R=1 ", " R=nan "), 1),
     ("exp2charges", _expansion_text().replace("center=0,", "center=inf,"), 1),
+    # an expansion on a rule that is not embedded
+    ("exp2charges", re.sub(r"rule_order=\d+", "rule_order=14", _expansion_text()), 1),
     # a polytensor line with an out-of-range degree
     ("poly2exp", "quadpole-polytensor p=2\n0 0 0 0 1\n2 2 0 0 1\n", 3),
-], ids=["missing-header-field", "nan-radius", "inf-center", "polytensor-degree"])
+], ids=["missing-header-field", "nan-radius", "inf-center", "unsupported-rule-order",
+        "polytensor-degree"])
 def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
     src = tmp_path / "input.txt"
     src.write_text(text)

@@ -40,10 +40,29 @@ def test_fit_outer_diagnostics_flags_outside_sources():
     assert e.diagnostics["max_source_radius"] == pytest.approx(2.0)
 
 
+def test_fit_inner_diagnostics_flags_inside_sources():
+    e = qp.fit_inner(unit_charge_at([0.1, 0.0, 0.0]), np.zeros(3), 1.0, 3)
+    assert e.diagnostics["n_sources_inside"] == 1
+    assert e.diagnostics["min_source_radius"] == pytest.approx(0.1)
+    empty = qp.fit_inner(qp.PointCharges.empty(), np.zeros(3), 1.0, 3)
+    assert empty.diagnostics["n_sources_inside"] == 0
+
+
 def test_eval_outer_monopole_exact():
     e = qp.fit_outer(unit_charge_at([0.0, 0.0, 0.0]), np.zeros(3), 1.0, 1)
     x = np.array([3.0, 4.0, 0.0])
     assert qp.eval_outer_potential(e, x) == pytest.approx(0.2, abs=1e-12)
+
+
+def test_eval_on_the_wrong_side_rejected():
+    outer = qp.fit_outer(unit_charge_at([0.1, 0.0, 0.0]), np.zeros(3), 1.0, 4)
+    with pytest.raises(qp.GeometryError):
+        qp.eval_outer_potential(outer, np.array([0.2, 0.0, 0.0]))
+    qp.eval_outer_potential(outer, outer.surface_points)   # on the sphere is allowed
+    inner = qp.fit_inner(unit_charge_at([3.0, 0.0, 0.0]), np.zeros(3), 1.0, 4)
+    with pytest.raises(qp.GeometryError):
+        qp.eval_inner_potential(inner, np.array([[0.0, 0.0, 0.0], [0.0, 1.5, 0.0]]))
+    qp.eval_inner_potential(inner, inner.surface_points)
 
 
 def test_eval_outer_vs_direct_sum():
@@ -110,6 +129,28 @@ def test_point_charge_evaluation():
     assert qp.eval_point_charge_potential(zero, x) == 0.0
     with pytest.raises(qp.SingularityError):
         qp.eval_point_charge_potential(e, e.surface_points[0])
+    cloud = unit_charge_at([1.0, 2.0, 3.0])
+    with pytest.raises(qp.SingularityError):
+        qp.direct_potential(cloud, np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+    with pytest.raises(qp.SingularityError):
+        qp.direct_energy(cloud, cloud)
+
+
+def test_coulomb_sum_shapes_and_empty_sets():
+    from quadpole.expansion import _coulomb
+    rng = np.random.default_rng(67)
+    y = rng.standard_normal((7, 3))
+    q = rng.uniform(-1, 1, 7)
+    for shape in ((3,), (5, 3), (4, 2, 3)):
+        x = 4.0 + rng.standard_normal(shape)
+        ref = (1.0 / np.linalg.norm(x[..., None, :] - y, axis=-1)) @ q
+        got = _coulomb(x, y, q)
+        assert np.shape(got) == shape[:-1]
+        assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
+    cloud = qp.PointCharges(y, q)
+    assert qp.direct_energy(qp.PointCharges.empty(), cloud) == 0.0
+    assert qp.direct_energy(cloud, qp.PointCharges.empty()) == 0.0
+    assert qp.direct_potential(qp.PointCharges.empty(), np.ones((2, 3))).shape == (2,)
 
 
 def test_point_charge_tracks_series():

@@ -217,8 +217,11 @@ def test_polytensor_text_rejects_garbage():
                 "-1 0 0 0 1.0",     # negative degree
                 "2 1 1 1 1.0",      # triple of the wrong degree
                 "2 1 1",            # short line
-                "2 1 x 0 1.0"):     # unparsable
+                "2 1 x 0 1.0",      # unparsable
+                "0 0 0 0 2.0"):     # repeated
         with pytest.raises(qp.DomainError, match="line 3"):
             qp.polytensor_from_text(head + bad + "\n")
+    with pytest.raises(qp.DomainError, match=r"\(1, 0, 0\) of degree 1 missing"):
+        qp.polytensor_from_text(head)
     with pytest.raises(qp.DomainError, match="line 1"):
         qp.polytensor_from_text("quadpole-polytensor q=3\n")

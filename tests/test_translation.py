@@ -67,6 +67,10 @@ def test_outer_to_inner_rejects_overlap():
     outer = qp.fit_outer(qp.PointCharges.empty(), np.zeros(3), 1.0, 4)
     with pytest.raises(qp.GeometryError):
         qp.outer_to_inner(outer, np.array([1.5, 0.0, 0.0]), 1.0)
+    with pytest.raises(qp.GeometryError):   # tangent spheres
+        qp.outer_to_inner(outer, np.array([2.0, 0.0, 0.0]), 1.0)
+    # a gap of 1e-10 of the radius is enough
+    qp.outer_to_inner(outer, np.array([2.0 + 1e-10, 0.0, 0.0]), 1.0)
 
 
 def test_shift_inner_converges_with_order():
