@@ -72,6 +72,13 @@ def _resolve_orders(args):
     return vals
 
 
+def _check_counts(args):
+    if args.trials < 1:
+        raise ConfigError("--trials must be at least 1")
+    if args.charges < 0:
+        raise ConfigError("--charges must be non-negative")
+
+
 class ConfigError(Exception):
     pass
 
@@ -90,8 +97,13 @@ def _write_csv(path, header_cols, rows, args_note):
 
 def cmd_racc(args):
     orders = _resolve_orders(args)
-    eval_rule = lebedev_rule(args.rule_order)
+    _check_counts(args)
     radii = np.array([float(v) for v in args.radii.split(",")]) if args.radii else DEFAULT_RADII
+    # at r = 1 evaluation points fall on the fit rule's points, where the
+    # point-charge sum is singular
+    if not np.all(np.isfinite(radii) & (radii > 1.0)):
+        raise ConfigError("--radii must be finite and greater than 1")
+    eval_rule = lebedev_rule(args.rule_order)
     acc = {}   # (kind, p, r) -> summed mean abs error
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
@@ -119,7 +131,7 @@ def cmd_racc(args):
                 acc_add(acc, ("inner_diff", p, 1.0 / r), np.mean(np.abs(series_i - points_i)))
     rows = []
     for (kind, p, r), total in acc.items():
-        err = total / max(args.trials, 1)
+        err = total / args.trials
         pref = err * r ** (p + 1) if kind.startswith("outer") else err * r ** (-p)
         rows.append((kind, p, float(r), float(err), float(pref)))
     note = "seed=%d charges=%d trials=%d orders=%s rule_order=%d" % (
@@ -135,6 +147,7 @@ def acc_add(acc, key, value):
 
 def cmd_tacc(args):
     orders = _resolve_orders(args)
+    _check_counts(args)
     eval_rule = lebedev_rule(args.rule_order)
     cos_theta = eval_rule.points[:, 0]   # shifts are along +x
     acc = {}
@@ -164,7 +177,7 @@ def cmd_tacc(args):
                 acc_add(acc, ("inner", p, s), err)
     rows = []
     for (kind, p, s), total in acc.items():
-        err = total / max(args.trials, 1)
+        err = total / args.trials
         for ct, e in zip(cos_theta, err):
             rows.append((kind, p, float(s), float(ct), float(e)))
     note = "seed=%d charges=%d trials=%d orders=%s rule_order=%d" % (

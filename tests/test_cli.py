@@ -175,3 +175,25 @@ def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
     src.write_text(text)
     assert run(["convert", direction, str(src)]) == 3
     assert "line %d:" % line in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("racc", "--radii", "-2"),
+    ("racc", "--radii", "nan"),
+    ("racc", "--radii", "0"),
+    ("racc", "--radii", "0.5"),
+    ("racc", "--radii", "1"),
+    ("racc", "--radii", "3,inf"),
+    ("racc", "--trials", "-1"),
+    ("racc", "--trials", "0"),
+    ("tacc", "--trials", "0"),
+    ("racc", "--charges", "-3"),
+    ("tacc", "--charges", "-3"),
+])
+def test_experiment_rejects_bad_values(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out.csv"
+    # the last occurrence of a flag wins, so the bad value overrides the default
+    argv = [command, "--charges", "5", "--trials", "1", "--orders", "2", flag, value]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + flag)
+    assert not out.exists()

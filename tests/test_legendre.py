@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,21 @@ def test_stack_and_matrix_broadcast():
     assert K[2, 3] == pytest.approx(kernel_matrix(xs[2], ys[3], 6), rel=1e-13)
 
 
+def _stitched(fn, x, y, coef, rows=97):
+    """fn called on slices of `rows` rows of the first batch axis, concatenated.
+
+    97 rows of these batches are fewer pairs than one block, so each call is
+    an unblocked sum, and the slices do not line up with the block grid.
+    """
+    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+
+    def cut(a, i):
+        return a[i:i + rows] if a.ndim > len(batch) and a.shape[0] > 1 else a
+
+    return np.concatenate([fn(cut(x, i), cut(y, i), coef)
+                           for i in range(0, batch[0], rows)])
+
+
 @pytest.mark.parametrize("p", [1, 2, 30])
 @pytest.mark.parametrize("shapes", [((3,), (3,)), ((4, 1, 3), (1, 5, 3))])
 def test_kernel_sum_matches_weighted_stack(p, shapes):
@@ -155,6 +172,55 @@ def test_kernel_sum_matches_weighted_stack(p, shapes):
     got = grad_kernel_sum(x, y, coef)
     assert np.shape(got) == np.shape(expect)
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("p", [1, 2, 30])
+@pytest.mark.parametrize("shapes", [
+    # more pairs than one block, ending in a partial block, blocked along x,
+    # along y, and along a 1-D batch
+    ((1203, 1, 3), (1, 50, 3)),
+    ((1, 50, 3), (1203, 1, 3)),
+    ((20000, 3), (3,)),
+])
+def test_blocked_sums_match_unblocked_slices(p, shapes):
+    rng = np.random.default_rng(41 + p)
+    coef = rng.standard_normal(p)
+    x = rng.standard_normal(shapes[0])
+    y = 3.0 * rng.standard_normal(shapes[1])
+    batch = np.broadcast_shapes(shapes[0][:-1], shapes[1][:-1])
+    got = kernel_sum(x, y, coef)
+    assert got.shape == batch
+    assert np.array_equal(got, _stitched(kernel_sum, x, y, coef))
+    grad = grad_kernel_sum(x, y, coef)
+    assert grad.shape == batch + (3,)
+    assert np.array_equal(grad, _stitched(grad_kernel_sum, x, y, coef))
+
+
+def test_blocked_sums_raise_on_a_zero_in_the_last_block():
+    x = np.random.default_rng(3).standard_normal((1, 50, 3))
+    y = np.ones((1203, 1, 3))
+    y[-1] = 0.0
+    with pytest.raises(qp.SingularityError):
+        kernel_sum(x, y, np.ones(4))
+    with pytest.raises(qp.SingularityError):
+        grad_kernel_sum(x, y, np.ones(4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda pts: kernel_matrix(pts[:, None, :], 1.5 * pts[None, :, :], 30),
+    lambda pts: grad_kernel_sum(pts, 2 * pts[:, None, :], np.ones(8)),
+], ids=["kernel_matrix", "grad_kernel_sum"])
+def test_blocked_sums_peak_memory(call):
+    pts = qp.lebedev_rule(59).points
+    assert len(pts) == 1202
+    tracemalloc.start()
+    try:
+        out = call(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus block-sized working arrays, not batch-sized ones
+    assert peak <= 1.5 * out.nbytes
 
 
 def test_gradient_matches_finite_differences():
