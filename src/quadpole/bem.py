@@ -8,7 +8,6 @@ fit rule, cut at the system's rank sum_j p_j^2.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, GeometryError, SolverError
 from .expansion import SurfaceExpansion, _exterior_sum, _interior_sum
@@ -60,6 +59,7 @@ class FlowSolution:
     expansions: tuple
     residual_report: np.ndarray   # per-sphere RMS residual on the fit rule
     rank: int                     # rank of the solved least-squares system
+    cond: float                   # largest over smallest kept singular value
 
 
 def single_layer_ext(exp, x):
@@ -144,15 +144,16 @@ def solve_potential_flow(spheres):
         # A's singular values are those of the rank sum_j p_j^2 field map
         # (>= 5e-2 of the largest on the three-sphere scene) and roundoff
         # (<= 1e-15 of it); a cut inside that gap drops the roundoff directions.
-        w, _, rank, _ = scipy.linalg.lstsq(A, b, cond=1e-10, lapack_driver="gelsd")
-    except Exception as exc:  # pragma: no cover - LAPACK failure
+        w, _, rank, sv = np.linalg.lstsq(A, b, rcond=1e-10)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - SVD did not converge
         raise SolverError("least-squares solve failed: %s" % exc) from exc
     if not np.all(np.isfinite(w)):
         raise SolverError("non-finite solution from the boundary solve")
     split = np.split(w, np.cumsum([len(s.rule) for s in spheres])[:-1])
     expansions = tuple(SurfaceExpansion(s.center, s.radius, s.rule, ws, s.order, "outer")
                        for s, ws in zip(spheres, split))
-    return FlowSolution(expansions, _rms_per_sphere(A @ w - b, fit_rule), int(rank))
+    return FlowSolution(expansions, _rms_per_sphere(A @ w - b, fit_rule), int(rank),
+                        float(sv[0] / sv[rank - 1]))
 
 
 def boundary_error(sol, spheres, reference_rule):

@@ -15,8 +15,10 @@ seed and configuration.
 """
 import argparse
 import sys
+from collections import defaultdict
 
 import numpy as np
+from numpy.random import default_rng   # numpy 2 would load it lazily, in the first trial
 
 from . import __version__
 from .bem import SphereBoundary, boundary_error, parse_scene, solve_potential_flow
@@ -48,7 +50,7 @@ INNER_SHIFTS = (0.1, 0.2, 0.3, 0.4)
 
 
 def _trial_rng(seed, trial):
-    return np.random.default_rng([seed, trial])
+    return default_rng([seed, trial])
 
 
 def _sample_cloud(rng, count):
@@ -104,7 +106,7 @@ def cmd_racc(args):
     if not np.all(np.isfinite(radii) & (radii > 1.0)):
         raise ConfigError("--radii must be finite and greater than 1")
     eval_rule = lebedev_rule(args.rule_order)
-    acc = {}   # (kind, p, r) -> summed mean abs error
+    acc = defaultdict(float)   # (kind, p, r) -> summed mean abs error
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
         cloud = _sample_cloud(rng, args.charges)
@@ -121,14 +123,14 @@ def cmd_racc(args):
             for r, x, y, exact, exact_i in zip(radii, xs, ys, exacts, exacts_i):
                 series = eval_outer_potential(outer, x)
                 points = eval_point_charge_potential(outer, x)
-                acc_add(acc, ("outer", p, r), np.mean(np.abs(series - exact)))
-                acc_add(acc, ("outer_points", p, r), np.mean(np.abs(points - exact)))
-                acc_add(acc, ("outer_diff", p, r), np.mean(np.abs(series - points)))
+                acc["outer", p, r] += np.mean(np.abs(series - exact))
+                acc["outer_points", p, r] += np.mean(np.abs(points - exact))
+                acc["outer_diff", p, r] += np.mean(np.abs(series - points))
                 series_i = eval_inner_potential(inner, y)
                 points_i = eval_point_charge_potential(inner, y)
-                acc_add(acc, ("inner", p, 1.0 / r), np.mean(np.abs(series_i - exact_i)))
-                acc_add(acc, ("inner_points", p, 1.0 / r), np.mean(np.abs(points_i - exact_i)))
-                acc_add(acc, ("inner_diff", p, 1.0 / r), np.mean(np.abs(series_i - points_i)))
+                acc["inner", p, 1.0 / r] += np.mean(np.abs(series_i - exact_i))
+                acc["inner_points", p, 1.0 / r] += np.mean(np.abs(points_i - exact_i))
+                acc["inner_diff", p, 1.0 / r] += np.mean(np.abs(series_i - points_i))
     rows = []
     for (kind, p, r), total in acc.items():
         err = total / args.trials
@@ -140,17 +142,12 @@ def cmd_racc(args):
     return 0
 
 
-def acc_add(acc, key, value):
-    """Add a scalar or an array to the running total under key."""
-    acc[key] = acc.get(key, 0.0) + value
-
-
 def cmd_tacc(args):
     orders = _resolve_orders(args)
     _check_counts(args)
     eval_rule = lebedev_rule(args.rule_order)
     cos_theta = eval_rule.points[:, 0]   # shifts are along +x
-    acc = {}
+    acc = defaultdict(float)   # (kind, p, shift) -> summed abs error per point
     for trial in range(args.trials):
         rng = _trial_rng(args.seed, trial)
         cloud = _sample_cloud(rng, args.charges)
@@ -166,7 +163,7 @@ def cmd_tacc(args):
                 shifted = shift_outer(src_exp, np.zeros(3), 1.0)
                 x = 2.0 * eval_rule.points
                 err = np.abs(eval_outer_potential(shifted, x) - direct_potential(moved, x))
-                acc_add(acc, ("outer", p, s), err)
+                acc["outer", p, s] += err
             src_exp = fit_inner(inv, np.zeros(3), 0.5, p, rule=rule)
             for s in INNER_SHIFTS:
                 t = np.array([s, 0.0, 0.0])
@@ -174,7 +171,7 @@ def cmd_tacc(args):
                 shifted = shift_inner(src_exp, t, r1)
                 y = t + r1 * eval_rule.points
                 err = np.abs(eval_inner_potential(shifted, y) - direct_potential(inv, y))
-                acc_add(acc, ("inner", p, s), err)
+                acc["inner", p, s] += err
     rows = []
     for (kind, p, s), total in acc.items():
         err = total / args.trials

@@ -16,7 +16,6 @@ from .errors import DomainError, SingularityError
 
 __all__ = [
     "legendre_poly",
-    "legendre_poly_table",
     "f_sequence_raw",
     "scaled_legendre_stack",
     "kernel_sum",
@@ -45,18 +44,6 @@ def legendre_poly(n, t):
     for k in range(2, n + 1):
         p_prev, p_cur = p_cur, ((2 * k - 1) * t * p_cur - (k - 1) * p_prev) / k
     return p_cur[()] if p_cur.ndim == 0 else p_cur
-
-
-def legendre_poly_table(n_max, t):
-    """Stack P_0(t)..P_{n_max-1}(t), shape (n_max,) + t.shape."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((n_max,) + t.shape)
-    out[0] = 1.0
-    if n_max > 1:
-        out[1] = t
-    for k in range(2, n_max):
-        out[k] = ((2 * k - 1) * t * out[k - 1] - (k - 1) * out[k - 2]) / k
-    return out
 
 
 def _terms(xy, xx, yy, alpha, p):

@@ -99,6 +99,7 @@ def sphere_monomial_integral(a, b, c):
 
 
 def _double_factorial(n):
+    """(n)!! as a float, with (-1)!! = 0!! = 1; exact in float64 up to 29!!."""
     out = 1.0
     while n > 1:
         out *= n

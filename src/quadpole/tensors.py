@@ -7,7 +7,9 @@ components A[n1,n2,n3].  The associated homogeneous polynomial is
     a_n(r) = sum multinomial(n; n1,n2,n3) r_x^n1 r_y^n2 r_z^n3 A[n1,n2,n3]
 
 and products/contractions reduce to polynomial multiplication and
-differentiation of these coefficient maps.
+differentiation of these coefficient maps.  De-tracing is the harmonic
+projection of a_n sampled at the points of a Lebedev rule: one kernel
+sum over the point set, with no expansion of P_n into powers.
 """
 import math
 from dataclasses import dataclass
@@ -16,6 +18,8 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .expansion import SurfaceExpansion
+from .legendre import kernel_sum
+from .quadrature import _double_factorial as double_factorial, rule_for_expansion
 
 __all__ = [
     "Polytensor",
@@ -45,15 +49,6 @@ def triples(n):
 def multinomial(n, t):
     """n! / (n1! n2! n3!)."""
     return math.comb(n, t[0]) * math.comb(n - t[0], t[1])
-
-
-def double_factorial(n):
-    """(n)!! with (-1)!! = 0!! = 1."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 @dataclass(frozen=True)
@@ -166,46 +161,22 @@ def partial_contract(a, b):
     return _slice_from_poly({t: v * scale for t, v in out.items()}, m)
 
 
-def _legendre_power_coeffs(n):
-    """Coefficients c_k with P_n(t) = sum_k c_k t^k."""
-    return np.polynomial.legendre.leg2poly([0.0] * n + [1.0])
+def detrace_directional(pt, r, n):
+    """De-traced directional moment r^(n) (.)n D_n M^(n), a solid harmonic in r.
 
-
-def _detrace_poly_in_r(pt, n):
-    """Coefficient map (in r) of the de-traced directional moment of order n.
-
-    Uses |y|^n P_n(rhat . yhat) = sum_k c_k (r.y)^k (y.y)^{(n-k)/2} and
-    contracts the y-monomials with the stored moments, leaving a
-    polynomial in r of degree n scaled by n!/(2n-1)!!.
+    The degree-n harmonic projection of m_n at the points of a rule exact
+    to degree 2n, (2n+1)/(4 pi) sum_k W_k L_n(r, rhat_k) m_n(rhat_k): for
+    charges q at y it is n!/(2n-1)!! sum q |y|^n |r|^n P_n(rhat.yhat),
+    homogeneous of degree n in r.
     """
-    c = _legendre_power_coeffs(n)
-    out = {}
-    moments = pt.coeffs[n]
-    for k in range(n % 2, n + 1, 2):
-        if c[k] == 0.0:
-            continue
-        j = (n - k) // 2
-        for ta in triples(k):
-            acc = 0.0
-            for tj in triples(j):
-                full = (ta[0] + 2 * tj[0], ta[1] + 2 * tj[1], ta[2] + 2 * tj[2])
-                acc += multinomial(j, tj) * moments[full]
-            if acc != 0.0:
-                out[ta] = out.get(ta, 0.0) + c[k] * multinomial(k, ta) * acc
-    scale = math.factorial(n) / double_factorial(2 * n - 1)
-    return {t: scale * v for t, v in out.items()}
-
-
-def detrace_directional(pt, rhat, n):
-    """De-traced directional moment rhat^(n) (.)n D_n M^(n) at unit rhat."""
     if not 0 <= n < pt.order:
         raise DomainError("moment order out of range")
-    rhat = np.asarray(rhat, dtype=float)
-    poly = _detrace_poly_in_r(pt, n)
-    out = 0.0
-    for t, v in poly.items():
-        out = out + v * rhat[..., 0] ** t[0] * rhat[..., 1] ** t[1] * rhat[..., 2] ** t[2]
-    return out
+    rule = rule_for_expansion(n + 1)
+    coef = np.zeros(n + 1)
+    coef[n] = (2 * n + 1) / (4.0 * np.pi)
+    r = np.asarray(r, dtype=float)
+    moments = rule.weights * directional_moment(pt, rule.points, n)
+    return kernel_sum(r[..., None, :], rule.points, coef) @ moments
 
 
 def polytensor_from_expansion(exp):

@@ -135,6 +135,7 @@ def test_three_sphere_flow_converges():
         err = qp.boundary_error(sol, three_sphere_scene(p), ref)
         # rank p^2 per sphere; spheres 0 and 1 are mirror images in y = 0
         assert sol.rank == 3 * p * p
+        assert np.isfinite(sol.cond) and sol.cond < 20
         assert err[1] == pytest.approx(err[0], rel=1e-10)
         errs.append(np.max(err))
     assert errs[0] > errs[1] > errs[2]

@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quadpole
 from quadpole.cli import main
 
 
@@ -13,6 +17,15 @@ def read_csv(path):
 
 def run(argv):
     return main(argv)
+
+
+def test_cli_import_needs_only_numpy():
+    src = os.path.dirname(os.path.dirname(quadpole.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, quadpole.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_racc_writes_csv(tmp_path):

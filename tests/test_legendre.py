@@ -9,7 +9,6 @@ from quadpole.legendre import (
     grad_scaled_legendre_stack,
     kernel_matrix,
     kernel_sum,
-    legendre_poly_table,
     scaled_legendre_stack,
 )
 
@@ -238,9 +237,3 @@ def test_gradient_matches_finite_differences():
                       - scaled_legendre_stack(a, x - e, 6)[n]) / (2 * h)
                 assert G[n, k] == pytest.approx(fd, rel=2e-5, abs=1e-10)
 
-
-def test_legendre_poly_table_consistency():
-    t = np.linspace(-1, 1, 17)
-    tab = legendre_poly_table(8, t)
-    for n in range(8):
-        assert np.allclose(tab[n], qp.legendre_poly(n, t), atol=1e-14)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import quadpole as qp
-from quadpole.legendre import legendre_poly_table
 from quadpole.quadrature import sphere_monomial_integral
 
 
@@ -93,8 +92,8 @@ def test_orthogonality_identity():
             xh, yh = rng.standard_normal((2, 3))
             xh /= np.linalg.norm(xh)
             yh /= np.linalg.norm(yh)
-            px = legendre_poly_table(p, rule.points @ xh)
-            py = legendre_poly_table(p, rule.points @ yh)
+            px = np.stack([qp.legendre_poly(n, rule.points @ xh) for n in range(p)])
+            py = np.stack([qp.legendre_poly(n, rule.points @ yh) for n in range(p)])
             gram = (px * rule.weights) @ py.T
             expect = np.zeros((p, p))
             for n in range(p):

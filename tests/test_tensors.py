@@ -163,6 +163,27 @@ def test_detrace_directional_quadrupole():
         assert qp.detrace_directional(m, rh, n) == pytest.approx(want, abs=1e-13)
 
 
+def test_detrace_directional_closed_form_to_max_order():
+    # n!/(2n-1)!! sum q |y|^n P_n(rh.yhat) at every degree a polytensor holds;
+    # the result is the solid harmonic, so off the unit sphere it scales as |r|^n
+    rng = np.random.default_rng(163)
+    pos = rng.uniform(-0.5, 0.5, (200, 3))
+    q = rng.uniform(-1, 1, 200)
+    m = qp.moments_from_charges(qp.PointCharges(pos, q), MAX_ORDER)
+    rh = rng.standard_normal((5, 3))
+    rh /= np.linalg.norm(rh, axis=1)[:, None]
+    ny = np.linalg.norm(pos, axis=1)
+    cos = np.clip((rh @ pos.T) / ny, -1.0, 1.0)
+    for n in range(MAX_ORDER):
+        lead = math.factorial(n) / double_factorial(2 * n - 1)
+        want = lead * (qp.legendre_poly(n, cos) @ (q * ny ** n))
+        scale = lead * np.sum(np.abs(q) * ny ** n)
+        got = qp.detrace_directional(m, rh, n)
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+        off = qp.detrace_directional(m, 2.5 * rh, n)
+        assert np.max(np.abs(off - 2.5 ** n * got)) <= 1e-10 * 2.5 ** n * scale
+
+
 def test_detrace_matches_far_field():
     # summed detraced contributions reproduce the multipole series directly
     rng = np.random.default_rng(149)
