@@ -3,15 +3,18 @@
 The single/double layer sums are exact for polynomial surface densities
 of degree < p.  The flow solver fits the normal-velocity boundary condition
 with each sphere's surface weights, by weighted least squares on a finer
-fit rule, cut at the system's rank sum_j p_j^2.
+fit rule, cut at the system's rank sum_j p_j^2.  Each row of that system
+is a normal-derivative kernel sum, one scalar n.grad L per pair; on a
+sphere's own block (the source shares its center) it is the plain kernel
+sum with coefficients -(k+1)/R, like every other layer operator.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, SolverError
-from .expansion import SurfaceExpansion, _exterior_sum, _interior_sum
-from .legendre import grad_kernel_sum
+from .errors import ContractViolation, DomainError, GeometryError, SolverError
+from .expansion import _SLACK, SurfaceExpansion, _exterior_sum, _interior_sum, _radius_of
+from .legendre import grad_kernel_sum, kernel_sum, normal_kernel_sum
 from .quadrature import QuadratureRule, rule_for_expansion
 
 __all__ = [
@@ -40,12 +43,15 @@ class SphereBoundary:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
+        if not (np.isfinite(self.radius) and np.all(np.isfinite(self.center))
+                and np.all(np.isfinite(self.velocity))):
+            raise DomainError("center, radius and velocity must be finite")
         if self.radius <= 0.0:
             raise DomainError("radius must be positive")
         if self.rule.exactness_degree < 2 * self.order - 2:
             raise DomainError("rule exactness inadequate for order")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
 
     @staticmethod
     def make(center, radius, velocity, order):
@@ -95,6 +101,10 @@ def jump_check(exp, yhat):
 
 def outer_gradient(exp, x):
     """Gradient of the outer-expansion potential at exterior point(s) x."""
+    if exp.kind != "outer":
+        raise ContractViolation("outer expansion required")
+    if np.any(_radius_of(exp, x) < (1.0 - _SLACK) * exp.radius):
+        raise GeometryError("outer expansion differentiated inside its sphere")
     rel = np.asarray(x, dtype=float) - exp.center
     G = grad_kernel_sum(exp.radius * exp.rule.points, rel[..., None, :], np.ones(exp.order))
     return np.tensordot(G, exp.surface_weights, axes=(-2, 0))
@@ -105,13 +115,21 @@ def _boundary_system(spheres, sources, rule):
 
     Row blocks follow the spheres and column blocks the sources' surface
     weights, so A @ weights - b is sqrt(w) times the mismatch n.v0 + n.grad(Phi).
+    Each row is a normal-derivative kernel sum, one scalar per pair.  Where
+    the source shares the sphere's center, n = xhat and L_k(a, x) is
+    homogeneous of degree -(k+1) in x, so the block is the plain kernel sum
+    with coefficients -(k+1)/R.
     """
     normals, sqw = rule.points, np.sqrt(rule.weights)
 
     def block(s, src):
-        rel = s.center + s.radius * normals - src.center
-        g = grad_kernel_sum(src.radius * src.rule.points, rel[:, None, :], np.ones(src.order))
-        return np.einsum("ijk,ik->ij", g, normals) * sqw[:, None]
+        a = src.radius * src.rule.points
+        rel = (s.center + s.radius * normals - src.center)[:, None, :]
+        if np.array_equal(s.center, src.center):
+            g = kernel_sum(a, rel, -(np.arange(src.order) + 1.0) / s.radius)
+        else:
+            g = normal_kernel_sum(a, rel, normals[:, None, :], np.ones(src.order))
+        return g * sqw[:, None]
 
     A = np.block([[block(s, src) for src in sources] for s in spheres])
     return A, np.concatenate([-(normals @ s.velocity) * sqw for s in spheres])
@@ -178,6 +196,8 @@ def parse_scene(text):
             vals = [float(v) for v in parts]
         except ValueError as exc:
             raise DomainError("scene line %d: %s" % (lineno, exc)) from exc
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("scene line %d: numbers must be finite" % lineno)
         if vals[3] <= 0.0:
             raise DomainError("scene line %d: radius must be positive" % lineno)
         rows.append((np.array(vals[:3]), vals[3], np.array(vals[4:])))

@@ -21,6 +21,7 @@ __all__ = [
     "kernel_sum",
     "kernel_matrix",
     "grad_kernel_sum",
+    "normal_kernel_sum",
     "grad_scaled_legendre_stack",
 ]
 
@@ -78,40 +79,40 @@ def _terms(xy, xx, yy, alpha, p):
         yield f_cur
 
 
+def _dot(a, b):
+    """a.b over the last axis, summed in the order np.sum uses."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def _inner_products(x, y):
-    """x.y, x.x and y.y over the last axis, summed in the order np.sum uses."""
+    """x.y, x.x and y.y over the last axis."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-
-    def dot(a, b):
-        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-    return dot(x, y), dot(x, x), dot(y, y)
+    return _dot(x, y), _dot(x, x), _dot(y, y)
 
 
 _BLOCK_PAIRS = 2 ** 14   # about 7 working arrays of this many float64s fit a 2 MB L2 cache
 
 
-def _row_blocks(x, y):
-    """Broadcast batch shape of 3-vector arrays x, y and their row blocks.
+def _row_blocks(*arrays):
+    """Broadcast batch shape of 3-vector arrays and their row blocks.
 
-    Returns (batch, [(rows, x_block, y_block), ...]), blocked along the first
-    batch axis with about _BLOCK_PAIRS pairs per block.  An argument that
-    broadcasts along that axis is passed whole; a scalar batch is one block
-    indexed by ``...``.
+    Returns (batch, [(rows, block, block, ...), ...]), one block per array,
+    cut along the first batch axis with about _BLOCK_PAIRS pairs per block.
+    An argument that broadcasts along that axis is passed whole; a scalar
+    batch is one block indexed by ``...``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    batch = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
     if not batch:
-        return batch, [(..., x, y)]
+        return batch, [(..., *arrays)]
     step = max(1, _BLOCK_PAIRS // max(1, int(np.prod(batch[1:]))))
 
     def cut(a, rows):
         return a[rows] if a.ndim > len(batch) and a.shape[0] > 1 else a
 
     blocks = [slice(i, i + step) for i in range(0, batch[0], step)]
-    return batch, [(rows, cut(x, rows), cut(y, rows)) for rows in blocks]
+    return batch, [(rows, *(cut(a, rows) for a in arrays)) for rows in blocks]
 
 
 def f_sequence_raw(xy, xx, yy, alpha, p):
@@ -181,29 +182,58 @@ def _grad_terms(xy, xx, yy, p):
         f_last = f
 
 
+def _gradient_sums(a, x, coef):
+    """(a.x, x.x, S_F, S_H) for one block of broadcast 3-vectors a, x.
+
+    S_F = sum_n (n+1) coef[n] F_n and S_H = sum_n coef[n] H_n, with F_n, H_n
+    from :func:`_grad_terms`, added as the recurrence produces them, so no
+    (p,) + batch stack is built.  L_n(a, x) is homogeneous of degree -(n+1)
+    in x, so dF_n/ds follows from u dF_n/du + 2 s dF_n/ds = -(n+1) F_n and
+    needs no recurrence of its own:
+
+        grad_x sum_n coef[n] L_n(a, x) = (S_H a - (S_F + (u/s) S_H) x) / s.
+    """
+    xy, xx, yy = _inner_products(a, x)
+    terms = _grad_terms(xy, xx, yy, len(coef))
+    s_f, s_h = (np.multiply(t, coef[0]) for t in next(terms))
+    tmp = np.empty_like(s_f)
+    for n, c, (f, h) in zip(range(2, len(coef) + 1), coef[1:], terms):
+        s_f += np.multiply(f, n * c, out=tmp)   # (n+1) c_n F_n, counting n from 0
+        s_h += np.multiply(h, c, out=tmp)
+    return xy, yy, s_f, s_h
+
+
 def grad_kernel_sum(a, x, coef):
     """sum_n coef[n] grad_x L_n(a, x) over broadcast batches; shape batch + (3,).
 
-    Terms are added as the recurrence produces them, so no (p,) + batch
-    stack is built.  Like :func:`kernel_sum`, the batch is summed in row
-    blocks of about 2^14 pairs, bit-identical to one unblocked sum.
+    Like :func:`kernel_sum`, the batch is summed in row blocks of about
+    2^14 pairs, bit-identical to one unblocked sum.
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
     batch, blocks = _row_blocks(a, x)
     out = np.empty(batch + (3,))
     for rows, ab, xb in blocks:
-        xy, xx, yy = _inner_products(ab, xb)
-        terms = _grad_terms(xy, xx, yy, len(coef))
-        s_f, s_h = (np.multiply(t, coef[0]) for t in next(terms))
-        tmp = np.empty_like(s_f)
-        for n, c, (f, h) in zip(range(2, len(coef) + 1), coef[1:], terms):
-            s_f += np.multiply(f, n * c, out=tmp)   # (n+1) c_n F_n, counting n from 0
-            s_h += np.multiply(h, c, out=tmp)
-        # L_n(a, x) is homogeneous of degree -(n+1) in x, so dF_n/ds follows from
-        # u dF_n/du + 2 s dF_n/ds = -(n+1) F_n and needs no recurrence of its own.
+        xy, yy, s_f, s_h = _gradient_sums(ab, xb, coef)
         out[rows] = (s_h[..., None] * ab - (s_f + xy / yy * s_h)[..., None] * xb) / yy[..., None]
     return out
+
+
+def normal_kernel_sum(a, x, n, coef):
+    """sum_k coef[k] n.grad_x L_k(a, x) over broadcast batches; shape batch.
+
+    n broadcasts like x.  The normal derivative is one scalar per pair,
+    (S_H (n.a) - (S_F + (u/s) S_H) (n.x)) / s, so no batch + (3,) gradient
+    is built; blocked like :func:`grad_kernel_sum`.
+    """
+    if len(coef) < 1:
+        raise DomainError("at least one coefficient required")
+    batch, blocks = _row_blocks(a, x, n)
+    out = np.empty(batch)
+    for rows, ab, xb, nb in blocks:
+        xy, yy, s_f, s_h = _gradient_sums(ab, xb, coef)
+        out[rows] = (s_h * _dot(nb, ab) - (s_f + xy / yy * s_h) * _dot(nb, xb)) / yy
+    return out[()]   # a numpy scalar for a scalar batch
 
 
 def grad_scaled_legendre_stack(a, x, p):

@@ -87,9 +87,27 @@ def test_outer_gradient_vs_finite_difference():
         assert g[k] == pytest.approx(num, rel=1e-5, abs=1e-8)
 
 
+def test_outer_gradient_contract():
+    exp, _ = harmonic_density_expansion(p=4)
+    # on the sphere is allowed; inside, the series diverges
+    assert np.all(np.isfinite(qp.outer_gradient(exp, exp.rule.points)))
+    with pytest.raises(qp.GeometryError):
+        qp.outer_gradient(exp, np.array([0.2, 0.0, 0.0]))
+    inner = qp.SurfaceExpansion(exp.center, exp.radius, exp.rule, exp.surface_weights,
+                                exp.order, "inner")
+    with pytest.raises(qp.ContractViolation):
+        qp.outer_gradient(inner, np.array([3.0, 0.0, 0.0]))
+
+
 def test_sphere_boundary_validation():
     with pytest.raises(qp.DomainError):
         qp.SphereBoundary.make(np.zeros(3), -1.0, np.array([1.0, 0, 0]), 4)
+    for center, radius, velocity in ((np.zeros(3), np.nan, [1.0, 0, 0]),
+                                     (np.zeros(3), np.inf, [1.0, 0, 0]),
+                                     ([0.0, np.nan, 0.0], 1.0, [1.0, 0, 0]),
+                                     (np.zeros(3), 1.0, [np.inf, 0, 0])):
+        with pytest.raises(qp.DomainError, match="finite"):
+            qp.SphereBoundary.make(center, radius, velocity, 4)
     s = qp.SphereBoundary.make(np.zeros(3), 1.0, np.array([1.0, 0, 0]), 4)
     assert s.rule.exactness_degree >= 6
 
@@ -142,6 +160,25 @@ def test_three_sphere_flow_converges():
     assert errs[2] < 2e-2
 
 
+@pytest.mark.parametrize("p", [3, 7])
+def test_boundary_error_matches_gradient_oracle(p):
+    # the same mismatch n.v0 + n.grad(Phi), from the 3-vector gradient of
+    # each expansion at the reference points, covers both the same-center
+    # radial-derivative blocks and the normal sums between spheres
+    spheres = three_sphere_scene(p)
+    sol = qp.solve_potential_flow(spheres)
+    ref = qp.lebedev_rule(59)
+    n = ref.points
+    want = []
+    for s in spheres:
+        x = s.center + s.radius * n
+        grad = sum(qp.outer_gradient(exp, x) for exp in sol.expansions)
+        mismatch = n @ s.velocity + np.sum(n * grad, axis=1)
+        want.append(np.sqrt(np.sum(ref.weights * mismatch ** 2) / np.sum(ref.weights)))
+    got = qp.boundary_error(sol, spheres, ref)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_parse_scene():
     text = """
     # comment line
@@ -161,3 +198,6 @@ def test_parse_scene_errors():
         qp.parse_scene("0 0 0 1 1 0 0\n0 0 0 frog 1 0 0\n")
     with pytest.raises(qp.DomainError, match="radius"):
         qp.parse_scene("0 0 0 -1 1 0 0\n")
+    for bad in ("-1 1.5 0 nan 1 0 0", "inf 1.5 0 1 1 0 0", "0 0 0 1 -inf 0 0"):
+        with pytest.raises(qp.DomainError, match="line 2: numbers must be finite"):
+            qp.parse_scene("0 0 0 1 1 0 0\n%s\n" % bad)

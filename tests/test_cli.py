@@ -109,6 +109,16 @@ def test_flow_bad_scene(tmp_path):
     assert run(["flow", "--scene", str(scene)]) == 3
 
 
+def test_flow_non_finite_scene(tmp_path, capfd):
+    # LAPACK would report an illegal argument on fd 2 if a nan reached the solve
+    scene = tmp_path / "scene.txt"
+    scene.write_text("4 0 0 3 -1 0 0\n-1 1.5 0 nan 1 0 0\n")
+    assert run(["flow", "--scene", str(scene), "--orders", "3"]) == 3
+    err = capfd.readouterr().err
+    assert "line 2" in err
+    assert "DLASCL" not in err
+
+
 def test_flow_overlapping_scene(tmp_path):
     scene = tmp_path / "scene.txt"
     scene.write_text("0 0 0 1 1 0 0\n1 0 0 1 1 0 0\n")

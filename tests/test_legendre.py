@@ -9,6 +9,7 @@ from quadpole.legendre import (
     grad_scaled_legendre_stack,
     kernel_matrix,
     kernel_sum,
+    normal_kernel_sum,
     scaled_legendre_stack,
 )
 
@@ -139,18 +140,18 @@ def test_stack_and_matrix_broadcast():
     assert K[2, 3] == pytest.approx(kernel_matrix(xs[2], ys[3], 6), rel=1e-13)
 
 
-def _stitched(fn, x, y, coef, rows=97):
-    """fn called on slices of `rows` rows of the first batch axis, concatenated.
+def _stitched(fn, coef, *arrays, rows=97):
+    """fn(*arrays, coef) on slices of `rows` rows of the first batch axis, concatenated.
 
     97 rows of these batches are fewer pairs than one block, so each call is
     an unblocked sum, and the slices do not line up with the block grid.
     """
-    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    batch = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
 
     def cut(a, i):
         return a[i:i + rows] if a.ndim > len(batch) and a.shape[0] > 1 else a
 
-    return np.concatenate([fn(cut(x, i), cut(y, i), coef)
+    return np.concatenate([fn(*(cut(a, i) for a in arrays), coef)
                            for i in range(0, batch[0], rows)])
 
 
@@ -171,6 +172,12 @@ def test_kernel_sum_matches_weighted_stack(p, shapes):
     got = grad_kernel_sum(x, y, coef)
     assert np.shape(got) == np.shape(expect)
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+    # the normal derivative along random n, shaped like y
+    n = rng.standard_normal(shapes[1])
+    expect = np.einsum("...k,...k->...", n, expect)
+    got = normal_kernel_sum(x, y, n, coef)
+    assert np.shape(got) == np.shape(expect)
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("p", [1, 2, 30])
@@ -189,10 +196,14 @@ def test_blocked_sums_match_unblocked_slices(p, shapes):
     batch = np.broadcast_shapes(shapes[0][:-1], shapes[1][:-1])
     got = kernel_sum(x, y, coef)
     assert got.shape == batch
-    assert np.array_equal(got, _stitched(kernel_sum, x, y, coef))
+    assert np.array_equal(got, _stitched(kernel_sum, coef, x, y))
     grad = grad_kernel_sum(x, y, coef)
     assert grad.shape == batch + (3,)
-    assert np.array_equal(grad, _stitched(grad_kernel_sum, x, y, coef))
+    assert np.array_equal(grad, _stitched(grad_kernel_sum, coef, x, y))
+    n = rng.standard_normal(shapes[1])
+    normal = normal_kernel_sum(x, y, n, coef)
+    assert normal.shape == batch
+    assert np.array_equal(normal, _stitched(normal_kernel_sum, coef, x, y, n))
 
 
 def test_blocked_sums_raise_on_a_zero_in_the_last_block():
@@ -203,12 +214,15 @@ def test_blocked_sums_raise_on_a_zero_in_the_last_block():
         kernel_sum(x, y, np.ones(4))
     with pytest.raises(qp.SingularityError):
         grad_kernel_sum(x, y, np.ones(4))
+    with pytest.raises(qp.SingularityError):
+        normal_kernel_sum(x, y, np.ones((1203, 1, 3)), np.ones(4))
 
 
 @pytest.mark.parametrize("call", [
     lambda pts: kernel_matrix(pts[:, None, :], 1.5 * pts[None, :, :], 30),
     lambda pts: grad_kernel_sum(pts, 2 * pts[:, None, :], np.ones(8)),
-], ids=["kernel_matrix", "grad_kernel_sum"])
+    lambda pts: normal_kernel_sum(pts, 2 * pts[:, None, :], pts[:, None, :], np.ones(8)),
+], ids=["kernel_matrix", "grad_kernel_sum", "normal_kernel_sum"])
 def test_blocked_sums_peak_memory(call):
     pts = qp.lebedev_rule(59).points
     assert len(pts) == 1202
