@@ -45,6 +45,8 @@ class SphereBoundary:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
+        if self.center.shape != (3,) or self.velocity.shape != (3,) or np.ndim(self.radius):
+            raise DomainError("center and velocity must be 3-vectors and radius a scalar")
         if not (np.isfinite(self.radius) and np.all(np.isfinite(self.center))
                 and np.all(np.isfinite(self.velocity))):
             raise DomainError("center, radius and velocity must be finite")
@@ -114,7 +116,8 @@ def _boundary_system(spheres, sources, rule):
     """Rows n.grad(Phi) and right-hand side -n.v0 at rule's points, times sqrt(w).
 
     Row blocks follow the spheres and column blocks the sources' surface
-    weights, so A @ weights - b is sqrt(w) times the mismatch n.v0 + n.grad(Phi).
+    weights, so A @ weights - b is sqrt(w) times the mismatch n.v0 + n.grad(Phi);
+    each block is written into one preallocated A as it is made.
     Each row is a normal-derivative kernel sum, one scalar per pair.  Where
     the source shares the sphere's center, n = xhat and L_k(a, x) is
     homogeneous of degree -(k+1) in x, so the block is the plain kernel sum
@@ -126,12 +129,17 @@ def _boundary_system(spheres, sources, rule):
         a = src.radius * src.rule.points
         rel = (s.center + s.radius * normals - src.center)[:, None, :]
         if np.array_equal(s.center, src.center):
-            g = kernel_sum(a, rel, -(np.arange(src.order) + 1.0) / s.radius)
-        else:
-            g = normal_kernel_sum(a, rel, normals[:, None, :], np.ones(src.order))
-        return g * sqw[:, None]
+            return kernel_sum(a, rel, -(np.arange(src.order) + 1.0) / s.radius)
+        return normal_kernel_sum(a, rel, normals[:, None, :], np.ones(src.order))
 
-    A = np.block([[block(s, src) for src in sources] for s in spheres])
+    n = len(normals)
+    cols = np.cumsum([0] + [len(src.rule) for src in sources])
+    A = np.empty((n * len(spheres), cols[-1]))
+    for i, s in enumerate(spheres):
+        for j, src in enumerate(sources):
+            # the block dies after its scaled copy, so one block at a time is alive
+            np.multiply(block(s, src), sqw[:, None],
+                        out=A[i * n:(i + 1) * n, cols[j]:cols[j + 1]])
     return A, np.concatenate([-(normals @ s.velocity) * sqw for s in spheres])
 
 

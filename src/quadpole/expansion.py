@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import kernel_matrix, kernel_sum
+from .legendre import _row_blocks, kernel_matrix, kernel_sum
 from .quadrature import QuadratureRule, lebedev_rule
 
 __all__ = [
@@ -239,15 +239,35 @@ def direct_energy(a, b):
 def _coulomb(x, positions, charges):
     """sum_j charges[j] / |x - positions[j]| at each point of x, shape (..., 3).
 
+    The targets are summed in the kernel sums' row blocks of about 2^14
+    pairs, inside two block-sized buffers, so no (targets, M) array is built.
     The squared distance is summed one component at a time, in the order
-    np.linalg.norm adds them, so no (..., M, 3) difference array is built.
+    np.linalg.norm adds them, and each block is one GEMV against the
+    charges, so a target's sum is that of one unblocked sum wherever the
+    BLAS groups its rows alike (OpenBLAS sums rows in fours; a row outside
+    a full group can differ by a fraction of an ulp of sum |q|/r).  Blocks
+    cut only the targets: a single target against more than 2^14 sources
+    stays one block, as splitting the sources would change the summation
+    order.
     """
     x = np.asarray(x, dtype=float)
-    r2 = sum((x[..., k, None] - positions[:, k]) ** 2 for k in range(3))
-    dist = np.sqrt(r2)
-    if np.any(dist < 1e-12):
-        raise SingularityError("evaluation point coincides with a source point")
-    return ((1.0 / dist) @ charges)[()]
+    (n, m), blocks = _row_blocks(x.reshape(-1, 1, 3), positions)
+    out = np.empty(n)
+    if blocks:
+        r2_buf, d_buf = np.empty((2, len(blocks[0][1]), m))
+    for rows, xb, yb in blocks:
+        r2, d = r2_buf[:len(xb)], d_buf[:len(xb)]
+        np.subtract(xb[..., 0], yb[:, 0], out=r2)
+        r2 *= r2
+        for k in (1, 2):
+            np.subtract(xb[..., k], yb[:, k], out=d)
+            d *= d
+            r2 += d
+        dist = np.sqrt(r2, out=r2)
+        if m and dist.min() < 1e-12:
+            raise SingularityError("evaluation point coincides with a source point")
+        np.matmul(np.reciprocal(dist, out=dist), charges, out=out[rows])
+    return out.reshape(x.shape[:-1])[()]
 
 
 def expansion_to_text(exp):

@@ -108,6 +108,12 @@ def test_sphere_boundary_validation():
                                      (np.zeros(3), 1.0, [np.inf, 0, 0])):
         with pytest.raises(qp.DomainError, match="finite"):
             qp.SphereBoundary.make(center, radius, velocity, 4)
+    for center, radius, velocity in (([0.0, 0.0], 1.0, [1.0, 0, 0]),
+                                     (np.zeros(3), 1.0, [1.0, 0]),
+                                     (np.zeros(3), [1.0], [1.0, 0, 0]),
+                                     (np.zeros((1, 3)), 1.0, [1.0, 0, 0])):
+        with pytest.raises(qp.DomainError, match="3-vectors"):
+            qp.SphereBoundary.make(center, radius, velocity, 3)
     s = qp.SphereBoundary.make(np.zeros(3), 1.0, np.array([1.0, 0, 0]), 4)
     assert s.rule.exactness_degree >= 6
 
@@ -177,6 +183,23 @@ def test_boundary_error_matches_gradient_oracle(p):
         want.append(np.sqrt(np.sum(ref.weights * mismatch ** 2) / np.sum(ref.weights)))
     got = qp.boundary_error(sol, spheres, ref)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_boundary_system_memory():
+    # each block is written into the preallocated matrix as it is made, so
+    # the peak is the matrix plus one block and the kernel sums' row blocks
+    import tracemalloc
+    from quadpole.bem import _boundary_system
+    spheres = three_sphere_scene(8)
+    ref = qp.lebedev_rule(59)
+    _boundary_system(spheres, spheres, ref)
+    tracemalloc.start()
+    try:
+        A, _ = _boundary_system(spheres, spheres, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * A.nbytes
 
 
 def test_parse_scene():

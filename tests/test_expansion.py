@@ -151,6 +151,81 @@ def test_coulomb_sum_shapes_and_empty_sets():
     assert qp.direct_energy(qp.PointCharges.empty(), cloud) == 0.0
     assert qp.direct_energy(cloud, qp.PointCharges.empty()) == 0.0
     assert qp.direct_potential(qp.PointCharges.empty(), np.ones((2, 3))).shape == (2,)
+    assert _coulomb(np.zeros((0, 3)), y, q).shape == (0,)
+    assert _coulomb(np.zeros((2, 0, 3)), y, q).shape == (2, 0)
+    none = _coulomb(np.ones((2, 4, 3)), np.zeros((0, 3)), np.zeros(0))
+    assert none.shape == (2, 4) and np.all(none == 0.0)
+    assert _coulomb(np.ones(3), np.zeros((0, 3)), np.zeros(0)) == 0.0
+    assert _coulomb(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)).shape == (0,)
+
+
+def _coulomb_oracle(x, y, q):
+    """The unblocked Coulomb sum: the full (targets, M) distance array, then one product."""
+    x = np.asarray(x, dtype=float)
+    return ((1.0 / np.sqrt(sum((x[..., k, None] - y[:, k]) ** 2 for k in range(3)))) @ q)[()]
+
+
+def _coulomb_case(rng, shape, m):
+    return 5.0 + rng.standard_normal(shape), rng.standard_normal((m, 3)), rng.uniform(-1, 1, m)
+
+
+def _stitched(x, y, q, rows):
+    """_coulomb over consecutive slices of `rows` targets, put back in x's shape."""
+    from quadpole.expansion import _coulomb
+    flat = x.reshape(-1, 3)
+    parts = [_coulomb(flat[i:i + rows], y, q) for i in range(0, len(flat), rows)]
+    return np.concatenate(parts).reshape(x.shape[:-1])
+
+
+def test_coulomb_sum_blocked_matches_unblocked():
+    # 800 x 2000 runs in 100 blocks of 8 targets; (4, 300) x 700 in 52
+    # blocks of 23 and a partial block of 4; one target against 20000
+    # sources is one block.  The GEMV of a BLAS may sum rows in groups (of
+    # four in OpenBLAS), and a row outside a full group is summed in another
+    # order, so a target's sum is bit-identical only where the row groups of
+    # the two calls coincide; elsewhere it agrees within an ulp of sum |q|/r.
+    from quadpole.expansion import _coulomb
+    rng = np.random.default_rng(71)
+    eps = np.finfo(float).eps
+    for shape, m in (((800, 3), 2000), ((4, 300, 3), 700), ((3,), 20000)):
+        x, y, q = _coulomb_case(rng, shape, m)
+        got = _coulomb(x, y, q)
+        assert np.shape(got) == shape[:-1]
+        bound = eps * _coulomb_oracle(x, y, np.abs(q))
+        for want in (_coulomb_oracle(x, y, q), _stitched(x, y, q, 97)):
+            assert np.all(np.abs(got - want) <= bound)
+    # groups coincide: 8-target blocks against one 800-row product, and
+    # block-aligned slices of 96 targets; one target is one row either way
+    x, y, q = _coulomb_case(rng, (800, 3), 2000)
+    got = _coulomb(x, y, q)
+    assert np.array_equal(got, _coulomb_oracle(x, y, q))
+    assert np.array_equal(got, _stitched(x, y, q, 96))
+    x, y, q = _coulomb_case(rng, (3,), 20000)
+    assert np.array_equal(_coulomb(x, y, q), _coulomb_oracle(x, y, q))
+
+
+def test_coulomb_sum_singular_in_last_block():
+    from quadpole.expansion import _coulomb
+    rng = np.random.default_rng(73)
+    for shape, m in (((800, 3), 2000), ((4, 300, 3), 700)):
+        x, y, q = _coulomb_case(rng, shape, m)
+        x[(-1,) * (len(shape) - 1)] = y[m // 2]
+        with pytest.raises(qp.SingularityError):
+            _coulomb(x, y, q)
+
+
+def test_coulomb_sum_memory_is_block_sized():
+    import tracemalloc
+    from quadpole.expansion import _coulomb
+    x, y, q = _coulomb_case(np.random.default_rng(79), (800, 3), 2000)
+    _coulomb(x, y, q)
+    tracemalloc.start()
+    try:
+        _coulomb(x, y, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6   # the unblocked sum holds 800 x 2000 doubles (12.8 MB) per array
 
 
 def test_point_charge_tracks_series():
