@@ -22,7 +22,7 @@ from numpy.random import default_rng   # numpy 2 would load it lazily, in the fi
 
 from . import __version__
 from .bem import SphereBoundary, boundary_error, parse_scene, solve_potential_flow
-from .errors import CapacityError, QuadpoleError, UnsupportedOrderError
+from .errors import CapacityError, DomainError, QuadpoleError, UnsupportedOrderError
 from .expansion import (
     PointCharges,
     direct_potential,
@@ -47,10 +47,6 @@ CUBE_HALF = np.sqrt(3.0) / 3.0   # cube inscribed in the unit sphere
 DEFAULT_RADII = np.geomspace(1.5, 30.0, 16)
 OUTER_SHIFTS = (0.2, 0.6, 0.8)
 INNER_SHIFTS = (0.1, 0.2, 0.3, 0.4)
-
-
-def _trial_rng(seed, trial):
-    return default_rng([seed, trial])
 
 
 def _sample_cloud(rng, count):
@@ -106,14 +102,13 @@ def cmd_racc(args):
     if not np.all(np.isfinite(radii) & (radii > 1.0)):
         raise ConfigError("--radii must be finite and greater than 1")
     eval_rule = lebedev_rule(args.rule_order)
+    xs = [r * eval_rule.points for r in radii]
+    ys = [(1.0 / r) * eval_rule.points for r in radii]
     acc = defaultdict(float)   # (kind, p, r) -> summed mean abs error
     for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
-        cloud = _sample_cloud(rng, args.charges)
-        inv = _invert(cloud) if len(cloud) else cloud
+        cloud = _sample_cloud(default_rng([args.seed, trial]), args.charges)
+        inv = _invert(cloud)
         # the direct sums do not depend on the order: one per radius and trial
-        xs = [r * eval_rule.points for r in radii]
-        ys = [(1.0 / r) * eval_rule.points for r in radii]
         exacts = [direct_potential(cloud, x) for x in xs]
         exacts_i = [direct_potential(inv, y) for y in ys]
         for p in orders:
@@ -147,31 +142,31 @@ def cmd_tacc(args):
     _check_counts(args)
     eval_rule = lebedev_rule(args.rule_order)
     cos_theta = eval_rule.points[:, 0]   # shifts are along +x
+    x = 2.0 * eval_rule.points
     acc = defaultdict(float)   # (kind, p, shift) -> summed abs error per point
     for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
-        cloud = _sample_cloud(rng, args.charges)
-        inv = _invert(cloud) if len(cloud) else cloud
+        cloud = _sample_cloud(default_rng([args.seed, trial]), args.charges)
+        inv = _invert(cloud)
+        # the direct sums do not depend on the order: one per shift and trial
+        outer_cases, inner_cases = [], []
+        for s in OUTER_SHIFTS:
+            t = np.array([s, 0.0, 0.0])
+            moved = PointCharges(t + (1.0 - s) * cloud.positions, cloud.charges)
+            outer_cases.append((s, t, moved, direct_potential(moved, x)))
+        for s in INNER_SHIFTS:
+            t, r1 = np.array([s, 0.0, 0.0]), 0.5 - s
+            y = t + r1 * eval_rule.points
+            inner_cases.append((s, t, r1, y, direct_potential(inv, y)))
         for p in orders:
             rule = rule_for_expansion(p, min_order=args.rule_order)
-            for s in OUTER_SHIFTS:
-                scale = 1.0 - s
-                t = np.array([s, 0.0, 0.0])
-                moved = PointCharges(t + scale * cloud.positions, cloud.charges) \
-                    if len(cloud) else cloud
-                src_exp = fit_outer(moved, t, scale, p, rule=rule)
+            for s, t, moved, exact in outer_cases:
+                src_exp = fit_outer(moved, t, 1.0 - s, p, rule=rule)
                 shifted = shift_outer(src_exp, np.zeros(3), 1.0)
-                x = 2.0 * eval_rule.points
-                err = np.abs(eval_outer_potential(shifted, x) - direct_potential(moved, x))
-                acc["outer", p, s] += err
+                acc["outer", p, s] += np.abs(eval_outer_potential(shifted, x) - exact)
             src_exp = fit_inner(inv, np.zeros(3), 0.5, p, rule=rule)
-            for s in INNER_SHIFTS:
-                t = np.array([s, 0.0, 0.0])
-                r1 = 0.5 - s
+            for s, t, r1, y, exact in inner_cases:
                 shifted = shift_inner(src_exp, t, r1)
-                y = t + r1 * eval_rule.points
-                err = np.abs(eval_inner_potential(shifted, y) - direct_potential(inv, y))
-                acc["inner", p, s] += err
+                acc["inner", p, s] += np.abs(eval_inner_potential(shifted, y) - exact)
     rows = []
     for (kind, p, s), total in acc.items():
         err = total / args.trials
@@ -214,24 +209,38 @@ def cmd_exactness(args):
     return 0
 
 
+def _charges_from_text(text):
+    """Charges from 'x y z q' lines, skipping '#' comments and blank lines."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            row = [float(v) for v in parts]
+            if len(row) != 4 or not np.all(np.isfinite(row)):
+                raise ValueError
+        except ValueError as exc:
+            raise DomainError("charges line %d: expected 4 finite numbers" % lineno) from exc
+        rows.append(row)
+    rows = np.reshape(rows, (-1, 4))
+    return PointCharges(rows[:, :3], rows[:, 3])
+
+
 def cmd_convert(args):
     with open(args.input) as fh:
         text = fh.read()
     if args.direction == "charges2poly":
-        rows = np.loadtxt(args.input).reshape(-1, 4)
-        pt = moments_from_charges(PointCharges(rows[:, :3], rows[:, 3]), args.order)
-        out = polytensor_to_text(pt)
+        out = polytensor_to_text(moments_from_charges(_charges_from_text(text), args.order))
     elif args.direction == "poly2exp":
         pt = polytensor_from_text(text)
         rule = rule_for_expansion(pt.order, min_order=args.rule_order or 0)
         out = expansion_to_text(expansion_from_polytensor(pt, args.radius, rule))
-    elif args.direction == "exp2charges":
+    else:   # exp2charges
         exp = expansion_from_text(text)
         lines = ["%.17g %.17g %.17g %.17g" % (p[0], p[1], p[2], w)
                  for p, w in zip(exp.surface_points, exp.surface_weights)]
         out = "\n".join(lines) + "\n"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError("unknown direction %r" % args.direction)
     if args.out == "-":
         sys.stdout.write(out)
     else:

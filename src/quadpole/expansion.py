@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
 from .legendre import _row_blocks, kernel_matrix, kernel_sum
-from .quadrature import QuadratureRule, lebedev_rule
+from .quadrature import QuadratureRule, lebedev_rule, rule_for_expansion
 
 __all__ = [
     "PointCharges",
@@ -110,46 +110,36 @@ def fit_outer(sources, center, R, p, rule=None):
     """Project enclosed sources onto surface weights of an order-p outer expansion."""
     if R <= 0.0:
         raise DomainError("bounding radius must be positive")
-    rule = rule or _default_rule(p)
+    rule = rule or rule_for_expansion(p)
     center = np.asarray(center, dtype=float)
-    if len(sources) == 0:
-        weights = np.zeros(len(rule))
-        diag = {"n_sources_outside": 0, "max_source_radius": 0.0}
-    else:
-        rel = (sources.positions - center) / R
-        dist = np.linalg.norm(rel, axis=1)
-        weights = _project("outer", rel, sources.charges, rule, p)
-        diag = {
-            "n_sources_outside": int(np.sum(dist > 1.0)),
-            "max_source_radius": float(dist.max() * R),
-        }
+    rel = (sources.positions - center) / R
+    dist = np.linalg.norm(rel, axis=1)
+    diag = {
+        "n_sources_outside": int(np.sum(dist > 1.0)),
+        "max_source_radius": float(dist.max(initial=0.0) * R),
+    }
     return SurfaceExpansion(center=center, radius=R, rule=rule,
-                            surface_weights=weights, order=p, kind="outer",
-                            diagnostics=diag)
+                            surface_weights=_project("outer", rel, sources.charges, rule, p),
+                            order=p, kind="outer", diagnostics=diag)
 
 
 def fit_inner(sources, center, R, p, rule=None):
     """Project exterior sources onto surface weights of an order-p inner expansion."""
     if R <= 0.0:
         raise DomainError("bounding radius must be positive")
-    rule = rule or _default_rule(p)
+    rule = rule or rule_for_expansion(p)
     center = np.asarray(center, dtype=float)
-    if len(sources) == 0:
-        weights = np.zeros(len(rule))
-        diag = {"n_sources_inside": 0, "min_source_radius": float("inf")}
-    else:
-        rel = (sources.positions - center) / R
-        dist = np.linalg.norm(rel, axis=1)
-        if np.any(np.abs(dist - 1.0) <= 1e-12):
-            raise SingularityError("source lies on the bounding sphere")
-        weights = _project("inner", rel, sources.charges, rule, p)
-        diag = {
-            "n_sources_inside": int(np.sum(dist < 1.0)),
-            "min_source_radius": float(dist.min() * R),
-        }
+    rel = (sources.positions - center) / R
+    dist = np.linalg.norm(rel, axis=1)
+    if np.any(np.abs(dist - 1.0) <= 1e-12):
+        raise SingularityError("source lies on the bounding sphere")
+    diag = {
+        "n_sources_inside": int(np.sum(dist < 1.0)),
+        "min_source_radius": float(dist.min(initial=np.inf) * R),
+    }
     return SurfaceExpansion(center=center, radius=R, rule=rule,
-                            surface_weights=weights, order=p, kind="inner",
-                            diagnostics=diag)
+                            surface_weights=_project("inner", rel, sources.charges, rule, p),
+                            order=p, kind="inner", diagnostics=diag)
 
 
 def _project(kind, rel, charges, rule, p):
@@ -158,11 +148,6 @@ def _project(kind, rel, charges, rule, p):
     if kind == "outer":   # K(y/R, rhat_i): sources in rows, surface points in columns
         return rule.weights * (charges @ kernel_matrix(rel[:, None, :], pts[None, :, :], p))
     return rule.weights * (kernel_matrix(pts[:, None, :], rel[None, :, :], p) @ charges)
-
-
-def _default_rule(p):
-    from .quadrature import rule_for_expansion
-    return rule_for_expansion(p)
 
 
 def _exterior_sum(exp, x, coef):
@@ -264,7 +249,7 @@ def _coulomb(x, positions, charges):
             d *= d
             r2 += d
         dist = np.sqrt(r2, out=r2)
-        if m and dist.min() < 1e-12:
+        if dist.min(initial=np.inf) < 1e-12:
             raise SingularityError("evaluation point coincides with a source point")
         np.matmul(np.reciprocal(dist, out=dist), charges, out=out[rows])
     return out.reshape(x.shape[:-1])[()]

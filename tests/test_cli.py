@@ -82,6 +82,17 @@ def test_tacc_writes_csv(tmp_path):
     assert len(lines) == 2 + (3 + 4) * n_dirs
 
 
+@pytest.mark.parametrize("command", ["racc", "tacc"])
+def test_experiments_without_charges(tmp_path, command):
+    # an empty cloud takes the general path: every expansion and sum is zero
+    out = tmp_path / "out.csv"
+    assert run([command, "--charges", "0", "--trials", "2", "--orders", "2,5",
+                "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in read_csv(out).splitlines()[2:]]
+    assert rows
+    assert all(float(r[3 if command == "racc" else 4]) == 0.0 for r in rows)
+
+
 def test_flow_runs_scene(tmp_path):
     scene = tmp_path / "scene.txt"
     scene.write_text("0 0 0 1.0 1 0 0\n3 0 0 1.0 -1 0 0\n")
@@ -163,6 +174,16 @@ def test_convert_round_trip(tmp_path):
     assert approx == pytest.approx(exact, abs=1e-3)
 
 
+def test_convert_charges_comments_and_blank_lines(tmp_path, capsys):
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text("0.1 0.2 0.3 1\n-0.2 0.1 0 -0.5\n")
+    commented.write_text("# x y z q\n0.1 0.2 0.3 1   # first\n\n-0.2 0.1 0 -0.5\n")
+    assert run(["convert", "charges2poly", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert run(["convert", "charges2poly", str(commented)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_convert_missing_input():
     assert run(["convert", "charges2poly", "/nonexistent.txt"]) == 2
 
@@ -191,8 +212,12 @@ def _expansion_text():
     ("exp2charges", re.sub(r"rule_order=\d+", "rule_order=14", _expansion_text()), 1),
     # a polytensor line with an out-of-range degree
     ("poly2exp", "quadpole-polytensor p=2\n0 0 0 0 1\n2 2 0 0 1\n", 3),
+    # charge lines without the charge column, with a word, or with a nan
+    ("charges2poly", "0 0 0\n1 0 0\n0 1 0\n0 0 1\n", 1),
+    ("charges2poly", "0 0 0 1\n0.1 x 0 1\n", 2),
+    ("charges2poly", "# x y z q\n0.1 0.2 0.3 nan\n", 2),
 ], ids=["missing-header-field", "nan-radius", "inf-center", "unsupported-rule-order",
-        "polytensor-degree"])
+        "polytensor-degree", "charges-three-columns", "charges-word", "charges-nan"])
 def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
     src = tmp_path / "input.txt"
     src.write_text(text)

@@ -30,6 +30,7 @@ def test_fit_outer_total_charge():
 def test_fit_outer_empty_and_errors():
     e = qp.fit_outer(qp.PointCharges.empty(), np.zeros(3), 1.0, 3)
     assert np.all(e.surface_weights == 0.0)
+    assert e.diagnostics == {"n_sources_outside": 0, "max_source_radius": 0.0}
     with pytest.raises(qp.DomainError):
         qp.fit_outer(qp.PointCharges.empty(), np.zeros(3), -1.0, 3)
 
@@ -46,6 +47,7 @@ def test_fit_inner_diagnostics_flags_inside_sources():
     assert e.diagnostics["min_source_radius"] == pytest.approx(0.1)
     empty = qp.fit_inner(qp.PointCharges.empty(), np.zeros(3), 1.0, 3)
     assert empty.diagnostics["n_sources_inside"] == 0
+    assert empty.diagnostics["min_source_radius"] == np.inf
 
 
 def test_eval_outer_monopole_exact():

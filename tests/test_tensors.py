@@ -220,6 +220,18 @@ def test_polytensor_expansion_round_trip():
             qp.detrace_directional(m, rh, n), rel=1e-9, abs=1e-12)
 
 
+def test_polytensor_of_empty_expansion_is_positive_zero():
+    # every rule has a point with non-negative coordinates, so no moment of
+    # zero weights sums to -0.0
+    cases = [(5, None)] + [(min(MAX_ORDER, order // 2 + 1), qp.lebedev_rule(order))
+                           for order in qp.available_orders()]
+    for p, rule in cases:
+        e = qp.fit_outer(qp.PointCharges.empty(), np.zeros(3), 1.0, p, rule=rule)
+        pt = qp.polytensor_from_expansion(e)
+        assert pt == qp.Polytensor.zero(p)
+        assert not any(np.signbit(v) for c in pt.coeffs for v in c.values())
+
+
 def test_polytensor_serialization_round_trip():
     rng = np.random.default_rng(157)
     a = random_polytensor(rng, 5)
