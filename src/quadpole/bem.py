@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError, GeometryError, SolverError
-from .expansion import _SLACK, SurfaceExpansion, _exterior_sum, _interior_sum, _radius_of
+from .expansion import (SurfaceExpansion, _exterior_sum, _interior_sum, _lines, _numbers,
+                        _side_checked)
 from .legendre import grad_kernel_sum, kernel_sum, normal_kernel_sum
 from .quadrature import QuadratureRule, rule_for_expansion
 
@@ -105,9 +106,7 @@ def outer_gradient(exp, x):
     """Gradient of the outer-expansion potential at exterior point(s) x."""
     if exp.kind != "outer":
         raise ContractViolation("outer expansion required")
-    if np.any(_radius_of(exp, x) < (1.0 - _SLACK) * exp.radius):
-        raise GeometryError("outer expansion differentiated inside its sphere")
-    rel = np.asarray(x, dtype=float) - exp.center
+    rel = _side_checked(exp, x, outside=True)
     G = grad_kernel_sum(exp.radius * exp.rule.points, rel[..., None, :], np.ones(exp.order))
     return np.tensordot(G, exp.surface_weights, axes=(-2, 0))
 
@@ -192,20 +191,8 @@ def boundary_error(sol, spheres, reference_rule):
 def parse_scene(text):
     """Parse a flow scene: one 'cx cy cz radius vx vy vz' line per sphere."""
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 7:
-            raise DomainError("scene line %d: expected 7 numbers, got %d"
-                              % (lineno, len(parts)))
-        try:
-            vals = [float(v) for v in parts]
-        except ValueError as exc:
-            raise DomainError("scene line %d: %s" % (lineno, exc)) from exc
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("scene line %d: numbers must be finite" % lineno)
+    for lineno, fields in _lines(text):
+        vals = _numbers("scene", lineno, fields, 7)
         if vals[3] <= 0.0:
             raise DomainError("scene line %d: radius must be positive" % lineno)
         rows.append((np.array(vals[:3]), vals[3], np.array(vals[4:])))

@@ -22,9 +22,11 @@ from numpy.random import default_rng   # numpy 2 would load it lazily, in the fi
 
 from . import __version__
 from .bem import SphereBoundary, boundary_error, parse_scene, solve_potential_flow
-from .errors import CapacityError, DomainError, QuadpoleError, UnsupportedOrderError
+from .errors import CapacityError, QuadpoleError, UnsupportedOrderError
 from .expansion import (
     PointCharges,
+    _lines,
+    _numbers,
     direct_potential,
     eval_inner_potential,
     eval_outer_potential,
@@ -61,10 +63,8 @@ def _invert(sources):
     return PointCharges(sources.positions / r2[:, None], sources.charges)
 
 
-def _resolve_orders(args):
-    vals = [int(v) for v in args.orders.split(",")]
-    if args.interpretation == "p-1":
-        vals = [v + 1 for v in vals]
+def _resolve_orders(args, offset):
+    vals = [int(v) + offset for v in args.orders.split(",")]
     if any(v < 1 for v in vals):
         raise ConfigError("expansion orders must be positive")
     return vals
@@ -94,7 +94,7 @@ def _write_csv(path, header_cols, rows, args_note):
 
 
 def cmd_racc(args):
-    orders = _resolve_orders(args)
+    orders = _resolve_orders(args, 1)   # --orders lists the degrees p-1
     _check_counts(args)
     radii = np.array([float(v) for v in args.radii.split(",")]) if args.radii else DEFAULT_RADII
     # at r = 1 evaluation points fall on the fit rule's points, where the
@@ -138,7 +138,7 @@ def cmd_racc(args):
 
 
 def cmd_tacc(args):
-    orders = _resolve_orders(args)
+    orders = _resolve_orders(args, 1)   # --orders lists the degrees p-1
     _check_counts(args)
     eval_rule = lebedev_rule(args.rule_order)
     cos_theta = eval_rule.points[:, 0]   # shifts are along +x
@@ -179,7 +179,7 @@ def cmd_tacc(args):
 
 
 def cmd_flow(args):
-    orders = _resolve_orders(args)
+    orders = _resolve_orders(args, 0)
     with open(args.scene) as fh:
         scene = parse_scene(fh.read())
     ref = lebedev_rule(59)
@@ -209,29 +209,13 @@ def cmd_exactness(args):
     return 0
 
 
-def _charges_from_text(text):
-    """Charges from 'x y z q' lines, skipping '#' comments and blank lines."""
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split("#", 1)[0].split()
-        if not parts:
-            continue
-        try:
-            row = [float(v) for v in parts]
-            if len(row) != 4 or not np.all(np.isfinite(row)):
-                raise ValueError
-        except ValueError as exc:
-            raise DomainError("charges line %d: expected 4 finite numbers" % lineno) from exc
-        rows.append(row)
-    rows = np.reshape(rows, (-1, 4))
-    return PointCharges(rows[:, :3], rows[:, 3])
-
-
 def cmd_convert(args):
     with open(args.input) as fh:
         text = fh.read()
     if args.direction == "charges2poly":
-        out = polytensor_to_text(moments_from_charges(_charges_from_text(text), args.order))
+        rows = np.reshape([_numbers("charges", n, f, 4) for n, f in _lines(text)], (-1, 4))
+        charges = PointCharges(rows[:, :3], rows[:, 3])
+        out = polytensor_to_text(moments_from_charges(charges, args.order))
     elif args.direction == "poly2exp":
         pt = polytensor_from_text(text)
         rule = rule_for_expansion(pt.order, min_order=args.rule_order or 0)
@@ -254,10 +238,7 @@ def _add_experiment_flags(p):
     p.add_argument("--charges", type=int, default=4000)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--orders", default="2,5,8",
-                   help="comma-separated expansion orders (see --interpretation)")
-    p.add_argument("--interpretation", choices=["p", "p-1"], default="p-1",
-                   help="read --orders as the order p itself, or as the "
-                        "maximum retained degree p-1 (default)")
+                   help="comma-separated maximum retained degrees p-1")
     p.add_argument("--rule-order", type=int, dest="rule_order", default=15)
     p.add_argument("--out", default="-")
 
@@ -278,8 +259,8 @@ def build_parser():
 
     p = sub.add_parser("flow", help="multi-sphere potential flow")
     p.add_argument("--scene", required=True, help="scene file: cx cy cz R vx vy vz per line")
-    p.add_argument("--orders", default="2,3,4,5,6,7,8")
-    p.add_argument("--interpretation", choices=["p", "p-1"], default="p")
+    p.add_argument("--orders", default="2,3,4,5,6,7,8",
+                   help="comma-separated expansion orders p")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_flow)
 

@@ -74,6 +74,8 @@ class SurfaceExpansion:
     def __post_init__(self):
         if self.kind not in ("outer", "inner"):
             raise DomainError("kind must be 'outer' or 'inner'")
+        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
+            raise DomainError("order must be an integer >= 1")
         if not (np.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError("radius must be finite and positive")
         if self.rule.exactness_degree < 2 * self.order - 2:
@@ -150,26 +152,32 @@ def _project(kind, rel, charges, rule, p):
     return rule.weights * (kernel_matrix(pts[:, None, :], rel[None, :, :], p) @ charges)
 
 
-def _exterior_sum(exp, x, coef):
-    """sum_i w_i sum_n coef[n] L_n(R rhat_i, x - c), for x outside the sphere."""
+def _side_checked(exp, x, outside):
+    """x - c for point(s) x on the sphere or on its outside (inside) side, else a GeometryError."""
     rel = np.asarray(x, dtype=float) - exp.center
-    a = exp.radius * exp.rule.points
-    return kernel_sum(a, rel[..., None, :], coef) @ exp.surface_weights
+    r = np.linalg.norm(rel, axis=-1)
+    if np.any(r < (1.0 - _SLACK) * exp.radius if outside else r > (1.0 + _SLACK) * exp.radius):
+        raise GeometryError("evaluation point %s the sphere, where the series diverges"
+                            % ("inside" if outside else "outside"))
+    return rel
+
+
+def _exterior_sum(exp, x, coef):
+    """sum_i w_i sum_n coef[n] L_n(R rhat_i, x - c), for x on or outside the sphere."""
+    rel = _side_checked(exp, x, outside=True)
+    return kernel_sum(exp.radius * exp.rule.points, rel[..., None, :], coef) @ exp.surface_weights
 
 
 def _interior_sum(exp, y, coef):
-    """sum_i w_i sum_n coef[n] L_n(y - c, R rhat_i), for y inside the sphere."""
-    rel = np.asarray(y, dtype=float) - exp.center
-    a = exp.radius * exp.rule.points
-    return kernel_sum(rel[..., None, :], a, coef) @ exp.surface_weights
+    """sum_i w_i sum_n coef[n] L_n(y - c, R rhat_i), for y on or inside the sphere."""
+    rel = _side_checked(exp, y, outside=False)
+    return kernel_sum(rel[..., None, :], exp.radius * exp.rule.points, coef) @ exp.surface_weights
 
 
 def eval_outer_potential(exp, x):
     """Potential of an outer expansion at exterior point(s) x."""
     if exp.kind != "outer":
         raise ContractViolation("outer expansion required")
-    if np.any(_radius_of(exp, x) < (1.0 - _SLACK) * exp.radius):
-        raise GeometryError("outer expansion evaluated inside its sphere")
     return _exterior_sum(exp, x, np.ones(exp.order))
 
 
@@ -177,14 +185,7 @@ def eval_inner_potential(exp, y):
     """Potential of an inner expansion at interior point(s) y."""
     if exp.kind != "inner":
         raise ContractViolation("inner expansion required")
-    if np.any(_radius_of(exp, y) > (1.0 + _SLACK) * exp.radius):
-        raise GeometryError("inner expansion evaluated outside its sphere")
     return _interior_sum(exp, y, np.ones(exp.order))
-
-
-def _radius_of(exp, x):
-    """Distance of point(s) x from the expansion center."""
-    return np.linalg.norm(np.asarray(x, dtype=float) - exp.center, axis=-1)
 
 
 def eval_point_charge_potential(exp, x):
@@ -266,12 +267,35 @@ def expansion_to_text(exp):
     return "\n".join(lines) + "\n"
 
 
+def _lines(text):
+    """Yield (line number, fields) for each line left non-blank once its '#' comment is cut."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
+
+
+def _numbers(kind, lineno, fields, k):
+    """The k finite floats of one line's fields, or a DomainError naming the line."""
+    where = "%s line %d: " % (kind, lineno)
+    if len(fields) != k:
+        raise DomainError(where + "expected %d numbers, got %d" % (k, len(fields)))
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as exc:
+        raise DomainError(where + str(exc)) from exc
+    if not np.all(np.isfinite(values)):
+        raise DomainError(where + "numbers must be finite")
+    return values
+
+
 def expansion_from_text(text):
     """Parse the output of :func:`expansion_to_text`.
 
-    Malformed input raises a DomainError that names the offending line.
+    Text after a '#' and blank lines are ignored.  Malformed input raises
+    a DomainError that names the offending line.
     """
-    lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = list(_lines(text))
     if not lines or lines[0][1][0] != "quadpole-expansion":
         raise DomainError("not a serialized surface expansion")
     head_no = lines[0][0]
@@ -283,16 +307,9 @@ def expansion_from_text(text):
     except (KeyError, ValueError, UnsupportedOrderError) as exc:
         raise DomainError("expansion line %d: bad or missing header field (%s)"
                           % (head_no, exc)) from exc
-    if len(lines) - 1 != len(rule):
+    data = np.reshape([_numbers("expansion", n, f, 4) for n, f in lines[1:]], (-1, 4))
+    if len(data) != len(rule):
         raise DomainError("surface point count does not match the rule")
-    data = np.empty((len(rule), 4))
-    for row, (lineno, parts) in zip(data, lines[1:]):
-        try:
-            row[:] = [float(v) for v in parts]
-            if not np.all(np.isfinite(row)):
-                raise ValueError("non-finite value")
-        except ValueError as exc:
-            raise DomainError("expansion line %d: expected 4 finite numbers" % lineno) from exc
     if not np.allclose(data[:, :3], rule.points, atol=1e-12):
         raise DomainError("surface points do not match the embedded rule")
     try:

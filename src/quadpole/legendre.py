@@ -1,14 +1,15 @@
 """Legendre polynomials, the scaled two-argument sequence L_n, and the kernel K.
 
 Everything here works with vector inner products only; no angles appear.
-The two-argument sequence is generated by the two-term recurrence
+The two-argument sequence L_n(x, y) = (|x|^n / |y|^{n+1}) P_n(xhat.yhat),
+the terms of the expansion 1/|x-y| = sum_n L_n(x, y) for |x| < |y|, is
+generated by the two-term recurrence
 
-    F_0 = |y|^a
-    F_1 = -a (x.y / y.y) |y|^a
-    F_n = [(2n-2-a)/n] (x.y/y.y) F_{n-1} + [(a+2-n)/n] (x.x/y.y) F_{n-2}
+    F_0 = |y|^-1
+    F_1 = (x.y / y.y) F_0
+    F_n = [(2n-1)/n] (x.y/y.y) F_{n-1} + [(1-n)/n] (x.x/y.y) F_{n-2}
 
-with a = -1 giving L_n(x, y) = (|x|^n / |y|^{n+1}) P_n(xhat.yhat), the
-terms of the expansion 1/|x-y| = sum_n L_n(x, y) for |x| < |y|.
+and the Legendre polynomial P_n(t) is its value at x = t zhat, y = zhat.
 """
 import numpy as np
 
@@ -27,7 +28,7 @@ __all__ = [
 
 
 def legendre_poly(n, t):
-    """Evaluate the Legendre polynomial P_n(t) by the three-term recurrence.
+    """Evaluate the Legendre polynomial P_n(t) = L_n(t zhat, zhat).
 
     Accepts scalar or array t with |t| <= 1 (clamped within 1e-12 slack).
     """
@@ -36,19 +37,12 @@ def legendre_poly(n, t):
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise DomainError("argument outside [-1, 1]")
-    t = np.clip(t, -1.0, 1.0)
-    if n == 0:
-        out = np.ones_like(t)
-        return out[()] if out.ndim == 0 else out
-    p_prev = np.ones_like(t)
-    p_cur = t.copy()
-    for k in range(2, n + 1):
-        p_prev, p_cur = p_cur, ((2 * k - 1) * t * p_cur - (k - 1) * p_prev) / k
-    return p_cur[()] if p_cur.ndim == 0 else p_cur
+    *_, p_n = _terms(np.clip(t, -1.0, 1.0), 1.0, 1.0, n + 1)
+    return p_n[()]
 
 
-def _terms(xy, xx, yy, alpha, p):
-    """Yield F_0..F_{p-1} from broadcast inner products.
+def _terms(xy, xx, yy, p):
+    """Yield F_n = L_n, n < p, from broadcast inner products.
 
     Only two terms are kept: the array holding F_n is reused for F_{n+2},
     so a consumer must copy what it needs before asking for the next term.
@@ -58,21 +52,20 @@ def _terms(xy, xx, yy, alpha, p):
         raise SingularityError("second argument must be nonzero")
     shape = np.broadcast_shapes(xy.shape, xx.shape, yy.shape)
     f_prev = np.empty(shape)
-    f_prev[...] = yy ** (alpha / 2.0)
+    f_prev[...] = yy ** -0.5
     yield f_prev
     if p < 2:
         return
     u = xy / yy
     v = xx / yy
-    f_cur = np.multiply(u, -alpha, out=np.empty(shape))
-    f_cur *= f_prev
+    f_cur = np.multiply(u, f_prev, out=np.empty(shape))
     yield f_cur
     tmp = np.empty(shape)
     for n in range(2, p):
-        # F_n = [(2n-2-a)/n] u F_{n-1} + [(a+2-n)/n] v F_{n-2}, written over F_{n-2}
-        np.multiply(v, (alpha + 2 - n) / n, out=tmp)
+        # F_n = [(2n-1)/n] u F_{n-1} + [(1-n)/n] v F_{n-2}, written over F_{n-2}
+        np.multiply(v, (1 - n) / n, out=tmp)
         tmp *= f_prev
-        np.multiply(u, (2 * n - 2 - alpha) / n, out=f_prev)
+        np.multiply(u, (2 * n - 1) / n, out=f_prev)
         f_prev *= f_cur
         f_prev += tmp
         f_prev, f_cur = f_cur, f_prev
@@ -115,20 +108,20 @@ def _row_blocks(*arrays):
     return batch, [(rows, *(cut(a, rows) for a in arrays)) for rows in blocks]
 
 
-def f_sequence_raw(xy, xx, yy, alpha, p):
-    """Sequence F_0..F_{p-1} from the inner products x.y, x.x, y.y.
+def f_sequence_raw(xy, xx, yy, p):
+    """Sequence L_0..L_{p-1} from the inner products x.y, x.x, y.y.
 
     Inputs broadcast; the result has shape (p,) + broadcast shape.
     """
     out = np.empty((p,) + np.broadcast_shapes(np.shape(xy), np.shape(xx), np.shape(yy)))
-    for n, f in enumerate(_terms(xy, xx, yy, alpha, p)):
+    for n, f in enumerate(_terms(xy, xx, yy, p)):
         out[n] = f
     return out
 
 
 def scaled_legendre_stack(x, y, p):
     """L_n stack for broadcast arrays of 3-vectors; shape (p,) + batch."""
-    return f_sequence_raw(*_inner_products(x, y), -1.0, p)
+    return f_sequence_raw(*_inner_products(x, y), p)
 
 
 def kernel_sum(x, y, coef):
@@ -144,7 +137,7 @@ def kernel_sum(x, y, coef):
     batch, blocks = _row_blocks(x, y)
     out = np.empty(batch)
     for rows, xb, yb in blocks:
-        terms = _terms(*_inner_products(xb, yb), -1.0, len(coef))
+        terms = _terms(*_inner_products(xb, yb), len(coef))
         total = np.multiply(next(terms), coef[0], out=out[rows])
         tmp = np.empty_like(total)
         for c, f in zip(coef[1:], terms):
@@ -164,7 +157,7 @@ def _grad_terms(xy, xx, yy, p):
     H_0 = 0, H_n = [(2n-1)/n] (F_{n-1} + (u/s) H_{n-1}) + [(1-n)/n] (a.a/s) H_{n-2}.
     Each array is reused two terms later, as in :func:`_terms`.
     """
-    terms = _terms(xy, xx, yy, -1.0, p)
+    terms = _terms(xy, xx, yy, p)
     f_last = next(terms)
     h_prev, h_cur = np.zeros(f_last.shape), np.zeros(f_last.shape)
     yield f_last, h_cur

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .expansion import PointCharges, SurfaceExpansion
+from .expansion import PointCharges, SurfaceExpansion, _lines, _numbers
 from .legendre import kernel_sum
 from .quadrature import _double_factorial as double_factorial, rule_for_expansion
 
@@ -216,9 +216,10 @@ def polytensor_to_text(pt):
 def polytensor_from_text(text):
     """Parse the output of :func:`polytensor_to_text`.
 
-    Malformed input raises a DomainError that names the offending line.
+    Text after a '#' and blank lines are ignored.  Malformed input raises
+    a DomainError that names the offending line.
     """
-    lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = list(_lines(text))
     if not lines or lines[0][1][0] != "quadpole-polytensor":
         raise DomainError("not a serialized polytensor")
     try:
@@ -229,13 +230,11 @@ def polytensor_from_text(text):
     if not 1 <= p <= MAX_ORDER:
         raise DomainError("polytensor line %d: order must be in 1..%d" % (lines[0][0], MAX_ORDER))
     values = {}
-    for lineno, parts in lines[1:]:
-        try:
-            n, n1, n2, n3, value = parts
-            n, t, value = int(n), (int(n1), int(n2), int(n3)), float(value)
-        except ValueError as exc:
-            raise DomainError("polytensor line %d: expected 'n n1 n2 n3 value'"
-                              % lineno) from exc
+    for lineno, fields in lines[1:]:
+        *ints, value = _numbers("polytensor", lineno, fields, 5)
+        if any(v != int(v) for v in ints):
+            raise DomainError("polytensor line %d: degree and exponents must be integers" % lineno)
+        n, t = int(ints[0]), tuple(int(v) for v in ints[1:])
         if not 0 <= n < p or min(t) < 0 or sum(t) != n:
             raise DomainError("polytensor line %d: no moment %s of degree %d in an order-%d "
                               "polytensor" % (lineno, t, n, p))

@@ -62,6 +62,21 @@ def test_layers_vs_harmonic_closed_form():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("layer, wrong_side", [
+    (qp.single_layer_ext, [0.3, 0.0, 0.0]),
+    (qp.double_layer_ext, [0.0, -0.999, 0.0]),
+    (qp.single_layer_int, [5.0, 0.0, 0.0]),
+    (qp.double_layer_int, [0.0, 0.0, -1.001]),
+])
+def test_layers_reject_the_wrong_side(layer, wrong_side):
+    # each layer sum stands for a series that diverges past its sphere
+    exp = qp.fit_outer(qp.PointCharges(np.array([[0.1, 0.0, 0.0]]), np.array([1.0])),
+                       np.zeros(3), 1.0, 6)
+    assert np.all(np.isfinite(layer(exp, exp.surface_points)))   # on the sphere is allowed
+    with pytest.raises(qp.GeometryError):
+        layer(exp, np.vstack([exp.surface_points, wrong_side]))
+
+
 def test_jump_condition():
     exp, sigma = harmonic_density_expansion()
     jump = qp.jump_check(exp, exp.rule.points)

@@ -58,8 +58,8 @@ def test_racc_deterministic(tmp_path):
 
 def test_racc_slopes(tmp_path):
     out = tmp_path / "racc.csv"
-    rc = run(["racc", "--charges", "100", "--trials", "3", "--orders", "4",
-              "--interpretation", "p", "--out", str(out)])
+    rc = run(["racc", "--charges", "100", "--trials", "3", "--orders", "3",
+              "--out", str(out)])
     assert rc == 0
     rows = [ln.split(",") for ln in read_csv(out).splitlines()[2:]]
     for kind, slope in (("outer", -5.0), ("inner", 4.0)):
@@ -143,9 +143,9 @@ def test_exactness(capsys):
 
 
 def test_bad_orders():
-    assert run(["racc", "--orders", "0", "--interpretation", "p",
+    assert run(["racc", "--orders", "-1",
                 "--charges", "1", "--trials", "1"]) == 2
-    assert run(["racc", "--orders", "99", "--interpretation", "p",
+    assert run(["racc", "--orders", "98",
                 "--charges", "1", "--trials", "1", "--radii", "5"]) == 2
 
 
@@ -210,14 +210,22 @@ def _expansion_text():
     ("exp2charges", _expansion_text().replace("center=0,", "center=inf,"), 1),
     # an expansion on a rule that is not embedded
     ("exp2charges", re.sub(r"rule_order=\d+", "rule_order=14", _expansion_text()), 1),
-    # a polytensor line with an out-of-range degree
+    # an expansion of order zero or below
+    ("exp2charges", _expansion_text().replace(" p=3 ", " p=0 "), 1),
+    ("exp2charges", _expansion_text().replace(" p=3 ", " p=-4 "), 1),
+    # a surface weight that is not finite
+    ("exp2charges", re.sub(r"\n1 0 0 \S+\n", "\n1 0 0 nan\n", _expansion_text()), 2),
+    # a polytensor line with an out-of-range degree, or a value that is not finite
     ("poly2exp", "quadpole-polytensor p=2\n0 0 0 0 1\n2 2 0 0 1\n", 3),
+    ("poly2exp", "quadpole-polytensor p=2\n0 0 0 0 nan\n1 1 0 0 0\n1 0 1 0 0\n1 0 0 1 0\n", 2),
+    ("poly2exp", "# moments\nquadpole-polytensor p=2\n0 0 0 0 1\n1 1 0 0 -inf\n", 4),
     # charge lines without the charge column, with a word, or with a nan
     ("charges2poly", "0 0 0\n1 0 0\n0 1 0\n0 0 1\n", 1),
     ("charges2poly", "0 0 0 1\n0.1 x 0 1\n", 2),
     ("charges2poly", "# x y z q\n0.1 0.2 0.3 nan\n", 2),
 ], ids=["missing-header-field", "nan-radius", "inf-center", "unsupported-rule-order",
-        "polytensor-degree", "charges-three-columns", "charges-word", "charges-nan"])
+        "zero-order", "negative-order", "nan-weight", "polytensor-degree", "polytensor-nan",
+        "polytensor-inf", "charges-three-columns", "charges-word", "charges-nan"])
 def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
     src = tmp_path / "input.txt"
     src.write_text(text)
