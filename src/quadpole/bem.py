@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, GeometryError, SolverError
+from .errors import DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _exterior_sum, _interior_sum, _lines, _numbers,
-                        _side_checked)
+                        _require_kind, _side_checked)
 from .legendre import grad_kernel_sum, kernel_sum, normal_kernel_sum
 from .quadrature import QuadratureRule, rule_for_expansion
 
@@ -104,8 +104,7 @@ def jump_check(exp, yhat):
 
 def outer_gradient(exp, x):
     """Gradient of the outer-expansion potential at exterior point(s) x."""
-    if exp.kind != "outer":
-        raise ContractViolation("outer expansion required")
+    _require_kind(exp, "outer")
     rel = _side_checked(exp, x, outside=True)
     G = grad_kernel_sum(exp.radius * exp.rule.points, rel[..., None, :], np.ones(exp.order))
     return np.tensordot(G, exp.surface_weights, axes=(-2, 0))

@@ -101,8 +101,15 @@ class SurfaceExpansion:
         return replace(self, surface_weights=self.surface_weights + other.surface_weights)
 
 
+def _require_kind(exp, kind):
+    if exp.kind != kind:
+        raise ContractViolation("expected an %s expansion, got %s" % (kind, exp.kind))
+
+
 def _require_same_geometry(a, b):
-    if (a.order != b.order or a.rule is not b.rule and len(a.rule) != len(b.rule)
+    same_rule = a.rule is b.rule or (np.array_equal(a.rule.points, b.rule.points)
+                                     and np.array_equal(a.rule.weights, b.rule.weights))
+    if (a.order != b.order or not same_rule
             or abs(a.radius - b.radius) > 1e-12 * max(a.radius, b.radius)
             or np.any(np.abs(a.center - b.center) > 1e-12 * (1.0 + np.abs(a.center)))):
         raise ContractViolation("expansions do not share center, radius, rule, and order")
@@ -176,15 +183,13 @@ def _interior_sum(exp, y, coef):
 
 def eval_outer_potential(exp, x):
     """Potential of an outer expansion at exterior point(s) x."""
-    if exp.kind != "outer":
-        raise ContractViolation("outer expansion required")
+    _require_kind(exp, "outer")
     return _exterior_sum(exp, x, np.ones(exp.order))
 
 
 def eval_inner_potential(exp, y):
     """Potential of an inner expansion at interior point(s) y."""
-    if exp.kind != "inner":
-        raise ContractViolation("inner expansion required")
+    _require_kind(exp, "inner")
     return _interior_sum(exp, y, np.ones(exp.order))
 
 
@@ -195,8 +200,8 @@ def eval_point_charge_potential(exp, x):
 
 def interaction_energy(outer, inner):
     """Energy between the sources of a shared-sphere outer/inner pair."""
-    if outer.kind != "outer" or inner.kind != "inner":
-        raise ContractViolation("expected (outer, inner) expansions")
+    _require_kind(outer, "outer")
+    _require_kind(inner, "inner")
     _require_same_geometry(outer, inner)
     rhat = outer.rule.points
     M = kernel_sum(rhat[:, None, :], rhat[None, :, :], np.ones(outer.order))
@@ -309,9 +314,12 @@ def expansion_from_text(text):
                           % (head_no, exc)) from exc
     data = np.reshape([_numbers("expansion", n, f, 4) for n, f in lines[1:]], (-1, 4))
     if len(data) != len(rule):
-        raise DomainError("surface point count does not match the rule")
-    if not np.allclose(data[:, :3], rule.points, atol=1e-12):
-        raise DomainError("surface points do not match the embedded rule")
+        raise DomainError("expansion line %d: the rule of order %d has %d points, but %d surface "
+                          "lines follow" % (head_no, rule.exactness_degree, len(rule), len(data)))
+    off = np.flatnonzero(~np.isclose(data[:, :3], rule.points, atol=1e-12).all(axis=1))
+    if off.size:
+        raise DomainError("expansion line %d: surface point %d does not match the embedded rule"
+                          % (lines[1 + off[0]][0], off[0] + 1))
     try:
         return SurfaceExpansion(rule=rule, surface_weights=data[:, 3].copy(), **header)
     except DomainError as exc:

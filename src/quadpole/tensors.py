@@ -6,8 +6,8 @@ components A[n1,n2,n3].  The associated homogeneous polynomial is
 
     a_n(r) = sum multinomial(n; n1,n2,n3) r_x^n1 r_y^n2 r_z^n3 A[n1,n2,n3]
 
-and products/contractions reduce to polynomial multiplication and
-differentiation of these coefficient maps.  De-tracing is the harmonic
+and products and contractions are sums over exponent triples of these
+components, each weighted by its multinomial.  De-tracing is the harmonic
 projection of a_n sampled at the points of a Lebedev rule: one kernel
 sum over the point set, with no expansion of P_n into powers.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .expansion import PointCharges, SurfaceExpansion, _lines, _numbers
+from .expansion import PointCharges, SurfaceExpansion, _lines, _numbers, _require_kind
 from .legendre import kernel_sum
 from .quadrature import _double_factorial as double_factorial, rule_for_expansion
 
@@ -105,64 +105,45 @@ def directional_moment(pt, r, n):
     return out
 
 
-def _poly_from_slice(a):
-    """Tensor slice -> polynomial coefficient map (multinomials absorbed)."""
-    n = sum(next(iter(a)))
-    return {t: multinomial(n, t) * v for t, v in a.items()}, n
-
-
-def _slice_from_poly(poly, n):
-    out = {t: 0.0 for t in triples(n)}
-    for t, v in poly.items():
-        out[t] = v / multinomial(n, t)
-    return out
-
-
 def _order_of(a):
     return sum(next(iter(a)))
 
 
 def symmetric_product(a, b):
-    """Symmetrized outer product, via multiplication of the polynomials."""
-    pa, n = _poly_from_slice(a)
-    pb, m = _poly_from_slice(b)
-    prod = {}
-    for ta, va in pa.items():
-        for tb, vb in pb.items():
-            t = (ta[0] + tb[0], ta[1] + tb[1], ta[2] + tb[2])
-            prod[t] = prod.get(t, 0.0) + va * vb
-    return _slice_from_poly(prod, n + m)
+    """Symmetrized outer product of an order-n and an order-m slice.
+
+    C[t] = sum_{u+v=t} multinomial(n; u) A[u] multinomial(m; v) B[v] / multinomial(n+m; t).
+    """
+    n, m = _order_of(a), _order_of(b)
+    wb = [(v, multinomial(m, v) * y) for v, y in b.items()]
+    acc = dict.fromkeys(triples(n + m), 0.0)
+    for u, x in a.items():
+        x = multinomial(n, u) * x
+        for v, y in wb:
+            acc[u[0] + v[0], u[1] + v[1], u[2] + v[2]] += x * y
+    return {t: c / multinomial(n + m, t) for t, c in acc.items()}
 
 
 def contract(a, b):
     """Full n-fold contraction of two order-n slices."""
-    n, m = _order_of(a), _order_of(b)
-    if n != m:
+    if _order_of(a) != _order_of(b):
         raise ContractViolation("full contraction needs equal orders")
-    return sum(multinomial(n, t) * v * b[t] for t, v in a.items())
+    return partial_contract(a, b)[0, 0, 0]
 
 
 def partial_contract(a, b):
     """Contract an order-n slice into an order-(n+m) slice, leaving order m.
 
-    Implements m!/(n+m)! * a_n(d/dr) b_{n+m}(r) on polynomial coefficients.
+    C[s] = sum_t multinomial(n; t) A[t] B[t + s]; a component missing from
+    b reads as zero.
     """
-    pa, n = _poly_from_slice(a)
-    pb, nm = _poly_from_slice(b)
-    m = nm - n
+    n = _order_of(a)
+    m = _order_of(b) - n
     if m < 0:
         raise ContractViolation("second operand must have the higher order")
-    out = {}
-    for tb, vb in pb.items():
-        for ta, va in pa.items():
-            if all(tb[k] >= ta[k] for k in range(3)):
-                t = tuple(tb[k] - ta[k] for k in range(3))
-                fall = 1.0
-                for k in range(3):
-                    fall *= math.perm(tb[k], ta[k])
-                out[t] = out.get(t, 0.0) + va * vb * fall
-    scale = math.factorial(m) / math.factorial(nm)
-    return _slice_from_poly({t: v * scale for t, v in out.items()}, m)
+    wa = [(t, multinomial(n, t) * x) for t, x in a.items()]
+    return {s: sum(w * b.get((t[0] + s[0], t[1] + s[1], t[2] + s[2]), 0.0) for t, w in wa)
+            for s in triples(m)}
 
 
 def detrace_directional(pt, r, n):
@@ -185,8 +166,7 @@ def detrace_directional(pt, r, n):
 
 def polytensor_from_expansion(exp):
     """Moments of the surface weights, M^(n) = sum_i w_i (R rhat_i)^(n)."""
-    if exp.kind != "outer":
-        raise ContractViolation("outer expansion required")
+    _require_kind(exp, "outer")
     pts = PointCharges(exp.surface_points - exp.center, exp.surface_weights)
     return moments_from_charges(pts, exp.order)
 

@@ -8,15 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ContractViolation, GeometryError
-from .expansion import _SLACK, _project
+from .errors import GeometryError
+from .expansion import _SLACK, _project, _require_kind
 
 __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
-
-
-def _require_kind(src, kind):
-    if src.kind != kind:
-        raise ContractViolation("expected a %s expansion, got %s" % (kind, src.kind))
 
 
 def _refit(src, kind, new_center, new_R):

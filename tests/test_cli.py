@@ -215,6 +215,11 @@ def _expansion_text():
     ("exp2charges", _expansion_text().replace(" p=3 ", " p=-4 "), 1),
     # a surface weight that is not finite
     ("exp2charges", re.sub(r"\n1 0 0 \S+\n", "\n1 0 0 nan\n", _expansion_text()), 2),
+    # an expansion one surface line short: the header's rule names the count
+    ("exp2charges", _expansion_text().rsplit("\n", 2)[0] + "\n", 1),
+    # two surface lines swapped, so both points are off the rule: the first is named
+    ("exp2charges", re.sub(r"\n(0 1 0 \S+)\n(0 -1 0 \S+)\n", r"\n\2\n\1\n",
+                           _expansion_text()), 4),
     # a polytensor line with an out-of-range degree, or a value that is not finite
     ("poly2exp", "quadpole-polytensor p=2\n0 0 0 0 1\n2 2 0 0 1\n", 3),
     ("poly2exp", "quadpole-polytensor p=2\n0 0 0 0 nan\n1 1 0 0 0\n1 0 1 0 0\n1 0 0 1 0\n", 2),
@@ -224,7 +229,8 @@ def _expansion_text():
     ("charges2poly", "0 0 0 1\n0.1 x 0 1\n", 2),
     ("charges2poly", "# x y z q\n0.1 0.2 0.3 nan\n", 2),
 ], ids=["missing-header-field", "nan-radius", "inf-center", "unsupported-rule-order",
-        "zero-order", "negative-order", "nan-weight", "polytensor-degree", "polytensor-nan",
+        "zero-order", "negative-order", "nan-weight", "surface-line-count",
+        "surface-point-off-rule", "polytensor-degree", "polytensor-nan",
         "polytensor-inf", "charges-three-columns", "charges-word", "charges-nan"])
 def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
     src = tmp_path / "input.txt"

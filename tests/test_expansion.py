@@ -285,6 +285,48 @@ def test_interaction_energy_contract_checks():
     assert qp.interaction_energy(outer, zero) == 0.0
 
 
+def test_rules_of_equal_size_must_be_equal():
+    # a copy of a rule is the same rule; the rule rotated is not, though it
+    # has as many points
+    rule = qp.lebedev_rule(7)
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    copy = qp.QuadratureRule(rule.points.copy(), rule.weights.copy(), 7)
+    rotated = qp.QuadratureRule(rule.points @ turn.T, rule.weights.copy(), 7)
+    inside, outside = unit_charge_at([0.1, 0.2, 0.3]), unit_charge_at([0.0, 0.5, 4.0])
+    x = np.array([[3.0, 0.0, 0.0]])
+    a = qp.fit_outer(inside, np.zeros(3), 1.0, 4, rule=rule)
+    b = qp.fit_outer(inside, np.zeros(3), 1.0, 4, rule=copy)
+    assert qp.eval_outer_potential(a + b, x) == 2 * qp.eval_outer_potential(a, x)
+    assert qp.interaction_energy(a, qp.fit_inner(outside, np.zeros(3), 1.0, 4, rule=copy)) \
+        == qp.interaction_energy(a, qp.fit_inner(outside, np.zeros(3), 1.0, 4, rule=rule))
+    b = qp.fit_outer(inside, np.zeros(3), 1.0, 4, rule=rotated)
+    with pytest.raises(qp.ContractViolation):
+        qp.eval_outer_potential(a + b, x)
+    with pytest.raises(qp.ContractViolation):
+        qp.interaction_energy(a, qp.fit_inner(outside, np.zeros(3), 1.0, 4, rule=rotated))
+
+
+def test_kind_checks_share_one_message():
+    outer = qp.fit_outer(qp.PointCharges.empty(), np.zeros(3), 1.0, 4)
+    inner = qp.fit_inner(qp.PointCharges.empty(), np.zeros(3), 1.0, 4, rule=outer.rule)
+    far, near = np.array([3.0, 0.0, 0.0]), np.zeros(3)
+    wrong_outer = [lambda: qp.eval_outer_potential(inner, far),
+                   lambda: qp.interaction_energy(inner, inner),
+                   lambda: qp.outer_gradient(inner, far),
+                   lambda: qp.polytensor_from_expansion(inner),
+                   lambda: qp.shift_outer(inner, near, 2.0),
+                   lambda: qp.outer_to_inner(inner, np.array([4.0, 0.0, 0.0]), 1.0)]
+    wrong_inner = [lambda: qp.eval_inner_potential(outer, near),
+                   lambda: qp.interaction_energy(outer, outer),
+                   lambda: qp.shift_inner(outer, near, 0.5)]
+    for calls, want, got in ((wrong_outer, "outer", "inner"), (wrong_inner, "inner", "outer")):
+        for call in calls:
+            with pytest.raises(qp.ContractViolation,
+                               match="^expected an %s expansion, got %s$" % (want, got)):
+                call()
+
+
 def test_energy_between_outers():
     d = 7.0
     a = qp.fit_outer(unit_charge_at([0.0, 0.0, 0.0]), np.zeros(3), 1.0, 6)
@@ -345,3 +387,12 @@ def test_serialization_round_trip():
     assert np.allclose(back.center, e.center)
     assert back.radius == e.radius
     assert np.array_equal(back.surface_weights, e.surface_weights)
+
+
+def test_surface_line_count_names_both_counts():
+    text = qp.expansion_to_text(qp.fit_outer(unit_charge_at([0.1, 0.2, 0.3]), np.zeros(3),
+                                             1.0, 3))
+    with pytest.raises(qp.DomainError, match=r"line 1: .* 14 points, but 13 surface lines"):
+        qp.expansion_from_text(text.rsplit("\n", 2)[0] + "\n")
+    with pytest.raises(qp.DomainError, match=r"line 1: .* 14 points, but 15 surface lines"):
+        qp.expansion_from_text(text + "0 0 1 0\n")

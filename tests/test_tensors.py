@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,3 +259,81 @@ def test_polytensor_text_rejects_garbage():
         qp.polytensor_from_text(head)
     with pytest.raises(qp.DomainError, match="line 1"):
         qp.polytensor_from_text("quadpole-polytensor q=3\n")
+
+
+def exact_partial_contract(a, b):
+    """m!/(n+m)! a_n(d/dr) b_{n+m}(r) on the polynomial coefficients, in Fractions."""
+    n, nm = sum(next(iter(a))), sum(next(iter(b)))
+    out = {s: Fraction(0) for s in triples(nm - n)}
+    for u, y in b.items():
+        for t, x in a.items():
+            if all(u[k] >= t[k] for k in range(3)):
+                fall = math.prod(math.perm(u[k], t[k]) for k in range(3))
+                s = (u[0] - t[0], u[1] - t[1], u[2] - t[2])
+                out[s] += multinomial(n, t) * Fraction(x) * multinomial(nm, u) * Fraction(y) * fall
+    scale = Fraction(math.factorial(nm - n), math.factorial(nm))
+    return {s: v * scale / multinomial(nm - n, s) for s, v in out.items()}
+
+
+def exact_symmetric_product(a, b):
+    """Each component of the symmetrized outer product, in Fractions.
+
+    Of the index sequences of composition t, the share whose first n
+    indices have composition u is prod_k C(t_k, u_k) / C(n+m, n).
+    """
+    n, m = sum(next(iter(a))), sum(next(iter(b)))
+    out = {}
+    for t in triples(n + m):
+        out[t] = sum((Fraction(math.prod(math.comb(t[k], u[k]) for k in range(3)),
+                               math.comb(n + m, n)) * Fraction(a[u])
+                      * Fraction(b[t[0] - u[0], t[1] - u[1], t[2] - u[2]])
+                      for u in triples(n) if all(u[k] <= t[k] for k in range(3))))
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (7, 8), (12, 3), (15, 0), (0, 15)])
+def test_algebra_matches_exact_arithmetic(n, m):
+    rng = np.random.default_rng(1000 + 31 * n + m)
+    a = {t: rng.standard_normal() for t in triples(n)}
+    b = {t: rng.standard_normal() for t in triples(m)}
+    bb = {t: rng.standard_normal() for t in triples(n + m)}
+    for got, want in ((qp.symmetric_product(a, b), exact_symmetric_product(a, b)),
+                      (qp.partial_contract(a, bb), exact_partial_contract(a, bb))):
+        assert list(got) == list(want)
+        scale = float(max(abs(v) for v in want.values()))
+        assert max(abs(Fraction(got[t]) - want[t]) for t in want) <= 1e-14 * scale
+
+
+def test_partial_contract_reads_missing_components_as_zero():
+    rng = np.random.default_rng(167)
+    a = {t: rng.standard_normal() for t in triples(2)}
+    b = {t: rng.standard_normal() for t in triples(5)}
+    sparse = {t: v for t, v in b.items() if t[2] != 1}
+    full = {t: 0.0 if t[2] == 1 else v for t, v in b.items()}
+    assert qp.partial_contract(a, sparse) == qp.partial_contract(a, full)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_point_weights_represent_every_tensor(n):
+    # A = sum_k alpha_k rhat_k^(n) on a rule exact to degree 2n, with
+    # alpha = W * K_gamma @ (W * a(rhat)): (rhat.shat)^n scales degree-m
+    # harmonics by lambda_m = 4 pi n! / ((n-m)!! (n+m+1)!!), m = n, n-2, ...,
+    # and gamma_m = (2m+1) / (4 pi lambda_m) inverts that on each degree
+    rng = np.random.default_rng(173 + n)
+    pa, pb = random_polytensor(rng, n + 1), random_polytensor(rng, n + 1)
+    rule = qp.rule_for_expansion(n + 1)
+    pts, w = rule.points, rule.weights
+    gamma = np.zeros(n + 1)
+    for m in range(n % 2, n + 1, 2):
+        gamma[m] = ((2 * m + 1) * double_factorial(n - m) * double_factorial(n + m + 1)
+                    / (16 * np.pi ** 2 * math.factorial(n)))
+    K = qp.kernel_sum(pts[:, None, :], pts[None, :, :], gamma)
+    alpha = w * (K @ (w * qp.directional_moment(pa, pts, n)))
+    a, b = pa.slice(n), pb.slice(n)
+    back = qp.moments_from_charges(qp.PointCharges(pts, alpha), n + 1).slice(n)
+    scale = max(abs(v) for v in a.values())
+    assert max(abs(back[t] - a[t]) for t in a) <= 1e-12 * scale
+    # so contraction is one sum over the points: sum_k alpha_k b(rhat_k)
+    got = alpha @ qp.directional_moment(pb, pts, n)
+    norm = math.sqrt(qp.contract(a, a) * qp.contract(b, b))
+    assert abs(got - qp.contract(a, b)) <= 1e-13 * norm
