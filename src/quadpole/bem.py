@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _exterior_sum, _interior_sum, _lines, _numbers,
-                        _require_kind, _side_checked)
-from .legendre import grad_kernel_sum, kernel_sum, normal_kernel_sum
+                        _points, _require_kind, _side_checked)
+from .legendre import kernel_sum, normal_kernel_sum
 from .quadrature import QuadratureRule, rule_for_expansion
 
 __all__ = [
@@ -93,7 +93,7 @@ def double_layer_int(exp, y):
 
 def jump_check(exp, yhat):
     """R^2 (F_ext - F_int) at a surface point; equals 4 pi sigma there."""
-    yhat = np.asarray(yhat, dtype=float)
+    yhat = _points(yhat)
     if np.any(np.abs(np.linalg.norm(yhat, axis=-1) - 1.0) > 1e-12):
         raise DomainError("surface direction must be a unit vector")
     y = exp.center + exp.radius * yhat
@@ -106,7 +106,8 @@ def outer_gradient(exp, x):
     """Gradient of the outer-expansion potential at exterior point(s) x."""
     _require_kind(exp, "outer")
     rel = _side_checked(exp, x, outside=True)
-    G = grad_kernel_sum(exp.radius * exp.rule.points, rel[..., None, :], np.ones(exp.order))
+    G = normal_kernel_sum(exp.radius * exp.rule.points[:, None, :], rel[..., None, None, :],
+                          np.eye(3), np.ones(exp.order))
     return np.tensordot(G, exp.surface_weights, axes=(-2, 0))
 
 

@@ -14,6 +14,7 @@ trial-parallelizable.  CSV outputs are byte-identical for identical
 seed and configuration.
 """
 import argparse
+import os
 import sys
 from collections import defaultdict
 
@@ -38,6 +39,7 @@ from .expansion import (
 )
 from .quadrature import lebedev_rule, rule_for_expansion, verify_exactness
 from .tensors import (
+    MAX_ORDER,
     expansion_from_polytensor,
     moments_from_charges,
     polytensor_from_text,
@@ -192,7 +194,7 @@ def cmd_flow(args):
             rows.append((p, i, float(spheres[i].radius), float(e), float(resid)))
         if args.out != "-":
             for i, exp in enumerate(sol.expansions):
-                path = "%s_p%d_sphere%d.exp" % (args.out.rsplit(".", 1)[0], p, i)
+                path = "%s_p%d_sphere%d.exp" % (os.path.splitext(args.out)[0], p, i)
                 with open(path, "w") as fh:
                     fh.write(expansion_to_text(exp))
     note = "scene=%s orders=%s" % (args.scene, orders)
@@ -202,6 +204,8 @@ def cmd_flow(args):
 
 
 def cmd_exactness(args):
+    if args.degree < 0:
+        raise ConfigError("degree must be non-negative")
     rule = lebedev_rule(args.rule_order)
     err = verify_exactness(rule, args.degree)
     print("rule order %d: %d points, max |error| %.3e over monomials of degree <= %d"
@@ -210,6 +214,10 @@ def cmd_exactness(args):
 
 
 def cmd_convert(args):
+    if args.direction == "charges2poly" and not 1 <= args.order <= MAX_ORDER:
+        raise ConfigError("--order must be in 1..%d" % MAX_ORDER)
+    if args.direction == "poly2exp" and not (np.isfinite(args.radius) and args.radius > 0.0):
+        raise ConfigError("--radius must be finite and positive")
     with open(args.input) as fh:
         text = fh.read()
     if args.direction == "charges2poly":

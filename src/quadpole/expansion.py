@@ -80,13 +80,10 @@ class SurfaceExpansion:
             raise DomainError("radius must be finite and positive")
         if self.rule.exactness_degree < 2 * self.order - 2:
             raise DomainError("rule exactness inadequate for expansion order")
+        object.__setattr__(self, "center", _center(self.center))
         w = np.asarray(self.surface_weights, dtype=float)
         if w.shape != (len(self.rule),) or not np.all(np.isfinite(w)):
             raise DomainError("one finite surface weight per quadrature point required")
-        center = np.asarray(self.center, dtype=float)
-        if center.shape != (3,) or not np.all(np.isfinite(center)):
-            raise DomainError("center must be a finite 3-vector")
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "surface_weights", w)
 
     @property
@@ -99,6 +96,22 @@ class SurfaceExpansion:
         if self.kind != other.kind:
             raise ContractViolation("cannot add outer and inner expansions")
         return replace(self, surface_weights=self.surface_weights + other.surface_weights)
+
+
+def _center(center):
+    """center as a float array, or a DomainError unless it is a finite 3-vector."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (3,) or not np.all(np.isfinite(center)):
+        raise DomainError("center must be a finite 3-vector")
+    return center
+
+
+def _points(x):
+    """x as a float array, or a DomainError unless it holds finite 3-vectors (..., 3)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,) or not np.all(np.isfinite(x)):
+        raise DomainError("evaluation points must be finite 3-vectors")
+    return x
 
 
 def _require_kind(exp, kind):
@@ -120,7 +133,7 @@ def fit_outer(sources, center, R, p, rule=None):
     if R <= 0.0:
         raise DomainError("bounding radius must be positive")
     rule = rule or rule_for_expansion(p)
-    center = np.asarray(center, dtype=float)
+    center = _center(center)
     rel = (sources.positions - center) / R
     dist = np.linalg.norm(rel, axis=1)
     diag = {
@@ -137,7 +150,7 @@ def fit_inner(sources, center, R, p, rule=None):
     if R <= 0.0:
         raise DomainError("bounding radius must be positive")
     rule = rule or rule_for_expansion(p)
-    center = np.asarray(center, dtype=float)
+    center = _center(center)
     rel = (sources.positions - center) / R
     dist = np.linalg.norm(rel, axis=1)
     if np.any(np.abs(dist - 1.0) <= 1e-12):
@@ -161,7 +174,7 @@ def _project(kind, rel, charges, rule, p):
 
 def _side_checked(exp, x, outside):
     """x - c for point(s) x on the sphere or on its outside (inside) side, else a GeometryError."""
-    rel = np.asarray(x, dtype=float) - exp.center
+    rel = _points(x) - exp.center
     r = np.linalg.norm(rel, axis=-1)
     if np.any(r < (1.0 - _SLACK) * exp.radius if outside else r > (1.0 + _SLACK) * exp.radius):
         raise GeometryError("evaluation point %s the sphere, where the series diverges"
@@ -241,7 +254,7 @@ def _coulomb(x, positions, charges):
     stays one block, as splitting the sources would change the summation
     order.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     (n, m), blocks = _row_blocks(x.reshape(-1, 1, 3), positions)
     out = np.empty(n)
     if blocks:

@@ -21,7 +21,6 @@ __all__ = [
     "scaled_legendre_stack",
     "kernel_sum",
     "kernel_matrix",
-    "grad_kernel_sum",
     "normal_kernel_sum",
     "grad_scaled_legendre_stack",
 ]
@@ -91,15 +90,18 @@ def _row_blocks(*arrays):
     """Broadcast batch shape of 3-vector arrays and their row blocks.
 
     Returns (batch, [(rows, block, block, ...), ...]), one block per array,
-    cut along the first batch axis with about _BLOCK_PAIRS pairs per block.
-    An argument that broadcasts along that axis is passed whole; a scalar
+    cut along the first batch axis with about _BLOCK_PAIRS pairs of the first
+    two arrays (the recurrence's pairs) per block; a third array, such as
+    normals, broadcasts against them without shrinking the block.  An
+    argument that broadcasts along that axis is passed whole; a scalar
     batch is one block indexed by ``...``.
     """
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     batch = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
     if not batch:
         return batch, [(..., *arrays)]
-    step = max(1, _BLOCK_PAIRS // max(1, int(np.prod(batch[1:]))))
+    pairs = np.broadcast_shapes((1,) * len(batch), *(a.shape[:-1] for a in arrays[:2]))
+    step = max(1, _BLOCK_PAIRS // max(1, int(np.prod(pairs[1:]))))
 
     def cut(a, rows):
         return a[rows] if a.ndim > len(batch) and a.shape[0] > 1 else a
@@ -175,61 +177,41 @@ def _grad_terms(xy, xx, yy, p):
         f_last = f
 
 
-def _gradient_sums(a, x, coef):
-    """(a.x, x.x, S_F, S_H) for one block of broadcast 3-vectors a, x.
-
-    S_F = sum_n (n+1) coef[n] F_n and S_H = sum_n coef[n] H_n, with F_n, H_n
-    from :func:`_grad_terms`, added as the recurrence produces them, so no
-    (p,) + batch stack is built.  L_n(a, x) is homogeneous of degree -(n+1)
-    in x, so dF_n/ds follows from u dF_n/du + 2 s dF_n/ds = -(n+1) F_n and
-    needs no recurrence of its own:
-
-        grad_x sum_n coef[n] L_n(a, x) = (S_H a - (S_F + (u/s) S_H) x) / s.
-    """
-    xy, xx, yy = _inner_products(a, x)
-    terms = _grad_terms(xy, xx, yy, len(coef))
-    s_f, s_h = (np.multiply(t, coef[0]) for t in next(terms))
-    tmp = np.empty_like(s_f)
-    for n, c, (f, h) in zip(range(2, len(coef) + 1), coef[1:], terms):
-        s_f += np.multiply(f, n * c, out=tmp)   # (n+1) c_n F_n, counting n from 0
-        s_h += np.multiply(h, c, out=tmp)
-    return xy, yy, s_f, s_h
-
-
-def grad_kernel_sum(a, x, coef):
-    """sum_n coef[n] grad_x L_n(a, x) over broadcast batches; shape batch + (3,).
-
-    Like :func:`kernel_sum`, the batch is summed in row blocks of about
-    2^14 pairs, bit-identical to one unblocked sum.
-    """
-    if len(coef) < 1:
-        raise DomainError("at least one coefficient required")
-    batch, blocks = _row_blocks(a, x)
-    out = np.empty(batch + (3,))
-    for rows, ab, xb in blocks:
-        xy, yy, s_f, s_h = _gradient_sums(ab, xb, coef)
-        out[rows] = (s_h[..., None] * ab - (s_f + xy / yy * s_h)[..., None] * xb) / yy[..., None]
-    return out
-
-
 def normal_kernel_sum(a, x, n, coef):
     """sum_k coef[k] n.grad_x L_k(a, x) over broadcast batches; shape batch.
 
-    n broadcasts like x.  The normal derivative is one scalar per pair,
-    (S_H (n.a) - (S_F + (u/s) S_H) (n.x)) / s, so no batch + (3,) gradient
-    is built; blocked like :func:`grad_kernel_sum`.
+    S_F = sum_k (k+1) coef[k] F_k and S_H = sum_k coef[k] H_k, with F_k, H_k
+    from :func:`_grad_terms`, are added as the recurrence produces them, so
+    no (p,) + batch stack is built.  L_k(a, x) is homogeneous of degree
+    -(k+1) in x, so dF_k/ds follows from u dF_k/du + 2 s dF_k/ds = -(k+1) F_k
+    and needs no recurrence of its own:
+
+        grad_x sum_k coef[k] L_k(a, x) = (S_H a - (S_F + (u/s) S_H) x) / s.
+
+    The normal derivative is one scalar per pair, with n.a and n.x for a and
+    x.  n = np.eye(3) against a[..., None, :] and x[..., None, :] gives the
+    gradient, shape batch + (3,); the recurrence still runs once per pair
+    of a and x.  Blocked like :func:`kernel_sum`.
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
     batch, blocks = _row_blocks(a, x, n)
     out = np.empty(batch)
     for rows, ab, xb, nb in blocks:
-        xy, yy, s_f, s_h = _gradient_sums(ab, xb, coef)
+        xy, xx, yy = _inner_products(ab, xb)
+        terms = _grad_terms(xy, xx, yy, len(coef))
+        s_f, s_h = (np.multiply(t, coef[0]) for t in next(terms))
+        tmp = np.empty_like(s_f)
+        for k, c, (f, h) in zip(range(2, len(coef) + 1), coef[1:], terms):
+            s_f += np.multiply(f, k * c, out=tmp)   # (k+1) c_k F_k, counting k from 0
+            s_h += np.multiply(h, c, out=tmp)
+        del terms, tmp   # free the recurrence's arrays before the last line's temporaries
         out[rows] = (s_h * _dot(nb, ab) - (s_f + xy / yy * s_h) * _dot(nb, xb)) / yy
     return out[()]   # a numpy scalar for a scalar batch
 
 
 def grad_scaled_legendre_stack(a, x, p):
     """Gradients d/dx of L_n(a, x), shape (p,) + batch + (3,), one degree per
-    :func:`grad_kernel_sum` call; tests compare the fused sum against it."""
-    return np.stack([grad_kernel_sum(a, x, np.eye(n + 1)[n]) for n in range(p)])
+    axis-normal :func:`normal_kernel_sum`; tests compare the fused sum against it."""
+    a, x = np.expand_dims(a, -2), np.expand_dims(x, -2)
+    return np.stack([normal_kernel_sum(a, x, np.eye(3), np.eye(n + 1)[n]) for n in range(p)])

@@ -175,6 +175,8 @@ def expansion_from_polytensor(pt, R, rule):
     """Outer expansion whose de-traced moments reproduce the polytensor."""
     if rule.exactness_degree < 2 * pt.order - 2:
         raise DomainError("rule exactness inadequate for the polytensor order")
+    if not (np.isfinite(R) and R > 0.0):
+        raise DomainError("radius must be finite and positive")
     sigma = np.zeros(len(rule))
     for n in range(pt.order):
         lead = (2 * n + 1) / (4.0 * np.pi) * double_factorial(2 * n - 1) / math.factorial(n)

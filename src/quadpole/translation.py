@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import GeometryError
-from .expansion import _SLACK, _project, _require_kind
+from .expansion import _SLACK, _center, _project, _require_kind
 
 __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
 
@@ -25,7 +25,7 @@ def _refit(src, kind, new_center, new_R):
 def shift_outer(src, new_center, new_R):
     """Outer -> outer shift; the source sphere must fit inside the new one."""
     _require_kind(src, "outer")
-    new_center = np.asarray(new_center, dtype=float)
+    new_center = _center(new_center)
     t = np.linalg.norm(new_center - src.center)
     if t + src.radius > (1.0 + _SLACK) * new_R:
         raise GeometryError("source sphere not contained in the new sphere")
@@ -35,7 +35,7 @@ def shift_outer(src, new_center, new_R):
 def outer_to_inner(src, new_center, new_R):
     """Outer -> inner shift (multipole-to-local translation)."""
     _require_kind(src, "outer")
-    new_center = np.asarray(new_center, dtype=float)
+    new_center = _center(new_center)
     dist = np.linalg.norm(src.surface_points - new_center, axis=1) / new_R
     bad = np.nonzero(dist <= 1.0 + _SLACK)[0]
     if bad.size:
@@ -48,7 +48,7 @@ def outer_to_inner(src, new_center, new_R):
 def shift_inner(src, new_center, new_R):
     """Inner -> inner shift; the new sphere must fit inside the old one."""
     _require_kind(src, "inner")
-    new_center = np.asarray(new_center, dtype=float)
+    new_center = _center(new_center)
     t = np.linalg.norm(new_center - src.center)
     if t + new_R > (1.0 + _SLACK) * src.radius:
         raise GeometryError("new sphere not contained in the old sphere")

@@ -110,6 +110,18 @@ def test_flow_runs_scene(tmp_path):
     assert (tmp_path / "flow_p3_sphere0.exp").exists()
 
 
+def test_flow_exp_files_sit_beside_the_csv(tmp_path):
+    # a dot in a directory name is not the start of the file's extension
+    scene = tmp_path / "scene.txt"
+    scene.write_text("0 0 0 1.0 1 0 0\n")
+    run_dir = tmp_path / "run.v1"
+    run_dir.mkdir()
+    assert run(["flow", "--scene", str(scene), "--orders", "2",
+                "--out", str(run_dir / "flow")]) == 0
+    assert sorted(f.name for f in run_dir.iterdir()) == ["flow", "flow_p2_sphere0.exp"]
+    assert not (tmp_path / "run_p2_sphere0.exp").exists()
+
+
 def test_flow_missing_scene():
     assert run(["flow", "--scene", "/nonexistent/scene.txt"]) == 2
 
@@ -258,4 +270,25 @@ def test_experiment_rejects_bad_values(tmp_path, capsys, command, flag, value):
     argv = [command, "--charges", "5", "--trials", "1", "--orders", "2", flag, value]
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: " + flag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["convert", "poly2exp", "{poly}", "--radius", "0"], "--radius"),
+    (["convert", "poly2exp", "{poly}", "--radius", "-1"], "--radius"),
+    (["convert", "poly2exp", "{poly}", "--radius", "nan"], "--radius"),
+    (["convert", "poly2exp", "{poly}", "--radius", "inf"], "--radius"),
+    (["convert", "charges2poly", "{charges}", "--order", "0"], "--order"),
+    (["convert", "charges2poly", "{charges}", "--order", "17"], "--order"),
+    (["exactness", "15", "-1"], "degree"),
+])
+def test_flag_values_are_config_errors(tmp_path, capsys, argv, flag):
+    files = {"poly": tmp_path / "m.poly", "charges": tmp_path / "charges.txt"}
+    files["poly"].write_text("quadpole-polytensor p=2\n0 0 0 0 1\n1 1 0 0 0\n1 0 1 0 0\n"
+                             "1 0 0 1 0.5\n")
+    files["charges"].write_text("0.1 0.2 0.3 1\n")
+    out = tmp_path / "out.txt"
+    argv = [a.format(**files) for a in argv]
+    assert run(argv + (["--out", str(out)] if argv[0] == "convert" else [])) == 2
+    assert capsys.readouterr().err.startswith("config error: " + flag + " ")
     assert not out.exists()

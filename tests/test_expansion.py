@@ -67,6 +67,21 @@ def test_eval_on_the_wrong_side_rejected():
     qp.eval_inner_potential(inner, inner.surface_points)
 
 
+@pytest.mark.parametrize("point", [[np.nan, 0.0, 3.0], [0.0, 3.0]], ids=["nan", "2-vector"])
+@pytest.mark.parametrize("name", [
+    "eval_outer_potential", "eval_inner_potential", "eval_point_charge_potential",
+    "single_layer_ext", "double_layer_ext", "single_layer_int", "double_layer_int",
+    "outer_gradient", "jump_check", "direct_potential",
+])
+def test_evaluation_points_must_be_finite_3_vectors(name, point):
+    outer = qp.fit_outer(unit_charge_at([0.1, 0.0, 0.0]), np.zeros(3), 1.0, 4)
+    inner = qp.fit_inner(unit_charge_at([3.0, 0.0, 0.0]), np.zeros(3), 1.0, 4)
+    first = {"eval_inner_potential": inner, "single_layer_int": inner,
+             "double_layer_int": inner, "direct_potential": unit_charge_at([0.1, 0.0, 0.0])}
+    with pytest.raises(qp.DomainError, match="^evaluation points must be finite 3-vectors$"):
+        getattr(qp, name)(first.get(name, outer), np.array(point))
+
+
 def test_eval_outer_vs_direct_sum():
     rng = np.random.default_rng(43)
     cloud = random_cloud(rng, 100)

@@ -5,7 +5,6 @@ import pytest
 
 import quadpole as qp
 from quadpole.legendre import (
-    grad_kernel_sum,
     grad_scaled_legendre_stack,
     kernel_matrix,
     kernel_sum,
@@ -166,10 +165,11 @@ def test_kernel_sum_matches_weighted_stack(p, shapes):
     got = kernel_sum(x, y, coef)
     assert np.shape(got) == np.shape(expect)
     assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
-    # the gradient sum reassociates its terms, and its components can cancel
-    # to near zero, so it is compared relative to the largest component
+    # the gradient is the normal derivative along the three axes; the sum
+    # reassociates its terms, and its components can cancel to near zero,
+    # so it is compared relative to the largest component
     expect = np.tensordot(coef, grad_scaled_legendre_stack(x, y, p), axes=(0, 0))
-    got = grad_kernel_sum(x, y, coef)
+    got = normal_kernel_sum(x[..., None, :], y[..., None, :], np.eye(3), coef)
     assert np.shape(got) == np.shape(expect)
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
     # the normal derivative along random n, shaped like y
@@ -197,9 +197,11 @@ def test_blocked_sums_match_unblocked_slices(p, shapes):
     got = kernel_sum(x, y, coef)
     assert got.shape == batch
     assert np.array_equal(got, _stitched(kernel_sum, coef, x, y))
-    grad = grad_kernel_sum(x, y, coef)
+    # the gradient: the normal derivative along the three axis normals
+    grad = normal_kernel_sum(x[..., None, :], y[..., None, :], np.eye(3), coef)
     assert grad.shape == batch + (3,)
-    assert np.array_equal(grad, _stitched(grad_kernel_sum, coef, x, y))
+    assert np.array_equal(
+        grad, _stitched(normal_kernel_sum, coef, x[..., None, :], y[..., None, :], np.eye(3)))
     n = rng.standard_normal(shapes[1])
     normal = normal_kernel_sum(x, y, n, coef)
     assert normal.shape == batch
@@ -213,16 +215,17 @@ def test_blocked_sums_raise_on_a_zero_in_the_last_block():
     with pytest.raises(qp.SingularityError):
         kernel_sum(x, y, np.ones(4))
     with pytest.raises(qp.SingularityError):
-        grad_kernel_sum(x, y, np.ones(4))
+        normal_kernel_sum(x[..., None, :], y[..., None, :], np.eye(3), np.ones(4))
     with pytest.raises(qp.SingularityError):
         normal_kernel_sum(x, y, np.ones((1203, 1, 3)), np.ones(4))
 
 
 @pytest.mark.parametrize("call", [
     lambda pts: kernel_matrix(pts[:, None, :], 1.5 * pts[None, :, :], 30),
-    lambda pts: grad_kernel_sum(pts, 2 * pts[:, None, :], np.ones(8)),
+    lambda pts: normal_kernel_sum(pts[:, None, :], 2 * pts[:, None, None, :], np.eye(3),
+                                  np.ones(8)),
     lambda pts: normal_kernel_sum(pts, 2 * pts[:, None, :], pts[:, None, :], np.ones(8)),
-], ids=["kernel_matrix", "grad_kernel_sum", "normal_kernel_sum"])
+], ids=["kernel_matrix", "gradient", "normal_kernel_sum"])
 def test_blocked_sums_peak_memory(call):
     pts = qp.lebedev_rule(59).points
     assert len(pts) == 1202

@@ -128,3 +128,22 @@ def test_error_grows_with_shift():
         errs.append(abs(qp.eval_outer_potential(shifted, x)[0]
                         - qp.direct_potential(cloud, x)[0]))
     assert errs[0] < errs[1] < errs[2]
+
+
+@pytest.mark.parametrize("center", [[np.nan, 0.0, 0.0], [0.0, 0.0]], ids=["nan", "2-vector"])
+def test_centers_must_be_finite_3_vectors(center):
+    near = qp.PointCharges(np.array([[0.1, 0.0, 0.0]]), np.array([1.0]))
+    far = qp.PointCharges(np.array([[3.0, 0.0, 0.0]]), np.array([1.0]))
+    outer = qp.fit_outer(near, np.zeros(3), 1.0, 4)
+    inner = qp.fit_inner(far, np.zeros(3), 1.0, 4)
+    nan_weights = np.full(len(outer.rule), np.nan)
+    calls = [lambda c: qp.fit_outer(near, c, 1.0, 4),
+             lambda c: qp.fit_inner(far, c, 1.0, 4),
+             lambda c: qp.shift_outer(outer, c, 2.0),
+             lambda c: qp.outer_to_inner(outer, c, 1.0),
+             lambda c: qp.shift_inner(inner, c, 0.5),
+             # the center is checked before the weights
+             lambda c: qp.SurfaceExpansion(c, 1.0, outer.rule, nan_weights, 4, "outer")]
+    for call in calls:
+        with pytest.raises(qp.DomainError, match="^center must be a finite 3-vector$"):
+            call(np.array(center))
