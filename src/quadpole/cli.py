@@ -37,7 +37,7 @@ from .expansion import (
     fit_inner,
     fit_outer,
 )
-from .quadrature import lebedev_rule, rule_for_expansion, verify_exactness
+from .quadrature import MAX_PROBE_DEGREE, lebedev_rule, rule_for_expansion, verify_exactness
 from .tensors import (
     MAX_ORDER,
     expansion_from_polytensor,
@@ -204,8 +204,9 @@ def cmd_flow(args):
 
 
 def cmd_exactness(args):
-    if args.degree < 0:
-        raise ConfigError("degree must be non-negative")
+    if not 0 <= args.degree <= MAX_PROBE_DEGREE:
+        raise ConfigError("degree must be in 0..%d, one past the highest embedded rule"
+                          % MAX_PROBE_DEGREE)
     rule = lebedev_rule(args.rule_order)
     err = verify_exactness(rule, args.degree)
     print("rule order %d: %d points, max |error| %.3e over monomials of degree <= %d"

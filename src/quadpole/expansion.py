@@ -76,8 +76,7 @@ class SurfaceExpansion:
             raise DomainError("kind must be 'outer' or 'inner'")
         if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
             raise DomainError("order must be an integer >= 1")
-        if not (np.isfinite(self.radius) and self.radius > 0.0):
-            raise DomainError("radius must be finite and positive")
+        object.__setattr__(self, "radius", _radius(self.radius))
         if self.rule.exactness_degree < 2 * self.order - 2:
             raise DomainError("rule exactness inadequate for expansion order")
         object.__setattr__(self, "center", _center(self.center))
@@ -106,6 +105,14 @@ def _center(center):
     return center
 
 
+def _radius(R):
+    """R as a float, or a DomainError unless it is finite and positive."""
+    R = float(R)
+    if not (np.isfinite(R) and R > 0.0):
+        raise DomainError("radius must be finite and positive")
+    return R
+
+
 def _points(x):
     """x as a float array, or a DomainError unless it holds finite 3-vectors (..., 3)."""
     x = np.asarray(x, dtype=float)
@@ -130,8 +137,7 @@ def _require_same_geometry(a, b):
 
 def fit_outer(sources, center, R, p, rule=None):
     """Project enclosed sources onto surface weights of an order-p outer expansion."""
-    if R <= 0.0:
-        raise DomainError("bounding radius must be positive")
+    R = _radius(R)
     rule = rule or rule_for_expansion(p)
     center = _center(center)
     rel = (sources.positions - center) / R
@@ -141,14 +147,14 @@ def fit_outer(sources, center, R, p, rule=None):
         "max_source_radius": float(dist.max(initial=0.0) * R),
     }
     return SurfaceExpansion(center=center, radius=R, rule=rule,
-                            surface_weights=_project("outer", rel, sources.charges, rule, p),
+                            surface_weights=_project("outer", rel, sources.charges[None], rule, p,
+                                                     np.arange(len(rule))[None]),
                             order=p, kind="outer", diagnostics=diag)
 
 
 def fit_inner(sources, center, R, p, rule=None):
     """Project exterior sources onto surface weights of an order-p inner expansion."""
-    if R <= 0.0:
-        raise DomainError("bounding radius must be positive")
+    R = _radius(R)
     rule = rule or rule_for_expansion(p)
     center = _center(center)
     rel = (sources.positions - center) / R
@@ -160,16 +166,32 @@ def fit_inner(sources, center, R, p, rule=None):
         "min_source_radius": float(dist.min(initial=np.inf) * R),
     }
     return SurfaceExpansion(center=center, radius=R, rule=rule,
-                            surface_weights=_project("inner", rel, sources.charges, rule, p),
+                            surface_weights=_project("inner", rel, sources.charges[None], rule, p,
+                                                     np.arange(len(rule))[None]),
                             order=p, kind="inner", diagnostics=diag)
 
 
-def _project(kind, rel, charges, rule, p):
-    """Surface weights of an order-p expansion of charges at unit-scaled positions rel."""
-    pts = rule.points
-    if kind == "outer":   # K(y/R, rhat_i): sources in rows, surface points in columns
-        return rule.weights * (charges @ kernel_matrix(rel[:, None, :], pts[None, :, :], p))
-    return rule.weights * (kernel_matrix(pts[:, None, :], rel[None, :, :], p) @ charges)
+def _project(kind, rel, charges, rule, p, maps):
+    """Surface weights of an order-p expansion of charges at unit-scaled positions rel.
+
+    Row k of maps (h, N) is the index map of a symmetry s_k of the rule
+    (see QuadratureRule.symmetries) that carries the positions onto
+    themselves, s_k rel_i = rel_{t_k(i)}, and row k of charges (h, M) is
+    charges[0] taken in that order, charges[0][t_k].  The kernel is
+    invariant under s_k, so the weight at point maps[k, j] is
+    W_j sum_i charges[k, i] K(rel_i, rhat_j): the kernel is summed at one
+    point j per orbit and the h rows scatter it to the others.  A fit
+    passes the identity alone, so every point is its own orbit.
+    """
+    reps = np.flatnonzero(maps.min(axis=0) == np.arange(len(rule)))
+    pts = rule.points[reps]
+    if kind == "outer":   # K(y/R, rhat_j): sources in rows, surface points in columns
+        sums = charges @ kernel_matrix(rel[:, None, :], pts[None, :, :], p)
+    else:
+        sums = (kernel_matrix(pts[:, None, :], rel[None, :, :], p) @ charges.T).T
+    weights = np.empty(len(rule))
+    weights[maps[:, reps]] = rule.weights[reps] * sums
+    return weights
 
 
 def _side_checked(exp, x, outside):

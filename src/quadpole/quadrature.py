@@ -5,7 +5,9 @@ data/lebedev/README.md for the layout).  Weights are rescaled at load
 time to sum to 4 pi, the measure of the unit sphere, so quadrature sums
 directly approximate surface integrals.
 """
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -25,6 +27,9 @@ __all__ = [
 # because their published weights are not all positive
 _ORDERS = (3, 5, 7, 9, 11, 15, 17, 19, 21, 23, 29, 31, 35, 41, 47, 53, 59, 131)
 
+# highest degree verify_exactness probes: one past the highest embedded rule
+MAX_PROBE_DEGREE = _ORDERS[-1] + 1
+
 _cache = {}
 
 
@@ -42,6 +47,32 @@ class QuadratureRule:
 
     def __len__(self):
         return len(self.weights)
+
+    @cached_property
+    def symmetries(self):
+        """Signed axis permutations that map the rule onto itself, and their index maps.
+
+        Returns (S, maps): S (h, 3, 3) holds the matrices, the identity first,
+        and row k of maps (h, N) is the permutation of the points with
+        points[maps[k]] == points @ S[k].T and weights[maps[k]] == weights,
+        both compared exactly.  The embedded rules have all 48; a rule built
+        by hand keeps those that hold exactly, perhaps only the identity.
+        Built on first use: each point and each of its 48 images gets one
+        integer key, its coordinates to 2^-19, and an image sorted by key
+        lines up with the points sorted by key.
+        """
+        S = np.array([np.diag(s)[list(axes)] for axes in itertools.permutations(range(3))
+                      for s in itertools.product((1.0, -1.0), repeat=3)])
+        images = self.points @ S.transpose(0, 2, 1)          # exact: entries are 0 and +-1
+        digits = np.rint((np.concatenate([self.points[None], images]) + 1.0) * 2.0 ** 19)
+        digits = digits.astype(np.int64)                     # 0..2^20 per coordinate
+        order = np.argsort((digits[..., 0] << 42) | (digits[..., 1] << 21) | digits[..., 2],
+                           axis=1)
+        maps = np.empty(images.shape[:2], dtype=np.intp)
+        np.put_along_axis(maps, order[1:], order[:1], axis=1)
+        ok = ((self.points[maps] == images).all(axis=(1, 2))
+              & (self.weights[maps] == self.weights).all(axis=1))
+        return S[ok], maps[ok]
 
 
 def available_orders():
@@ -108,9 +139,12 @@ def _double_factorial(n):
 
 
 def verify_exactness(rule, degree):
-    """Max absolute quadrature error over all monomials of total degree <= degree."""
-    if degree < 0:
-        raise DomainError("degree must be non-negative")
+    """Max absolute quadrature error over all monomials of total degree <= degree.
+
+    The degree may reach one past the highest embedded rule, MAX_PROBE_DEGREE.
+    """
+    if not 0 <= degree <= MAX_PROBE_DEGREE:
+        raise DomainError("degree must be in 0..%d" % MAX_PROBE_DEGREE)
     x, y, z = rule.points.T
     expo = np.arange(degree + 1)
     px = x ** expo[:, None]          # (degree+1, N) power tables

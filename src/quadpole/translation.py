@@ -3,21 +3,33 @@
 Every shift refits the old expansion's surface weights, taken as point
 charges at its surface points, onto the new sphere: the same kernel
 projection that ``fit_outer`` and ``fit_inner`` apply to point charges.
+The signed axis permutations of the rule that fix the shift vector carry
+the old surface points, seen from the new center, onto themselves, so a
+shift sums the kernel once per orbit of those symmetries: at about one
+new rule point in 8 for a shift along an axis, and at every point for a
+shift in a direction without symmetry.
 """
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import GeometryError
-from .expansion import _SLACK, _center, _project, _require_kind
+from .expansion import _SLACK, _center, _project, _radius, _require_kind
 
 __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
 
 
 def _refit(src, kind, new_center, new_R):
-    """Fit the old weights, as charges at the old surface points, on the new sphere."""
+    """Fit the old weights, as charges at the old surface points, on the new sphere.
+
+    Only the rule's symmetries that fix d = src.center - new_center, compared
+    exactly, carry the surface points seen from the new center onto themselves.
+    """
+    S, maps = src.rule.symmetries
+    d = src.center - new_center
+    maps = maps[np.all(S @ d == d, axis=1)]
     rel = (src.surface_points - new_center) / new_R
-    weights = _project(kind, rel, src.surface_weights, src.rule, src.order)
+    weights = _project(kind, rel, src.surface_weights[maps], src.rule, src.order, maps)
     return replace(src, center=new_center, radius=new_R, surface_weights=weights,
                    kind=kind, diagnostics=None)
 
@@ -25,7 +37,7 @@ def _refit(src, kind, new_center, new_R):
 def shift_outer(src, new_center, new_R):
     """Outer -> outer shift; the source sphere must fit inside the new one."""
     _require_kind(src, "outer")
-    new_center = _center(new_center)
+    new_center, new_R = _center(new_center), _radius(new_R)
     t = np.linalg.norm(new_center - src.center)
     if t + src.radius > (1.0 + _SLACK) * new_R:
         raise GeometryError("source sphere not contained in the new sphere")
@@ -35,7 +47,7 @@ def shift_outer(src, new_center, new_R):
 def outer_to_inner(src, new_center, new_R):
     """Outer -> inner shift (multipole-to-local translation)."""
     _require_kind(src, "outer")
-    new_center = _center(new_center)
+    new_center, new_R = _center(new_center), _radius(new_R)
     dist = np.linalg.norm(src.surface_points - new_center, axis=1) / new_R
     bad = np.nonzero(dist <= 1.0 + _SLACK)[0]
     if bad.size:
@@ -48,7 +60,7 @@ def outer_to_inner(src, new_center, new_R):
 def shift_inner(src, new_center, new_R):
     """Inner -> inner shift; the new sphere must fit inside the old one."""
     _require_kind(src, "inner")
-    new_center = _center(new_center)
+    new_center, new_R = _center(new_center), _radius(new_R)
     t = np.linalg.norm(new_center - src.center)
     if t + new_R > (1.0 + _SLACK) * src.radius:
         raise GeometryError("new sphere not contained in the old sphere")

@@ -154,6 +154,18 @@ def test_exactness(capsys):
     assert run(["exactness", "14", "14"]) == 2   # no such rule
 
 
+def test_exactness_degree_beyond_cap_is_config_error(capfd):
+    # the probe degree stops one past the highest embedded rule, before any
+    # (degree + 1, N) power table is allocated
+    src = os.path.dirname(os.path.dirname(quadpole.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "quadpole.cli", "exactness", "15", "100000000"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: degree must be in 0..132")
+    assert "Traceback" not in done.stderr
+
+
 def test_bad_orders():
     assert run(["racc", "--orders", "-1",
                 "--charges", "1", "--trials", "1"]) == 2

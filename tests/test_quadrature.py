@@ -83,6 +83,52 @@ def test_exactness_fails_beyond_design_degree():
     assert qp.verify_exactness(qp.lebedev_rule(15), 16) > 1e-6
 
 
+def test_exactness_degree_is_capped():
+    # the probe degree reaches one past the highest embedded rule, and no further
+    top = max(qp.available_orders()) + 1
+    assert np.isfinite(qp.verify_exactness(qp.lebedev_rule(3), top))
+    for degree in (-1, top + 1, 100000000):
+        with pytest.raises(qp.DomainError, match="^degree must be in 0..%d$" % top):
+            qp.verify_exactness(qp.lebedev_rule(15), degree)
+
+
+@pytest.mark.parametrize("order", qp.available_orders())
+def test_embedded_rules_have_48_exact_symmetries(order):
+    rule = qp.lebedev_rule(order)
+    S, maps = rule.symmetries
+    assert S.shape == (48, 3, 3) and maps.shape == (48, len(rule))
+    assert len({m.tobytes() for m in S}) == 48
+    assert np.all(np.sort(np.abs(S), axis=1) == [[0, 0, 0], [0, 0, 0], [1, 1, 1]])
+    assert np.array_equal(S[0], np.eye(3)) and np.array_equal(maps[0], np.arange(len(rule)))
+    assert np.all(np.sort(maps, axis=1) == np.arange(len(rule)))   # each row a permutation
+    for s, m in zip(S, maps):
+        assert np.array_equal(rule.points[m], rule.points @ s.T)
+        assert np.array_equal(rule.weights[m], rule.weights)
+
+
+def test_hand_built_rules_keep_only_their_exact_symmetries():
+    rule = qp.lebedev_rule(19)
+    # turned about a generic axis, only the inversion, which commutes with
+    # every rotation, still maps the points onto themselves exactly
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    turn = np.eye(3) + np.sin(0.3) * k + (1.0 - np.cos(0.3)) * k @ k
+    # summed per row alike, so that -x turns into exactly minus the turned x
+    rotated = qp.QuadratureRule((rule.points[:, None, :] * turn).sum(axis=-1),
+                                rule.weights.copy(), 19)
+    S, maps = rotated.symmetries
+    assert np.array_equal(S, [np.eye(3), -np.eye(3)])
+    assert np.array_equal(rotated.points[maps[1]], -rotated.points)
+    # a changed weight at a point that no symmetry but the identity fixes
+    a = np.abs(rule.points)
+    lone = np.flatnonzero((a > 0).all(axis=1) & (a[:, 0] != a[:, 1]) & (a[:, 1] != a[:, 2])
+                          & (a[:, 0] != a[:, 2]))[0]
+    weights = rule.weights.copy()
+    weights[lone] *= 1.5
+    S, maps = qp.QuadratureRule(rule.points.copy(), weights, 19).symmetries
+    assert np.array_equal(S, [np.eye(3)]) and np.array_equal(maps, [np.arange(len(rule))])
+
+
 def test_orthogonality_identity():
     # quadrature form of the Legendre orthogonality relation on the sphere
     rng = np.random.default_rng(31)

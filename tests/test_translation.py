@@ -147,3 +147,69 @@ def test_centers_must_be_finite_3_vectors(center):
     for call in calls:
         with pytest.raises(qp.DomainError, match="^center must be a finite 3-vector$"):
             call(np.array(center))
+
+
+@pytest.mark.parametrize("radius", [0.0, -2.0, np.nan], ids=["zero", "negative", "nan"])
+def test_radii_must_be_finite_and_positive(radius):
+    near = qp.PointCharges(np.array([[0.1, 0.0, 0.0]]), np.array([1.0]))
+    far = qp.PointCharges(np.array([[3.0, 0.0, 0.0]]), np.array([1.0]))
+    outer = qp.fit_outer(near, np.zeros(3), 1.0, 4)
+    inner = qp.fit_inner(far, np.zeros(3), 1.0, 4)
+    calls = [lambda R: qp.fit_outer(near, np.zeros(3), R, 4),
+             lambda R: qp.fit_inner(far, np.zeros(3), R, 4),
+             # checked before the containment and overlap checks
+             lambda R: qp.shift_outer(outer, np.zeros(3), R),
+             lambda R: qp.outer_to_inner(outer, np.array([4.0, 0.0, 0.0]), R),
+             lambda R: qp.shift_inner(inner, np.zeros(3), R)]
+    for call in calls:
+        with pytest.raises(qp.DomainError, match="^radius must be finite and positive$"):
+            call(radius)
+
+
+# shift vectors d = src.center - new_center and the number of the rules' 48
+# signed axis permutations that fix them
+SHIFT_DIRECTIONS = {
+    "axis": ([0.0, -0.375, 0.0], 8),
+    "face": ([0.25, 0.0, -0.25], 4),
+    "face-minus-zero": ([0.25, 0.25, -0.0], 4),
+    "body": ([0.25, -0.25, 0.25], 6),
+    "generic": ([0.3, -0.1, 0.2], 1),
+}
+
+
+@pytest.mark.parametrize("p", [4, 16, 30])
+@pytest.mark.parametrize("direction", SHIFT_DIRECTIONS)
+def test_reduced_shifts_match_full_projection(p, direction):
+    # each shift sums the kernel at one new rule point per orbit of the
+    # symmetries that fix d; the full projection W_j sum_i w_i K(rel_i, rhat_j)
+    # is computed here with one kernel_matrix over every pair
+    d, fixing = SHIFT_DIRECTIONS[direction]
+    d = np.array(d)
+    rule = qp.rule_for_expansion(p)
+    S, _ = rule.symmetries
+    assert np.sum(np.all(S @ d == d, axis=1)) == fixing
+    rng = np.random.default_rng(p)
+    weights = rng.uniform(-1.0, 1.0, len(rule))
+    origin = np.zeros(3)
+    # (shift, source kind, source center, source radius, new radius), all
+    # with the new center at the origin, so the shift vector is exactly the
+    # source center (a -0.0 component included)
+    cases = [(qp.shift_outer, "outer", d, 0.5, 1.0),
+             (qp.outer_to_inner, "outer", 8.0 * d, 1.0, 1.0),
+             (qp.shift_inner, "inner", d, 1.0, 0.5)]
+    for shift, kind, center, radius, new_R in cases:
+        src = qp.SurfaceExpansion(center, radius, rule, weights, p, kind)
+        out = shift(src, origin, new_R)
+        rel = (src.surface_points - origin) / new_R
+        if out.kind == "outer":
+            K = qp.kernel_matrix(rel[:, None, :], rule.points[None, :, :], p)
+            full = rule.weights * (weights @ K)
+            scale = rule.weights * (np.abs(weights) @ np.abs(K))
+        else:
+            K = qp.kernel_matrix(rule.points[:, None, :], rel[None, :, :], p)
+            full = rule.weights * (K @ weights)
+            scale = rule.weights * (np.abs(K) @ np.abs(weights))
+        if fixing == 1:
+            assert np.array_equal(out.surface_weights, full), shift.__name__
+        else:
+            assert np.all(np.abs(out.surface_weights - full) <= 1e-13 * scale), shift.__name__
