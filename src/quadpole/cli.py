@@ -26,6 +26,7 @@ from .bem import SphereBoundary, boundary_error, parse_scene, solve_potential_fl
 from .errors import CapacityError, QuadpoleError, UnsupportedOrderError
 from .expansion import (
     PointCharges,
+    SurfaceExpansion,
     _lines,
     _numbers,
     direct_potential,
@@ -83,16 +84,20 @@ class ConfigError(Exception):
     pass
 
 
-def _write_csv(path, header_cols, rows, args_note):
-    lines = ["# quadpole %s %s" % (__version__, args_note), ",".join(header_cols)]
-    for row in rows:
-        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write(path, text):
+    """Write text to the file at path, or to stdout when path is "-"."""
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _write_csv(path, header_cols, rows, args_note):
+    lines = ["# quadpole %s %s" % (__version__, args_note), ",".join(header_cols)]
+    for row in rows:
+        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
+    _write(path, "\n".join(lines) + "\n")
 
 
 def cmd_racc(args):
@@ -154,15 +159,18 @@ def cmd_tacc(args):
         for s in OUTER_SHIFTS:
             t = np.array([s, 0.0, 0.0])
             moved = PointCharges(t + (1.0 - s) * cloud.positions, cloud.charges)
-            outer_cases.append((s, t, moved, direct_potential(moved, x)))
+            outer_cases.append((s, t, direct_potential(moved, x)))
         for s in INNER_SHIFTS:
             t, r1 = np.array([s, 0.0, 0.0]), 0.5 - s
             y = t + r1 * eval_rule.points
             inner_cases.append((s, t, r1, y, direct_potential(inv, y)))
         for p in orders:
             rule = rule_for_expansion(p, min_order=args.rule_order)
-            for s, t, moved, exact in outer_cases:
-                src_exp = fit_outer(moved, t, 1.0 - s, p, rule=rule)
+            # t + (1 - s) cloud seen from t at radius 1 - s is the cloud itself,
+            # so one fit of the cloud gives the weights of every outer case
+            unit = fit_outer(cloud, np.zeros(3), 1.0, p, rule=rule).surface_weights
+            for s, t, exact in outer_cases:
+                src_exp = SurfaceExpansion(t, 1.0 - s, rule, unit, p, "outer")
                 shifted = shift_outer(src_exp, np.zeros(3), 1.0)
                 acc["outer", p, s] += np.abs(eval_outer_potential(shifted, x) - exact)
             src_exp = fit_inner(inv, np.zeros(3), 0.5, p, rule=rule)
@@ -195,8 +203,7 @@ def cmd_flow(args):
         if args.out != "-":
             for i, exp in enumerate(sol.expansions):
                 path = "%s_p%d_sphere%d.exp" % (os.path.splitext(args.out)[0], p, i)
-                with open(path, "w") as fh:
-                    fh.write(expansion_to_text(exp))
+                _write(path, expansion_to_text(exp))
     note = "scene=%s orders=%s" % (args.scene, orders)
     _write_csv(args.out, ["p", "sphere", "radius", "boundary_error", "fit_residual"],
                rows, note)
@@ -234,11 +241,7 @@ def cmd_convert(args):
         lines = ["%.17g %.17g %.17g %.17g" % (p[0], p[1], p[2], w)
                  for p, w in zip(exp.surface_points, exp.surface_weights)]
         out = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(out)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+    _write(args.out, out)
     return 0
 
 

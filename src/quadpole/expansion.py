@@ -106,11 +106,11 @@ def _center(center):
 
 
 def _radius(R):
-    """R as a float, or a DomainError unless it is finite and positive."""
-    R = float(R)
-    if not (np.isfinite(R) and R > 0.0):
+    """R as a float, or a DomainError unless it is one finite, positive real number."""
+    R = np.asarray(R)
+    if R.shape != () or R.dtype.kind not in "iuf" or not (np.isfinite(R) and R > 0.0):
         raise DomainError("radius must be finite and positive")
-    return R
+    return float(R)
 
 
 def _points(x):
@@ -146,9 +146,8 @@ def fit_outer(sources, center, R, p, rule=None):
         "n_sources_outside": int(np.sum(dist > 1.0)),
         "max_source_radius": float(dist.max(initial=0.0) * R),
     }
-    return SurfaceExpansion(center=center, radius=R, rule=rule,
-                            surface_weights=_project("outer", rel, sources.charges[None], rule, p,
-                                                     np.arange(len(rule))[None]),
+    weights = rule.weights * _project("outer", rel, sources.charges, rule.points, p)
+    return SurfaceExpansion(center=center, radius=R, rule=rule, surface_weights=weights,
                             order=p, kind="outer", diagnostics=diag)
 
 
@@ -165,33 +164,21 @@ def fit_inner(sources, center, R, p, rule=None):
         "n_sources_inside": int(np.sum(dist < 1.0)),
         "min_source_radius": float(dist.min(initial=np.inf) * R),
     }
-    return SurfaceExpansion(center=center, radius=R, rule=rule,
-                            surface_weights=_project("inner", rel, sources.charges[None], rule, p,
-                                                     np.arange(len(rule))[None]),
+    weights = rule.weights * _project("inner", rel, sources.charges, rule.points, p)
+    return SurfaceExpansion(center=center, radius=R, rule=rule, surface_weights=weights,
                             order=p, kind="inner", diagnostics=diag)
 
 
-def _project(kind, rel, charges, rule, p, maps):
-    """Surface weights of an order-p expansion of charges at unit-scaled positions rel.
+def _project(kind, rel, charges, pts, p):
+    """Kernel sums sum_i charges[..., i] K(rel_i, rhat_j) of an order-p fit at unit points pts.
 
-    Row k of maps (h, N) is the index map of a symmetry s_k of the rule
-    (see QuadratureRule.symmetries) that carries the positions onto
-    themselves, s_k rel_i = rel_{t_k(i)}, and row k of charges (h, M) is
-    charges[0] taken in that order, charges[0][t_k].  The kernel is
-    invariant under s_k, so the weight at point maps[k, j] is
-    W_j sum_i charges[k, i] K(rel_i, rhat_j): the kernel is summed at one
-    point j per orbit and the h rows scatter it to the others.  A fit
-    passes the identity alone, so every point is its own orbit.
+    rel holds the sources' unit-scaled positions (M, 3) and charges (M,), or
+    (h, M) for h charge sets at the same positions; the surface weights are
+    the sums times the rule weights at pts.
     """
-    reps = np.flatnonzero(maps.min(axis=0) == np.arange(len(rule)))
-    pts = rule.points[reps]
     if kind == "outer":   # K(y/R, rhat_j): sources in rows, surface points in columns
-        sums = charges @ kernel_matrix(rel[:, None, :], pts[None, :, :], p)
-    else:
-        sums = (kernel_matrix(pts[:, None, :], rel[None, :, :], p) @ charges.T).T
-    weights = np.empty(len(rule))
-    weights[maps[:, reps]] = rule.weights[reps] * sums
-    return weights
+        return charges @ kernel_matrix(rel[:, None, :], pts[None, :, :], p)
+    return (kernel_matrix(pts[:, None, :], rel[None, :, :], p) @ charges.T).T
 
 
 def _side_checked(exp, x, outside):
@@ -234,13 +221,13 @@ def eval_point_charge_potential(exp, x):
 
 
 def interaction_energy(outer, inner):
-    """Energy between the sources of a shared-sphere outer/inner pair."""
+    """Energy between the sources of a shared-sphere outer/inner pair: the
+    inner expansion summed at the outer's surface points, weighted by its weights."""
     _require_kind(outer, "outer")
     _require_kind(inner, "inner")
     _require_same_geometry(outer, inner)
-    rhat = outer.rule.points
-    M = kernel_sum(rhat[:, None, :], rhat[None, :, :], np.ones(outer.order))
-    return float(outer.surface_weights @ M @ inner.surface_weights) / outer.radius
+    return float(outer.surface_weights
+                 @ _interior_sum(inner, outer.surface_points, np.ones(inner.order)))
 
 
 def energy_between_outers(a, b):

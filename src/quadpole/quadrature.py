@@ -7,7 +7,7 @@ directly approximate surface integrals.
 """
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 
 import numpy as np
@@ -121,14 +121,16 @@ def sphere_monomial_integral(a, b, c):
     """Closed-form integral of x^a y^b z^c over the unit sphere surface.
 
     Zero when any exponent is odd; otherwise
-    4 pi (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!!.
+    4 pi (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!!.  Elementwise over
+    broadcast arrays of non-negative integer exponents.
     """
-    if a % 2 or b % 2 or c % 2:
-        return 0.0
-    num = _double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
-    return 4.0 * np.pi * num / _double_factorial(a + b + c + 1)
+    total = np.add(np.add(a, b), c)
+    dfac = np.array([_double_factorial(k - 1) for k in range(np.max(total, initial=0) + 3)])
+    even = np.where(np.arange(len(dfac)) % 2, 0.0, dfac)   # dfac[k] = (k-1)!!, 0 for odd k
+    return (4.0 * np.pi * (even[a] * even[b] * even[c]) / dfac[total + 2])[()]
 
 
+@cache
 def _double_factorial(n):
     """(n)!! as a float, with (-1)!! = 0!! = 1; exact in float64 up to 29!!."""
     out = 1.0
@@ -150,16 +152,13 @@ def verify_exactness(rule, degree):
     px = x ** expo[:, None]          # (degree+1, N) power tables
     py = y ** expo[:, None]
     pz = z ** expo[:, None]
-    # closed-form reference pieces: (k-1)!! for even k, 0 for odd k
-    dfac = np.array([_double_factorial(k - 1) if k % 2 == 0 else 0.0 for k in expo])
-    dtot = np.array([_double_factorial(k + 1) for k in range(2 * degree + 1)])
     worst = 0.0
     for a in range(degree + 1):
         d = degree - a
         wa = rule.weights * px[a]
         approx = (py[:d + 1] * wa) @ pz[:d + 1].T        # (b, c) table
-        b, c = np.meshgrid(expo[:d + 1], expo[:d + 1], indexing="ij")
-        exact = 4.0 * np.pi * dfac[a] * dfac[b] * dfac[c] / dtot[a + b + c]
+        b, c = expo[:d + 1, None], expo[:d + 1]
+        exact = sphere_monomial_integral(a, b, c)
         mask = b + c <= d
         worst = max(worst, np.max(np.abs(approx - exact)[mask]))
     return worst

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .expansion import PointCharges, SurfaceExpansion, _lines, _numbers, _require_kind
+from .expansion import (PointCharges, SurfaceExpansion, _lines, _numbers, _radius,
+                        _require_kind)
 from .legendre import kernel_sum
 from .quadrature import _double_factorial as double_factorial, rule_for_expansion
 
@@ -173,10 +174,7 @@ def polytensor_from_expansion(exp):
 
 def expansion_from_polytensor(pt, R, rule):
     """Outer expansion whose de-traced moments reproduce the polytensor."""
-    if rule.exactness_degree < 2 * pt.order - 2:
-        raise DomainError("rule exactness inadequate for the polytensor order")
-    if not (np.isfinite(R) and R > 0.0):
-        raise DomainError("radius must be finite and positive")
+    R = _radius(R)
     sigma = np.zeros(len(rule))
     for n in range(pt.order):
         lead = (2 * n + 1) / (4.0 * np.pi) * double_factorial(2 * n - 1) / math.factorial(n)

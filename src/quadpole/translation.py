@@ -2,12 +2,9 @@
 
 Every shift refits the old expansion's surface weights, taken as point
 charges at its surface points, onto the new sphere: the same kernel
-projection that ``fit_outer`` and ``fit_inner`` apply to point charges.
-The signed axis permutations of the rule that fix the shift vector carry
-the old surface points, seen from the new center, onto themselves, so a
-shift sums the kernel once per orbit of those symmetries: at about one
-new rule point in 8 for a shift along an axis, and at every point for a
-shift in a direction without symmetry.
+projection that ``fit_outer`` and ``fit_inner`` apply to point charges,
+summed once per orbit of the rule's symmetries that fix the shift (see
+``_refit``).
 """
 from dataclasses import replace
 
@@ -22,14 +19,23 @@ __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
 def _refit(src, kind, new_center, new_R):
     """Fit the old weights, as charges at the old surface points, on the new sphere.
 
-    Only the rule's symmetries that fix d = src.center - new_center, compared
-    exactly, carry the surface points seen from the new center onto themselves.
+    A signed axis permutation S of the rule (QuadratureRule.symmetries) that
+    fixes d = src.center - new_center, compared exactly, maps the old points
+    seen from the new center onto themselves, S rel_i = rel_{t(i)}, and the
+    kernel is invariant under S, so the new weight at t(j) is
+    W_j sum_i w_{t(i)} K(rel_i, rhat_j).  The kernel is summed at one point j
+    per orbit, against one row of permuted weights w[t] per symmetry, and the
+    rows are scattered to the orbit: 8 symmetries for an axis shift, 6 for a
+    body diagonal, 4 for a face diagonal and 1 otherwise.
     """
     S, maps = src.rule.symmetries
     d = src.center - new_center
     maps = maps[np.all(S @ d == d, axis=1)]
+    reps = np.flatnonzero(maps.min(axis=0) == np.arange(len(src.rule)))
     rel = (src.surface_points - new_center) / new_R
-    weights = _project(kind, rel, src.surface_weights[maps], src.rule, src.order, maps)
+    sums = _project(kind, rel, src.surface_weights[maps], src.rule.points[reps], src.order)
+    weights = np.empty(len(src.rule))
+    weights[maps[:, reps]] = src.rule.weights[reps] * sums
     return replace(src, center=new_center, radius=new_R, surface_weights=weights,
                    kind=kind, diagnostics=None)
 

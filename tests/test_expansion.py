@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadpole as qp
 
@@ -33,6 +34,47 @@ def test_fit_outer_empty_and_errors():
     assert e.diagnostics == {"n_sources_outside": 0, "max_source_radius": 0.0}
     with pytest.raises(qp.DomainError):
         qp.fit_outer(qp.PointCharges.empty(), np.zeros(3), -1.0, 3)
+
+
+# clouds of 1 to 20 positive charges in the cube |y_k| <= 1/2, inside the unit
+# sphere; positive, so that no cancellation between sources makes max |w| small
+# beside the roundoff of the sums
+COORD = st.floats(-0.5, 0.5)
+CHARGE = st.tuples(COORD, COORD, COORD, st.floats(0.125, 1.0))
+CLOUD = st.lists(CHARGE, min_size=1, max_size=20)
+
+
+def _cloud(rows):
+    rows = np.array(rows)
+    return qp.PointCharges(rows[:, :3], rows[:, 3])
+
+
+@settings(max_examples=50)
+@given(rows=CLOUD, t=st.tuples(*[st.floats(-2.0, 2.0)] * 3), lam=st.floats(0.25, 4.0),
+       p=st.integers(1, 30))
+def test_fit_outer_is_similarity_invariant(rows, t, lam, p):
+    # t + lam y seen from t at radius lam is y seen from 0 at radius 1
+    cloud, t = _cloud(rows), np.array(t)
+    want = qp.fit_outer(cloud, np.zeros(3), 1.0, p).surface_weights
+    moved = qp.PointCharges(t + lam * cloud.positions, cloud.charges)
+    got = qp.fit_outer(moved, t, lam, p).surface_weights
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=50)
+@given(rows=st.lists(CHARGE.filter(lambda r: r[0] ** 2 + r[1] ** 2 + r[2] ** 2 >= 0.05 ** 2),
+                     min_size=1, max_size=20),
+       p=st.integers(1, 30))
+def test_fit_inner_is_kelvin_inverted_fit_outer(rows, p):
+    # L_n(rhat, y / |y|^2) = |y|^(n+1) P_n(rhat.yhat) = |y| L_n(y, rhat)
+    cloud = _cloud(rows)
+    r2 = np.sum(cloud.positions ** 2, axis=1)
+    rule = qp.rule_for_expansion(p)
+    inverted = qp.PointCharges(cloud.positions / r2[:, None], cloud.charges)
+    got = qp.fit_inner(inverted, np.zeros(3), 1.0, p, rule=rule).surface_weights
+    scaled = qp.PointCharges(cloud.positions, cloud.charges * np.sqrt(r2))
+    want = qp.fit_outer(scaled, np.zeros(3), 1.0, p, rule=rule).surface_weights
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fit_outer_diagnostics_flags_outside_sources():

@@ -74,6 +74,21 @@ def test_monomial_integral_closed_form():
     assert sphere_monomial_integral(2, 2, 2) == pytest.approx(4 * np.pi / 105)
 
 
+def test_monomial_integral_is_elementwise():
+    # every exponent triple of total degree <= 12, as arrays and one triple at a time
+    a, b, c = np.array([(i, j, n - i - j) for n in range(13)
+                        for i in range(n + 1) for j in range(n + 1 - i)]).T
+    want = [sphere_monomial_integral(int(i), int(j), int(k)) for i, j, k in zip(a, b, c)]
+    assert sphere_monomial_integral(a, b, c).tolist() == want
+    assert sphere_monomial_integral(a[:, None], b[:, None], c[:, None]).tolist() \
+        == [[w] for w in want]
+    # a rule exact to degree 15 integrates them to roundoff
+    rule = qp.lebedev_rule(15)
+    x, y, z = rule.points.T
+    quad = (x ** a[:, None] * y ** b[:, None] * z ** c[:, None]) @ rule.weights
+    assert np.max(np.abs(quad - want)) <= 1e-13
+
+
 def test_exactness_at_design_degree():
     assert qp.verify_exactness(qp.lebedev_rule(3), 0) <= 1e-12
     assert qp.verify_exactness(qp.lebedev_rule(15), 14) <= 1e-10

@@ -149,7 +149,8 @@ def test_centers_must_be_finite_3_vectors(center):
             call(np.array(center))
 
 
-@pytest.mark.parametrize("radius", [0.0, -2.0, np.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("radius", [0.0, -2.0, np.nan, [1.0], np.array([1.0]), None, "1"],
+                         ids=["zero", "negative", "nan", "list", "array", "none", "string"])
 def test_radii_must_be_finite_and_positive(radius):
     near = qp.PointCharges(np.array([[0.1, 0.0, 0.0]]), np.array([1.0]))
     far = qp.PointCharges(np.array([[3.0, 0.0, 0.0]]), np.array([1.0]))
@@ -160,7 +161,9 @@ def test_radii_must_be_finite_and_positive(radius):
              # checked before the containment and overlap checks
              lambda R: qp.shift_outer(outer, np.zeros(3), R),
              lambda R: qp.outer_to_inner(outer, np.array([4.0, 0.0, 0.0]), R),
-             lambda R: qp.shift_inner(inner, np.zeros(3), R)]
+             lambda R: qp.shift_inner(inner, np.zeros(3), R),
+             lambda R: qp.expansion_from_polytensor(qp.moments_from_charges(near, 4), R,
+                                                    outer.rule)]
     for call in calls:
         with pytest.raises(qp.DomainError, match="^radius must be finite and positive$"):
             call(radius)
