@@ -199,7 +199,11 @@ def _exterior_sum(exp, x, coef):
 
 def _interior_sum(exp, y, coef):
     """sum_i w_i sum_n coef[n] L_n(y - c, R rhat_i), for y on or inside the sphere."""
-    rel = _side_checked(exp, y, outside=False)
+    return _interior_sum_at(exp, _side_checked(exp, y, outside=False), coef)
+
+
+def _interior_sum_at(exp, rel, coef):
+    """The same sum at offsets rel = y - c from the center, unchecked."""
     return kernel_sum(rel[..., None, :], exp.radius * exp.rule.points, coef) @ exp.surface_weights
 
 
@@ -221,13 +225,14 @@ def eval_point_charge_potential(exp, x):
 
 
 def interaction_energy(outer, inner):
-    """Energy between the sources of a shared-sphere outer/inner pair: the
-    inner expansion summed at the outer's surface points, weighted by its weights."""
+    """Energy between the sources of a shared-sphere outer/inner pair: the inner
+    expansion summed at the outer's weighted surface points, taken as offsets
+    R rhat_i from the shared center (c + R rhat_i would round off the sphere)."""
     _require_kind(outer, "outer")
     _require_kind(inner, "inner")
     _require_same_geometry(outer, inner)
-    return float(outer.surface_weights
-                 @ _interior_sum(inner, outer.surface_points, np.ones(inner.order)))
+    return float(outer.surface_weights @ _interior_sum_at(
+        inner, outer.radius * outer.rule.points, np.ones(inner.order)))
 
 
 def energy_between_outers(a, b):

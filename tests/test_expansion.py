@@ -342,6 +342,32 @@ def test_interaction_energy_contract_checks():
     assert qp.interaction_energy(outer, zero) == 0.0
 
 
+@pytest.mark.parametrize("R, offset", [(1.0, 0.0), (0.01, 1e-13)], ids=["far", "small"])
+def test_interaction_energy_is_independent_of_where_the_pair_sits(R, offset):
+    # A pair about a center at |c| = 1e6 (R = 1), or of radius 0.01 whose
+    # centers differ by 1e-13 (within the shared-geometry tolerance, but ten
+    # times 1e-12 R), has the energy of the same pair at the origin, scaled
+    # by 1 / R: absolute positions c + R rhat of the outer's points would lie
+    # off the inner's sphere by more than its 1e-12 R slack.
+    rng = np.random.default_rng(83)
+    inside = random_cloud(rng, 20, scale=0.4)
+    outside = random_cloud(rng, 15, scale=0.4, offset=(4.0, 0.0, 0.0))
+    rule = qp.rule_for_expansion(8)
+
+    def energy(c, shift, R):
+        outer = qp.fit_outer(qp.PointCharges(c + R * inside.positions, inside.charges),
+                             c, R, 8, rule=rule)
+        inner = qp.fit_inner(qp.PointCharges(c + R * outside.positions, outside.charges),
+                             c + shift, R, 8, rule=rule)
+        return qp.interaction_energy(outer, inner)
+
+    ref = energy(np.zeros(3), 0.0, 1.0)
+    directions = rng.normal(size=(4, 3))
+    for d in directions / np.linalg.norm(directions, axis=1)[:, None]:
+        c = 1e6 * d if offset == 0.0 else np.zeros(3)
+        assert energy(c, offset * d, R) == pytest.approx(ref / R, rel=1e-10)
+
+
 def test_rules_of_equal_size_must_be_equal():
     # a copy of a rule is the same rule; the rule rotated is not, though it
     # has as many points
