@@ -6,7 +6,10 @@ with each sphere's surface weights, by weighted least squares on a finer
 fit rule, cut at the system's rank sum_j p_j^2.  Each row of that system
 is a normal-derivative kernel sum, one scalar n.grad L per pair; on a
 sphere's own block (the source shares its center) it is the plain kernel
-sum with coefficients -(k+1)/R, like every other layer operator.
+sum with coefficients -(k+1)/R, like every other layer operator.  Each
+block is summed at one row point per orbit of the axis symmetries that
+fix it, as in the shifts, and its other rows are index permutations of
+those (see _orbit_blocks); boundary_error builds no matrix.
 """
 from dataclasses import dataclass
 
@@ -16,7 +19,7 @@ from .errors import DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _exterior_sum, _interior_sum, _lines, _numbers,
                         _points, _require_kind, _side_checked)
 from .legendre import kernel_sum, normal_kernel_sum
-from .quadrature import QuadratureRule, rule_for_expansion
+from .quadrature import QuadratureRule, _orbits, rule_for_expansion
 
 __all__ = [
     "SphereBoundary",
@@ -111,34 +114,54 @@ def outer_gradient(exp, x):
     return np.tensordot(G, exp.surface_weights, axes=(-2, 0))
 
 
+def _orbit_blocks(spheres, sources, rule):
+    """Yield (i, j, rows, targets, col_maps): block (i, j) of the flow rows, one row per orbit.
+
+    Block (i, j) maps source j's surface weights to n.grad(Phi) at sphere i's
+    points s.center + R rhat, with normals rhat, rhat the points of ``rule``.
+    Each entry is a normal-derivative kernel sum, one scalar per pair; where
+    the source shares the sphere's center, n = xhat and L_k(a, x) is
+    homogeneous of degree -(k+1) in x, so the block is the plain kernel sum
+    with coefficients -(k+1)/R.  A signed axis permutation that both rules
+    hold and that fixes d = s.center - src.center maps the row points, their
+    normals and the source points onto themselves and leaves the kernel
+    unchanged (quadrature._orbits), so the sums are made only at one row
+    point per orbit: entry (targets[k, m], col_maps[k, c]) of the block is
+    rows[m, c], one k per symmetry (48 for a sphere's own block, 8 for an
+    offset along an axis, 6 or 4 along a body or face diagonal, 2 elsewhere
+    in a coordinate plane and 1 otherwise).
+    """
+    normals = rule.points
+    for i, s in enumerate(spheres):
+        for j, src in enumerate(sources):
+            d = s.center - src.center
+            row_maps, col_maps, reps = _orbits(rule, src.rule, d)
+            a = src.radius * src.rule.points
+            # seen from the source's center as d + R rhat, which each symmetry maps exactly
+            rel = (d + s.radius * normals[reps])[:, None, :]
+            if np.array_equal(s.center, src.center):
+                rows = kernel_sum(a, rel, -(np.arange(src.order) + 1.0) / s.radius)
+            else:
+                rows = normal_kernel_sum(a, rel, normals[reps, None, :], np.ones(src.order))
+            yield i, j, rows, row_maps[:, reps], col_maps
+
+
 def _boundary_system(spheres, sources, rule):
     """Rows n.grad(Phi) and right-hand side -n.v0 at rule's points, times sqrt(w).
 
     Row blocks follow the spheres and column blocks the sources' surface
-    weights, so A @ weights - b is sqrt(w) times the mismatch n.v0 + n.grad(Phi);
-    each block is written into one preallocated A as it is made.
-    Each row is a normal-derivative kernel sum, one scalar per pair.  Where
-    the source shares the sphere's center, n = xhat and L_k(a, x) is
-    homogeneous of degree -(k+1) in x, so the block is the plain kernel sum
-    with coefficients -(k+1)/R.
+    weights, so A @ weights - b is sqrt(w) times the mismatch n.v0 + n.grad(Phi).
+    Each block's orbit rows (see _orbit_blocks) are scattered straight into
+    one preallocated A, so no block-sized array is made.
     """
     normals, sqw = rule.points, np.sqrt(rule.weights)
-
-    def block(s, src):
-        a = src.radius * src.rule.points
-        rel = (s.center + s.radius * normals - src.center)[:, None, :]
-        if np.array_equal(s.center, src.center):
-            return kernel_sum(a, rel, -(np.arange(src.order) + 1.0) / s.radius)
-        return normal_kernel_sum(a, rel, normals[:, None, :], np.ones(src.order))
-
     n = len(normals)
     cols = np.cumsum([0] + [len(src.rule) for src in sources])
     A = np.empty((n * len(spheres), cols[-1]))
-    for i, s in enumerate(spheres):
-        for j, src in enumerate(sources):
-            # the block dies after its scaled copy, so one block at a time is alive
-            np.multiply(block(s, src), sqw[:, None],
-                        out=A[i * n:(i + 1) * n, cols[j]:cols[j + 1]])
+    for i, j, rows, targets, col_maps in _orbit_blocks(spheres, sources, rule):
+        block = A[i * n:(i + 1) * n, cols[j]:cols[j + 1]]
+        block[targets[..., None], col_maps[:, None, :]] = rows
+        block *= sqw[:, None]
     return A, np.concatenate([-(normals @ s.velocity) * sqw for s in spheres])
 
 
@@ -182,10 +205,19 @@ def solve_potential_flow(spheres):
 
 
 def boundary_error(sol, spheres, reference_rule):
-    """Weighted RMS of |n.v0 + n.grad(Phi)| per sphere on a finer rule."""
-    A, b = _boundary_system(list(spheres), sol.expansions, reference_rule)
-    w = np.concatenate([exp.surface_weights for exp in sol.expansions])
-    return _rms_per_sphere(A @ w - b, reference_rule)
+    """Weighted RMS of |n.v0 + n.grad(Phi)| per sphere on a finer rule.
+
+    No matrix is built: each block's orbit rows are multiplied by the source
+    weights permuted by every symmetry, w[col_maps], and the sums are
+    scattered to the orbits' rows (see _orbit_blocks).
+    """
+    spheres = list(spheres)
+    mismatch = np.stack([reference_rule.points @ s.velocity for s in spheres])
+    part = np.empty(len(reference_rule))
+    for i, j, rows, targets, col_maps in _orbit_blocks(spheres, sol.expansions, reference_rule):
+        part[targets] = (rows @ sol.expansions[j].surface_weights[col_maps].T).T
+        mismatch[i] += part
+    return _rms_per_sphere(mismatch * np.sqrt(reference_rule.weights), reference_rule)
 
 
 def parse_scene(text):

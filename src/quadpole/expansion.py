@@ -182,10 +182,16 @@ def _project(kind, rel, charges, pts, p):
 
 
 def _side_checked(exp, x, outside):
-    """x - c for point(s) x on the sphere or on its outside (inside) side, else a GeometryError."""
+    """x - c for point(s) x on the sphere or on its outside (inside) side, else a GeometryError.
+
+    "On the sphere" allows the slack _SLACK R plus the rounding of a point
+    c + R rhat made in absolute coordinates, 4 eps (|c| + R).
+    """
     rel = _points(x) - exp.center
     r = np.linalg.norm(rel, axis=-1)
-    if np.any(r < (1.0 - _SLACK) * exp.radius if outside else r > (1.0 + _SLACK) * exp.radius):
+    band = 4.0 * np.finfo(float).eps * (np.linalg.norm(exp.center) + exp.radius)
+    if np.any(r < (1.0 - _SLACK) * exp.radius - band if outside
+              else r > (1.0 + _SLACK) * exp.radius + band):
         raise GeometryError("evaluation point %s the sphere, where the series diverges"
                             % ("inside" if outside else "outside"))
     return rel

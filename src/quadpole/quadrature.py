@@ -75,6 +75,30 @@ class QuadratureRule:
         return S[ok], maps[ok]
 
 
+def _orbits(rows, cols, d):
+    """Signed axis permutations that two rules share and that fix d, and their orbits.
+
+    Returns (row_maps, col_maps, reps).  Row k of row_maps and of col_maps is
+    the index map (QuadratureRule.symmetries) of one permutation S_k on the
+    points of ``rows`` and of ``cols``, one row per S_k that both rules hold
+    and that fixes the offset d, compared exactly, the identity first.  An
+    operator whose entry (i, j) depends on d + a rows.points[i] and
+    b cols.points[j] only through rotation-invariant quantities is unchanged
+    by each S_k: entry (row_maps[k, i], col_maps[k, j]) equals entry (i, j).
+    reps holds the smallest index of each orbit of the row points, ascending.
+    The embedded rules hold all 48; a rule built by hand may hold fewer, so
+    only the shared ones are kept.
+    """
+    S, row_maps = rows.symmetries
+    T, col_maps = cols.symmetries
+    key = 3.0 ** np.arange(9)   # entries 0 and +-1: one balanced-ternary number per matrix
+    k, m = np.nonzero((S.reshape(-1, 9) @ key)[:, None] == T.reshape(-1, 9) @ key)
+    fix = np.all(S[k] @ d == d, axis=1)
+    row_maps, col_maps = row_maps[k[fix]], col_maps[m[fix]]
+    reps = np.flatnonzero(row_maps.min(axis=0) == np.arange(len(rows)))
+    return row_maps, col_maps, reps
+
+
 def available_orders():
     """Orders of the embedded rules, ascending."""
     return _ORDERS

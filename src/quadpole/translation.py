@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .expansion import _SLACK, _center, _project, _radius, _require_kind
+from .quadrature import _orbits
 
 __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
 
@@ -19,19 +20,16 @@ __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
 def _refit(src, kind, new_center, new_R):
     """Fit the old weights, as charges at the old surface points, on the new sphere.
 
-    A signed axis permutation S of the rule (QuadratureRule.symmetries) that
-    fixes d = src.center - new_center, compared exactly, maps the old points
-    seen from the new center onto themselves, S rel_i = rel_{t(i)}, and the
-    kernel is invariant under S, so the new weight at t(j) is
-    W_j sum_i w_{t(i)} K(rel_i, rhat_j).  The kernel is summed at one point j
-    per orbit, against one row of permuted weights w[t] per symmetry, and the
-    rows are scattered to the orbit: 8 symmetries for an axis shift, 6 for a
-    body diagonal, 4 for a face diagonal and 1 otherwise.
+    A signed axis permutation S of the rule that fixes d = src.center -
+    new_center (quadrature._orbits) maps the old points seen from the new
+    center onto themselves, S rel_i = rel_{t(i)}, and the kernel is invariant
+    under S, so the new weight at t(j) is W_j sum_i w_{t(i)} K(rel_i, rhat_j).
+    The kernel is summed at one point j per orbit, against one row of permuted
+    weights w[t] per symmetry, and the rows are scattered to the orbit:
+    8 symmetries for an axis shift, 6 for a body diagonal, 4 for a face
+    diagonal and 1 otherwise.
     """
-    S, maps = src.rule.symmetries
-    d = src.center - new_center
-    maps = maps[np.all(S @ d == d, axis=1)]
-    reps = np.flatnonzero(maps.min(axis=0) == np.arange(len(src.rule)))
+    maps, _, reps = _orbits(src.rule, src.rule, src.center - new_center)
     rel = (src.surface_points - new_center) / new_R
     sums = _project(kind, rel, src.surface_weights[maps], src.rule.points[reps], src.order)
     weights = np.empty(len(src.rule))

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import quadpole as qp
+from quadpole.bem import _boundary_system
+from quadpole.legendre import kernel_sum, normal_kernel_sum
+from quadpole.quadrature import _orbits
 
 
 def uniform_density_expansion(p=5, R=1.0, sigma0=1.0):
@@ -215,6 +218,155 @@ def test_boundary_system_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * A.nbytes
+
+
+@pytest.mark.parametrize("distance", [1e3, 1e6])
+def test_flow_does_not_depend_on_where_the_scene_sits(distance):
+    # each block takes its row points from the source's center, d + R rhat,
+    # so the scene moved far from the origin solves and checks alike
+    ref = qp.lebedev_rule(59)
+
+    def errors(shift):
+        spheres = [qp.SphereBoundary.make(s.center + shift, s.radius, s.velocity, 6)
+                   for s in three_sphere_scene(6)]
+        return qp.boundary_error(qp.solve_potential_flow(spheres), spheres, ref)
+
+    moved = errors(distance * np.array([1.0, -1.0, 1.0]))
+    assert np.allclose(moved, errors(np.zeros(3)), rtol=1e-12, atol=0.0)
+
+
+def unreduced_flow_blocks(spheres, sources, rule):
+    """Each flow block over every rule point, and per entry the sum of |terms| over degrees."""
+    blocks, scales = {}, {}
+    for i, s in enumerate(spheres):
+        for j, src in enumerate(sources):
+            a = src.radius * src.rule.points
+            rel = (s.center - src.center + s.radius * rule.points)[:, None, :]
+            if np.array_equal(s.center, src.center):
+                coef = -(np.arange(src.order) + 1.0) / s.radius
+
+                def block(c):
+                    return kernel_sum(a, rel, c)
+            else:
+                coef = np.ones(src.order)
+
+                def block(c):
+                    return normal_kernel_sum(a, rel, rule.points[:, None, :], c)
+            blocks[i, j] = block(coef)
+            scales[i, j] = sum(np.abs(block(c)) for c in np.diag(coef))
+    return blocks, scales
+
+
+def assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule):
+    # the solve's matrix, block by block: within 1e-13 of the sum of |terms|
+    # of each entry, and bit for bit where only the identity fixes the block
+    n = len(fit_rule)
+    cols = np.cumsum([0] + [len(s.rule) for s in spheres])
+    sqw = np.sqrt(fit_rule.weights)[:, None]
+    A, _ = _boundary_system(spheres, spheres, fit_rule)
+    full, scale = unreduced_flow_blocks(spheres, spheres, fit_rule)
+    for (i, j), block in full.items():
+        got = A[i * n:(i + 1) * n, cols[j]:cols[j + 1]]
+        maps, _, _ = _orbits(fit_rule, spheres[j].rule, spheres[i].center - spheres[j].center)
+        if len(maps) == 1:
+            assert np.array_equal(got, block * sqw), (i, j)
+        else:
+            assert np.all(np.abs(got - block * sqw) <= 1e-13 * scale[i, j] * sqw), (i, j)
+    # boundary_error: each row's mismatch within 1e-13 of its sum of |terms|,
+    # so each weighted RMS within 1e-13 of the RMS of those sums
+    full, scale = unreduced_flow_blocks(spheres, expansions, ref_rule)
+
+    def rms(rows):
+        return np.sqrt(np.sum(ref_rule.weights * rows ** 2) / np.sum(ref_rule.weights))
+
+    sol = qp.FlowSolution(tuple(expansions), None, 0, 0.0)
+    got = qp.boundary_error(sol, spheres, ref_rule)
+    for i, s in enumerate(spheres):
+        nv = ref_rule.points @ s.velocity
+        want = nv + sum(full[i, j] @ e.surface_weights for j, e in enumerate(expansions))
+        bound = np.abs(nv) + sum(scale[i, j] @ np.abs(e.surface_weights)
+                                 for j, e in enumerate(expansions))
+        assert abs(got[i] - rms(want)) <= 1e-13 * rms(bound), i
+
+
+# offset of the second sphere's center, and how many of the 48 signed axis
+# permutations fix it
+FLOW_OFFSETS = {
+    "axis": ((0.0, 3.0, 0.0), 8),
+    "face-diagonal": ((2.0, 2.0, 0.0), 4),
+    "plane": ((-2.5, 1.5, 0.0), 2),
+    "general": ((2.5, -1.5, 1.0), 1),
+}
+
+
+@pytest.mark.parametrize("offset", list(FLOW_OFFSETS))
+@pytest.mark.parametrize("p", [2, 5, 8])
+def test_reduced_flow_blocks_match_full_rows(p, offset):
+    # each block sums the kernel at one row point per orbit of the shared
+    # symmetries that fix the offset between the centers; the full rows are
+    # summed here at every rule point
+    d, fixing = FLOW_OFFSETS[offset]
+    spheres = [qp.SphereBoundary.make(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), p),
+               qp.SphereBoundary.make(np.array(d), 0.5, np.array([0.0, -1.0, 0.5]), p)]
+    fit_rule = qp.rule_for_expansion(p, min_order=29)
+    ref_rule = qp.lebedev_rule(59)
+    for rule in (fit_rule, ref_rule):
+        for i, j, count in ((0, 0, 48), (1, 1, 48), (0, 1, fixing), (1, 0, fixing)):
+            d_ij = spheres[i].center - spheres[j].center
+            assert len(_orbits(rule, spheres[j].rule, d_ij)[0]) == count
+    rng = np.random.default_rng(p)
+    expansions = [qp.SurfaceExpansion(s.center, s.radius, s.rule,
+                                      rng.uniform(-1.0, 1.0, len(s.rule)), p, "outer")
+                  for s in spheres]
+    assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule)
+
+
+def test_flow_on_a_hand_built_rule_uses_only_shared_symmetries():
+    # a rule turned about a generic axis keeps only {I, -I}: its own block
+    # against the embedded fit and reference rules has two symmetries, its
+    # blocks with the other sphere only the identity
+    p = 5
+    rule = qp.rule_for_expansion(p)
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    turn = np.eye(3) + np.sin(0.3) * k + (1.0 - np.cos(0.3)) * k @ k
+    rotated = qp.QuadratureRule((rule.points[:, None, :] * turn).sum(axis=-1),
+                                rule.weights.copy(), rule.exactness_degree)
+    spheres = [qp.SphereBoundary(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), rotated, p),
+               qp.SphereBoundary.make(np.array([0.0, 3.0, 0.0]), 1.0,
+                                      np.array([-1.0, 0.0, 0.0]), p)]
+    fit_rule = qp.rule_for_expansion(p, min_order=29)
+    ref_rule = qp.lebedev_rule(59)
+    for rows in (fit_rule, ref_rule):
+        row_maps, col_maps, _ = _orbits(rows, rotated, np.zeros(3))
+        assert len(row_maps) == 2
+        assert np.array_equal(rows.points[row_maps[1]], -rows.points)
+        assert np.array_equal(rotated.points[col_maps[1]], -rotated.points)
+        assert len(_orbits(rows, rotated, spheres[1].center)[0]) == 1
+        assert len(_orbits(rows, spheres[1].rule, -spheres[1].center)[0]) == 8
+    sol = qp.solve_potential_flow(spheres)
+    assert sol.rank == 2 * p * p
+    assert_flow_matches_unreduced(spheres, sol.expansions, fit_rule, ref_rule)
+
+
+def test_boundary_error_memory():
+    # boundary_error multiplies each block's orbit rows by the permuted
+    # weights and builds no matrix: its peak is well under the 3606 x 258
+    # matrix of the full system on the reference rule
+    import tracemalloc
+    spheres = three_sphere_scene(8)
+    ref = qp.lebedev_rule(59)
+    sol = qp.solve_potential_flow(spheres)
+    qp.boundary_error(sol, spheres, ref)
+    matrix_bytes = len(spheres) * len(ref) * sum(len(s.rule) for s in spheres) * 8
+    tracemalloc.start()
+    try:
+        qp.boundary_error(sol, spheres, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix_bytes == 3606 * 258 * 8
+    assert peak <= 0.5 * matrix_bytes
 
 
 def test_parse_scene():

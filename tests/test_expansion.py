@@ -109,6 +109,24 @@ def test_eval_on_the_wrong_side_rejected():
     qp.eval_inner_potential(inner, inner.surface_points)
 
 
+@pytest.mark.parametrize("distance", [1.0, 1e3, 1e5, 1e6])
+def test_own_surface_points_are_on_the_sphere_far_from_the_origin(distance):
+    # c + R rhat rounds off the sphere by about eps |c|, far more than the
+    # 1e-12 R slack once |c| / R reaches 1e5; a point 1e-6 R on the wrong
+    # side is still rejected
+    rng = np.random.default_rng(89)
+    directions = rng.normal(size=(10, 3))
+    for c in distance * directions / np.linalg.norm(directions, axis=1)[:, None]:
+        outer = qp.fit_outer(unit_charge_at(c + [0.1, 0.0, 0.0]), c, 1.0, 6)
+        inner = qp.fit_inner(unit_charge_at(c + [3.0, 0.0, 0.0]), c, 1.0, 6)
+        assert np.all(np.isfinite(qp.eval_outer_potential(outer, outer.surface_points)))
+        assert np.all(np.isfinite(qp.eval_inner_potential(inner, inner.surface_points)))
+        with pytest.raises(qp.GeometryError):
+            qp.eval_outer_potential(outer, c + (1.0 - 1e-6) * outer.rule.points[:1])
+        with pytest.raises(qp.GeometryError):
+            qp.eval_inner_potential(inner, c + (1.0 + 1e-6) * inner.rule.points[:1])
+
+
 @pytest.mark.parametrize("point", [[np.nan, 0.0, 3.0], [0.0, 3.0]], ids=["nan", "2-vector"])
 @pytest.mark.parametrize("name", [
     "eval_outer_potential", "eval_inner_potential", "eval_point_charge_potential",
