@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import _row_blocks, kernel_matrix, kernel_sum
+from .legendre import _kernel_dot, _reproducing, _row_blocks
 from .quadrature import QuadratureRule, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -174,11 +174,12 @@ def _project(kind, rel, charges, pts, p):
 
     rel holds the sources' unit-scaled positions (M, 3) and charges (M,), or
     (h, M) for h charge sets at the same positions; the surface weights are
-    the sums times the rule weights at pts.
+    the sums times the rule weights at pts.  The sums are contracted as the
+    recurrence runs (legendre._kernel_dot), so no (N, M) kernel matrix is made.
     """
-    if kind == "outer":   # K(y/R, rhat_j): sources in rows, surface points in columns
-        return charges @ kernel_matrix(rel[:, None, :], pts[None, :, :], p)
-    return (kernel_matrix(pts[:, None, :], rel[None, :, :], p) @ charges.T).T
+    if kind == "outer":   # K(y/R, rhat_j): the sources are the first argument
+        return _kernel_dot(rel, pts[:, None, :], _reproducing(p), charges.T).T
+    return _kernel_dot(pts[:, None, :], rel, _reproducing(p), charges.T).T
 
 
 def _side_checked(exp, x, outside):
@@ -200,7 +201,7 @@ def _side_checked(exp, x, outside):
 def _exterior_sum(exp, x, coef):
     """sum_i w_i sum_n coef[n] L_n(R rhat_i, x - c), for x on or outside the sphere."""
     rel = _side_checked(exp, x, outside=True)
-    return kernel_sum(exp.radius * exp.rule.points, rel[..., None, :], coef) @ exp.surface_weights
+    return _kernel_dot(exp.radius * exp.rule.points, rel[..., None, :], coef, exp.surface_weights)
 
 
 def _interior_sum(exp, y, coef):
@@ -210,7 +211,7 @@ def _interior_sum(exp, y, coef):
 
 def _interior_sum_at(exp, rel, coef):
     """The same sum at offsets rel = y - c from the center, unchecked."""
-    return kernel_sum(rel[..., None, :], exp.radius * exp.rule.points, coef) @ exp.surface_weights
+    return _kernel_dot(rel[..., None, :], exp.radius * exp.rule.points, coef, exp.surface_weights)
 
 
 def eval_outer_potential(exp, x):

@@ -3,14 +3,29 @@
 Everything here works with vector inner products only; no angles appear.
 The two-argument sequence L_n(x, y) = (|x|^n / |y|^{n+1}) P_n(xhat.yhat),
 the terms of the expansion 1/|x-y| = sum_n L_n(x, y) for |x| < |y|, is
-generated by the two-term recurrence
+generated in monic form: with kappa_n = (2n)!/(2^n n!^2), the leading
+coefficient of P_n, the recurrence runs on G_n = L_n / kappa_n,
 
-    F_0 = |y|^-1
-    F_1 = (x.y / y.y) F_0
-    F_n = [(2n-1)/n] (x.y/y.y) F_{n-1} + [(1-n)/n] (x.x/y.y) F_{n-2}
+    G_0 = |y|^-1
+    G_1 = (x.y / y.y) G_0
+    G_n = (x.y/y.y) G_{n-1} - [(n-1)^2/((2n-1)(2n-3))] (x.x/y.y) G_{n-2}
 
-and the Legendre polynomial P_n(t) is its value at x = t zhat, y = zhat.
+which costs four array passes per degree, one fewer than the recurrence
+for L_n itself, and three where x.x/y.y is one number per point of a set
+(see _kernel_dot).  Each sum folds kappa_n into its own per-degree
+coefficients, and the Legendre polynomial P_n(t) is kappa_n G_n at
+x = t zhat, y = zhat.  Degrees stop at 1000: beyond that, G_n and kappa_n
+leave the range of float64.
+
+kernel_sum returns the sum for every pair.  Fits, shifts, evaluations and
+de-tracing only contract it with weights, so they call _kernel_dot, which
+contracts each term with the weights as the recurrence makes it and never
+holds a pair matrix.  A contracted sum is summed by the BLAS, so, like
+expansion._coulomb, its last bits can change with the block layout.
 """
+import math
+from functools import cache
+
 import numpy as np
 
 from .errors import DomainError, SingularityError
@@ -27,48 +42,63 @@ __all__ = [
 
 
 def legendre_poly(n, t):
-    """Evaluate the Legendre polynomial P_n(t) = L_n(t zhat, zhat).
+    """Evaluate the Legendre polynomial P_n(t) = L_n(t zhat, zhat), n <= 1000.
 
     Accepts scalar or array t with |t| <= 1 (clamped within 1e-12 slack).
     """
     if n < 0:
         raise DomainError("polynomial degree must be non-negative")
+    kappa = _kappa(n + 1)
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise DomainError("argument outside [-1, 1]")
-    *_, p_n = _terms(np.clip(t, -1.0, 1.0), 1.0, 1.0, n + 1)
-    return p_n[()]
+    *_, g_n = _terms(np.clip(t, -1.0, 1.0), 1.0, 1.0, n + 1)
+    return (kappa[n] * g_n)[()]
+
+
+@cache
+def _kappa(p):
+    """Leading coefficients kappa_n = (2n)!/(2^n n!^2) of P_n, n < p, correctly rounded."""
+    if p > 1001:
+        raise DomainError("degree %d exceeds 1000, beyond which the monic terms leave "
+                          "the range of float64" % (p - 1))
+    kappa = np.array([math.comb(2 * n, n) / 2 ** n for n in range(p)])
+    kappa.setflags(write=False)
+    return kappa
+
+
+def _monic_step(n):
+    """(n-1)^2/((2n-1)(2n-3)), the factor of the G_{n-2} term in the monic recurrence."""
+    return (n - 1) ** 2 / ((2 * n - 1) * (2 * n - 3))
 
 
 def _terms(xy, xx, yy, p):
-    """Yield F_n = L_n, n < p, from broadcast inner products.
+    """Yield G_n = L_n / kappa_n, n < p, from broadcast inner products.
 
-    Only two terms are kept: the array holding F_n is reused for F_{n+2},
+    Only two terms are kept: the array holding G_n is reused for G_{n+2},
     so a consumer must copy what it needs before asking for the next term.
     """
     xy, xx, yy = (np.asarray(a, dtype=float) for a in (xy, xx, yy))
     if np.any(yy <= 0.0):
         raise SingularityError("second argument must be nonzero")
     shape = np.broadcast_shapes(xy.shape, xx.shape, yy.shape)
-    f_prev = np.empty(shape)
-    f_prev[...] = yy ** -0.5
-    yield f_prev
+    g_prev = np.empty(shape)
+    g_prev[...] = yy ** -0.5
+    yield g_prev
     if p < 2:
         return
     u = xy / yy
     v = xx / yy
-    f_cur = np.multiply(u, f_prev, out=np.empty(shape))
-    yield f_cur
-    tmp = np.empty(shape)
+    g_cur = np.multiply(u, g_prev, out=np.empty(shape))
+    yield g_cur
+    tmp, v_step = np.empty(shape), np.empty(v.shape)
     for n in range(2, p):
-        # F_n = [(2n-1)/n] u F_{n-1} + [(1-n)/n] v F_{n-2}, written over F_{n-2}
-        np.multiply(v, (1 - n) / n, out=tmp)
-        tmp *= f_prev
-        np.multiply(u, (2 * n - 1) / n, out=f_prev)
-        f_prev *= f_cur
-        f_prev += tmp
-        f_prev, f_cur = f_cur, f_prev
-        yield f_cur
+        # G_n = u G_{n-1} - [(n-1)^2/((2n-1)(2n-3))] v G_{n-2}, written over G_{n-2};
+        # four array passes, three where v is smaller than the terms
+        g_prev *= np.multiply(v, -_monic_step(n), out=v_step)
+        g_prev += np.multiply(u, g_cur, out=tmp)
+        g_prev, g_cur = g_cur, g_prev
+        yield g_cur
 
 
 def _dot(a, b):
@@ -116,8 +146,9 @@ def f_sequence_raw(xy, xx, yy, p):
     Inputs broadcast; the result has shape (p,) + broadcast shape.
     """
     out = np.empty((p,) + np.broadcast_shapes(np.shape(xy), np.shape(xx), np.shape(yy)))
-    for n, f in enumerate(_terms(xy, xx, yy, p)):
-        out[n] = f
+    for n, g in enumerate(_terms(xy, xx, yy, p)):
+        out[n] = g
+    out *= _kappa(p).reshape((p,) + (1,) * (out.ndim - 1))
     return out
 
 
@@ -130,61 +161,125 @@ def kernel_sum(x, y, coef):
     """sum_n coef[n] L_n(x, y) over broadcast batches of 3-vectors, p = len(coef).
 
     Terms are added in order n = 0..p-1 as the recurrence produces them,
-    so no (p,) + batch stack is built.  The batch is summed in row blocks
-    of about 2^14 pairs, so the recurrence's working arrays stay in cache;
-    each element's arithmetic is that of one unblocked sum, bit for bit.
+    each times coef[n] kappa_n, so no (p,) + batch stack is built.  The
+    batch is summed in row blocks of about 2^14 pairs, so the recurrence's
+    working arrays stay in cache; each element's arithmetic is that of one
+    unblocked sum, bit for bit.  A sum that is contracted with weights
+    right away is :func:`_kernel_dot`, which builds no batch-sized array.
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
+    coef = np.asarray(coef, dtype=float) * _kappa(len(coef))
     batch, blocks = _row_blocks(x, y)
     out = np.empty(batch)
     for rows, xb, yb in blocks:
         terms = _terms(*_inner_products(xb, yb), len(coef))
         total = np.multiply(next(terms), coef[0], out=out[rows])
         tmp = np.empty_like(total)
-        for c, f in zip(coef[1:], terms):
-            total += np.multiply(f, c, out=tmp)
+        for c, g in zip(coef[1:], terms):
+            total += np.multiply(g, c, out=tmp)
     return out[()]   # a numpy scalar for a scalar batch
+
+
+def _kernel_dot(x, y, coef, w):
+    """sum_b [sum_n coef[n] L_n(x, y)][..., b] w[b, ...], summed over the last batch axis.
+
+    One of x and y is the point set summed over, shape (B, 3); the other
+    is one point (3,) or points (..., 1, 3) that vary along the leading
+    batch axes only: the rows.  w has shape (B,) or (B, h), and the result
+    has shape batch[:-1] + w.shape[1:].  No pair matrix is made: the rows
+    are taken in blocks of about 2^14 pairs, and each monic term G_n of a
+    block is contracted with w by one matmul as the recurrence produces it.
+
+    The recurrence runs on the rows' unit directions and on the set
+    divided by s, the smallest |y|, where L_n is homogeneous of degree n
+    in x and -(n+1) in y:
+
+        L_n(x, y) = (s/|y|)^n / |y|  L_n(x/s, yhat)    (rows y)
+        L_n(x, y) = (|x|/s)^n / s    L_n(xhat, y/s)    (rows x)
+
+    So x.y is one matmul of the block's directions against the set, x.x
+    and y.y are one per set point (the rows' are 1), the recurrence takes
+    three array passes per degree, and the row factors, with coef[n]
+    kappa_n, scale only the (p, rows) + w.shape[1:] per-degree sums.  Both
+    factors are at most 1 where the series converges, |x| <= |y|.  The
+    contractions are summed by the BLAS, so, as with expansion._coulomb,
+    the last bits of a result can depend on the block layout and differ
+    from kernel_sum(x, y, coef) @ w.
+    """
+    if len(coef) < 1:
+        raise DomainError("at least one coefficient required")
+    x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
+    rows_are_y = x.ndim == 2 and y.shape[-2:-1] in ((), (1,))
+    pts, rows = (x, y) if rows_are_y else (y, x)
+    if pts.ndim != 2 or rows.shape[-2:-1] not in ((), (1,)):
+        raise ValueError("need a point set (B, 3) and points (..., 1, 3)")
+    lead, rows = rows.shape[:-2], rows.reshape(-1, 3)
+    r = np.sqrt(_dot(rows, rows))
+    y_norms = r if rows_are_y else np.sqrt(_dot(pts, pts))
+    if np.any(y_norms <= 0.0):
+        raise SingularityError("second argument must be nonzero")
+    s = y_norms.min() if y_norms.size else 1.0
+    pts = pts / s
+    pp = _dot(pts, pts)
+    xx, yy = (pp, 1.0) if rows_are_y else (1.0, pp)
+    rows = rows / np.where(r > 0.0, r, 1.0)[:, None]   # a zero row x stays zero
+    lam, mu = (s / r, 1.0 / r) if rows_are_y else (r / s, np.full(len(r), 1.0 / s))
+    coef = np.asarray(coef, dtype=float) * _kappa(len(coef))
+    degrees = np.arange(len(coef))[:, None]
+    _, blocks = _row_blocks(rows[:, None, :], pts)
+    out = np.empty((len(rows),) + w.shape[1:])
+    for block, rb, _ in blocks:
+        sums = np.empty((len(coef), len(rb)) + w.shape[1:])
+        for s_n, g in zip(sums, _terms(rb[:, 0] @ pts.T, xx, yy, len(coef))):
+            np.matmul(g, w, out=s_n)
+        factor = coef[:, None] * lam[block] ** degrees * mu[block]
+        out[block] = np.einsum("nr,nr...->r...", factor, sums)
+    return out.reshape(lead + w.shape[1:])[()]
 
 
 def kernel_matrix(x, y, p):
     """Reproducing kernel K(x, y) = sum_{n<p} (2n+1)/(4 pi) L_n(x, y), broadcast."""
-    return kernel_sum(x, y, (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi))
+    return kernel_sum(x, y, _reproducing(p))
+
+
+def _reproducing(p):
+    """The coefficients (2n+1)/(4 pi), n < p, of the reproducing kernel K."""
+    return (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi)
 
 
 def _grad_terms(xy, xx, yy, p):
-    """Yield (F_n, H_n), n < p: F_n = L_n(a, x), H_n = s dF_n/du (u = a.x, s = x.x).
+    """Yield (G_n, H_n), n < p: G_n = L_n(a, x) / kappa_n, H_n = s dG_n/du (u = a.x, s = x.x).
 
-    xy, xx, yy are a.x, a.a and x.x.  Differentiating the recurrence gives
-    H_0 = 0, H_n = [(2n-1)/n] (F_{n-1} + (u/s) H_{n-1}) + [(1-n)/n] (a.a/s) H_{n-2}.
+    xy, xx, yy are a.x, a.a and x.x.  Differentiating the monic recurrence
+    gives H_0 = 0, H_n = G_{n-1} + (u/s) H_{n-1} - [(n-1)^2/((2n-1)(2n-3))] (a.a/s) H_{n-2}.
     Each array is reused two terms later, as in :func:`_terms`.
     """
     terms = _terms(xy, xx, yy, p)
-    f_last = next(terms)
-    h_prev, h_cur = np.zeros(f_last.shape), np.zeros(f_last.shape)
-    yield f_last, h_cur
+    g_last = next(terms)
+    h_prev, h_cur = np.zeros(g_last.shape), np.zeros(g_last.shape)
+    yield g_last, h_cur
     t, v = xy / yy, xx / yy
-    tmp = np.empty(f_last.shape)
-    for n, f in enumerate(terms, start=1):
-        np.multiply(v, (1 - n) / n, out=tmp)
+    tmp = np.empty(g_last.shape)
+    for n, g in enumerate(terms, start=1):
+        np.multiply(v, _monic_step(n), out=tmp)
         tmp *= h_prev
         np.multiply(t, h_cur, out=h_prev)
-        h_prev += f_last
-        h_prev *= (2 * n - 1) / n
-        h_prev += tmp
+        h_prev += g_last
+        h_prev -= tmp
         h_prev, h_cur = h_cur, h_prev
-        yield f, h_cur
-        f_last = f
+        yield g, h_cur
+        g_last = g
 
 
 def normal_kernel_sum(a, x, n, coef):
     """sum_k coef[k] n.grad_x L_k(a, x) over broadcast batches; shape batch.
 
-    S_F = sum_k (k+1) coef[k] F_k and S_H = sum_k coef[k] H_k, with F_k, H_k
-    from :func:`_grad_terms`, are added as the recurrence produces them, so
-    no (p,) + batch stack is built.  L_k(a, x) is homogeneous of degree
-    -(k+1) in x, so dF_k/ds follows from u dF_k/du + 2 s dF_k/ds = -(k+1) F_k
-    and needs no recurrence of its own:
+    S_F = sum_k (k+1) coef[k] kappa_k G_k and S_H = sum_k coef[k] kappa_k H_k,
+    with G_k, H_k from :func:`_grad_terms`, are added as the recurrence
+    produces them, so no (p,) + batch stack is built.  F_k = L_k(a, x) is
+    homogeneous of degree -(k+1) in x, so dF_k/ds follows from
+    u dF_k/du + 2 s dF_k/ds = -(k+1) F_k and needs no recurrence of its own:
 
         grad_x sum_k coef[k] L_k(a, x) = (S_H a - (S_F + (u/s) S_H) x) / s.
 
@@ -195,6 +290,7 @@ def normal_kernel_sum(a, x, n, coef):
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
+    coef = np.asarray(coef, dtype=float) * _kappa(len(coef))
     batch, blocks = _row_blocks(a, x, n)
     out = np.empty(batch)
     for rows, ab, xb, nb in blocks:
@@ -202,8 +298,8 @@ def normal_kernel_sum(a, x, n, coef):
         terms = _grad_terms(xy, xx, yy, len(coef))
         s_f, s_h = (np.multiply(t, coef[0]) for t in next(terms))
         tmp = np.empty_like(s_f)
-        for k, c, (f, h) in zip(range(2, len(coef) + 1), coef[1:], terms):
-            s_f += np.multiply(f, k * c, out=tmp)   # (k+1) c_k F_k, counting k from 0
+        for k, c, (g, h) in zip(range(2, len(coef) + 1), coef[1:], terms):
+            s_f += np.multiply(g, k * c, out=tmp)   # (k+1) c_k G_k, counting k from 0
             s_h += np.multiply(h, c, out=tmp)
         del terms, tmp   # free the recurrence's arrays before the last line's temporaries
         out[rows] = (s_h * _dot(nb, ab) - (s_f + xy / yy * s_h) * _dot(nb, xb)) / yy

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ContractViolation, DomainError
 from .expansion import (PointCharges, SurfaceExpansion, _lines, _numbers, _radius,
                         _require_kind)
-from .legendre import kernel_sum
+from .legendre import _kernel_dot
 from .quadrature import _double_factorial as double_factorial, rule_for_expansion
 
 __all__ = [
@@ -162,7 +162,7 @@ def detrace_directional(pt, r, n):
     coef[n] = (2 * n + 1) / (4.0 * np.pi)
     r = np.asarray(r, dtype=float)
     moments = rule.weights * directional_moment(pt, rule.points, n)
-    return kernel_sum(r[..., None, :], rule.points, coef) @ moments
+    return _kernel_dot(r[..., None, :], rule.points, coef, moments)
 
 
 def polytensor_from_expansion(exp):

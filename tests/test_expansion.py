@@ -305,6 +305,23 @@ def test_coulomb_sum_memory_is_block_sized():
     assert peak < 1e6   # the unblocked sum holds 800 x 2000 doubles (12.8 MB) per array
 
 
+def test_fit_builds_no_kernel_matrix():
+    import tracemalloc
+    rng = np.random.default_rng(83)
+    cloud = qp.PointCharges(rng.uniform(-0.5, 0.5, (500, 3)), rng.uniform(-1.0, 1.0, 500))
+    rule = qp.lebedev_rule(59)
+    qp.fit_outer(cloud, np.zeros(3), 1.0, 30, rule)
+    tracemalloc.start()
+    try:
+        qp.fit_outer(cloud, np.zeros(3), 1.0, 30, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kernel is contracted with the charges block by block, so the peak
+    # stays below one 500 x 1202 float64 matrix (4.8 MB)
+    assert peak < 8 * len(cloud) * len(rule)
+
+
 def test_point_charge_tracks_series():
     rng = np.random.default_rng(59)
     cloud = random_cloud(rng, 100)

@@ -5,6 +5,7 @@ import pytest
 
 import quadpole as qp
 from quadpole.legendre import (
+    _kernel_dot,
     grad_scaled_legendre_stack,
     kernel_matrix,
     kernel_sum,
@@ -30,6 +31,10 @@ def test_legendre_poly_domain():
         qp.legendre_poly(3, 1.001)
     with pytest.raises(qp.DomainError):
         qp.legendre_poly(-1, 0.0)
+    # degrees stop at 1000, where the monic terms still fit in float64
+    assert qp.legendre_poly(1000, 1.0) == pytest.approx(1.0, abs=1e-11)
+    with pytest.raises(qp.DomainError):
+        qp.legendre_poly(1001, 0.0)
 
 
 def test_f_sequence_paper_values():
@@ -237,6 +242,63 @@ def test_blocked_sums_peak_memory(call):
         tracemalloc.stop()
     # the output plus block-sized working arrays, not batch-sized ones
     assert peak <= 1.5 * out.nbytes
+
+
+def _shell(rng, shape, r_min, r_max):
+    """Points of the given batch shape with radii uniform in [r_min, r_max]."""
+    d = rng.standard_normal(shape + (3,))
+    return d * (rng.uniform(r_min, r_max, shape) / np.linalg.norm(d, axis=-1))[..., None]
+
+
+@pytest.mark.parametrize("p", [1, 2, 30])
+@pytest.mark.parametrize("targets", [(), (40,), (4, 2)], ids=["scalar", "1-D", "4x2"])
+@pytest.mark.parametrize("h", [(), (1,), (8,)], ids=["vector", "h=1", "h=8"])
+def test_kernel_dot_matches_kernel_sum(p, targets, h):
+    # the contracted sum against the kernel sum times the weights, within
+    # 1e-14 of sum |K||w|: the summed set as the first argument with the
+    # targets outside it, as in a fit or an exterior sum, and as the second
+    # with the targets inside it, as in an interior sum; a point of the set
+    # and a target sit at the origin, and 40 targets make two row blocks
+    rng = np.random.default_rng(17 + p)
+    coef = rng.standard_normal(p)
+    inner = _shell(rng, (700,), 0.0, 1.0)
+    inner[0] = 0.0
+    outer = _shell(rng, (700,), 1.0, 3.0)
+    far = _shell(rng, targets, 1.2, 4.0)[..., None, :]
+    near = _shell(rng, targets, 0.0, 0.9)[..., None, :]
+    near.reshape(-1, 3)[0] = 0.0
+    for x, y, empty in ((inner, far, (inner[:0], far)), (near, outer, (near, outer[:0]))):
+        w = rng.standard_normal((700,) + h)
+        K = kernel_sum(x, y, coef)
+        expect, scale = K @ w, np.abs(K) @ np.abs(w)
+        got = _kernel_dot(x, y, coef, w)
+        assert np.shape(got) == np.shape(expect) == targets + h
+        assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+        # no sources: zero sums of the same shape
+        got = _kernel_dot(*empty, coef, w[:0])
+        assert np.shape(got) == targets + h and np.all(got == 0.0)
+    # a zero second argument, as a target or in the set, is singular
+    with pytest.raises(qp.SingularityError):
+        _kernel_dot(inner, np.zeros(targets + (1, 3)), coef, np.ones(700))
+    outer[5] = 0.0
+    with pytest.raises(qp.SingularityError):
+        _kernel_dot(near, outer, coef, np.ones(700))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_kernel_dot_is_homogeneous_far_from_unit_scale(scale):
+    # L_n(a x, a y) = L_n(x, y) / a: at p = 60 the powers |x|^n alone would
+    # leave float64 at these scales, so the recurrence runs on scaled points
+    rng = np.random.default_rng(23)
+    coef = rng.standard_normal(60)
+    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
+    far, near = _shell(rng, (9, 1), 1.2, 4.0), _shell(rng, (9, 1), 0.0, 0.9)
+    w = rng.standard_normal(300)
+    for x, y in ((inner, far), (near, outer)):
+        expect = _kernel_dot(x, y, coef, w)
+        bound = np.abs(kernel_sum(x, y, coef)) @ np.abs(w)
+        got = scale * _kernel_dot(scale * x, scale * y, coef, w)
+        assert np.all(np.abs(got - expect) <= 1e-13 * bound)
 
 
 def test_gradient_matches_finite_differences():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quadpole as qp
-from quadpole.quadrature import sphere_monomial_integral
+from quadpole.quadrature import _orbits, sphere_monomial_integral
 
 
 def test_rule_point_counts():
@@ -142,6 +142,30 @@ def test_hand_built_rules_keep_only_their_exact_symmetries():
     weights[lone] *= 1.5
     S, maps = qp.QuadratureRule(rule.points.copy(), weights, 19).symmetries
     assert np.array_equal(S, [np.eye(3)]) and np.array_equal(maps, [np.arange(len(rule))])
+
+
+def test_orbits_are_matched_once_per_rule_pair_and_subgroup():
+    rows, cols = qp.lebedev_rule(29), qp.lebedev_rule(19)
+    axis = _orbits(rows, cols, np.array([0.0, 2.0, 0.0]))
+    assert len(axis[0]) == 8 and axis[1].shape == (8, len(cols))
+    # another offset fixed by the same 8 symmetries gets the same maps and
+    # the same cached orbit representatives, which are read-only
+    again = _orbits(rows, cols, np.array([0.0, 0.5, 0.0]))
+    assert all(np.array_equal(a, b) for a, b in zip(axis, again)) and again[2] is axis[2]
+    with pytest.raises(ValueError):
+        axis[2][0] = 1
+    plane = _orbits(rows, cols, np.array([1.0, 2.0, 0.0]))
+    assert len(plane[0]) == 2 and len(plane[2]) > len(axis[2])
+    # a hand-built column rule with the embedded points is matched on its own:
+    # a changed weight at a point that only the identity fixes leaves only I
+    a = np.abs(cols.points)
+    lone = np.flatnonzero((a > 0).all(axis=1) & (a[:, 0] != a[:, 1]) & (a[:, 1] != a[:, 2])
+                          & (a[:, 0] != a[:, 2]))[0]
+    weights = cols.weights.copy()
+    weights[lone] *= 1.5
+    changed = qp.QuadratureRule(cols.points.copy(), weights, 19)
+    assert len(_orbits(rows, cols, np.zeros(3))[0]) == 48
+    assert len(_orbits(rows, changed, np.zeros(3))[0]) == 1
 
 
 def test_orthogonality_identity():

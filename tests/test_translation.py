@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quadpole as qp
+from quadpole.legendre import _kernel_dot
 
 
 def random_cloud(rng, n, scale=0.5, offset=(0.0, 0.0, 0.0)):
@@ -185,7 +186,10 @@ SHIFT_DIRECTIONS = {
 def test_reduced_shifts_match_full_projection(p, direction):
     # each shift sums the kernel at one new rule point per orbit of the
     # symmetries that fix d; the full projection W_j sum_i w_i K(rel_i, rhat_j)
-    # is computed here with one kernel_matrix over every pair
+    # is computed here with one kernel_matrix over every pair.  Where only the
+    # identity fixes d, the shift is one contracted kernel sum over every
+    # pair, so it must equal that sum, made with the call shape the shift
+    # uses (one row of weights, as a column), bit for bit.
     d, fixing = SHIFT_DIRECTIONS[direction]
     d = np.array(d)
     rule = qp.rule_for_expansion(p)
@@ -194,6 +198,7 @@ def test_reduced_shifts_match_full_projection(p, direction):
     rng = np.random.default_rng(p)
     weights = rng.uniform(-1.0, 1.0, len(rule))
     origin = np.zeros(3)
+    coef = (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi)
     # (shift, source kind, source center, source radius, new radius), all
     # with the new center at the origin, so the shift vector is exactly the
     # source center (a -0.0 component included)
@@ -208,11 +213,13 @@ def test_reduced_shifts_match_full_projection(p, direction):
             K = qp.kernel_matrix(rel[:, None, :], rule.points[None, :, :], p)
             full = rule.weights * (weights @ K)
             scale = rule.weights * (np.abs(weights) @ np.abs(K))
+            args = (rel, rule.points[:, None, :])
         else:
             K = qp.kernel_matrix(rule.points[:, None, :], rel[None, :, :], p)
             full = rule.weights * (K @ weights)
             scale = rule.weights * (np.abs(K) @ np.abs(weights))
+            args = (rule.points[:, None, :], rel)
         if fixing == 1:
-            assert np.array_equal(out.surface_weights, full), shift.__name__
-        else:
-            assert np.all(np.abs(out.surface_weights - full) <= 1e-13 * scale), shift.__name__
+            oracle = rule.weights * _kernel_dot(*args, coef, weights[None].T)[:, 0]
+            assert np.array_equal(out.surface_weights, oracle), shift.__name__
+        assert np.all(np.abs(out.surface_weights - full) <= 1e-13 * scale), shift.__name__
