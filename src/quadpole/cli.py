@@ -23,10 +23,11 @@ from numpy.random import default_rng   # numpy 2 would load it lazily, in the fi
 
 from . import __version__
 from .bem import SphereBoundary, boundary_error, parse_scene, solve_potential_flow
-from .errors import CapacityError, QuadpoleError, UnsupportedOrderError
+from .errors import CapacityError, DomainError, QuadpoleError, UnsupportedOrderError
 from .expansion import (
     PointCharges,
     SurfaceExpansion,
+    _coulomb,
     _lines,
     _numbers,
     direct_potential,
@@ -94,8 +95,13 @@ def _write(path, text):
 
 
 def _write_csv(path, header_cols, rows, args_note):
+    """Write the rows as CSV under a note line, or raise a DomainError, writing
+    nothing, if a float cell is not finite."""
     lines = ["# quadpole %s %s" % (__version__, args_note), ",".join(header_cols)]
-    for row in rows:
+    for n, row in enumerate(rows, start=1):
+        if not all(np.isfinite(v) for v in row if isinstance(v, float)):
+            raise DomainError("result row %d (%s) holds a value that is not finite"
+                              % (n, ",".join(map(str, row))))
         lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
     _write(path, "\n".join(lines) + "\n")
 
@@ -108,31 +114,42 @@ def cmd_racc(args):
     # point-charge sum is singular
     if not np.all(np.isfinite(radii) & (radii > 1.0)):
         raise ConfigError("--radii must be finite and greater than 1")
+    # the errors are scaled by r^(p+1) and r^-p, and the sums take squared
+    # distances and powers of r and 1/r up to p: keep r^(p+1) and its
+    # reciprocal normal float64 numbers
+    r_max = np.finfo(float).tiny ** (-1.0 / (max(orders) + 1))
+    if np.any(radii >= r_max):
+        raise ConfigError("--radii must be below %.6g at p = %d, where r^(p+1) leaves float64"
+                          % (r_max, max(orders)))
     eval_rule = lebedev_rule(args.rule_order)
-    xs = [r * eval_rule.points for r in radii]
-    ys = [(1.0 / r) * eval_rule.points for r in radii]
+    xs = radii[:, None, None] * eval_rule.points   # (radii, points, 3)
+    ys = (1.0 / radii)[:, None, None] * eval_rule.points
+    kinds = ("outer", "outer_points", "outer_diff", "inner", "inner_points", "inner_diff")
     acc = defaultdict(float)   # (kind, p, r) -> summed mean abs error
     for trial in range(args.trials):
         cloud = _sample_cloud(default_rng([args.seed, trial]), args.charges)
         inv = _invert(cloud)
-        # the direct sums do not depend on the order: one per radius and trial
-        exacts = [direct_potential(cloud, x) for x in xs]
-        exacts_i = [direct_potential(inv, y) for y in ys]
+        # Kelvin inversion: |x/|x|^2 - s/|s|^2| = |x - s| / (|x| |s|), so the
+        # inverted cloud's potential at ys is r times that of the charges
+        # q|s| at xs; one sum takes both clouds, and no sum depends on p
+        q = cloud.charges
+        both = _coulomb(xs, cloud.positions,
+                        np.column_stack([q, q * np.linalg.norm(cloud.positions, axis=1)]))
+        exact, exact_i = both[..., 0], radii[:, None] * both[..., 1]
         for p in orders:
             rule = rule_for_expansion(p, min_order=args.rule_order)
             outer = fit_outer(cloud, np.zeros(3), 1.0, p, rule=rule)
             inner = fit_inner(inv, np.zeros(3), 1.0, p, rule=rule)
-            for r, x, y, exact, exact_i in zip(radii, xs, ys, exacts, exacts_i):
-                series = eval_outer_potential(outer, x)
-                points = eval_point_charge_potential(outer, x)
-                acc["outer", p, r] += np.mean(np.abs(series - exact))
-                acc["outer_points", p, r] += np.mean(np.abs(points - exact))
-                acc["outer_diff", p, r] += np.mean(np.abs(series - points))
-                series_i = eval_inner_potential(inner, y)
-                points_i = eval_point_charge_potential(inner, y)
-                acc["inner", p, 1.0 / r] += np.mean(np.abs(series_i - exact_i))
-                acc["inner_points", p, 1.0 / r] += np.mean(np.abs(points_i - exact_i))
-                acc["inner_diff", p, 1.0 / r] += np.mean(np.abs(series_i - points_i))
+            series = eval_outer_potential(outer, xs)
+            points = eval_point_charge_potential(outer, xs)
+            series_i = eval_inner_potential(inner, ys)
+            points_i = eval_point_charge_potential(inner, ys)
+            means = np.mean(np.abs([series - exact, points - exact, series - points,
+                                    series_i - exact_i, points_i - exact_i,
+                                    series_i - points_i]), axis=-1)   # (kind, radius)
+            for r, errs in zip(radii, means.T):
+                for kind, key, err in zip(kinds, (r,) * 3 + (1.0 / r,) * 3, errs):
+                    acc[kind, p, key] += err
     rows = []
     for (kind, p, r), total in acc.items():
         err = total / args.trials

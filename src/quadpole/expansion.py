@@ -264,35 +264,40 @@ def direct_energy(a, b):
 def _coulomb(x, positions, charges):
     """sum_j charges[j] / |x - positions[j]| at each point of x, shape (..., 3).
 
+    charges has shape (M,) or (M, h), for h charge sets at the same
+    positions, and the result has shape x.shape[:-1] + charges.shape[1:].
     The targets are summed in the kernel sums' row blocks of about 2^14
     pairs, inside two block-sized buffers, so no (targets, M) array is built.
     The squared distance is summed one component at a time, in the order
-    np.linalg.norm adds them, and each block is one GEMV against the
+    np.linalg.norm adds them, from one contiguous (3, M) copy of the
+    positions, and each block is one GEMV (GEMM for h sets) against the
     charges, so a target's sum is that of one unblocked sum wherever the
     BLAS groups its rows alike (OpenBLAS sums rows in fours; a row outside
-    a full group can differ by a fraction of an ulp of sum |q|/r).  Blocks
-    cut only the targets: a single target against more than 2^14 sources
-    stays one block, as splitting the sources would change the summation
-    order.
+    a full group, or a column of a GEMM, can differ by a fraction of an
+    ulp of sum |q|/r).  Blocks cut only the targets: a single target
+    against more than 2^14 sources stays one block, as splitting the
+    sources would change the summation order.
     """
     x = _points(x)
+    charges = np.asarray(charges, dtype=float)
     (n, m), blocks = _row_blocks(x.reshape(-1, 1, 3), positions)
-    out = np.empty(n)
+    src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)
+    out = np.empty((n,) + charges.shape[1:])
     if blocks:
         r2_buf, d_buf = np.empty((2, len(blocks[0][1]), m))
-    for rows, xb, yb in blocks:
+    for rows, xb, _ in blocks:
         r2, d = r2_buf[:len(xb)], d_buf[:len(xb)]
-        np.subtract(xb[..., 0], yb[:, 0], out=r2)
+        np.subtract(xb[..., 0], src[0], out=r2)
         r2 *= r2
         for k in (1, 2):
-            np.subtract(xb[..., k], yb[:, k], out=d)
+            np.subtract(xb[..., k], src[k], out=d)
             d *= d
             r2 += d
         dist = np.sqrt(r2, out=r2)
         if dist.min(initial=np.inf) < 1e-12:
             raise SingularityError("evaluation point coincides with a source point")
         np.matmul(np.reciprocal(dist, out=dist), charges, out=out[rows])
-    return out.reshape(x.shape[:-1])[()]
+    return out.reshape(x.shape[:-1] + charges.shape[1:])[()]
 
 
 def expansion_to_text(exp):

@@ -71,6 +71,71 @@ def test_racc_slopes(tmp_path):
         assert np.polyfit(x, y, 1)[0] == pytest.approx(slope, abs=0.15)
 
 
+def test_racc_matches_per_radius_loop(tmp_path):
+    # the oracle takes one radius at a time, with the direct sum of the
+    # inverted cloud itself; racc batches the radii and gets the inner
+    # reference from the outer sum by Kelvin inversion
+    import quadpole as qp
+    from quadpole.cli import _invert, _sample_cloud
+    seed, charges, trials, orders, radii = 11, 300, 2, (3, 6, 9), (1.5, 4.0, 30.0)
+    eval_rule = qp.lebedev_rule(15)
+    total, scale = {}, 0.0   # (kind, p, r) -> summed mean error, in the rows' order
+    for trial in range(trials):
+        cloud = _sample_cloud(np.random.default_rng([seed, trial]), charges)
+        inv = _invert(cloud)
+        scale = max(scale, np.sum(np.abs(cloud.charges)))
+        for p in orders:
+            rule = qp.rule_for_expansion(p, min_order=15)
+            outer = qp.fit_outer(cloud, np.zeros(3), 1.0, p, rule=rule)
+            inner = qp.fit_inner(inv, np.zeros(3), 1.0, p, rule=rule)
+            for r in radii:
+                x, y = r * eval_rule.points, (1.0 / r) * eval_rule.points
+                exact, exact_i = qp.direct_potential(cloud, x), qp.direct_potential(inv, y)
+                series = qp.eval_outer_potential(outer, x)
+                points = qp.eval_point_charge_potential(outer, x)
+                series_i = qp.eval_inner_potential(inner, y)
+                points_i = qp.eval_point_charge_potential(inner, y)
+                for kind, key_r, diff in (
+                        ("outer", r, series - exact), ("outer_points", r, points - exact),
+                        ("outer_diff", r, series - points),
+                        ("inner", 1.0 / r, series_i - exact_i),
+                        ("inner_points", 1.0 / r, points_i - exact_i),
+                        ("inner_diff", 1.0 / r, series_i - points_i)):
+                    key = (kind, p, key_r)
+                    total[key] = total.get(key, 0.0) + np.mean(np.abs(diff))
+    out = tmp_path / "racc.csv"
+    assert run(["racc", "--seed", str(seed), "--charges", str(charges), "--trials", str(trials),
+                "--orders", ",".join(str(p - 1) for p in orders),
+                "--radii", ",".join(map(str, radii)), "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in read_csv(out).splitlines()[2:]]
+    assert [(kind, int(p), float(r)) for kind, p, r, _, _ in rows] == list(total)
+    for (kind, p, r), (*_, err, pref) in zip(total, rows):
+        tol = 1e-12 * scale
+        assert abs(float(err) - total[kind, p, r] / trials) <= tol
+        factor = r ** (p + 1) if kind.startswith("outer") else r ** (-p)
+        assert abs(float(pref) - total[kind, p, r] / trials * factor) <= tol * factor
+
+
+def test_racc_far_radius_is_allowed_at_low_order(tmp_path):
+    # the bound on --radii follows the requested orders: r^(p+1) = 1e140 at p = 3
+    out = tmp_path / "racc.csv"
+    assert run(["racc", "--charges", "5", "--trials", "1", "--orders", "2",
+                "--radii", "1e35", "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in read_csv(out).splitlines()[2:]]
+    assert len(rows) == 6
+    assert all(np.isfinite(float(v)) for row in rows for v in row[3:])
+
+
+def test_csv_writer_refuses_non_finite_cells(tmp_path):
+    # a last guard: a result that left float64 is an error, and no file is written
+    from quadpole.cli import _write_csv
+    out = tmp_path / "out.csv"
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(quadpole.QuadpoleError, match="row 2"):
+            _write_csv(str(out), ["kind", "value"], [("a", 1.0), ("b", float(bad))], "note")
+    assert not out.exists()
+
+
 def test_tacc_writes_csv(tmp_path):
     out = tmp_path / "tacc.csv"
     rc = run(["tacc", "--charges", "30", "--trials", "1", "--orders", "3",
@@ -270,6 +335,9 @@ def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
     ("racc", "--radii", "0.5"),
     ("racc", "--radii", "1"),
     ("racc", "--radii", "3,inf"),
+    # r^(p+1) at p = 9 leaves float64, and at 1e160 already r^2
+    ("racc", "--radii", "1e35"),
+    ("racc", "--radii", "1e160"),
     ("racc", "--trials", "-1"),
     ("racc", "--trials", "0"),
     ("tacc", "--trials", "0"),
@@ -279,7 +347,7 @@ def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
 def test_experiment_rejects_bad_values(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out.csv"
     # the last occurrence of a flag wins, so the bad value overrides the default
-    argv = [command, "--charges", "5", "--trials", "1", "--orders", "2", flag, value]
+    argv = [command, "--charges", "5", "--trials", "1", "--orders", "2,5,8", flag, value]
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: " + flag)
     assert not out.exists()

@@ -291,6 +291,51 @@ def test_coulomb_sum_singular_in_last_block():
             _coulomb(x, y, q)
 
 
+def test_coulomb_sum_charge_columns():
+    # h charge sets at the same positions: each column is the one-set sum,
+    # within the ulp by which a GEMM column and a GEMV may group rows apart
+    from quadpole.expansion import _coulomb
+    rng = np.random.default_rng(89)
+    eps = np.finfo(float).eps
+    for shape, m, h in (((800, 3), 2000, 2), ((4, 300, 3), 700, 3), ((3,), 20000, 2),
+                        ((5, 3), 7, 1)):
+        x, y, _ = _coulomb_case(rng, shape, m)
+        q = rng.uniform(-1, 1, (m, h))
+        got = _coulomb(x, y, q)
+        assert got.shape == shape[:-1] + (h,)
+        for k in range(h):
+            bound = eps * _coulomb_oracle(x, y, np.abs(q[:, k]))
+            assert np.all(np.abs(got[..., k] - _coulomb(x, y, q[:, k])) <= bound)
+        x[(-1,) * (len(shape) - 1)] = y[m // 2]
+        with pytest.raises(qp.SingularityError):
+            _coulomb(x, y, q)
+    y, q = rng.standard_normal((7, 3)), rng.uniform(-1, 1, (7, 2))
+    assert _coulomb(np.zeros((0, 3)), y, q).shape == (0, 2)
+    assert _coulomb(np.zeros((2, 0, 3)), y, q).shape == (2, 0, 2)
+    none = _coulomb(np.ones((2, 4, 3)), np.zeros((0, 3)), np.zeros((0, 2)))
+    assert none.shape == (2, 4, 2) and np.all(none == 0.0)
+    assert np.array_equal(_coulomb(np.ones(3), np.zeros((0, 3)), np.zeros((0, 2))), [0.0, 0.0])
+    assert _coulomb(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 2))).shape == (0, 2)
+
+
+@settings(max_examples=50)
+@given(rows=st.lists(CHARGE.filter(lambda r: r[0] ** 2 + r[1] ** 2 + r[2] ** 2 >= 0.05 ** 2),
+                     min_size=1, max_size=20),
+       targets=st.lists(st.tuples(*[st.floats(-30.0, 30.0)] * 3).filter(
+           lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 >= 1.5 ** 2), min_size=1, max_size=10))
+def test_direct_sum_is_kelvin_inverted(rows, targets):
+    # |x/|x|^2 - s/|s|^2| = |x - s| / (|x| |s|): the inverted cloud's potential
+    # at x/|x|^2 is |x| times that of the charges q|s| at x
+    from quadpole.expansion import _coulomb
+    cloud, x = _cloud(rows), np.array(targets)
+    r = np.linalg.norm(x, axis=1)
+    s = np.linalg.norm(cloud.positions, axis=1)
+    inverted = qp.PointCharges(cloud.positions / s[:, None] ** 2, cloud.charges)
+    got = r * _coulomb(x, cloud.positions, cloud.charges * s)
+    want = qp.direct_potential(inverted, x / r[:, None] ** 2)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)   # positive charges: want > 0
+
+
 def test_coulomb_sum_memory_is_block_sized():
     import tracemalloc
     from quadpole.expansion import _coulomb
