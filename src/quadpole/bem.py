@@ -4,12 +4,10 @@ The single/double layer sums are exact for polynomial surface densities
 of degree < p.  The flow solver fits the normal-velocity boundary condition
 with each sphere's surface weights, by weighted least squares on a finer
 fit rule, cut at the system's rank sum_j p_j^2.  Each row of that system
-is a normal-derivative kernel sum, one scalar n.grad L per pair; on a
-sphere's own block (the source shares its center) it is the plain kernel
-sum with coefficients -(k+1)/R, like every other layer operator.  Each
-block is summed at one row point per orbit of the axis symmetries that
-fix it, as in the shifts, and its other rows are index permutations of
-those (see _orbit_blocks); boundary_error builds no matrix.
+is a normal-derivative kernel sum, one scalar n.grad L per pair, summed
+at one row point per orbit of the axis symmetries that fix its block
+(quadrature._orbits); the other rows are index permutations of those
+(see _orbit_blocks), and boundary_error builds no matrix.
 """
 from dataclasses import dataclass
 
@@ -18,7 +16,7 @@ import numpy as np
 from .errors import DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _exterior_sum, _interior_sum, _lines, _numbers,
                         _points, _require_kind, _side_checked)
-from .legendre import kernel_sum, normal_kernel_sum
+from .legendre import normal_kernel_sum
 from .quadrature import QuadratureRule, _orbits, rule_for_expansion
 
 __all__ = [
@@ -119,30 +117,21 @@ def _orbit_blocks(spheres, sources, rule):
 
     Block (i, j) maps source j's surface weights to n.grad(Phi) at sphere i's
     points s.center + R rhat, with normals rhat, rhat the points of ``rule``.
-    Each entry is a normal-derivative kernel sum, one scalar per pair; where
-    the source shares the sphere's center, n = xhat and L_k(a, x) is
-    homogeneous of degree -(k+1) in x, so the block is the plain kernel sum
-    with coefficients -(k+1)/R.  A signed axis permutation that both rules
-    hold and that fixes d = s.center - src.center maps the row points, their
-    normals and the source points onto themselves and leaves the kernel
-    unchanged (quadrature._orbits), so the sums are made only at one row
-    point per orbit: entry (targets[k, m], col_maps[k, c]) of the block is
-    rows[m, c], one k per symmetry (48 for a sphere's own block, 8 for an
-    offset along an axis, 6 or 4 along a body or face diagonal, 2 elsewhere
-    in a coordinate plane and 1 otherwise).
+    Each entry is a normal-derivative kernel sum, one scalar per pair, summed
+    only at one row point per orbit of the symmetries that both rules hold
+    and that fix d = s.center - src.center (quadrature._orbits): entry
+    (targets[k, m], col_maps[k, c]) of the block is rows[m, c], one k per
+    symmetry.
     """
     normals = rule.points
     for i, s in enumerate(spheres):
         for j, src in enumerate(sources):
             d = s.center - src.center
             row_maps, col_maps, reps = _orbits(rule, src.rule, d)
-            a = src.radius * src.rule.points
             # seen from the source's center as d + R rhat, which each symmetry maps exactly
             rel = (d + s.radius * normals[reps])[:, None, :]
-            if np.array_equal(s.center, src.center):
-                rows = kernel_sum(a, rel, -(np.arange(src.order) + 1.0) / s.radius)
-            else:
-                rows = normal_kernel_sum(a, rel, normals[reps, None, :], np.ones(src.order))
+            rows = normal_kernel_sum(src.radius * src.rule.points, rel, normals[reps, None, :],
+                                     np.ones(src.order))
             yield i, j, rows, row_maps[:, reps], col_maps
 
 

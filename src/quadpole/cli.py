@@ -14,6 +14,7 @@ trial-parallelizable.  CSV outputs are byte-identical for identical
 seed and configuration.
 """
 import argparse
+import math
 import os
 import sys
 from collections import defaultdict
@@ -67,10 +68,22 @@ def _invert(sources):
     return PointCharges(sources.positions / r2[:, None], sources.charges)
 
 
+def _list_flag(flag, text, kind):
+    """Values of a comma-separated list flag, none repeated, or a ConfigError naming it."""
+    try:
+        vals = [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError("%s must be a comma-separated list of %s values, not %r"
+                          % (flag, kind.__name__, text)) from None
+    if len(set(vals)) < len(vals):
+        raise ConfigError("%s repeats a value in %r" % (flag, text))
+    return vals
+
+
 def _resolve_orders(args, offset):
-    vals = [int(v) + offset for v in args.orders.split(",")]
+    vals = [v + offset for v in _list_flag("--orders", args.orders, int)]
     if any(v < 1 for v in vals):
-        raise ConfigError("expansion orders must be positive")
+        raise ConfigError("--orders must give positive expansion orders")
     return vals
 
 
@@ -99,7 +112,7 @@ def _write_csv(path, header_cols, rows, args_note):
     nothing, if a float cell is not finite."""
     lines = ["# quadpole %s %s" % (__version__, args_note), ",".join(header_cols)]
     for n, row in enumerate(rows, start=1):
-        if not all(np.isfinite(v) for v in row if isinstance(v, float)):
+        if not all(math.isfinite(v) for v in row if isinstance(v, float)):
             raise DomainError("result row %d (%s) holds a value that is not finite"
                               % (n, ",".join(map(str, row))))
         lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
@@ -109,7 +122,7 @@ def _write_csv(path, header_cols, rows, args_note):
 def cmd_racc(args):
     orders = _resolve_orders(args, 1)   # --orders lists the degrees p-1
     _check_counts(args)
-    radii = np.array([float(v) for v in args.radii.split(",")]) if args.radii else DEFAULT_RADII
+    radii = np.array(_list_flag("--radii", args.radii, float)) if args.radii else DEFAULT_RADII
     # at r = 1 evaluation points fall on the fit rule's points, where the
     # point-charge sum is singular
     if not np.all(np.isfinite(radii) & (radii > 1.0)):

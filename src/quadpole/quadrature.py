@@ -33,7 +33,7 @@ MAX_PROBE_DEGREE = _ORDERS[-1] + 1
 _cache = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Unit-sphere point set with weights summing to 4 pi."""
 
@@ -74,10 +74,19 @@ class QuadratureRule:
               & (self.weights[maps] == self.weights).all(axis=1))
         return S[ok], maps[ok]
 
-    @cached_property
-    def _orbit_cache(self):
-        """For _orbits: (cols, k, m) by id(cols), and reps by the bytes of k."""
-        return {}
+
+@cache
+def _shared(rows, cols):
+    """Index pairs (k, m) of the symmetry matrices that rows and cols share."""
+    return np.nonzero((rows.symmetries[0][:, None] == cols.symmetries[0][None]).all(axis=(2, 3)))
+
+
+@cache
+def _reps(rows, k):
+    """Smallest point index of each orbit of rows' symmetries k (a tuple), read-only."""
+    reps = np.flatnonzero(rows.symmetries[1][list(k)].min(axis=0) == np.arange(len(rows)))
+    reps.setflags(write=False)
+    return reps
 
 
 def _orbits(rows, cols, d):
@@ -86,36 +95,27 @@ def _orbits(rows, cols, d):
     Returns (row_maps, col_maps, reps).  Row k of row_maps and of col_maps is
     the index map (QuadratureRule.symmetries) of one permutation S_k on the
     points of ``rows`` and of ``cols``, one row per S_k that both rules hold
-    and that fixes the offset d, compared exactly, the identity first.  An
-    operator whose entry (i, j) depends on d + a rows.points[i] and
-    b cols.points[j] only through rotation-invariant quantities is unchanged
-    by each S_k: entry (row_maps[k, i], col_maps[k, j]) equals entry (i, j).
-    reps holds the smallest index of each orbit of the row points, ascending.
-    The embedded rules hold all 48; a rule built by hand may hold fewer, so
-    only the shared ones are kept.  Cached on ``rows``: the shared matrices,
-    matched once per pair of rules, and reps, built once per subgroup that
-    fixes some d and read-only.  The maps are gathered on each call: holding
-    every subgroup's (h, N) maps would take more memory than the sums they
-    serve (7 MB over the three-sphere flow at p = 2..8, whose pass otherwise
-    peaks at 5.6 MB).
+    and that fixes the offset d, compared exactly, the identity first.  S_k
+    maps d + a rows.points[i] onto d + a rows.points[row_maps[k, i]] and
+    b cols.points[j] onto b cols.points[col_maps[k, j]] and keeps inner
+    products, so an operator whose entry (i, j) depends on these points and on
+    the normals rows.points[i] only through inner products, as the kernel sums
+    of the shifts and the flow rows do, has entry (row_maps[k, i],
+    col_maps[k, j]) equal to entry (i, j): it need only be summed at reps, the
+    smallest index of each orbit, ascending.  The embedded rules hold all 48,
+    so d = 0 (a sphere's own block) keeps 48, an offset along an axis 8, a
+    body diagonal 6, a face diagonal 4, elsewhere in a coordinate plane 2 and
+    anywhere else 1; a rule built by hand may hold fewer.  Rules hash by
+    identity; the caches, which keep them alive, match the matrices once per
+    pair of rules and build reps once per subgroup.  The maps are gathered on
+    each call: holding every subgroup's (h, N) maps would take 7 MB over the
+    three-sphere flow at p = 2..8, more than that pass's 5.6 MB peak.
     """
     S, row_maps = rows.symmetries
-    T, col_maps = cols.symmetries
-    cache = rows._orbit_cache
-    pair = cache.get(id(cols))
-    if pair is None:
-        key = 3.0 ** np.arange(9)   # entries 0 and +-1: one balanced-ternary number per matrix
-        k, m = np.nonzero((S.reshape(-1, 9) @ key)[:, None] == T.reshape(-1, 9) @ key)
-        pair = cache[id(cols)] = (cols, k, m)   # holding cols keeps its id from reuse
-    _, k, m = pair
+    k, m = _shared(rows, cols)
     fix = np.all(S[k] @ d == d, axis=1)
     k, m = k[fix], m[fix]
-    reps = cache.get(k.tobytes())
-    if reps is None:
-        reps = np.flatnonzero(row_maps[k].min(axis=0) == np.arange(len(rows)))
-        reps.setflags(write=False)
-        cache[k.tobytes()] = reps
-    return row_maps[k], col_maps[m], reps
+    return row_maps[k], cols.symmetries[1][m], _reps(rows, tuple(k.tolist()))
 
 
 def available_orders():

@@ -4,7 +4,7 @@ Every shift refits the old expansion's surface weights, taken as point
 charges at its surface points, onto the new sphere: the same kernel
 projection that ``fit_outer`` and ``fit_inner`` apply to point charges,
 summed once per orbit of the rule's symmetries that fix the shift (see
-``_refit``).
+``quadrature._orbits``).
 """
 from dataclasses import replace
 
@@ -20,14 +20,12 @@ __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
 def _refit(src, kind, new_center, new_R):
     """Fit the old weights, as charges at the old surface points, on the new sphere.
 
-    A signed axis permutation S of the rule that fixes d = src.center -
-    new_center (quadrature._orbits) maps the old points seen from the new
-    center onto themselves, S rel_i = rel_{t(i)}, and the kernel is invariant
-    under S, so the new weight at t(j) is W_j sum_i w_{t(i)} K(rel_i, rhat_j).
-    The kernel is summed at one point j per orbit, against one row of permuted
-    weights w[t] per symmetry, and the rows are scattered to the orbit:
-    8 symmetries for an axis shift, 6 for a body diagonal, 4 for a face
-    diagonal and 1 otherwise.
+    The old points seen from the new center are rel_i = d + R rhat_i, with
+    d = src.center - new_center, and each symmetry t that fixes d leaves
+    the kernel unchanged (quadrature._orbits), so the new weight at t(j) is
+    W_j sum_i w_{t(i)} K(rel_i, rhat_j).  The kernel is summed at one point j
+    per orbit, against one row of permuted weights w[t] per symmetry, and
+    the rows are scattered to the orbit.
     """
     maps, _, reps = _orbits(src.rule, src.rule, src.center - new_center)
     rel = (src.surface_points - new_center) / new_R

@@ -343,11 +343,22 @@ def test_convert_malformed_input(tmp_path, capsys, direction, text, line):
     ("tacc", "--trials", "0"),
     ("racc", "--charges", "-3"),
     ("tacc", "--charges", "-3"),
+    # a repeated value would be summed into one row, or written twice
+    ("racc", "--radii", "3,3"),
+    ("tacc", "--orders", "2,2"),
+    ("flow", "--orders", "2,3,2"),
+    ("racc", "--orders", "a"),
+    ("racc", "--radii", "x"),
 ])
 def test_experiment_rejects_bad_values(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out.csv"
     # the last occurrence of a flag wins, so the bad value overrides the default
-    argv = [command, "--charges", "5", "--trials", "1", "--orders", "2,5,8", flag, value]
+    if command == "flow":
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0 1.0 1 0 0\n")
+        argv = [command, "--scene", str(scene), flag, value]
+    else:
+        argv = [command, "--charges", "5", "--trials", "1", "--orders", "2,5,8", flag, value]
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: " + flag)
     assert not out.exists()

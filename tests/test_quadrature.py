@@ -144,6 +144,14 @@ def test_hand_built_rules_keep_only_their_exact_symmetries():
     assert np.array_equal(S, [np.eye(3)]) and np.array_equal(maps, [np.arange(len(rule))])
 
 
+def test_rules_compare_and_hash_by_identity():
+    # the orbit caches key on rules, which hold arrays: == must not compare them
+    rule = qp.lebedev_rule(7)
+    copy = qp.QuadratureRule(rule.points.copy(), rule.weights.copy(), 7)
+    assert rule == rule and rule != copy
+    assert hash(rule) == hash(rule) and len({rule, copy}) == 2
+
+
 def test_orbits_are_matched_once_per_rule_pair_and_subgroup():
     rows, cols = qp.lebedev_rule(29), qp.lebedev_rule(19)
     axis = _orbits(rows, cols, np.array([0.0, 2.0, 0.0]))
