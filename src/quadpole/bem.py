@@ -3,20 +3,22 @@
 The single/double layer sums are exact for polynomial surface densities
 of degree < p.  The flow solver fits the normal-velocity boundary condition
 with each sphere's surface weights, by weighted least squares on a finer
-fit rule, cut at the system's rank sum_j p_j^2.  Each row of that system
-is a normal-derivative kernel sum, one scalar n.grad L per pair, summed
+fit rule, solved on the p_j^2 harmonic columns of each sphere's weights
+(_harmonic_basis), the system's rank.  Each row of that system is a
+normal-derivative kernel sum, one scalar n.grad L per pair, summed
 at one row point per orbit of the axis symmetries that fix its block
 (quadrature._orbits); the other rows are index permutations of those
 (see _orbit_blocks), and boundary_error builds no matrix.
 """
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _exterior_sum, _interior_sum, _lines, _numbers,
                         _points, _require_kind, _side_checked)
-from .legendre import normal_kernel_sum
+from .legendre import kernel_matrix, normal_kernel_sum
 from .quadrature import QuadratureRule, _orbits, rule_for_expansion
 
 __all__ = [
@@ -159,13 +161,39 @@ def _rms_per_sphere(resid, rule):
     return np.sqrt(np.sum(resid.reshape(-1, len(rule)) ** 2, axis=1) / np.sum(rule.weights))
 
 
+@cache
+def _harmonic_basis(rule, p):
+    """Orthonormal basis (N, p^2), read-only, of the degree < p harmonics at rule's points.
+
+    Surface weights w on the rule reach an order-p field only through their
+    moments sum_b w_b Y_lm(rhat_b), l < p, so a flow block's rows lie in the
+    range of Y, that is of kernel_matrix(rhat, rhat, p) = Y Y^T (the
+    addition theorem), of rank p^2.  The basis is the eigenvectors of that
+    matrix whose eigenvalues exceed 1e-10 of the largest.  A rule whose
+    points cannot carry p^2 independent harmonics, such as one labelled with
+    more exactness than it has, is refused.
+    """
+    K = kernel_matrix(rule.points[:, None, :], rule.points[None, :, :], p)
+    lam, vec = np.linalg.eigh(K)
+    basis = vec[:, lam > 1e-10 * lam[-1]]
+    if basis.shape[1] != p * p:
+        raise SolverError("a rule of %d points carries %d independent harmonics of degree "
+                          "< %d, not the %d that order %d needs"
+                          % (len(rule), basis.shape[1], p, p * p, p))
+    basis.setflags(write=False)
+    return basis
+
+
 def solve_potential_flow(spheres):
     """Solve for surface weights enforcing n.v0 = -n.grad(Phi) on every sphere.
 
     Unknowns are the surface weights on each sphere's own rule; their field
-    has rank p^2 per sphere, so the condition is met by weighted least
-    squares on a fit rule fine enough that raising p can only shrink the
-    minimized mismatch.
+    depends only on their p^2 degree < p moments, so the condition is met by
+    weighted least squares on a fit rule fine enough that raising p can only
+    shrink the minimized mismatch, solved on p^2 columns per sphere: sphere
+    j's weights are P_j z_j, P_j its rule's harmonic basis.  A = (A P) P^T,
+    so this is the minimum-norm solution of the full system, with the same
+    kept singular values (rank and cond).
     """
     spheres = list(spheres)
     if not spheres:
@@ -175,21 +203,27 @@ def solve_potential_flow(spheres):
             sep = np.linalg.norm(spheres[i].center - spheres[j].center)
             if sep <= spheres[i].radius + spheres[j].radius:
                 raise GeometryError("spheres %d and %d overlap" % (i, j))
+    bases = [_harmonic_basis(s.rule, s.order) for s in spheres]
     fit_rule = rule_for_expansion(max(s.order for s in spheres), min_order=29)
     A, b = _boundary_system(spheres, spheres, fit_rule)
+    cols = np.cumsum([0] + [len(s.rule) for s in spheres])
+    harm = np.cumsum([0] + [P.shape[1] for P in bases])
+    AP = np.empty((len(A), harm[-1]))
+    for j, P in enumerate(bases):
+        np.matmul(A[:, cols[j]:cols[j + 1]], P, out=AP[:, harm[j]:harm[j + 1]])
+    del A
     try:
-        # A's singular values are those of the rank sum_j p_j^2 field map
-        # (>= 5e-2 of the largest on the three-sphere scene) and roundoff
-        # (<= 1e-15 of it); a cut inside that gap drops the roundoff directions.
-        w, _, rank, sv = np.linalg.lstsq(A, b, rcond=1e-10)
+        # AP's singular values are those of the rank sum_j p_j^2 field map
+        # (>= 5e-2 of the largest on the three-sphere scene); the cut only
+        # matters when sphere blocks are nearly dependent.
+        z, _, rank, sv = np.linalg.lstsq(AP, b, rcond=1e-10)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SVD did not converge
         raise SolverError("least-squares solve failed: %s" % exc) from exc
-    if not np.all(np.isfinite(w)):
+    if not np.all(np.isfinite(z)):
         raise SolverError("non-finite solution from the boundary solve")
-    split = np.split(w, np.cumsum([len(s.rule) for s in spheres])[:-1])
-    expansions = tuple(SurfaceExpansion(s.center, s.radius, s.rule, ws, s.order, "outer")
-                       for s, ws in zip(spheres, split))
-    return FlowSolution(expansions, _rms_per_sphere(A @ w - b, fit_rule), int(rank),
+    expansions = tuple(SurfaceExpansion(s.center, s.radius, s.rule, P @ zj, s.order, "outer")
+                       for s, P, zj in zip(spheres, bases, np.split(z, harm[1:-1])))
+    return FlowSolution(expansions, _rms_per_sphere(AP @ z - b, fit_rule), int(rank),
                         float(sv[0] / sv[rank - 1]))
 
 

@@ -2,26 +2,34 @@
 
 Everything here works with vector inner products only; no angles appear.
 The two-argument sequence L_n(x, y) = (|x|^n / |y|^{n+1}) P_n(xhat.yhat),
-the terms of the expansion 1/|x-y| = sum_n L_n(x, y) for |x| < |y|, is
-generated in monic form: with kappa_n = (2n)!/(2^n n!^2), the leading
-coefficient of P_n, the recurrence runs on G_n = L_n / kappa_n,
+the terms of the expansion 1/|x-y| = sum_n L_n(x, y) for |x| < |y|, is the
+case lambda = 1/2 of the Gegenbauer terms T_n(x, y) = (|x|^n / |y|^{n+2 lambda})
+C^lambda_n(xhat.yhat) of |x-y|^(-2 lambda).  One recurrence generates them in
+monic form: with k_n = 2^n (lambda)_n / n!, the leading coefficient of
+C^lambda_n, it runs on G_n = T_n / k_n,
 
-    G_0 = |y|^-1
+    G_0 = |y|^(-2 lambda)
     G_1 = (x.y / y.y) G_0
-    G_n = (x.y/y.y) G_{n-1} - [(n-1)^2/((2n-1)(2n-3))] (x.x/y.y) G_{n-2}
+    G_n = (x.y/y.y) G_{n-1} - b_n (x.x/y.y) G_{n-2},
+    b_n = (n-1)(n+2 lambda-2) / (4(n+lambda-1)(n+lambda-2))
 
 which costs four array passes per degree, one fewer than the recurrence
-for L_n itself, and three where x.x/y.y is one number per point of a set
-(see _kernel_dot).  Each sum folds kappa_n into its own per-degree
+for T_n itself, and three where x.x/y.y is one number per point of a set
+(see _kernel_dot).  At lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the
+leading coefficient of P_n, and b_n = (n-1)^2/((2n-1)(2n-3)).  The gradient
+of L_n is the same recurrence at lambda = 3/2, since P'_{n+1} = C^{3/2}_n
+(see normal_kernel_sum).  Each sum folds k_n into its own per-degree
 coefficients, and the Legendre polynomial P_n(t) is kappa_n G_n at
-x = t zhat, y = zhat.  Degrees stop at 1000: beyond that, G_n and kappa_n
+x = t zhat, y = zhat.  Degrees stop at 1000: beyond that, G_n and k_n
 leave the range of float64.
 
 kernel_sum returns the sum for every pair.  Fits, shifts, evaluations and
 de-tracing only contract it with weights, so they call _kernel_dot, which
 contracts each term with the weights as the recurrence makes it and never
 holds a pair matrix.  A contracted sum is summed by the BLAS, so, like
-expansion._coulomb, its last bits can change with the block layout.
+expansion._coulomb, its last bits can change with the block layout; so
+can a normal_kernel_sum of a point set against rows, whose inner products
+with the set are matmuls.
 """
 import math
 from functools import cache
@@ -48,7 +56,7 @@ def legendre_poly(n, t):
     """
     if n < 0:
         raise DomainError("polynomial degree must be non-negative")
-    kappa = _kappa(n + 1)
+    kappa = _leading(n + 1)
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise DomainError("argument outside [-1, 1]")
@@ -57,23 +65,36 @@ def legendre_poly(n, t):
 
 
 @cache
-def _kappa(p):
-    """Leading coefficients kappa_n = (2n)!/(2^n n!^2) of P_n, n < p, correctly rounded."""
+def _leading(p, lam=0.5):
+    """Leading coefficients k_n = 2^n (lam)_n / n! of C^lam_n, n < p, correctly rounded.
+
+    kappa_n, those of P_n, at lam = 1/2; (n+1) kappa_{n+1}, those of
+    P'_{n+1} = C^{3/2}_n, at lam = 3/2.  Each is the exact ratio
+    prod_{i<n} (2 lam + 2i) / n! of integers, divided once.
+    """
     if p > 1001:
         raise DomainError("degree %d exceeds 1000, beyond which the monic terms leave "
                           "the range of float64" % (p - 1))
-    kappa = np.array([math.comb(2 * n, n) / 2 ** n for n in range(p)])
-    kappa.setflags(write=False)
-    return kappa
+    h, num, den, k = round(2 * lam), 1, 1, []
+    for n in range(p):
+        k.append(num / den)
+        num *= h + 2 * n
+        den *= n + 1
+    k = np.array(k)
+    k.setflags(write=False)
+    return k
 
 
-def _monic_step(n):
-    """(n-1)^2/((2n-1)(2n-3)), the factor of the G_{n-2} term in the monic recurrence."""
-    return (n - 1) ** 2 / ((2 * n - 1) * (2 * n - 3))
+@cache
+def _steps(p, lam):
+    """-b_n, n = 2..p-1, each rounded once: the factors of (x.x/y.y) G_{n-2} in the recurrence."""
+    h = round(2 * lam)
+    return tuple(-((n - 1) * (n + h - 2) / ((2 * n + h - 2) * (2 * n + h - 4)))
+                 for n in range(2, p))
 
 
-def _terms(xy, xx, yy, p):
-    """Yield G_n = L_n / kappa_n, n < p, from broadcast inner products.
+def _terms(xy, xx, yy, p, lam=0.5):
+    """Yield G_n = T_n / k_n, n < p, at Gegenbauer index lam, from broadcast inner products.
 
     Only two terms are kept: the array holding G_n is reused for G_{n+2},
     so a consumer must copy what it needs before asking for the next term.
@@ -83,7 +104,7 @@ def _terms(xy, xx, yy, p):
         raise SingularityError("second argument must be nonzero")
     shape = np.broadcast_shapes(xy.shape, xx.shape, yy.shape)
     g_prev = np.empty(shape)
-    g_prev[...] = yy ** -0.5
+    g_prev[...] = yy ** -lam
     yield g_prev
     if p < 2:
         return
@@ -92,10 +113,10 @@ def _terms(xy, xx, yy, p):
     g_cur = np.multiply(u, g_prev, out=np.empty(shape))
     yield g_cur
     tmp, v_step = np.empty(shape), np.empty(v.shape)
-    for n in range(2, p):
-        # G_n = u G_{n-1} - [(n-1)^2/((2n-1)(2n-3))] v G_{n-2}, written over G_{n-2};
+    for step in _steps(p, lam):
+        # G_n = u G_{n-1} - b_n v G_{n-2}, written over G_{n-2};
         # four array passes, three where v is smaller than the terms
-        g_prev *= np.multiply(v, -_monic_step(n), out=v_step)
+        g_prev *= np.multiply(v, step, out=v_step)
         g_prev += np.multiply(u, g_cur, out=tmp)
         g_prev, g_cur = g_cur, g_prev
         yield g_cur
@@ -104,6 +125,11 @@ def _terms(xy, xx, yy, p):
 def _dot(a, b):
     """a.b over the last axis, summed in the order np.sum uses."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _set_dot(rows, pts):
+    """rows.pts for rows (..., 1, 3) against a point set (B, 3): shape (..., B), one matmul."""
+    return rows[..., 0, :] @ pts.T
 
 
 def _inner_products(x, y):
@@ -148,7 +174,7 @@ def f_sequence_raw(xy, xx, yy, p):
     out = np.empty((p,) + np.broadcast_shapes(np.shape(xy), np.shape(xx), np.shape(yy)))
     for n, g in enumerate(_terms(xy, xx, yy, p)):
         out[n] = g
-    out *= _kappa(p).reshape((p,) + (1,) * (out.ndim - 1))
+    out *= _leading(p).reshape((p,) + (1,) * (out.ndim - 1))
     return out
 
 
@@ -169,7 +195,7 @@ def kernel_sum(x, y, coef):
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
-    coef = np.asarray(coef, dtype=float) * _kappa(len(coef))
+    coef = np.asarray(coef, dtype=float) * _leading(len(coef))
     batch, blocks = _row_blocks(x, y)
     out = np.empty(batch)
     for rows, xb, yb in blocks:
@@ -225,13 +251,13 @@ def _kernel_dot(x, y, coef, w):
     xx, yy = (pp, 1.0) if rows_are_y else (1.0, pp)
     rows = rows / np.where(r > 0.0, r, 1.0)[:, None]   # a zero row x stays zero
     lam, mu = (s / r, 1.0 / r) if rows_are_y else (r / s, np.full(len(r), 1.0 / s))
-    coef = np.asarray(coef, dtype=float) * _kappa(len(coef))
+    coef = np.asarray(coef, dtype=float) * _leading(len(coef))
     degrees = np.arange(len(coef))[:, None]
     _, blocks = _row_blocks(rows[:, None, :], pts)
     out = np.empty((len(rows),) + w.shape[1:])
     for block, rb, _ in blocks:
         sums = np.empty((len(coef), len(rb)) + w.shape[1:])
-        for s_n, g in zip(sums, _terms(rb[:, 0] @ pts.T, xx, yy, len(coef))):
+        for s_n, g in zip(sums, _terms(_set_dot(rb, pts), xx, yy, len(coef))):
             np.matmul(g, w, out=s_n)
         factor = coef[:, None] * lam[block] ** degrees * mu[block]
         out[block] = np.einsum("nr,nr...->r...", factor, sums)
@@ -248,61 +274,44 @@ def _reproducing(p):
     return (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi)
 
 
-def _grad_terms(xy, xx, yy, p):
-    """Yield (G_n, H_n), n < p: G_n = L_n(a, x) / kappa_n, H_n = s dG_n/du (u = a.x, s = x.x).
-
-    xy, xx, yy are a.x, a.a and x.x.  Differentiating the monic recurrence
-    gives H_0 = 0, H_n = G_{n-1} + (u/s) H_{n-1} - [(n-1)^2/((2n-1)(2n-3))] (a.a/s) H_{n-2}.
-    Each array is reused two terms later, as in :func:`_terms`.
-    """
-    terms = _terms(xy, xx, yy, p)
-    g_last = next(terms)
-    h_prev, h_cur = np.zeros(g_last.shape), np.zeros(g_last.shape)
-    yield g_last, h_cur
-    t, v = xy / yy, xx / yy
-    tmp = np.empty(g_last.shape)
-    for n, g in enumerate(terms, start=1):
-        np.multiply(v, _monic_step(n), out=tmp)
-        tmp *= h_prev
-        np.multiply(t, h_cur, out=h_prev)
-        h_prev += g_last
-        h_prev -= tmp
-        h_prev, h_cur = h_cur, h_prev
-        yield g, h_cur
-        g_last = g
-
-
 def normal_kernel_sum(a, x, n, coef):
     """sum_k coef[k] n.grad_x L_k(a, x) over broadcast batches; shape batch.
 
-    S_F = sum_k (k+1) coef[k] kappa_k G_k and S_H = sum_k coef[k] kappa_k H_k,
-    with G_k, H_k from :func:`_grad_terms`, are added as the recurrence
-    produces them, so no (p,) + batch stack is built.  F_k = L_k(a, x) is
-    homogeneous of degree -(k+1) in x, so dF_k/ds follows from
-    u dF_k/du + 2 s dF_k/ds = -(k+1) F_k and needs no recurrence of its own:
+    With P'_{k+1} = (k+1) P_k + t P'_k and P'_{m+1} = C^{3/2}_m (DLMF 18.9.19),
+    the gradient is one pass of the recurrence at lambda = 3/2:
 
-        grad_x sum_k coef[k] L_k(a, x) = (S_H a - (S_F + (u/s) S_H) x) / s.
+        grad_x L_k(a, x) = T_{k-1}(a, x) a - T_k(a, x) x,   T_{-1} = 0,
 
-    The normal derivative is one scalar per pair, with n.a and n.x for a and
-    x.  n = np.eye(3) against a[..., None, :] and x[..., None, :] gives the
+    with T_m = |a|^m C^{3/2}_m(ahat.xhat) / |x|^{m+3} the terms of |x-a|^-3.
+    So S_A = sum_m coef[m+1] T_m and S_B = sum_m coef[m] T_m, m < p, are
+    added as the recurrence produces T_m, with no (p,) + batch stack, and
+    the normal derivative is (n.a) S_A - (n.x) S_B, one scalar per pair.
+    n = np.eye(3) against a[..., None, :] and x[..., None, :] gives the
     gradient, shape batch + (3,); the recurrence still runs once per pair
-    of a and x.  Blocked like :func:`kernel_sum`.
+    of a and x.  Blocked like :func:`kernel_sum`, and bit-identical to an
+    unblocked sum, except for a point set a (B, 3) against rows x and n
+    (..., 1, 3), as the flow rows are: there x.a and n.a are one matmul
+    per row block, whose last bits can depend on the block layout.
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
-    coef = np.asarray(coef, dtype=float) * _kappa(len(coef))
+    lead = _leading(len(coef), 1.5)
+    coef = np.asarray(coef, dtype=float)
+    c_a, c_b = np.append(coef[1:], 0.0) * lead, coef * lead
+    on_set = np.ndim(a) == 2 and np.shape(x)[-2:-1] == np.shape(n)[-2:-1] == (1,)
     batch, blocks = _row_blocks(a, x, n)
     out = np.empty(batch)
     for rows, ab, xb, nb in blocks:
-        xy, xx, yy = _inner_products(ab, xb)
-        terms = _grad_terms(xy, xx, yy, len(coef))
-        s_f, s_h = (np.multiply(t, coef[0]) for t in next(terms))
-        tmp = np.empty_like(s_f)
-        for k, c, (g, h) in zip(range(2, len(coef) + 1), coef[1:], terms):
-            s_f += np.multiply(g, k * c, out=tmp)   # (k+1) c_k G_k, counting k from 0
-            s_h += np.multiply(h, c, out=tmp)
+        xa, na = (_set_dot(xb, ab), _set_dot(nb, ab)) if on_set else (_dot(xb, ab), _dot(nb, ab))
+        terms = _terms(xa, _dot(ab, ab), _dot(xb, xb), len(coef), 1.5)
+        g = next(terms)
+        s_a, s_b = np.multiply(g, c_a[0]), np.multiply(g, c_b[0])
+        tmp = np.empty_like(s_a)
+        for ca, cb, g in zip(c_a[1:], c_b[1:], terms):
+            s_a += np.multiply(g, ca, out=tmp)
+            s_b += np.multiply(g, cb, out=tmp)
         del terms, tmp   # free the recurrence's arrays before the last line's temporaries
-        out[rows] = (s_h * _dot(nb, ab) - (s_f + xy / yy * s_h) * _dot(nb, xb)) / yy
+        out[rows] = na * s_a - _dot(nb, xb) * s_b
     return out[()]   # a numpy scalar for a scalar batch
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quadpole as qp
-from quadpole.bem import _boundary_system
+from quadpole.bem import _boundary_system, _harmonic_basis
 from quadpole.legendre import kernel_sum, normal_kernel_sum
 from quadpole.quadrature import _orbits
 
@@ -321,20 +321,26 @@ def test_reduced_flow_blocks_match_full_rows(p, offset):
     assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule)
 
 
-def test_flow_on_a_hand_built_rule_uses_only_shared_symmetries():
-    # a rule turned about a generic axis keeps only {I, -I}: its own block
-    # against the embedded fit and reference rules has two symmetries, its
-    # blocks with the other sphere only the identity
-    p = 5
+def hand_built_scene(p):
+    """A sphere on the order-p rule turned about a generic axis, and a sphere beside it."""
     rule = qp.rule_for_expansion(p)
     axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
     k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
     turn = np.eye(3) + np.sin(0.3) * k + (1.0 - np.cos(0.3)) * k @ k
     rotated = qp.QuadratureRule((rule.points[:, None, :] * turn).sum(axis=-1),
                                 rule.weights.copy(), rule.exactness_degree)
-    spheres = [qp.SphereBoundary(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), rotated, p),
-               qp.SphereBoundary.make(np.array([0.0, 3.0, 0.0]), 1.0,
-                                      np.array([-1.0, 0.0, 0.0]), p)]
+    return [qp.SphereBoundary(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), rotated, p),
+            qp.SphereBoundary.make(np.array([0.0, 3.0, 0.0]), 1.0,
+                                   np.array([-1.0, 0.0, 0.0]), p)]
+
+
+def test_flow_on_a_hand_built_rule_uses_only_shared_symmetries():
+    # a rule turned about a generic axis keeps only {I, -I}: its own block
+    # against the embedded fit and reference rules has two symmetries, its
+    # blocks with the other sphere only the identity
+    p = 5
+    spheres = hand_built_scene(p)
+    rotated = spheres[0].rule
     fit_rule = qp.rule_for_expansion(p, min_order=29)
     ref_rule = qp.lebedev_rule(59)
     for rows in (fit_rule, ref_rule):
@@ -347,6 +353,52 @@ def test_flow_on_a_hand_built_rule_uses_only_shared_symmetries():
     sol = qp.solve_potential_flow(spheres)
     assert sol.rank == 2 * p * p
     assert_flow_matches_unreduced(spheres, sol.expansions, fit_rule, ref_rule)
+
+
+def full_matrix_solution(spheres):
+    """The solve on every surface weight: the minimum-norm least-squares solution of the
+    full system, its per-sphere RMS residual, rank and cond, and the system's matrix."""
+    fit_rule = qp.rule_for_expansion(max(s.order for s in spheres), min_order=29)
+    A, b = _boundary_system(spheres, spheres, fit_rule)
+    w, _, rank, sv = np.linalg.lstsq(A, b, rcond=1e-10)
+    resid = (A @ w - b).reshape(len(spheres), -1)
+    report = np.sqrt(np.sum(resid ** 2, axis=1) / np.sum(fit_rule.weights))
+    return w, report, rank, sv[0] / sv[rank - 1], A
+
+
+@pytest.mark.parametrize("scene", [lambda: three_sphere_scene(3), lambda: three_sphere_scene(8),
+                                   lambda: hand_built_scene(5)],
+                         ids=["three spheres p=3", "three spheres p=8", "hand-built rule"])
+def test_flow_on_harmonic_columns_matches_the_full_solve(scene):
+    # the solve on p^2 columns per sphere against lstsq on every surface
+    # weight: the same minimum-norm solution, residual, rank and cond
+    spheres = scene()
+    w, report, rank, cond, A = full_matrix_solution(spheres)
+    sol = qp.solve_potential_flow(spheres)
+    got = np.concatenate([e.surface_weights for e in sol.expansions])
+    assert sol.rank == rank == sum(s.order ** 2 for s in spheres)
+    assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+    assert np.allclose(sol.residual_report, report, rtol=1e-12, atol=0.0)
+    assert sol.cond == pytest.approx(cond, rel=1e-12)
+    # each sphere's basis is orthonormal and spans the rows of its columns of A
+    cols = np.cumsum([0] + [len(s.rule) for s in spheres])
+    for j, s in enumerate(spheres):
+        P = _harmonic_basis(s.rule, s.order)
+        assert P.shape == (len(s.rule), s.order ** 2) and not P.flags.writeable
+        assert np.max(np.abs(P.T @ P - np.eye(s.order ** 2))) <= 1e-13
+        block = A[:, cols[j]:cols[j + 1]]
+        assert np.linalg.norm(block - block @ P @ P.T) <= 1e-13 * np.linalg.norm(block)
+
+
+@pytest.mark.parametrize("order, kept", [(3, 6), (11, 49)])
+def test_flow_refuses_a_rule_labelled_beyond_its_points(order, kept):
+    # a rule claiming exactness 15 passes SphereBoundary at p = 8, but its
+    # points carry fewer than the 64 harmonics the solve needs
+    rule = qp.lebedev_rule(order)
+    claimed = qp.QuadratureRule(rule.points, rule.weights, 15)
+    sphere = qp.SphereBoundary(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), claimed, 8)
+    with pytest.raises(qp.SolverError, match="carries %d independent .* order 8" % kept):
+        qp.solve_potential_flow([sphere])
 
 
 def test_boundary_error_memory():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -316,3 +317,87 @@ def test_gradient_matches_finite_differences():
                       - scaled_legendre_stack(a, x - e, 6)[n]) / (2 * h)
                 assert G[n, k] == pytest.approx(fd, rel=2e-5, abs=1e-10)
 
+
+
+
+def _normal_gradient_terms(a, x, n, p, products=None):
+    """n.grad_x L_k(a, x), k < p, and a scale for its rounding, each shape (p,) + batch.
+
+    An oracle independent of the lambda = 3/2 recurrence: with s = x.x,
+    u = a.x and G_k = L_k / kappa_k from the monic Legendre recurrence,
+    H_k = s dG_k/du follows its own recurrence,
+
+        H_0 = 0,  H_k = G_{k-1} + (u/s) H_{k-1} - [(k-1)^2/((2k-1)(2k-3))] (a.a/s) H_{k-2},
+
+    and L_k is homogeneous of degree -(k+1) in x, so
+    grad_x L_k = D_k a - D_{k+1} x with D_k = kappa_k H_k / s and
+    D_{k+1} = kappa_k ((k+1) G_k + (u/s) H_k) / s.  The scale is
+    |n| (|a| |D_k| + |x| |D_{k+1}|): the two parts, which can cancel, with
+    n.a and n.x at the size to which they round.  ``products`` replaces the
+    inner products a.x and n.a, summed here in the order of np.sum.
+    """
+    a, x, n = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (a, x, n)))
+    u, aa, s = np.sum(a * x, -1), np.sum(a * a, -1), np.sum(x * x, -1)
+    na, nx = np.sum(n * a, -1), np.sum(n * x, -1)
+    if products is not None:
+        u, na = products
+    t, v = u / s, aa / s
+    size_a, size_x = np.sqrt(np.sum(n * n, -1) * aa), np.sqrt(np.sum(n * n, -1) * s)
+    g_prev, g = np.zeros(s.shape), s ** -0.5
+    h_prev, h = np.zeros(s.shape), np.zeros(s.shape)
+    terms, scale = np.empty((p,) + s.shape), np.empty((p,) + s.shape)
+    for k in range(p):
+        kappa = math.comb(2 * k, k) / 2 ** k
+        d_k, d_next = kappa * h / s, kappa * ((k + 1) * g + t * h) / s
+        terms[k] = d_k * na - d_next * nx
+        scale[k] = size_a * np.abs(d_k) + size_x * np.abs(d_next)
+        step = k ** 2 / ((2 * k + 1) * (2 * k - 1))   # the factor of degree k + 1
+        g_prev, g, h_prev, h = (g, t * g - step * v * g_prev,
+                                h, g + t * h - step * v * h_prev)
+    return terms, scale
+
+
+@pytest.mark.parametrize("p", [1, 2, 30, 200])
+def test_normal_kernel_sum_matches_derivative_recurrence(p):
+    # the lambda = 3/2 sum against the derivative recurrence it replaced,
+    # within 1e-14 of the sum over degrees of |c_k| times the scale of the
+    # two parts of n.grad L_k: a point set with a point at the origin
+    # against rows inside and outside it, in the matmul layout of the flow
+    # rows (a (B, 3) against x and n (R, 1, 3)) and elementwise.  Each
+    # layout is compared at its own inner products: 40 rows are one row
+    # block, whose x.a and n.a are the one matmul below.
+    rng = np.random.default_rng(5 + p)
+    coef = rng.standard_normal(p)
+    a = _shell(rng, (300,), 0.0, 1.5)
+    a[0] = 0.0
+    x = _shell(rng, (40, 1), 0.8, 3.0)
+    n = rng.standard_normal((40, 1, 3))
+    assert np.any(np.linalg.norm(a, axis=-1) > np.linalg.norm(x, axis=-1))
+    on_set = normal_kernel_sum(a, x, n, coef)
+    elementwise = normal_kernel_sum(a[None], x, n, coef)
+    for got, products in ((on_set, (x[:, 0] @ a.T, n[:, 0] @ a.T)), (elementwise, None)):
+        terms, scale = _normal_gradient_terms(a, x, n, p, products)
+        assert got.shape == (40, 300)
+        expect = np.tensordot(coef, terms, axes=(0, 0))
+        bound = np.tensordot(np.abs(coef), scale, axes=(0, 0))
+        assert np.all(np.abs(got - expect) <= 1e-14 * bound)
+    # the layouts differ only in the last bits of x.a and n.a; at p = 200
+    # with |a| > |x| the series amplifies those by up to about p^2/4 ulps
+    # of its scale, its own conditioning, so they are compared up to p = 30
+    if p <= 30:
+        bound = np.tensordot(np.abs(coef), _normal_gradient_terms(a, x, n, p)[1], axes=(0, 0))
+        assert np.all(np.abs(on_set - elementwise) <= 1e-14 * bound)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_normal_kernel_sum_is_homogeneous_far_from_unit_scale(scale):
+    # n.grad L_k(s a, s x) = n.grad L_k(a, x) / s^2 for every k
+    rng = np.random.default_rng(31)
+    coef = rng.standard_normal(60)
+    a = _shell(rng, (300,), 0.0, 1.0)
+    x = _shell(rng, (9, 1), 1.2, 4.0)
+    n = rng.standard_normal((9, 1, 3))
+    expect = normal_kernel_sum(a, x, n, coef)
+    bound = np.tensordot(np.abs(coef), _normal_gradient_terms(a, x, n, 60)[1], axes=(0, 0))
+    got = scale ** 2 * normal_kernel_sum(scale * a, scale * x, n, coef)
+    assert np.all(np.abs(got - expect) <= 1e-14 * bound)
