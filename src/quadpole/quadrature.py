@@ -57,22 +57,28 @@ class QuadratureRule:
         points[maps[k]] == points @ S[k].T and weights[maps[k]] == weights,
         both compared exactly.  The embedded rules have all 48; a rule built
         by hand keeps those that hold exactly, perhaps only the identity.
-        Built on first use: each point and each of its 48 images gets one
-        integer key, its coordinates to 2^-19, and an image sorted by key
-        lines up with the points sorted by key.
+        Built on first use, one of the 48 images at a time, so the peak is
+        the kept maps and one (N, 3) image: each point and each image point
+        gets one integer key, its coordinates to 2^-19, and the image sorted
+        by key lines up with the points sorted by key.
         """
-        S = np.array([np.diag(s)[list(axes)] for axes in itertools.permutations(range(3))
-                      for s in itertools.product((1.0, -1.0), repeat=3)])
-        images = self.points @ S.transpose(0, 2, 1)          # exact: entries are 0 and +-1
-        digits = np.rint((np.concatenate([self.points[None], images]) + 1.0) * 2.0 ** 19)
-        digits = digits.astype(np.int64)                     # 0..2^20 per coordinate
-        order = np.argsort((digits[..., 0] << 42) | (digits[..., 1] << 21) | digits[..., 2],
-                           axis=1)
-        maps = np.empty(images.shape[:2], dtype=np.intp)
-        np.put_along_axis(maps, order[1:], order[:1], axis=1)
-        ok = ((self.points[maps] == images).all(axis=(1, 2))
-              & (self.weights[maps] == self.weights).all(axis=1))
-        return S[ok], maps[ok]
+        def keys(x):
+            digits = np.rint((x + 1.0) * 2.0 ** 19).astype(np.int64)   # 0..2^20 each
+            return (digits[:, 0] << 42) | (digits[:, 1] << 21) | digits[:, 2]
+
+        order = np.argsort(keys(self.points))
+        kept, maps = [], []
+        for axes in itertools.permutations(range(3)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                s = np.diag(signs)[list(axes)]
+                image = self.points @ s.T                   # exact: entries are 0 and +-1
+                m = np.empty(len(self), dtype=np.intp)
+                m[np.argsort(keys(image))] = order
+                if (np.array_equal(self.points[m], image)
+                        and np.array_equal(self.weights[m], self.weights)):
+                    kept.append(s)
+                    maps.append(m)
+        return np.array(kept), np.array(maps)
 
 
 @cache
@@ -109,7 +115,7 @@ def _orbits(rows, cols, d):
     identity; the caches, which keep them alive, match the matrices once per
     pair of rules and build reps once per subgroup.  The maps are gathered on
     each call: holding every subgroup's (h, N) maps would take 7 MB over the
-    three-sphere flow at p = 2..8, more than that pass's 5.6 MB peak.
+    three-sphere flow at p = 2..8, more than that pass's 3.9 MB peak.
     """
     S, row_maps = rows.symmetries
     k, m = _shared(rows, cols)

@@ -203,21 +203,28 @@ def test_boundary_error_matches_gradient_oracle(p):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def identity_bases(spheres):
+    """Each sphere's identity basis: _boundary_system then gives the full system."""
+    return [np.eye(len(s.rule)) for s in spheres]
+
+
 def test_boundary_system_memory():
-    # each block is written into the preallocated matrix as it is made, so
-    # the peak is the matrix plus one block and the kernel sums' row blocks
+    # each block is projected onto its basis and written into the
+    # preallocated matrix as it is made, so the peak is the projected matrix
+    # plus the kernel sums' row blocks, with no matrix over every weight
     import tracemalloc
-    from quadpole.bem import _boundary_system
     spheres = three_sphere_scene(8)
     ref = qp.lebedev_rule(59)
-    _boundary_system(spheres, spheres, ref)
+    bases = [_harmonic_basis(s.rule, s.order) for s in spheres]
+    _boundary_system(spheres, spheres, ref, bases)
     tracemalloc.start()
     try:
-        A, _ = _boundary_system(spheres, spheres, ref)
+        AP, _ = _boundary_system(spheres, spheres, ref, bases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * A.nbytes
+    assert AP.shape == (3 * len(ref), 3 * 64)
+    assert peak <= 1.5 * AP.nbytes
 
 
 @pytest.mark.parametrize("distance", [1e3, 1e6])
@@ -263,7 +270,7 @@ def assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule):
     n = len(fit_rule)
     cols = np.cumsum([0] + [len(s.rule) for s in spheres])
     sqw = np.sqrt(fit_rule.weights)[:, None]
-    A, _ = _boundary_system(spheres, spheres, fit_rule)
+    A, _ = _boundary_system(spheres, spheres, fit_rule, identity_bases(spheres))
     full, scale = unreduced_flow_blocks(spheres, spheres, fit_rule)
     for (i, j), block in full.items():
         got = A[i * n:(i + 1) * n, cols[j]:cols[j + 1]]
@@ -359,19 +366,27 @@ def full_matrix_solution(spheres):
     """The solve on every surface weight: the minimum-norm least-squares solution of the
     full system, its per-sphere RMS residual, rank and cond, and the system's matrix."""
     fit_rule = qp.rule_for_expansion(max(s.order for s in spheres), min_order=29)
-    A, b = _boundary_system(spheres, spheres, fit_rule)
+    A, b = _boundary_system(spheres, spheres, fit_rule, identity_bases(spheres))
     w, _, rank, sv = np.linalg.lstsq(A, b, rcond=1e-10)
     resid = (A @ w - b).reshape(len(spheres), -1)
     report = np.sqrt(np.sum(resid ** 2, axis=1) / np.sum(fit_rule.weights))
     return w, report, rank, sv[0] / sv[rank - 1], A
 
 
+def two_sphere_scene(gap, p):
+    """Spheres of radii 1 and 0.5, gap apart along the x axis."""
+    return [qp.SphereBoundary.make(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), p),
+            qp.SphereBoundary.make(np.array([1.5 + gap, 0.0, 0.0]), 0.5,
+                                   np.array([0.0, -1.0, 0.5]), p)]
+
+
 @pytest.mark.parametrize("scene", [lambda: three_sphere_scene(3), lambda: three_sphere_scene(8),
-                                   lambda: hand_built_scene(5)],
-                         ids=["three spheres p=3", "three spheres p=8", "hand-built rule"])
+                                   lambda: hand_built_scene(5), lambda: two_sphere_scene(0.01, 8)],
+                         ids=["three spheres p=3", "three spheres p=8", "hand-built rule",
+                              "near contact p=8"])
 def test_flow_on_harmonic_columns_matches_the_full_solve(scene):
-    # the solve on p^2 columns per sphere against lstsq on every surface
-    # weight: the same minimum-norm solution, residual, rank and cond
+    # the normal equations on p^2 columns per sphere against lstsq (gelsd) on
+    # every surface weight: the same minimum-norm solution, residual, rank and cond
     spheres = scene()
     w, report, rank, cond, A = full_matrix_solution(spheres)
     sol = qp.solve_potential_flow(spheres)
@@ -388,6 +403,27 @@ def test_flow_on_harmonic_columns_matches_the_full_solve(scene):
         assert np.max(np.abs(P.T @ P - np.eye(s.order ** 2))) <= 1e-13
         block = A[:, cols[j]:cols[j + 1]]
         assert np.linalg.norm(block - block @ P @ P.T) <= 1e-13 * np.linalg.norm(block)
+
+
+@pytest.mark.parametrize("p", [4, 8, 12, 16])
+@pytest.mark.parametrize("gap", [1.0, 0.1, 0.01])
+def test_flow_system_stays_well_conditioned_near_contact(gap, p):
+    # the solve forms the normal equations, which square cond: below 20,
+    # they lose at most about 400 ulps, far below the truncation error
+    sol = qp.solve_potential_flow(two_sphere_scene(gap, p))
+    assert sol.rank == 2 * p * p
+    assert 1.0 <= sol.cond < 20
+
+
+def test_flow_refuses_a_singular_system(monkeypatch):
+    # a system whose normal equations have no Cholesky factor is a
+    # SolverError, not a LinAlgError
+    import quadpole.bem as bem
+    monkeypatch.setattr(bem, "_boundary_system",
+                        lambda spheres, sources, rule, bases:
+                        (np.zeros((len(rule), bases[0].shape[1])), np.ones(len(rule))))
+    with pytest.raises(qp.SolverError, match="singular"):
+        qp.solve_potential_flow(three_sphere_scene(3)[:1])
 
 
 @pytest.mark.parametrize("order, kept", [(3, 6), (11, 49)])

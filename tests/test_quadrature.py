@@ -121,6 +121,36 @@ def test_embedded_rules_have_48_exact_symmetries(order):
         assert np.array_equal(rule.weights[m], rule.weights)
 
 
+@pytest.mark.parametrize("order", qp.available_orders()[:-1])
+def test_symmetry_maps_match_a_brute_force_search(order):
+    # every image point against every point, compared exactly: each image
+    # point of the 6- to 1202-point rules has exactly one match
+    rule = qp.lebedev_rule(order)
+    S, maps = rule.symmetries
+    for s, m in zip(S, maps):
+        match = rule.weights[:, None] == rule.weights
+        for image_x, x in zip((rule.points @ s.T).T, rule.points.T):
+            match &= image_x[:, None] == x
+        assert np.all(match.sum(axis=1) == 1)
+        assert np.array_equal(m, np.argmax(match, axis=1))
+
+
+def test_symmetries_peak_memory_is_the_maps():
+    # one image at a time: the peak is the kept maps and their stacking,
+    # not the 49 images, keys and sorts of the 5810-point rule at once
+    import tracemalloc
+    rule = qp.lebedev_rule(131)
+    fresh = qp.QuadratureRule(rule.points.copy(), rule.weights.copy(), 131)
+    tracemalloc.start()
+    try:
+        S, maps = fresh.symmetries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps.shape == (48, 5810)
+    assert peak <= 3 * maps.nbytes
+
+
 def test_hand_built_rules_keep_only_their_exact_symmetries():
     rule = qp.lebedev_rule(19)
     # turned about a generic axis, only the inversion, which commutes with
