@@ -12,7 +12,8 @@ import numpy as np
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
 from .legendre import _kernel_dot, _reproducing, _row_blocks
-from .quadrature import QuadratureRule, lebedev_rule, rule_for_expansion
+from .quadrature import (QuadratureRule, _antipodal_reps, _antipodes, lebedev_rule,
+                         rule_for_expansion)
 
 __all__ = [
     "PointCharges",
@@ -146,7 +147,7 @@ def fit_outer(sources, center, R, p, rule=None):
         "n_sources_outside": int(np.sum(dist > 1.0)),
         "max_source_radius": float(dist.max(initial=0.0) * R),
     }
-    weights = rule.weights * _project("outer", rel, sources.charges, rule.points, p)
+    weights = _project("outer", rel, sources.charges, rule, p)
     return SurfaceExpansion(center=center, radius=R, rule=rule, surface_weights=weights,
                             order=p, kind="outer", diagnostics=diag)
 
@@ -164,22 +165,43 @@ def fit_inner(sources, center, R, p, rule=None):
         "n_sources_inside": int(np.sum(dist < 1.0)),
         "min_source_radius": float(dist.min(initial=np.inf) * R),
     }
-    weights = rule.weights * _project("inner", rel, sources.charges, rule.points, p)
+    weights = _project("inner", rel, sources.charges, rule, p)
     return SurfaceExpansion(center=center, radius=R, rule=rule, surface_weights=weights,
                             order=p, kind="inner", diagnostics=diag)
 
 
-def _project(kind, rel, charges, pts, p):
-    """Kernel sums sum_i charges[..., i] K(rel_i, rhat_j) of an order-p fit at unit points pts.
+def _project(kind, rel, charges, rule, p, maps=None, reps=None):
+    """Surface weights W_j sum_i charges[i] K(rel_i, rhat_j) of an order-p fit on rule.
 
-    rel holds the sources' unit-scaled positions (M, 3) and charges (M,), or
-    (h, M) for h charge sets at the same positions; the surface weights are
-    the sums times the rule weights at pts.  The sums are contracted as the
-    recurrence runs (legendre._kernel_dot), so no (N, M) kernel matrix is made.
+    rel holds the sources' unit-scaled positions (M, 3) and charges (M,) their
+    charges.  The sums are contracted as the recurrence runs
+    (legendre._kernel_dot), so no (N, M) kernel matrix is made, and they are
+    made at one point of each antipodal pair of the rule: K(x, -rhat) =
+    sum_n (-1)^n c_n L_n(x, rhat), so the sum at -rhat_j is the even-degree
+    total at rhat_j minus the odd, as is K(-rhat, y) for an inner fit.
+
+    A shift passes the index maps (h, N) of the symmetries t that leave the
+    kernel unchanged, K(rel_t(i), rhat_t(j)) = K(rel_i, rhat_j), with reps
+    the smallest index of each of their orbits (quadrature._orbits), and
+    charges (h, M) permuted by each map, charges[t, i] = q_t(i).  The sum
+    at t(j) is then the sum at j against the charges q_t(i), so the kernel
+    is summed at one point j per orbit of the maps and the antipode
+    (quadrature._antipodal_reps), against h rows of charges, and the sums
+    are scattered to the orbit.
     """
+    if maps is None:
+        maps, reps = np.arange(len(rule))[None], np.arange(len(rule))
+    reps, anti = _antipodal_reps(rule, maps, reps)
+    pts, coef = rule.points[reps][:, None, :], _reproducing(p)
     if kind == "outer":   # K(y/R, rhat_j): the sources are the first argument
-        return _kernel_dot(rel, pts[:, None, :], _reproducing(p), charges.T).T
-    return _kernel_dot(pts[:, None, :], rel, _reproducing(p), charges.T).T
+        even, odd = _kernel_dot(rel, pts, coef, charges.T)
+    else:
+        even, odd = _kernel_dot(pts, rel, coef, charges.T)
+    weights = np.empty(len(rule))
+    if anti is not None:   # first, so that an orbit holding its own antipodes keeps even + odd
+        weights[anti[maps[:, reps]]] = rule.weights[reps] * (even - odd).T
+    weights[maps[:, reps]] = rule.weights[reps] * (even + odd).T
+    return weights
 
 
 def _side_checked(exp, x, outside):
@@ -201,7 +223,8 @@ def _side_checked(exp, x, outside):
 def _exterior_sum(exp, x, coef):
     """sum_i w_i sum_n coef[n] L_n(R rhat_i, x - c), for x on or outside the sphere."""
     rel = _side_checked(exp, x, outside=True)
-    return _kernel_dot(exp.radius * exp.rule.points, rel[..., None, :], coef, exp.surface_weights)
+    pts, w = _surface_set(exp)
+    return np.add(*_kernel_dot(pts, rel[..., None, :], coef, w))
 
 
 def _interior_sum(exp, y, coef):
@@ -211,7 +234,24 @@ def _interior_sum(exp, y, coef):
 
 def _interior_sum_at(exp, rel, coef):
     """The same sum at offsets rel = y - c from the center, unchecked."""
-    return _kernel_dot(rel[..., None, :], exp.radius * exp.rule.points, coef, exp.surface_weights)
+    pts, w = _surface_set(exp)
+    return np.add(*_kernel_dot(rel[..., None, :], pts, coef, w))
+
+
+def _surface_set(exp):
+    """The points R rhat_i and weights w_i that the surface sums run over.
+
+    On a rule with antipodes (quadrature._antipodes) the set is one point
+    of each pair i, i' = anti[i], with the weights w_i + w_i' for the even
+    degrees and w_i - w_i' for the odd (legendre._kernel_dot): L_n has the
+    parity of n, so the pair's terms are (w_i + (-1)^n w_i') L_n(., R rhat_i).
+    """
+    anti = _antipodes(exp.rule)
+    if anti is None:
+        return exp.radius * exp.rule.points, exp.surface_weights
+    half = np.flatnonzero(anti > np.arange(len(anti)))
+    w, w_anti = exp.surface_weights[half], exp.surface_weights[anti[half]]
+    return exp.radius * exp.rule.points[half], (w + w_anti, w - w_anti)
 
 
 def eval_outer_potential(exp, x):

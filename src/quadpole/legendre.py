@@ -26,10 +26,21 @@ leave the range of float64.
 kernel_sum returns the sum for every pair.  Fits, shifts, evaluations and
 de-tracing only contract it with weights, so they call _kernel_dot, which
 contracts each term with the weights as the recurrence makes it and never
-holds a pair matrix.  A contracted sum is summed by the BLAS, so, like
-expansion._coulomb, its last bits can change with the block layout; so
-can a normal_kernel_sum of a point set against rows, whose inner products
-with the set are matmuls.
+holds a pair matrix.  L_n has the parity of n,
+
+    L_n(-x, y) = L_n(x, -y) = (-1)^n L_n(x, y),
+
+as P_n(-t) = (-1)^n P_n(t): in the recurrence only x.y changes sign.  So
+_kernel_dot keeps its even- and odd-degree totals apart: the sum at -x is
+even - odd, and a set that holds -y beside y with weights w and w' is
+summed over y alone, with w + w' for the even degrees and w - w' for the
+odd.  Every embedded Lebedev rule is centrally symmetric, with equal
+weights at rhat and -rhat, so a fit sums the kernel at half of the rule's
+points and an evaluation over half of them.
+
+A contracted sum is summed by the BLAS, so, like expansion._coulomb, its
+last bits can change with the block layout; so can a normal_kernel_sum of
+a point set against rows, whose inner products with the set are matmuls.
 """
 import math
 from functools import cache
@@ -208,14 +219,23 @@ def kernel_sum(x, y, coef):
 
 
 def _kernel_dot(x, y, coef, w):
-    """sum_b [sum_n coef[n] L_n(x, y)][..., b] w[b, ...], summed over the last batch axis.
+    """Even- and odd-degree totals of sum_b [sum_n coef[n] L_n(x, y)][..., b] w[b, ...].
 
     One of x and y is the point set summed over, shape (B, 3); the other
     is one point (3,) or points (..., 1, 3) that vary along the leading
-    batch axes only: the rows.  w has shape (B,) or (B, h), and the result
-    has shape batch[:-1] + w.shape[1:].  No pair matrix is made: the rows
-    are taken in blocks of about 2^14 pairs, and each monic term G_n of a
-    block is contracted with w by one matmul as the recurrence produces it.
+    batch axes only: the rows.  w has shape (B,) or (B, h), or is a pair
+    (w_even, w_odd) of such arrays that the even and the odd degrees take
+    in turn.  The result has shape (2,) + batch[:-1] + w.shape[1:]: the
+    sum over the even degrees, then the sum over the odd ones.  No pair
+    matrix is made: the rows are taken in blocks of about 2^14 pairs, and
+    each monic term G_n of a block is contracted with w by one matmul as
+    the recurrence produces it.
+
+    The two totals are kept apart because L_n has the parity of n,
+    L_n(-x, y) = L_n(x, -y) = (-1)^n L_n(x, y): the same sum at the rows
+    -x (or -y) is even - odd, and a set that holds -y_b beside y_b is
+    summed over one point of each such pair, with weights w_b + w_b' for
+    the even degrees and w_b - w_b' for the odd, b' the index of -y_b.
 
     The recurrence runs on the rows' unit directions and on the set
     divided by s, the smallest |y|, where L_n is homogeneous of degree n
@@ -235,7 +255,8 @@ def _kernel_dot(x, y, coef, w):
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
-    x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
+    x, y = (np.asarray(a, dtype=float) for a in (x, y))
+    w_even, w_odd = (np.asarray(a, dtype=float) for a in (w if isinstance(w, tuple) else (w, w)))
     rows_are_y = x.ndim == 2 and y.shape[-2:-1] in ((), (1,))
     pts, rows = (x, y) if rows_are_y else (y, x)
     if pts.ndim != 2 or rows.shape[-2:-1] not in ((), (1,)):
@@ -254,14 +275,17 @@ def _kernel_dot(x, y, coef, w):
     coef = np.asarray(coef, dtype=float) * _leading(len(coef))
     degrees = np.arange(len(coef))[:, None]
     _, blocks = _row_blocks(rows[:, None, :], pts)
-    out = np.empty((len(rows),) + w.shape[1:])
+    h = w_even.shape[1:]
+    out = np.empty((2, len(rows)) + h)
     for block, rb, _ in blocks:
-        sums = np.empty((len(coef), len(rb)) + w.shape[1:])
-        for s_n, g in zip(sums, _terms(_set_dot(rb, pts), xx, yy, len(coef))):
-            np.matmul(g, w, out=s_n)
+        sums = np.empty((len(coef), len(rb)) + h)
+        for n, g in enumerate(_terms(_set_dot(rb, pts), xx, yy, len(coef))):
+            np.matmul(g, w_odd if n % 2 else w_even, out=sums[n])
         factor = coef[:, None] * lam[block] ** degrees * mu[block]
-        out[block] = np.einsum("nr,nr...->r...", factor, sums)
-    return out.reshape(lead + w.shape[1:])[()]
+        for parity in (0, 1):
+            out[parity, block] = np.einsum("nr,nr...->r...", factor[parity::2],
+                                           sums[parity::2])
+    return out.reshape((2,) + lead + h)
 
 
 def kernel_matrix(x, y, p):

@@ -62,23 +62,67 @@ class QuadratureRule:
         gets one integer key, its coordinates to 2^-19, and the image sorted
         by key lines up with the points sorted by key.
         """
-        def keys(x):
-            digits = np.rint((x + 1.0) * 2.0 ** 19).astype(np.int64)   # 0..2^20 each
-            return (digits[:, 0] << 42) | (digits[:, 1] << 21) | digits[:, 2]
-
-        order = np.argsort(keys(self.points))
+        order = np.argsort(_keys(self.points))
         kept, maps = [], []
         for axes in itertools.permutations(range(3)):
             for signs in itertools.product((1.0, -1.0), repeat=3):
                 s = np.diag(signs)[list(axes)]
                 image = self.points @ s.T                   # exact: entries are 0 and +-1
                 m = np.empty(len(self), dtype=np.intp)
-                m[np.argsort(keys(image))] = order
+                m[np.argsort(_keys(image))] = order
                 if (np.array_equal(self.points[m], image)
                         and np.array_equal(self.weights[m], self.weights)):
                     kept.append(s)
                     maps.append(m)
         return np.array(kept), np.array(maps)
+
+
+def _keys(x):
+    """One integer key per point of x (N, 3), coordinates in [-1, 1]: those coordinates to 2^-19."""
+    digits = np.rint((x + 1.0) * 2.0 ** 19).astype(np.int64)   # 0..2^20 each
+    return (digits[:, 0] << 42) | (digits[:, 1] << 21) | digits[:, 2]
+
+
+@cache
+def _antipodes(rule):
+    """Index of the point -rhat_i for each point rhat_i of rule, read-only, or None.
+
+    None unless every point's antipode is a point of the rule with an equal
+    weight, both compared exactly, and no point is its own antipode; every
+    embedded rule is centrally symmetric.  Found as QuadratureRule.symmetries
+    finds its maps, by one key sort of the points and of their negatives,
+    but without building the 48 maps: the cache keeps N integers per rule.
+    """
+    anti = np.empty(len(rule), dtype=np.intp)
+    anti[np.argsort(_keys(-rule.points))] = np.argsort(_keys(rule.points))
+    if not (np.array_equal(rule.points[anti], -rule.points)
+            and np.array_equal(rule.weights[anti], rule.weights)
+            and np.all(anti != np.arange(len(rule)))):
+        return None
+    anti.setflags(write=False)
+    return anti
+
+
+def _antipodal_reps(rule, maps, reps):
+    """One point of each orbit of a symmetry group joined with the antipode, and the antipode map.
+
+    maps (h, N) are the index maps of signed axis permutations on the points
+    of rule, closed under composition, and reps the smallest index of each
+    of their orbits, as _orbits returns them; the identity alone is
+    maps = arange(N)[None], reps = arange(N).  The antipode -I commutes with
+    every signed axis permutation, so the orbit of a rep j under the group
+    and -I is its own orbit joined to that of anti[j], and j is kept if it
+    is the smaller of the two reps: of the N/h points, about N/2h remain,
+    unless an orbit already holds its antipodes, as every orbit does where
+    -I is in the group.  Returns (reps, anti), or (reps, None) unchanged for
+    a rule without exact antipodes (_antipodes).
+    """
+    anti = _antipodes(rule)
+    if anti is None:
+        return reps, None
+    first = np.empty(len(rule), dtype=np.intp)
+    first[maps[:, reps]] = reps   # the rep of each point's orbit
+    return reps[first[anti[reps]] >= reps], anti
 
 
 @cache
@@ -111,11 +155,17 @@ def _orbits(rows, cols, d):
     smallest index of each orbit, ascending.  The embedded rules hold all 48,
     so d = 0 (a sphere's own block) keeps 48, an offset along an axis 8, a
     body diagonal 6, a face diagonal 4, elsewhere in a coordinate plane 2 and
-    anywhere else 1; a rule built by hand may hold fewer.  Rules hash by
-    identity; the caches, which keep them alive, match the matrices once per
-    pair of rules and build reps once per subgroup.  The maps are gathered on
-    each call: holding every subgroup's (h, N) maps would take 7 MB over the
-    three-sphere flow at p = 2..8, more than that pass's 3.9 MB peak.
+    anywhere else 1; a rule built by hand may hold fewer.  The shifts join
+    the antipode of the rows to these (_antipodal_reps), which does not fix
+    d but only flips the sign of the odd degrees: 8 -> 16, 6 -> 12, 4 -> 8,
+    2 -> 4 and 1 -> 2, while d = 0 keeps 48.  On the 1202 points of the
+    p = 30 rule the kernel is then summed at 91, 116, 171, 311 and 601 rows
+    instead of 176, 231, 326, 621 and 1202, and at 36 for d = 0.  Rules
+    hash by identity; the caches, which keep them alive, match the matrices
+    once per pair of rules and build reps once per subgroup.  The maps are
+    gathered on each call: holding every subgroup's (h, N) maps would take
+    7 MB over the three-sphere flow at p = 2..8, more than that pass's
+    3.9 MB peak.
     """
     S, row_maps = rows.symmetries
     k, m = _shared(rows, cols)

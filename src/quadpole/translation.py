@@ -3,8 +3,8 @@
 Every shift refits the old expansion's surface weights, taken as point
 charges at its surface points, onto the new sphere: the same kernel
 projection that ``fit_outer`` and ``fit_inner`` apply to point charges,
-summed once per orbit of the rule's symmetries that fix the shift (see
-``quadrature._orbits``).
+summed once per orbit of the rule's symmetries that fix the shift and of
+the antipode (see ``quadrature._orbits`` and ``quadrature._antipodal_reps``).
 """
 from dataclasses import replace
 
@@ -24,14 +24,21 @@ def _refit(src, kind, new_center, new_R):
     d = src.center - new_center, and each symmetry t that fixes d leaves
     the kernel unchanged (quadrature._orbits), so the new weight at t(j) is
     W_j sum_i w_{t(i)} K(rel_i, rhat_j).  The kernel is summed at one point j
-    per orbit, against one row of permuted weights w[t] per symmetry, and
-    the rows are scattered to the orbit.
+    per orbit of those symmetries and the antipode, against one row of
+    permuted weights w[t] per symmetry, and the rows are scattered to the
+    orbit (expansion._project): the sum at -rhat_j is the even-degree total
+    minus the odd.  On the embedded rules the group that sums at one point
+    grows from 8 to 16 for a shift along an axis, 6 to 12 along a body
+    diagonal, 4 to 8 along a face diagonal, 2 to 4 elsewhere in a
+    coordinate plane and 1 to 2 anywhere else, so the kernel is summed at
+    about N/16, N/12, N/8, N/4 and N/2 points; d = 0 keeps its 48, which
+    hold -I already.
     """
-    maps, _, reps = _orbits(src.rule, src.rule, src.center - new_center)
+    # the column maps of a rule against itself repeat the row maps: dropped here, so that
+    # they are not held through the kernel sums (77 kB at p = 30 along an axis)
+    maps, reps = _orbits(src.rule, src.rule, src.center - new_center)[::2]
     rel = (src.surface_points - new_center) / new_R
-    sums = _project(kind, rel, src.surface_weights[maps], src.rule.points[reps], src.order)
-    weights = np.empty(len(src.rule))
-    weights[maps[:, reps]] = src.rule.weights[reps] * sums
+    weights = _project(kind, rel, src.surface_weights[maps], src.rule, src.order, maps, reps)
     return replace(src, center=new_center, radius=new_R, surface_weights=weights,
                    kind=kind, diagnostics=None)
 

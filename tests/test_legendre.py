@@ -272,12 +272,12 @@ def test_kernel_dot_matches_kernel_sum(p, targets, h):
         w = rng.standard_normal((700,) + h)
         K = kernel_sum(x, y, coef)
         expect, scale = K @ w, np.abs(K) @ np.abs(w)
-        got = _kernel_dot(x, y, coef, w)
+        got = np.add(*_kernel_dot(x, y, coef, w))   # the even- plus the odd-degree total
         assert np.shape(got) == np.shape(expect) == targets + h
         assert np.all(np.abs(got - expect) <= 1e-14 * scale)
         # no sources: zero sums of the same shape
         got = _kernel_dot(*empty, coef, w[:0])
-        assert np.shape(got) == targets + h and np.all(got == 0.0)
+        assert np.shape(got) == (2,) + targets + h and np.all(got == 0.0)
     # a zero second argument, as a target or in the set, is singular
     with pytest.raises(qp.SingularityError):
         _kernel_dot(inner, np.zeros(targets + (1, 3)), coef, np.ones(700))
@@ -296,10 +296,48 @@ def test_kernel_dot_is_homogeneous_far_from_unit_scale(scale):
     far, near = _shell(rng, (9, 1), 1.2, 4.0), _shell(rng, (9, 1), 0.0, 0.9)
     w = rng.standard_normal(300)
     for x, y in ((inner, far), (near, outer)):
-        expect = _kernel_dot(x, y, coef, w)
+        expect = np.add(*_kernel_dot(x, y, coef, w))
         bound = np.abs(kernel_sum(x, y, coef)) @ np.abs(w)
-        got = scale * _kernel_dot(scale * x, scale * y, coef, w)
+        got = scale * np.add(*_kernel_dot(scale * x, scale * y, coef, w))
         assert np.all(np.abs(got - expect) <= 1e-13 * bound)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+@pytest.mark.parametrize("p", [1, 2, 30, 200])
+def test_kernel_dot_keeps_the_parities_apart(p, scale):
+    # the even- and odd-degree totals against kernel_sum with the other
+    # parity's coefficients zeroed, within 1e-13 of sum |K||w| as in the
+    # homogeneity tests, with the set as the first argument (rows y outside
+    # it) and as the second (rows x inside it, one of them zero).  L_n has the
+    # parity of n, so the sum at the rows -x (or -y) is even - odd, and a set
+    # holding -y_b beside y_b is summed over one point of each pair with the
+    # weights w_b + w_b' for the even degrees and w_b - w_b' for the odd.
+    # At p = 1 there is no odd degree: its total is zero.
+    rng = np.random.default_rng(31 + p)
+    coef = rng.standard_normal(p)
+    odd = np.arange(p) % 2 == 1
+    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
+    far, near = _shell(rng, (40, 1), 1.2, 4.0), _shell(rng, (40, 1), 0.0, 0.9)
+    near[0] = 0.0
+    w = rng.standard_normal((300, 2))
+    for x, y, rows_are_x in ((inner, far, False), (near, outer, True)):
+        x, y = scale * x, scale * y
+        parts = _kernel_dot(x, y, coef, w)
+        assert parts.shape == (2, 40, 2)
+        bound = np.abs(kernel_sum(x, y, coef)) @ np.abs(w)
+        for part, c in zip(parts, (np.where(odd, 0.0, coef), np.where(odd, coef, 0.0))):
+            assert np.all(np.abs(part - kernel_sum(x, y, c) @ w) <= 1e-13 * bound)
+        assert p > 1 or np.all(parts[1] == 0.0)
+        flipped = _kernel_dot(-x, y, coef, w) if rows_are_x else _kernel_dot(x, -y, coef, w)
+        assert np.all(np.abs(np.add(*flipped) - (parts[0] - parts[1])) <= 1e-13 * bound)
+        # the set of antipodal pairs (z_b, -z_b), b < 150, folded
+        rows, half = (x, y[:150]) if rows_are_x else (y, x[:150])
+        pairs = np.concatenate([half, -half])
+        folded = (w[:150] + w[150:], w[:150] - w[150:])
+        args, got = ((rows, pairs), (rows, half)) if rows_are_x else ((pairs, rows), (half, rows))
+        bound = np.abs(kernel_sum(*args, coef)) @ np.abs(w)
+        error = np.add(*_kernel_dot(*got, coef, folded)) - np.add(*_kernel_dot(*args, coef, w))
+        assert np.all(np.abs(error) <= 1e-13 * bound)
 
 
 def test_gradient_matches_finite_differences():

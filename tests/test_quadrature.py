@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quadpole as qp
-from quadpole.quadrature import _orbits, sphere_monomial_integral
+from quadpole.quadrature import _antipodal_reps, _antipodes, _orbits, sphere_monomial_integral
 
 
 def test_rule_point_counts():
@@ -204,6 +204,55 @@ def test_orbits_are_matched_once_per_rule_pair_and_subgroup():
     changed = qp.QuadratureRule(cols.points.copy(), weights, 19)
     assert len(_orbits(rows, cols, np.zeros(3))[0]) == 48
     assert len(_orbits(rows, changed, np.zeros(3))[0]) == 1
+
+
+def test_every_embedded_rule_has_exact_antipodes():
+    for order in qp.available_orders():
+        rule = qp.lebedev_rule(order)
+        anti = _antipodes(rule)
+        assert anti.shape == (len(rule),) and anti.dtype == np.intp
+        assert np.array_equal(rule.points[anti], -rule.points)
+        assert np.array_equal(rule.weights[anti], rule.weights)
+        assert np.array_equal(anti[anti], np.arange(len(rule)))
+        assert np.all(anti != np.arange(len(rule)))
+        assert _antipodes(rule) is anti   # cached, read-only
+        with pytest.raises(ValueError):
+            anti[0] = 1
+
+
+def test_fits_find_antipodes_without_the_symmetry_maps():
+    # the cache keeps N integers per rule, not the 48 maps of QuadratureRule.symmetries
+    rule = qp.rule_for_expansion(9)
+    copy = qp.QuadratureRule(rule.points.copy(), rule.weights.copy(), rule.exactness_degree)
+    cloud = qp.PointCharges(np.array([[0.1, 0.2, -0.3]]), np.array([1.0]))
+    exp = qp.fit_outer(cloud, np.zeros(3), 1.0, 9, rule=copy)
+    qp.eval_outer_potential(exp, np.array([2.0, 0.0, 0.0]))
+    assert _antipodes(copy) is not None and "symmetries" not in vars(copy)
+
+
+# shift vectors d and (points per orbit of the symmetries that fix d, the same
+# with the antipode) on the 1202 points of the p = 30 rule
+ORBIT_COUNTS = {"zero": ([0.0, 0.0, 0.0], 36, 36), "axis": ([0.0, -0.375, 0.0], 176, 91),
+                "body": ([0.25, -0.25, 0.25], 231, 116), "face": ([0.25, 0.0, -0.25], 326, 171),
+                "plane": ([0.3, 0.1, 0.0], 621, 311), "generic": ([0.3, -0.1, 0.2], 1202, 601)}
+
+
+@pytest.mark.parametrize("shift", ORBIT_COUNTS)
+def test_the_antipode_halves_the_orbit_reps_unless_the_group_holds_it(shift):
+    d, count, folded = ORBIT_COUNTS[shift]
+    rule = qp.lebedev_rule(59)
+    maps, _, reps = _orbits(rule, rule, np.array(d))
+    kept, anti = _antipodal_reps(rule, maps, reps)
+    assert (len(reps), len(kept)) == (count, folded)
+    # the kept points, their images and the images' antipodes are every point
+    reached = np.union1d(maps[:, kept], anti[maps[:, kept]])
+    assert np.array_equal(reached, np.arange(len(rule)))
+    # a rule without exact antipodes keeps the orbit reps as they are
+    weights = rule.weights.copy()
+    weights[0] *= 1.5
+    changed = qp.QuadratureRule(rule.points.copy(), weights, 59)
+    assert _antipodes(changed) is None
+    assert _antipodal_reps(changed, maps, reps) == (reps, None)
 
 
 def test_orthogonality_identity():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from test_bem import hand_built_scene
 
 import quadpole as qp
 from quadpole.legendre import _kernel_dot
+from quadpole.quadrature import _antipodes
 
 
 def random_cloud(rng, n, scale=0.5, offset=(0.0, 0.0, 0.0)):
@@ -185,11 +188,11 @@ SHIFT_DIRECTIONS = {
 @pytest.mark.parametrize("direction", SHIFT_DIRECTIONS)
 def test_reduced_shifts_match_full_projection(p, direction):
     # each shift sums the kernel at one new rule point per orbit of the
-    # symmetries that fix d; the full projection W_j sum_i w_i K(rel_i, rhat_j)
-    # is computed here with one kernel_matrix over every pair.  Where only the
-    # identity fixes d, the shift is one contracted kernel sum over every
-    # pair, so it must equal that sum, made with the call shape the shift
-    # uses (one row of weights, as a column), bit for bit.
+    # symmetries that fix d and the antipode; the full projection
+    # W_j sum_i w_i K(rel_i, rhat_j) is computed here with one kernel_matrix
+    # over every pair.  (On a rule without exact antipodes or symmetries a
+    # shift is one unreduced contracted sum, checked bit for bit in
+    # test_shifts_on_a_rule_without_antipodes_are_one_unreduced_sum.)
     d, fixing = SHIFT_DIRECTIONS[direction]
     d = np.array(d)
     rule = qp.rule_for_expansion(p)
@@ -198,7 +201,6 @@ def test_reduced_shifts_match_full_projection(p, direction):
     rng = np.random.default_rng(p)
     weights = rng.uniform(-1.0, 1.0, len(rule))
     origin = np.zeros(3)
-    coef = (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi)
     # (shift, source kind, source center, source radius, new radius), all
     # with the new center at the origin, so the shift vector is exactly the
     # source center (a -0.0 component included)
@@ -213,13 +215,165 @@ def test_reduced_shifts_match_full_projection(p, direction):
             K = qp.kernel_matrix(rel[:, None, :], rule.points[None, :, :], p)
             full = rule.weights * (weights @ K)
             scale = rule.weights * (np.abs(weights) @ np.abs(K))
-            args = (rel, rule.points[:, None, :])
         else:
             K = qp.kernel_matrix(rule.points[:, None, :], rel[None, :, :], p)
             full = rule.weights * (K @ weights)
             scale = rule.weights * (np.abs(K) @ np.abs(weights))
-            args = (rule.points[:, None, :], rel)
-        if fixing == 1:
-            oracle = rule.weights * _kernel_dot(*args, coef, weights[None].T)[:, 0]
-            assert np.array_equal(out.surface_weights, oracle), shift.__name__
         assert np.all(np.abs(out.surface_weights - full) <= 1e-13 * scale), shift.__name__
+
+
+def unreduced_fit(kind, rel, weights, bound, rule, p):
+    """W_j sum_i weights_i K(rel_i, rhat_j) at every point of rule (K(rhat_j, rel_i) for an
+    inner fit), by one kernel_matrix over every pair, with W_j sum_i bound_i |K|: the
+    scale of the roundoff it carries, for bound = |weights| or an earlier stage's scale."""
+    if kind == "outer":
+        K = qp.kernel_matrix(rel[:, None, :], rule.points[None, :, :], p)
+        return rule.weights * (weights @ K), rule.weights * (bound @ np.abs(K))
+    K = qp.kernel_matrix(rule.points[:, None, :], rel[None, :, :], p)
+    return rule.weights * (K @ weights), rule.weights * (np.abs(K) @ bound)
+
+
+def unreduced_eval(exp, x, weights, bound):
+    """The expansion's potential at x over every pair by one kernel_sum, and its scale."""
+    pts, rel = exp.radius * exp.rule.points, x - exp.center
+    pairs = (pts[None], rel[:, None]) if exp.kind == "outer" else (rel[:, None], pts[None])
+    K = qp.kernel_sum(*pairs, np.ones(exp.order))
+    return K @ weights, np.abs(K) @ bound
+
+
+def nudged_rule(p):
+    """The order-p rule with one point moved 1e-6 off the negative of its antipode (its
+    exactness label kept): no exact antipodes, and no symmetry but the identity."""
+    rule = qp.rule_for_expansion(p)
+    points = rule.points.copy()
+    points[3] += 1e-6 * np.array([0.3, -0.2, 0.1])
+    points[3] /= np.linalg.norm(points[3])
+    return qp.QuadratureRule(points, rule.weights.copy(), rule.exactness_degree)
+
+
+def rotated_rule(p):
+    """The order-p rule turned about a generic axis: it keeps only {I, -I}."""
+    return hand_built_scene(p)[0].rule
+
+
+def unequal_weight_rule(p):
+    """The order-p rule with one weight changed by 1e-6: the points are antipodal,
+    but one pair's weights differ."""
+    rule = qp.rule_for_expansion(p)
+    weights = rule.weights.copy()
+    weights[3] *= 1.0 + 1e-6
+    return qp.QuadratureRule(rule.points.copy(), weights, rule.exactness_degree)
+
+
+HAND_BUILT_RULES = {"nudged point": (nudged_rule, False), "rotated": (rotated_rule, True),
+                    "unequal weights": (unequal_weight_rule, False)}
+
+
+def shift_cases(d):
+    """(shift, source kind, source center, source radius, new radius) for a shift by d to the
+    origin, as in test_reduced_shifts_match_full_projection."""
+    return [(qp.shift_outer, "outer", d, 0.5, 1.0),
+            (qp.outer_to_inner, "outer", 8.0 * d, 1.0, 1.0),
+            (qp.shift_inner, "inner", d, 1.0, 0.5)]
+
+
+@pytest.mark.parametrize("p", [4, 16])
+@pytest.mark.parametrize("case", HAND_BUILT_RULES)
+def test_hand_built_rules_match_the_unreduced_oracle(case, p):
+    # a rule folds antipodal points only where every point's antipode is a
+    # point with an equal weight; folded or not, fits, the three shifts and
+    # both evaluations match the sums over every pair within 1e-13 of their scale
+    make, folds = HAND_BUILT_RULES[case]
+    rule = make(p)
+    assert (_antipodes(rule) is not None) == folds
+    rng = np.random.default_rng(401 + p)
+    center, R = np.array([0.2, -0.1, 0.3]), 1.5
+    near = random_cloud(rng, 60, scale=0.5, offset=center)
+    far = qp.PointCharges(center + 3.0 * rng.standard_normal((60, 3)) + [4.0, 0.0, 0.0],
+                          rng.uniform(-1.0, 1.0, 60))
+    dirs = eval_dirs()
+    for fit, cloud, x in ((qp.fit_outer, near, center + 2.0 * R * dirs),
+                          (qp.fit_inner, far, center + 0.5 * R * dirs)):
+        exp = fit(cloud, center, R, p, rule=rule)
+        want, bound = unreduced_fit(exp.kind, (cloud.positions - center) / R, cloud.charges,
+                                    np.abs(cloud.charges), rule, p)
+        assert np.all(np.abs(exp.surface_weights - want) <= 1e-13 * bound), fit.__name__
+        evaluate = qp.eval_outer_potential if exp.kind == "outer" else qp.eval_inner_potential
+        want, bound = unreduced_eval(exp, x, exp.surface_weights, np.abs(exp.surface_weights))
+        assert np.all(np.abs(evaluate(exp, x) - want) <= 1e-13 * bound), fit.__name__
+    weights = rng.uniform(-1.0, 1.0, len(rule))
+    for shift, kind, src_center, radius, new_R in shift_cases(np.array([0.3, -0.1, 0.2])):
+        src = qp.SurfaceExpansion(src_center, radius, rule, weights, p, kind)
+        out = shift(src, np.zeros(3), new_R)
+        want, bound = unreduced_fit(out.kind, src.surface_points / new_R, weights,
+                                    np.abs(weights), rule, p)
+        assert np.all(np.abs(out.surface_weights - want) <= 1e-13 * bound), shift.__name__
+
+
+@pytest.mark.parametrize("p", [4, 16, 30])
+def test_shifts_on_a_rule_without_antipodes_are_one_unreduced_sum(p):
+    # the nudged rule keeps only the identity and has no exact antipodes, so
+    # each shift is one contracted kernel sum over every pair, and must equal
+    # that sum, made with the call shape the shift uses (one row of weights,
+    # as a column, with its even- and odd-degree totals added), bit for bit
+    rule = nudged_rule(p)
+    assert len(rule.symmetries[0]) == 1 and _antipodes(rule) is None
+    weights = np.random.default_rng(p).uniform(-1.0, 1.0, len(rule))
+    coef = (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi)
+    for shift, kind, center, radius, new_R in shift_cases(np.array([0.3, -0.1, 0.2])):
+        src = qp.SurfaceExpansion(center, radius, rule, weights, p, kind)
+        out = shift(src, np.zeros(3), new_R)
+        rel = src.surface_points / new_R
+        rows = rule.points[:, None, :]
+        args = (rel, rows) if out.kind == "outer" else (rows, rel)
+        oracle = rule.weights * np.add(*_kernel_dot(*args, coef, weights[None].T))[:, 0]
+        assert np.array_equal(out.surface_weights, oracle), shift.__name__
+
+
+# shift vectors of each class, up to a signed axis permutation drawn with them
+SHIFT_CLASSES = {"axis": (0.0, 1.0, 0.0), "body": (1.0, -1.0, 1.0), "face": (1.0, 0.0, -1.0),
+                 "plane": (0.75, -0.25, 0.0), "generic": (0.3, -0.1, 0.2), "zero": (0.0, 0.0, 0.0)}
+
+
+@settings(max_examples=40)
+@given(p=st.integers(1, 30), shift_class=st.sampled_from(sorted(SHIFT_CLASSES)),
+       axes=st.permutations([0, 1, 2]), signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 3),
+       kind=st.sampled_from(["shift_outer", "outer_to_inner", "shift_inner"]),
+       size=st.floats(0.05, 0.9), slack=st.floats(1.0, 2.0))
+def test_fit_shift_evaluate_matches_the_unreduced_oracle(p, shift_class, axes, signs, kind,
+                                                         size, slack):
+    # fit -> shift -> evaluate against the same three steps summed over every
+    # pair, each step's roundoff scale carried to the next: the folds of
+    # antipodal points and the symmetry orbits change only roundoff.  Scaling
+    # a class vector keeps its equal and zero components exact.
+    assume(not (kind == "outer_to_inner" and shift_class == "zero"))
+    unit = np.array(signs) * np.array(SHIFT_CLASSES[shift_class])[list(axes)]
+    rule, dirs, rng = qp.rule_for_expansion(p), eval_dirs(), np.random.default_rng(p)
+    if kind == "shift_outer":        # the unit source sphere inside the new one
+        d = size * unit
+        new_R = slack * (np.linalg.norm(d) + 1.0)
+        x = 2.0 * new_R * dirs
+    elif kind == "outer_to_inner":   # the new sphere clear of the unit source sphere
+        new_R = size
+        d = unit * (1.01 * slack * (1.0 + new_R) / np.linalg.norm(unit))
+        x = 0.5 * new_R * dirs
+    else:                            # the new sphere inside the unit source sphere
+        d = size * unit / max(np.linalg.norm(unit), 1.0)
+        new_R = (1.0 - np.linalg.norm(d)) / slack
+        x = 0.5 * new_R * dirs
+    if kind == "shift_inner":        # charges outside the unit sphere
+        pos = rng.standard_normal((40, 3))
+        pos *= (rng.uniform(1.5, 4.0, 40) / np.linalg.norm(pos, axis=1))[:, None]
+        cloud, fit = qp.PointCharges(pos, rng.uniform(-1.0, 1.0, 40)), qp.fit_inner
+    else:
+        cloud, fit = random_cloud(rng, 40), qp.fit_outer
+    src = fit(cloud, np.zeros(3), 1.0, p, rule=rule)
+    new_center = -d                  # so the shift vector src.center - new_center is d
+    out = getattr(qp, kind)(src, new_center, new_R)
+    want, bound = unreduced_fit(src.kind, cloud.positions, cloud.charges, np.abs(cloud.charges),
+                                rule, p)
+    want, bound = unreduced_fit(out.kind, (src.surface_points - new_center) / new_R, want,
+                                bound, rule, p)
+    want, bound = unreduced_eval(out, new_center + x, want, bound)
+    evaluate = qp.eval_outer_potential if out.kind == "outer" else qp.eval_inner_potential
+    assert np.all(np.abs(evaluate(out, new_center + x) - want) <= 1e-13 * bound)
