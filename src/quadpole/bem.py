@@ -6,20 +6,31 @@ with each sphere's surface weights, by weighted least squares on a finer
 fit rule, solved on the p_j^2 harmonic columns of each sphere's weights
 (_harmonic_basis), the system's rank, by its normal equations.  Each row
 of that system is a normal-derivative kernel sum, one scalar n.grad L per
-pair, summed at one row point per orbit of the axis symmetries that fix
-its block (quadrature._orbits); the other rows are index permutations of
-those (see _orbit_blocks), and boundary_error builds no matrix.
+pair, and three symmetries cut the sums (see _orbit_blocks):
+- a block depends on its spheres only through their offset, radii, rules
+  and order, so the blocks of one offset class, congruent under a signed
+  axis permutation that both rules hold, are summed once
+  (quadrature._offset_class);
+- within a block, rows are summed at one point per orbit of the
+  symmetries that fix its offset (quadrature._orbits);
+- the lambda = 3/2 terms have the parity of their degree in the source
+  point, so one recurrence over half of a centrally symmetric source rule
+  gives the sums at both points of each antipodal pair
+  (legendre._normal_pair).
+The other entries are index permutations of those, and boundary_error
+builds no matrix.
 """
 from dataclasses import dataclass
 from functools import cache
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, SolverError
+from .errors import ContractViolation, DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _exterior_sum, _interior_sum, _lines, _numbers,
                         _points, _require_kind, _side_checked)
-from .legendre import kernel_matrix, normal_kernel_sum
-from .quadrature import QuadratureRule, _orbits, rule_for_expansion
+from .legendre import _normal_pair, kernel_matrix, normal_kernel_sum
+from .quadrature import QuadratureRule, _antipodes, _offset_class, _orbits, rule_for_expansion
 
 __all__ = [
     "SphereBoundary",
@@ -36,6 +47,9 @@ __all__ = [
 ]
 
 
+_SLAB = 2 ** 14   # entries of a flow block gathered per projection matmul
+
+
 @dataclass(frozen=True)
 class SphereBoundary:
     """Rigidly translating sphere with its collocation rule."""
@@ -49,6 +63,7 @@ class SphereBoundary:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
+        _check_order(self.order)
         if self.center.shape != (3,) or self.velocity.shape != (3,) or np.ndim(self.radius):
             raise DomainError("center and velocity must be 3-vectors and radius a scalar")
         if not (np.isfinite(self.radius) and np.all(np.isfinite(self.center))
@@ -61,7 +76,15 @@ class SphereBoundary:
 
     @staticmethod
     def make(center, radius, velocity, order):
-        return SphereBoundary(center, radius, velocity, rule_for_expansion(order), order)
+        return SphereBoundary(center, radius, velocity, rule_for_expansion(_check_order(order)),
+                              order)
+
+
+def _check_order(order):
+    """order, if it is an integer >= 1 (not a bool), else a DomainError."""
+    if not isinstance(order, Integral) or isinstance(order, bool) or order < 1:
+        raise DomainError("order must be an integer >= 1, not %r" % (order,))
+    return order
 
 
 @dataclass(frozen=True)
@@ -109,32 +132,65 @@ def outer_gradient(exp, x):
     """Gradient of the outer-expansion potential at exterior point(s) x."""
     _require_kind(exp, "outer")
     rel = _side_checked(exp, x, outside=True)
-    G = normal_kernel_sum(exp.radius * exp.rule.points[:, None, :], rel[..., None, None, :],
-                          np.eye(3), np.ones(exp.order))
-    return np.tensordot(G, exp.surface_weights, axes=(-2, 0))
+    sums, idx = _source_sums(exp.rule, exp.radius * exp.rule.points[:, None, :],
+                             rel[..., None, None, :], np.eye(3), exp.order)
+    return sum(np.tensordot(part, exp.surface_weights[i], axes=(-2, 0))
+               for part, i in zip(sums, idx))
+
+
+def _source_sums(rule, pts, x, n, p):
+    """Order-p sums n.grad_x L(a, x) from the points a = pts[b] of rule (pts' first axis).
+
+    Returns (sums, idx): sums[s] holds the sums from the points idx[s].  On
+    a rule with exact antipodes (quadrature._antipodes) the recurrence runs
+    over one point of each antipodal pair and gives the sums from those
+    points and from their antipodes (legendre._normal_pair), so idx is
+    (2, N/2); otherwise idx is (1, N), every point.
+    """
+    anti = _antipodes(rule)
+    if anti is None:
+        return normal_kernel_sum(pts, x, n, np.ones(p))[None], np.arange(len(rule))[None]
+    half = np.flatnonzero(anti > np.arange(len(anti)))
+    return _normal_pair(pts[half], x, n, np.ones(p)), np.stack([half, anti[half]])
 
 
 def _orbit_blocks(spheres, sources, rule):
-    """Yield (i, j, rows, targets, col_maps): block (i, j) of the flow rows, one row per orbit.
+    """Yield (i, j, sums, targets, cols): block (i, j) of the flow rows, one row per orbit.
 
     Block (i, j) maps source j's surface weights to n.grad(Phi) at sphere i's
     points s.center + R rhat, with normals rhat, rhat the points of ``rule``.
-    Each entry is a normal-derivative kernel sum, one scalar per pair, summed
-    only at one row point per orbit of the symmetries that both rules hold
-    and that fix d = s.center - src.center (quadrature._orbits): entry
-    (targets[k, m], col_maps[k, c]) of the block is rows[m, c], one k per
-    symmetry.
+    Each entry is a normal-derivative kernel sum, one scalar per pair:
+    entry (targets[k, m], cols[k, s, b]) of the block is sums[s, m, b], one
+    k per symmetry.
+
+    The block depends on d = s.center - src.center, the two radii, the two
+    rules and src.order only, so blocks are grouped by offset class
+    (quadrature._offset_class): a symmetry that both rules hold carries the
+    class's canonical offset c to d, and the class's sums are made once, at
+    c, and yielded for each block in it with targets and cols composed with
+    that symmetry's index maps.  They are summed only at one row point per
+    orbit of the symmetries that fix c (quadrature._orbits), and over one
+    source point of each antipodal pair, which gives the sums from its
+    antipode too (_source_sums).  The three spheres of
+    demos/three_spheres.txt make 9 blocks in 5 classes, spheres 0 and 1
+    being mirror images in y.
     """
-    normals = rule.points
+    classes = {}
     for i, s in enumerate(spheres):
         for j, src in enumerate(sources):
-            d = s.center - src.center
-            row_maps, col_maps, reps = _orbits(rule, src.rule, d)
-            # seen from the source's center as d + R rhat, which each symmetry maps exactly
-            rel = (d + s.radius * normals[reps])[:, None, :]
-            rows = normal_kernel_sum(src.radius * src.rule.points, rel, normals[reps, None, :],
-                                     np.ones(src.order))
-            yield i, j, rows, row_maps[:, reps], col_maps
+            c, row_map, col_map = _offset_class(rule, src.rule, s.center - src.center)
+            key = (c, s.radius, src.radius, src.rule, src.order)
+            classes.setdefault(key, []).append((i, j, row_map, col_map))
+    normals = rule.points
+    for (c, R, r, src_rule, p), members in classes.items():
+        c = np.array(c)
+        row_maps, col_maps, reps = _orbits(rule, src_rule, c)
+        # seen from the source's center as c + R rhat, which each symmetry maps exactly
+        sums, idx = _source_sums(src_rule, r * src_rule.points,
+                                 (c + R * normals[reps])[:, None, :], normals[reps, None, :], p)
+        targets, cols = row_maps[:, reps], col_maps[:, idx]
+        for i, j, row_map, col_map in members:
+            yield i, j, sums, row_map[targets], col_map[cols]
 
 
 def _boundary_system(spheres, sources, rule, bases):
@@ -144,19 +200,31 @@ def _boundary_system(spheres, sources, rule, bases):
     sources' bases P_j (N_j, m_j): block (i, j) is the map from source j's
     surface weights to the rows at sphere i, times P_j, so AP @ z - b is
     sqrt(w) times the mismatch n.v0 + n.grad(Phi) of the weights P_j z_j.
-    Identity bases give the full system.  Each block's orbit rows (see
-    _orbit_blocks) are projected as they are made, rows @ P_j[col_maps[k]]
-    for each symmetry k, and scattered to rows targets[k] of one
-    preallocated AP, so no N_j-column block is made.
+    Identity bases give the full system.  Each block is projected as it is
+    made, by one matmul per slab of about 2^14 of its entries, into a
+    preallocated AP: row t of the block is gathered from the orbit sums of
+    _orbit_blocks, at the rep m of one symmetry k with targets[k, m] = t,
+    the entry in column cols[k, s, b] being sums[s, m, b].  So no
+    N_j-column block is made.
     """
     normals, sqw = rule.points, np.sqrt(rule.weights)
     n = len(normals)
     cols = np.cumsum([0] + [P.shape[1] for P in bases])
     AP = np.empty((n * len(spheres), cols[-1]))
-    for i, j, rows, targets, col_maps in _orbit_blocks(spheres, sources, rule):
+    owner = np.empty(n, dtype=np.intp)
+    for i, j, sums, targets, where in _orbit_blocks(spheres, sources, rule):
+        h, reps = targets.shape
+        width = sums.shape[2]
+        owner[targets] = np.arange(h * reps).reshape(h, reps)   # one (k, m) reaching each row
+        # offset[k, c]: the flat index in sums of the entry in column c, less m * width
+        offset = np.empty((h, len(bases[j])), dtype=np.intp)
+        offset[np.arange(h)[:, None], where.reshape(h, -1)] = (
+            np.arange(len(sums))[:, None] * (reps * width) + np.arange(width)).ravel()
         block = AP[i * n:(i + 1) * n, cols[j]:cols[j + 1]]
-        for t, c in zip(targets, col_maps):
-            block[t] = rows @ bases[j][c]
+        step = max(1, _SLAB // len(bases[j]))
+        for t in range(0, n, step):
+            k, m = np.divmod(owner[t:t + step], reps)
+            block[t:t + step] = np.take(sums, m[:, None] * width + offset[k]) @ bases[j]
         block *= sqw[:, None]
     return AP, np.concatenate([-(normals @ s.velocity) * sqw for s in spheres])
 
@@ -235,15 +303,23 @@ def solve_potential_flow(spheres):
 def boundary_error(sol, spheres, reference_rule):
     """Weighted RMS of |n.v0 + n.grad(Phi)| per sphere on a finer rule.
 
-    No matrix is built: each block's orbit rows are multiplied by the source
-    weights permuted by every symmetry, w[col_maps], and the sums are
-    scattered to the orbits' rows (see _orbit_blocks).
+    sol must hold one expansion per sphere, with its center and radius.
+    No matrix is built: each block's orbit sums (see _orbit_blocks) at one
+    point of each antipodal pair and at its antipode are multiplied by the
+    source weights at those points, permuted by every symmetry, and the
+    results are scattered to the orbits' rows.
     """
     spheres = list(spheres)
+    if len(sol.expansions) != len(spheres) or not all(
+            np.array_equal(e.center, s.center) and e.radius == s.radius
+            for e, s in zip(sol.expansions, spheres)):
+        raise ContractViolation("the solution must hold one expansion per sphere, "
+                                "with the sphere's center and radius")
     mismatch = np.stack([reference_rule.points @ s.velocity for s in spheres])
     part = np.empty(len(reference_rule))
-    for i, j, rows, targets, col_maps in _orbit_blocks(spheres, sol.expansions, reference_rule):
-        part[targets] = (rows @ sol.expansions[j].surface_weights[col_maps].T).T
+    for i, j, sums, targets, cols in _orbit_blocks(spheres, sol.expansions, reference_rule):
+        w = sol.expansions[j].surface_weights[cols].transpose(1, 2, 0)
+        part[targets] = np.matmul(sums, w).sum(axis=0).T
         mismatch[i] += part
     return _rms_per_sphere(mismatch * np.sqrt(reference_rule.weights), reference_rule)
 

@@ -36,7 +36,11 @@ even - odd, and a set that holds -y beside y with weights w and w' is
 summed over y alone, with w + w' for the even degrees and w - w' for the
 odd.  Every embedded Lebedev rule is centrally symmetric, with equal
 weights at rhat and -rhat, so a fit sums the kernel at half of the rule's
-points and an evaluation over half of them.
+points and an evaluation over half of them.  The lambda = 3/2 terms have
+the same parity, T_m(-a, x) = (-1)^m T_m(a, x), and n.(-a) = -n.a, so
+_normal_pair keeps the parts P and Q of n.grad_x L even and odd in a
+apart: one recurrence gives the sum at a, P + Q, and at -a, P - Q, and
+the flow rows run over half of each source rule.
 
 A contracted sum is summed by the BLAS, so, like expansion._coulomb, its
 last bits can change with the block layout; so can a normal_kernel_sum of
@@ -309,7 +313,8 @@ def normal_kernel_sum(a, x, n, coef):
     with T_m = |a|^m C^{3/2}_m(ahat.xhat) / |x|^{m+3} the terms of |x-a|^-3.
     So S_A = sum_m coef[m+1] T_m and S_B = sum_m coef[m] T_m, m < p, are
     added as the recurrence produces T_m, with no (p,) + batch stack, and
-    the normal derivative is (n.a) S_A - (n.x) S_B, one scalar per pair.
+    the normal derivative is (n.a) S_A - (n.x) S_B, one scalar per pair:
+    the sum P + Q of its parts even and odd in a (see _normal_pair).
     n = np.eye(3) against a[..., None, :] and x[..., None, :] gives the
     gradient, shape batch + (3,); the recurrence still runs once per pair
     of a and x.  Blocked like :func:`kernel_sum`, and bit-identical to an
@@ -317,6 +322,28 @@ def normal_kernel_sum(a, x, n, coef):
     (..., 1, 3), as the flow rows are: there x.a and n.a are one matmul
     per row block, whose last bits can depend on the block layout.
     """
+    return _normal_sums(a, x, n, coef, pair=False)[()]   # a numpy scalar for a scalar batch
+
+
+def _normal_pair(a, x, n, coef):
+    """normal_kernel_sum(a, x, n, coef) and the same sum at -a, shape (2,) + batch.
+
+    T_m(-a, x) = (-1)^m T_m(a, x), as C^{3/2}_m has the parity of m, and
+    n.(-a) = -n.a, so with S_A and S_B split by the parity of m, the parts
+    of the sum even and odd in a are
+
+        P = (n.a) S_A,odd - (n.x) S_B,even,   Q = (n.a) S_A,even - (n.x) S_B,odd,
+
+    and the sum is P + Q at a and P - Q at -a: a set that holds -a_b beside
+    a_b needs the recurrence at one point of each such pair.  Both come from
+    the one recurrence of normal_kernel_sum, in the same blocks, so the
+    first is normal_kernel_sum(a, x, n, coef) bit for bit.
+    """
+    return _normal_sums(a, x, n, coef, pair=True)
+
+
+def _normal_sums(a, x, n, coef, pair):
+    """P + Q, and P - Q after it if pair (_normal_pair), one row block at a time."""
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
     lead = _leading(len(coef), 1.5)
@@ -324,19 +351,41 @@ def normal_kernel_sum(a, x, n, coef):
     c_a, c_b = np.append(coef[1:], 0.0) * lead, coef * lead
     on_set = np.ndim(a) == 2 and np.shape(x)[-2:-1] == np.shape(n)[-2:-1] == (1,)
     batch, blocks = _row_blocks(a, x, n)
-    out = np.empty(batch)
+    out = np.empty((2,) + batch if pair else batch)
     for rows, ab, xb, nb in blocks:
-        xa, na = (_set_dot(xb, ab), _set_dot(nb, ab)) if on_set else (_dot(xb, ab), _dot(nb, ab))
-        terms = _terms(xa, _dot(ab, ab), _dot(xb, xb), len(coef), 1.5)
-        g = next(terms)
-        s_a, s_b = np.multiply(g, c_a[0]), np.multiply(g, c_b[0])
-        tmp = np.empty_like(s_a)
-        for ca, cb, g in zip(c_a[1:], c_b[1:], terms):
-            s_a += np.multiply(g, ca, out=tmp)
-            s_b += np.multiply(g, cb, out=tmp)
-        del terms, tmp   # free the recurrence's arrays before the last line's temporaries
-        out[rows] = na * s_a - _dot(nb, xb) * s_b
-    return out[()]   # a numpy scalar for a scalar batch
+        even, odd = _normal_block(ab, xb, nb, c_a, c_b, on_set)
+        if pair:
+            np.subtract(even, odd, out=out[1][rows])
+        np.add(even, odd, out=(out[0] if pair else out)[rows])
+        del even, odd   # before the next block's recurrence
+    return out
+
+
+def _normal_block(a, x, n, c_a, c_b, on_set):
+    """P and Q of one row block: the sums S_A and S_B, split by parity into four arrays.
+
+    Each term goes to one sum of each pair, so a degree costs the passes of
+    the unsplit sums; P and Q are made over S_A's two parts where n does not
+    broadcast the terms to a larger shape.
+    """
+    terms = _terms(_set_dot(x, a) if on_set else _dot(x, a), _dot(a, a), _dot(x, x),
+                   len(c_a), 1.5)
+    # s_a[m % 2] += c_a[m] T_m and s_b[m % 2] += c_b[m] T_m
+    g = next(terms)
+    s_a = [np.multiply(g, c_a[0]), np.zeros_like(g)]
+    s_b = [np.multiply(g, c_b[0]), np.zeros_like(g)]
+    tmp = np.empty_like(g)
+    for m, (ca, cb, g) in enumerate(zip(c_a[1:], c_b[1:], terms), 1):
+        s_a[m % 2] += np.multiply(g, ca, out=tmp)
+        s_b[m % 2] += np.multiply(g, cb, out=tmp)
+    del terms, g, tmp   # free the recurrence's arrays before P and Q
+    na, nx = _set_dot(n, a) if on_set else _dot(n, a), _dot(n, x)
+    fits = isinstance(s_a[0], np.ndarray) and np.broadcast(s_a[0], na, nx).shape == s_a[0].shape
+    even = np.multiply(na, s_a[1], out=s_a[1] if fits else None)
+    even -= np.multiply(nx, s_b[0], out=s_b[0] if fits else None)
+    odd = np.multiply(na, s_a[0], out=s_a[0] if fits else None)
+    odd -= np.multiply(nx, s_b[1], out=s_b[1] if fits else None)
+    return even, odd
 
 
 def grad_scaled_legendre_stack(a, x, p):

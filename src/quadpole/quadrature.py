@@ -160,18 +160,54 @@ def _orbits(rows, cols, d):
     d but only flips the sign of the odd degrees: 8 -> 16, 6 -> 12, 4 -> 8,
     2 -> 4 and 1 -> 2, while d = 0 keeps 48.  On the 1202 points of the
     p = 30 rule the kernel is then summed at 91, 116, 171, 311 and 601 rows
-    instead of 176, 231, 326, 621 and 1202, and at 36 for d = 0.  Rules
-    hash by identity; the caches, which keep them alive, match the matrices
-    once per pair of rules and build reps once per subgroup.  The maps are
-    gathered on each call: holding every subgroup's (h, N) maps would take
-    7 MB over the three-sphere flow at p = 2..8, more than that pass's
-    3.9 MB peak.
+    instead of 176, 231, 326, 621 and 1202, and at 36 for d = 0.  The flow
+    rows (bem._orbit_blocks) sum each block once per offset class
+    (_offset_class), at the class's canonical offset, over one source point
+    of each antipodal pair: the three spheres of demos/three_spheres.txt
+    make 9 blocks in 5 classes, summed at 1490 rows of the 1202-point
+    reference rule instead of 2944 and at 397 of the 302-point fit rule
+    instead of 782, and 1.83 M pair-degrees over p = 2..8 instead of
+    7.22 M.  Rules hash by identity; the caches, which keep them alive,
+    match the matrices once per pair of rules and build reps once per
+    subgroup.  The maps are gathered on each call: holding every
+    subgroup's (h, N) maps would take 7 MB over the three-sphere flow at
+    p = 2..8, more than that pass's 3.9 MB peak.
     """
     S, row_maps = rows.symmetries
     k, m = _shared(rows, cols)
     fix = np.all(S[k] @ d == d, axis=1)
     k, m = k[fix], m[fix]
     return row_maps[k], cols.symmetries[1][m], _reps(rows, tuple(k.tolist()))
+
+
+def _offset_class(rows, cols, d):
+    """The canonical offset of d for two rules, and the index maps that carry it back to d.
+
+    Returns (c, row_map, col_map).  c is the largest image of d, in
+    lexicographic order, under the signed axis permutations that both rules
+    hold, compared exactly, as a tuple; row_map and col_map are the index
+    maps on rows and cols of the inverse of the first of them with S d = c.
+    An operator whose entry (i, j) at offset d depends on d + a rows.points[i],
+    rows.points[i] and b cols.points[j] only through inner products (see
+    _orbits) then has entry (row_map[i], col_map[j]) at d equal to entry
+    (i, j) at c: blocks at the offsets of one class are index permutations
+    of the block at c, and need only be summed at c.  A rule built by hand
+    shares fewer symmetries, perhaps only the identity, whose classes hold
+    one offset each.
+    """
+    S = rows.symmetries[0]
+    k, m = _shared(rows, cols)
+    images = (S[k] @ d).tolist()
+    c = max(images)
+    g = images.index(c)
+    return tuple(c), _inverse(rows.symmetries[1][k[g]]), _inverse(cols.symmetries[1][m[g]])
+
+
+def _inverse(perm):
+    """The inverse of an index permutation."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    return inv
 
 
 def available_orders():

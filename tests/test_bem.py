@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import quadpole as qp
+import quadpole.bem as bem
 from quadpole.bem import _boundary_system, _harmonic_basis
 from quadpole.legendre import kernel_sum, normal_kernel_sum
-from quadpole.quadrature import _orbits
+from quadpole.quadrature import _antipodes, _offset_class, _orbits
 
 
 def uniform_density_expansion(p=5, R=1.0, sigma0=1.0):
@@ -134,6 +135,14 @@ def test_sphere_boundary_validation():
             qp.SphereBoundary.make(center, radius, velocity, 3)
     s = qp.SphereBoundary.make(np.zeros(3), 1.0, np.array([1.0, 0, 0]), 4)
     assert s.rule.exactness_degree >= 6
+    # the order is an integer >= 1, checked before a rule is chosen for it
+    rule = qp.lebedev_rule(15)
+    for order in (0, -1, 2.5, True, np.float64(3.0), "3", None):
+        with pytest.raises(qp.DomainError, match="order must be an integer >= 1"):
+            qp.SphereBoundary.make(np.zeros(3), 1.0, [1.0, 0, 0], order)
+        with pytest.raises(qp.DomainError, match="order must be an integer >= 1"):
+            qp.SphereBoundary(np.zeros(3), 1.0, [1.0, 0, 0], rule, order)
+    assert qp.SphereBoundary.make(np.zeros(3), 1.0, [1.0, 0, 0], np.int64(4)).order == 4
 
 
 def test_single_sphere_flow_analytic():
@@ -264,9 +273,20 @@ def unreduced_flow_blocks(spheres, sources, rule):
     return blocks, scales
 
 
+def is_summed_unreduced(rule, src_rule, d):
+    """Whether a flow block between two spheres is summed as unreduced_flow_blocks sums
+    it: its offset is its class's canonical one, only the identity fixes it and the
+    source rule has no exact antipodes.  (The oracle sums a sphere's own block, d = 0,
+    by another formula.)"""
+    c = _offset_class(rule, src_rule, d)[0]
+    return (np.any(d != 0.0) and np.array_equal(c, d)
+            and len(_orbits(rule, src_rule, d)[0]) == 1 and _antipodes(src_rule) is None)
+
+
 def assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule):
     # the solve's matrix, block by block: within 1e-13 of the sum of |terms|
-    # of each entry, and bit for bit where only the identity fixes the block
+    # of each entry, and bit for bit where no class, orbit or antipodal fold
+    # applies (is_summed_unreduced)
     n = len(fit_rule)
     cols = np.cumsum([0] + [len(s.rule) for s in spheres])
     sqw = np.sqrt(fit_rule.weights)[:, None]
@@ -274,8 +294,7 @@ def assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule):
     full, scale = unreduced_flow_blocks(spheres, spheres, fit_rule)
     for (i, j), block in full.items():
         got = A[i * n:(i + 1) * n, cols[j]:cols[j + 1]]
-        maps, _, _ = _orbits(fit_rule, spheres[j].rule, spheres[i].center - spheres[j].center)
-        if len(maps) == 1:
+        if is_summed_unreduced(fit_rule, spheres[j].rule, spheres[i].center - spheres[j].center):
             assert np.array_equal(got, block * sqw), (i, j)
         else:
             assert np.all(np.abs(got - block * sqw) <= 1e-13 * scale[i, j] * sqw), (i, j)
@@ -294,6 +313,14 @@ def assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule):
         bound = np.abs(nv) + sum(scale[i, j] @ np.abs(e.surface_weights)
                                  for j, e in enumerate(expansions))
         assert abs(got[i] - rms(want)) <= 1e-13 * rms(bound), i
+
+
+def random_expansions(spheres, seed):
+    """Outer expansions of random surface weights on the spheres."""
+    rng = np.random.default_rng(seed)
+    return [qp.SurfaceExpansion(s.center, s.radius, s.rule,
+                                rng.uniform(-1.0, 1.0, len(s.rule)), s.order, "outer")
+            for s in spheres]
 
 
 # offset of the second sphere's center, and how many of the 48 signed axis
@@ -321,11 +348,7 @@ def test_reduced_flow_blocks_match_full_rows(p, offset):
         for i, j, count in ((0, 0, 48), (1, 1, 48), (0, 1, fixing), (1, 0, fixing)):
             d_ij = spheres[i].center - spheres[j].center
             assert len(_orbits(rule, spheres[j].rule, d_ij)[0]) == count
-    rng = np.random.default_rng(p)
-    expansions = [qp.SurfaceExpansion(s.center, s.radius, s.rule,
-                                      rng.uniform(-1.0, 1.0, len(s.rule)), p, "outer")
-                  for s in spheres]
-    assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule)
+    assert_flow_matches_unreduced(spheres, random_expansions(spheres, p), fit_rule, ref_rule)
 
 
 def hand_built_scene(p):
@@ -339,6 +362,100 @@ def hand_built_scene(p):
     return [qp.SphereBoundary(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), rotated, p),
             qp.SphereBoundary.make(np.array([0.0, 3.0, 0.0]), 1.0,
                                    np.array([-1.0, 0.0, 0.0]), p)]
+
+
+def nudged_rule(p):
+    """The order-p rule with one point moved 1e-6 off the negative of its antipode (its
+    exactness label kept): no exact antipodes, and no symmetry but the identity."""
+    rule = qp.rule_for_expansion(p)
+    points = rule.points.copy()
+    points[3] += 1e-6 * np.array([0.3, -0.2, 0.1])
+    points[3] /= np.linalg.norm(points[3])
+    return qp.QuadratureRule(points, rule.weights.copy(), rule.exactness_degree)
+
+
+def square_scene(p):
+    """Four unit spheres at the corners of a square of side 3 in the z = 0 plane."""
+    return [qp.SphereBoundary.make(np.array([x, y, 0.0]), 1.0, np.array([1.0, 0.5, 0.0]), p)
+            for x in (0.0, 3.0) for y in (0.0, 3.0)]
+
+
+def count_recurrences(monkeypatch):
+    """Count the calls of the flow blocks' kernel recurrence, with or without antipodes."""
+    calls = []
+    for name in ("_normal_pair", "normal_kernel_sum"):
+        original = getattr(bem, name)
+
+        def counted(*args, original=original):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(bem, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scene, classes", [(square_scene, 3), (three_sphere_scene, 5),
+                                            (lambda p: two_sphere_scene(1.0, p), 4)],
+                         ids=["square", "three spheres", "unequal radii"])
+@pytest.mark.parametrize("p", [3, 8])
+def test_flow_blocks_are_summed_once_per_offset_class(scene, classes, p, monkeypatch):
+    # the square's 16 blocks fall into 3 classes: own, side and diagonal
+    # offsets.  The three spheres' 9 blocks into 5, spheres 0 and 1 being
+    # mirror images in y.  Two spheres of radii 1 and 0.5 make 4: the two
+    # blocks between them have opposite offsets, one canonical offset, but
+    # unequal radii.  Each rule sums each class once, and every block
+    # matches the unreduced oracle.
+    spheres = scene(p)
+    fit_rule = qp.rule_for_expansion(p, min_order=29)
+    ref_rule = qp.lebedev_rule(59)
+    calls = count_recurrences(monkeypatch)
+    _boundary_system(spheres, spheres, fit_rule, identity_bases(spheres))
+    assert len(calls) == classes
+    sol = qp.FlowSolution(tuple(random_expansions(spheres, p)), None, 0, 0.0)
+    qp.boundary_error(sol, spheres, ref_rule)
+    assert len(calls) == 2 * classes
+    monkeypatch.undo()
+    assert_flow_matches_unreduced(spheres, sol.expansions, fit_rule, ref_rule)
+
+
+def test_flow_on_a_rule_without_antipodes_is_summed_unreduced():
+    # a source rule with one point nudged off its antipode has no antipodes
+    # and no symmetry but the identity: its blocks are summed over every
+    # point, at every row, and the one it sends to the other sphere is bit
+    # for bit the unreduced oracle's; the blocks of the embedded rule fold
+    p = 5
+    rule = nudged_rule(p)
+    assert _antipodes(rule) is None and len(rule.symmetries[0]) == 1
+    spheres = [qp.SphereBoundary(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), rule, p),
+               qp.SphereBoundary.make(np.array([0.0, 3.0, 0.0]), 1.0,
+                                      np.array([-1.0, 0.0, 0.0]), p)]
+    fit_rule = qp.rule_for_expansion(p, min_order=29)
+    unreduced = [is_summed_unreduced(fit_rule, src.rule, s.center - src.center)
+                 for s in spheres for src in spheres]
+    assert unreduced == [False, False, True, False]
+    assert_flow_matches_unreduced(spheres, random_expansions(spheres, 1), fit_rule,
+                                  qp.lebedev_rule(59))
+    sol = qp.solve_potential_flow(spheres)
+    assert sol.rank == 2 * p * p
+    assert_flow_matches_unreduced(spheres, sol.expansions, fit_rule, qp.lebedev_rule(59))
+
+
+def test_offset_classes_use_only_the_shared_symmetries():
+    # the canonical offset is the largest image under the symmetries both
+    # rules hold, and the maps returned carry it back to d
+    rule = qp.lebedev_rule(29)
+    d = np.array([-2.5, 1.5, -1.0])
+    c, row_map, col_map = _offset_class(rule, rule, d)
+    assert c == (2.5, 1.5, 1.0)
+    S = rule.symmetries[0]
+    g = [k for k in range(len(S)) if np.array_equal(S[k] @ np.array(c), d)]
+    assert any(np.array_equal(row_map, rule.symmetries[1][k]) for k in g)
+    assert np.array_equal(col_map, row_map)
+    # a rule with only the identity keeps every offset as it is
+    assert _offset_class(rule, nudged_rule(5), d)[0] == tuple(d)
+    # the turned rule holds {I, -I}: an offset goes to the larger of d and -d
+    turned = hand_built_scene(5)[0].rule
+    assert _offset_class(rule, turned, d)[0] == (2.5, -1.5, 1.0)
 
 
 def test_flow_on_a_hand_built_rule_uses_only_shared_symmetries():
@@ -435,6 +552,22 @@ def test_flow_refuses_a_rule_labelled_beyond_its_points(order, kept):
     sphere = qp.SphereBoundary(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), claimed, 8)
     with pytest.raises(qp.SolverError, match="carries %d independent .* order 8" % kept):
         qp.solve_potential_flow([sphere])
+
+
+def test_boundary_error_refuses_a_solution_of_another_scene():
+    # the mismatch is summed at the spheres' points from the solution's
+    # expansions, so a solution whose spheres differ from the scene's in
+    # number, center or radius is refused, not measured
+    spheres = three_sphere_scene(3)
+    sol = qp.solve_potential_flow(spheres)
+    ref = qp.lebedev_rule(59)
+    assert np.all(qp.boundary_error(sol, spheres, ref) < 0.1)
+    moved = [qp.SphereBoundary.make(s.center + [0.0, 0.0, 0.5], s.radius, s.velocity, 3)
+             for s in spheres]
+    grown = [qp.SphereBoundary.make(s.center, 1.01 * s.radius, s.velocity, 3) for s in spheres]
+    for scene in (moved, grown, spheres[:2], spheres + spheres[:1]):
+        with pytest.raises(qp.ContractViolation, match="one expansion per sphere"):
+            qp.boundary_error(sol, scene, ref)
 
 
 def test_boundary_error_memory():

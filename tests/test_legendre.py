@@ -7,6 +7,7 @@ import pytest
 import quadpole as qp
 from quadpole.legendre import (
     _kernel_dot,
+    _normal_pair,
     grad_scaled_legendre_stack,
     kernel_matrix,
     kernel_sum,
@@ -439,3 +440,32 @@ def test_normal_kernel_sum_is_homogeneous_far_from_unit_scale(scale):
     bound = np.tensordot(np.abs(coef), _normal_gradient_terms(a, x, n, 60)[1], axes=(0, 0))
     got = scale ** 2 * normal_kernel_sum(scale * a, scale * x, n, coef)
     assert np.all(np.abs(got - expect) <= 1e-14 * bound)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+@pytest.mark.parametrize("p", [1, 2, 30, 200])
+def test_normal_pair_keeps_the_parities_apart(p, scale):
+    # one lambda = 3/2 recurrence gives P + Q, the sum at a, and P - Q, the
+    # sum at -a, P and Q the parts even and odd in a.  P + Q is
+    # normal_kernel_sum bit for bit; each is within 1e-14 of its scale of the
+    # derivative recurrence at a and at -a, the bounds of
+    # test_normal_kernel_sum_matches_derivative_recurrence, in the matmul
+    # layout of the flow rows and elementwise, each at its own inner products
+    # (negating a negates them exactly).  At p = 1 there is no odd degree,
+    # and the sums at a and -a differ only through n.a.
+    rng = np.random.default_rng(43 + p)
+    coef = rng.standard_normal(p)
+    a = _shell(rng, (300,), 0.0, 1.5) * scale
+    a[0] = 0.0
+    x = _shell(rng, (40, 1), 0.8, 3.0) * scale
+    n = rng.standard_normal((40, 1, 3))
+    for set_a, on_set in ((a, True), (a[None], False)):
+        pair = _normal_pair(set_a, x, n, coef)
+        assert pair.shape == (2, 40, 300)
+        assert np.array_equal(pair[0], normal_kernel_sum(set_a, x, n, coef))
+        for got, sign in zip(pair, (1.0, -1.0)):
+            products = (x[:, 0] @ (sign * a).T, n[:, 0] @ (sign * a).T) if on_set else None
+            terms, size = _normal_gradient_terms(sign * a, x, n, p, products)
+            expect = np.tensordot(coef, terms, axes=(0, 0))
+            bound = np.tensordot(np.abs(coef), size, axes=(0, 0))
+            assert np.all(np.abs(got - expect) <= 1e-14 * bound)

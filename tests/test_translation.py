@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from test_bem import hand_built_scene
+from test_bem import hand_built_scene, nudged_rule
 
 import quadpole as qp
 from quadpole.legendre import _kernel_dot
@@ -239,16 +239,6 @@ def unreduced_eval(exp, x, weights, bound):
     pairs = (pts[None], rel[:, None]) if exp.kind == "outer" else (rel[:, None], pts[None])
     K = qp.kernel_sum(*pairs, np.ones(exp.order))
     return K @ weights, np.abs(K) @ bound
-
-
-def nudged_rule(p):
-    """The order-p rule with one point moved 1e-6 off the negative of its antipode (its
-    exactness label kept): no exact antipodes, and no symmetry but the identity."""
-    rule = qp.rule_for_expansion(p)
-    points = rule.points.copy()
-    points[3] += 1e-6 * np.array([0.3, -0.2, 0.1])
-    points[3] /= np.linalg.norm(points[3])
-    return qp.QuadratureRule(points, rule.weights.copy(), rule.exactness_degree)
 
 
 def rotated_rule(p):
