@@ -22,15 +22,14 @@ builds no matrix.
 """
 from dataclasses import dataclass
 from functools import cache
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError, GeometryError, SolverError
-from .expansion import (SurfaceExpansion, _exterior_sum, _interior_sum, _lines, _numbers,
-                        _points, _require_kind, _side_checked)
-from .legendre import _normal_pair, kernel_matrix, normal_kernel_sum
-from .quadrature import QuadratureRule, _antipodes, _offset_class, _orbits, rule_for_expansion
+from .expansion import (SurfaceExpansion, _center, _exterior_sum, _interior_sum, _lines,
+                        _numbers, _order, _points, _radius, _require_kind, _side_checked)
+from .legendre import _BLOCK_PAIRS, _normal_pair, kernel_matrix
+from .quadrature import QuadratureRule, _offset_class, _orbits, rule_for_expansion
 
 __all__ = [
     "SphereBoundary",
@@ -47,9 +46,6 @@ __all__ = [
 ]
 
 
-_SLAB = 2 ** 14   # entries of a flow block gathered per projection matmul
-
-
 @dataclass(frozen=True)
 class SphereBoundary:
     """Rigidly translating sphere with its collocation rule."""
@@ -61,30 +57,16 @@ class SphereBoundary:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
-        _check_order(self.order)
-        if self.center.shape != (3,) or self.velocity.shape != (3,) or np.ndim(self.radius):
-            raise DomainError("center and velocity must be 3-vectors and radius a scalar")
-        if not (np.isfinite(self.radius) and np.all(np.isfinite(self.center))
-                and np.all(np.isfinite(self.velocity))):
-            raise DomainError("center, radius and velocity must be finite")
-        if self.radius <= 0.0:
-            raise DomainError("radius must be positive")
+        _order(self.order)
+        object.__setattr__(self, "center", _center(self.center))
+        object.__setattr__(self, "radius", _radius(self.radius))
+        object.__setattr__(self, "velocity", _center(self.velocity, "velocity"))
         if self.rule.exactness_degree < 2 * self.order - 2:
             raise DomainError("rule exactness inadequate for order")
 
     @staticmethod
     def make(center, radius, velocity, order):
-        return SphereBoundary(center, radius, velocity, rule_for_expansion(_check_order(order)),
-                              order)
-
-
-def _check_order(order):
-    """order, if it is an integer >= 1 (not a bool), else a DomainError."""
-    if not isinstance(order, Integral) or isinstance(order, bool) or order < 1:
-        raise DomainError("order must be an integer >= 1, not %r" % (order,))
-    return order
+        return SphereBoundary(center, radius, velocity, rule_for_expansion(_order(order)), order)
 
 
 @dataclass(frozen=True)
@@ -141,15 +123,12 @@ def outer_gradient(exp, x):
 def _source_sums(rule, pts, x, n, p):
     """Order-p sums n.grad_x L(a, x) from the points a = pts[b] of rule (pts' first axis).
 
-    Returns (sums, idx): sums[s] holds the sums from the points idx[s].  On
-    a rule with exact antipodes (quadrature._antipodes) the recurrence runs
-    over one point of each antipodal pair and gives the sums from those
-    points and from their antipodes (legendre._normal_pair), so idx is
-    (2, N/2); otherwise idx is (1, N), every point.
+    Returns (sums, idx): sums[s] holds the sums from the points idx[s].  The
+    recurrence runs over one point of each antipodal pair (the rule's
+    antipodes) and gives the sums from those points and from their
+    antipodes (legendre._normal_pair), so idx is (2, N/2).
     """
-    anti = _antipodes(rule)
-    if anti is None:
-        return normal_kernel_sum(pts, x, n, np.ones(p))[None], np.arange(len(rule))[None]
+    anti = rule.antipodes
     half = np.flatnonzero(anti > np.arange(len(anti)))
     return _normal_pair(pts[half], x, n, np.ones(p)), np.stack([half, anti[half]])
 
@@ -184,11 +163,12 @@ def _orbit_blocks(spheres, sources, rule):
     normals = rule.points
     for (c, R, r, src_rule, p), members in classes.items():
         c = np.array(c)
-        row_maps, col_maps, reps = _orbits(rule, src_rule, c)
+        k, m, reps = _orbits(rule, src_rule, c)
         # seen from the source's center as c + R rhat, which each symmetry maps exactly
         sums, idx = _source_sums(src_rule, r * src_rule.points,
                                  (c + R * normals[reps])[:, None, :], normals[reps, None, :], p)
-        targets, cols = row_maps[:, reps], col_maps[:, idx]
+        targets = rule.symmetries[1][k[:, None], reps]
+        cols = src_rule.symmetries[1][m[:, None, None], idx]
         for i, j, row_map, col_map in members:
             yield i, j, sums, row_map[targets], col_map[cols]
 
@@ -221,7 +201,7 @@ def _boundary_system(spheres, sources, rule, bases):
         offset[np.arange(h)[:, None], where.reshape(h, -1)] = (
             np.arange(len(sums))[:, None] * (reps * width) + np.arange(width)).ravel()
         block = AP[i * n:(i + 1) * n, cols[j]:cols[j + 1]]
-        step = max(1, _SLAB // len(bases[j]))
+        step = max(1, _BLOCK_PAIRS // len(bases[j]))
         for t in range(0, n, step):
             k, m = np.divmod(owner[t:t + step], reps)
             block[t:t + step] = np.take(sums, m[:, None] * width + offset[k]) @ bases[j]
@@ -266,10 +246,12 @@ def solve_potential_flow(spheres):
     shrink the minimized mismatch, solved on p^2 columns per sphere: sphere
     j's weights are P_j z_j, P_j its rule's harmonic basis.  The system A P
     has full column rank sum_j p_j^2 and A = (A P) P^T, so z from its normal
-    equations, by Cholesky, gives the minimum-norm solution of the full
-    system.  cond, the ratio of A P's extreme singular values, stays below
-    20 on every scene tested (spheres 0.01 apart included), so forming
-    (A P)^T (A P) costs at most cond^2 * 1e-16 relative, far below the
+    equations gives the minimum-norm solution of the full system.  The Gram
+    matrix G = (A P)^T (A P) is factored once, by np.linalg.solve, after
+    its eigenvalues give cond, the ratio of A P's extreme singular values;
+    a G whose smallest eigenvalue is not positive is a SolverError.  cond
+    stays below 20 on every scene tested (spheres 0.01 apart included), so
+    forming G costs at most cond^2 * 1e-16 relative, far below the
     truncation error.
     """
     spheres = list(spheres)
@@ -285,10 +267,10 @@ def solve_potential_flow(spheres):
     AP, b = _boundary_system(spheres, spheres, fit_rule, bases)
     G = AP.T @ AP
     try:
-        L = np.linalg.cholesky(G)
-        # L L^T z = AP^T b, one solve with each triangular factor
-        z = np.linalg.solve(L.T, np.linalg.solve(L, AP.T @ b))
         lam = np.linalg.eigvalsh(G)
+        if not lam[0] > 0.0:
+            raise np.linalg.LinAlgError("smallest eigenvalue %r" % lam[0])
+        z = np.linalg.solve(G, AP.T @ b)
     except np.linalg.LinAlgError as exc:
         raise SolverError("normal equations of the flow system are singular: %s" % exc) from exc
     cond = np.sqrt(lam[-1] / lam[0])

@@ -6,14 +6,14 @@ far field of enclosed sources; inner expansions represent the field of
 exterior sources inside the sphere.
 """
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
 from .legendre import _kernel_dot, _reproducing, _row_blocks
-from .quadrature import (QuadratureRule, _antipodal_reps, _antipodes, lebedev_rule,
-                         rule_for_expansion)
+from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
     "PointCharges",
@@ -75,8 +75,7 @@ class SurfaceExpansion:
     def __post_init__(self):
         if self.kind not in ("outer", "inner"):
             raise DomainError("kind must be 'outer' or 'inner'")
-        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
-            raise DomainError("order must be an integer >= 1")
+        _order(self.order)
         object.__setattr__(self, "radius", _radius(self.radius))
         if self.rule.exactness_degree < 2 * self.order - 2:
             raise DomainError("rule exactness inadequate for expansion order")
@@ -98,11 +97,11 @@ class SurfaceExpansion:
         return replace(self, surface_weights=self.surface_weights + other.surface_weights)
 
 
-def _center(center):
-    """center as a float array, or a DomainError unless it is a finite 3-vector."""
+def _center(center, name="center"):
+    """center as a float array, or a DomainError that calls it name unless a finite 3-vector."""
     center = np.asarray(center, dtype=float)
     if center.shape != (3,) or not np.all(np.isfinite(center)):
-        raise DomainError("center must be a finite 3-vector")
+        raise DomainError("%s must be a finite 3-vector" % name)
     return center
 
 
@@ -112,6 +111,13 @@ def _radius(R):
     if R.shape != () or R.dtype.kind not in "iuf" or not (np.isfinite(R) and R > 0.0):
         raise DomainError("radius must be finite and positive")
     return float(R)
+
+
+def _order(order):
+    """order, if it is an integer >= 1 (not a bool), else a DomainError."""
+    if not isinstance(order, Integral) or isinstance(order, bool) or order < 1:
+        raise DomainError("order must be an integer >= 1, not %r" % (order,))
+    return order
 
 
 def _points(x):
@@ -191,15 +197,15 @@ def _project(kind, rel, charges, rule, p, maps=None, reps=None):
     """
     if maps is None:
         maps, reps = np.arange(len(rule))[None], np.arange(len(rule))
-    reps, anti = _antipodal_reps(rule, maps, reps)
+    reps = _antipodal_reps(rule, maps, reps)
     pts, coef = rule.points[reps][:, None, :], _reproducing(p)
     if kind == "outer":   # K(y/R, rhat_j): the sources are the first argument
         even, odd = _kernel_dot(rel, pts, coef, charges.T)
     else:
         even, odd = _kernel_dot(pts, rel, coef, charges.T)
     weights = np.empty(len(rule))
-    if anti is not None:   # first, so that an orbit holding its own antipodes keeps even + odd
-        weights[anti[maps[:, reps]]] = rule.weights[reps] * (even - odd).T
+    # the antipodes first, so that an orbit holding its own antipodes keeps even + odd
+    weights[rule.antipodes[maps[:, reps]]] = rule.weights[reps] * (even - odd).T
     weights[maps[:, reps]] = rule.weights[reps] * (even + odd).T
     return weights
 
@@ -241,14 +247,12 @@ def _interior_sum_at(exp, rel, coef):
 def _surface_set(exp):
     """The points R rhat_i and weights w_i that the surface sums run over.
 
-    On a rule with antipodes (quadrature._antipodes) the set is one point
-    of each pair i, i' = anti[i], with the weights w_i + w_i' for the even
-    degrees and w_i - w_i' for the odd (legendre._kernel_dot): L_n has the
-    parity of n, so the pair's terms are (w_i + (-1)^n w_i') L_n(., R rhat_i).
+    The set is one point of each antipodal pair i, i' = rule.antipodes[i],
+    with the weights w_i + w_i' for the even degrees and w_i - w_i' for the
+    odd (legendre._kernel_dot): L_n has the parity of n, so the pair's terms
+    are (w_i + (-1)^n w_i') L_n(., R rhat_i).
     """
-    anti = _antipodes(exp.rule)
-    if anti is None:
-        return exp.radius * exp.rule.points, exp.surface_weights
+    anti = exp.rule.antipodes
     half = np.flatnonzero(anti > np.arange(len(anti)))
     w, w_anti = exp.surface_weights[half], exp.surface_weights[anti[half]]
     return exp.radius * exp.rule.points[half], (w + w_anti, w - w_anti)

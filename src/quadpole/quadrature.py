@@ -6,7 +6,7 @@ time to sum to 4 pi, the measure of the unit sphere, so quadrature sums
 directly approximate surface integrals.
 """
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
 
@@ -35,15 +35,47 @@ _cache = {}
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Unit-sphere point set with weights summing to 4 pi."""
+    """Centrally symmetric unit-sphere point set with positive weights summing to 4 pi.
+
+    The constructor checks the contract that every kernel sum relies on and
+    raises a DomainError for any breach: points (N, 3), finite, each of
+    norm 1 within 1e-12; weights (N,), finite and positive, summing to 4 pi
+    within 1e-12 relative; and for every point an exact antipode with a
+    bit-equal weight.  Every Lebedev rule is centrally symmetric, so the
+    sums run on one point of each antipodal pair.  The antipode map is kept
+    as ``antipodes``, points[antipodes] == -points, found by one key sort
+    of the points and of their negatives, the match of
+    QuadratureRule.symmetries; points that share a key, all coordinates
+    within 2^-19, may be refused.  Points, weights and antipodes are
+    read-only.
+    """
 
     points: np.ndarray          # (N, 3) unit vectors
     weights: np.ndarray         # (N,) positive, sum 4 pi
     exactness_degree: int
+    antipodes: np.ndarray = field(init=False, repr=False)   # (N,) index of -points[i]
 
     def __post_init__(self):
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+        points = np.asarray(self.points, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if points.shape[1:] != (3,) or weights.shape != points.shape[:1]:
+            raise DomainError("a rule needs points (N, 3) and weights (N,)")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+            raise DomainError("rule points and weights must be finite")
+        with np.errstate(over="ignore"):   # huge points or weights fail the checks below
+            off_sphere = np.any(np.abs(np.linalg.norm(points, axis=1) - 1.0) > 1e-12)
+            total = weights.sum()
+        if off_sphere:
+            raise DomainError("rule points must be unit vectors")
+        if not (np.all(weights > 0.0) and abs(total - 4.0 * np.pi) <= 4e-12 * np.pi):
+            raise DomainError("rule weights must be positive and sum to 4 pi")
+        anti = np.empty(len(points), dtype=np.intp)
+        anti[np.argsort(_keys(-points))] = np.argsort(_keys(points))
+        if not (np.array_equal(points[anti], -points) and np.array_equal(weights[anti], weights)):
+            raise DomainError("every rule point needs an antipode with an equal weight")
+        for name, value in (("points", points), ("weights", weights), ("antipodes", anti)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.weights)
@@ -56,7 +88,7 @@ class QuadratureRule:
         and row k of maps (h, N) is the permutation of the points with
         points[maps[k]] == points @ S[k].T and weights[maps[k]] == weights,
         both compared exactly.  The embedded rules have all 48; a rule built
-        by hand keeps those that hold exactly, perhaps only the identity.
+        by hand keeps those that hold exactly, at least {I, -I}.
         Built on first use, one of the 48 images at a time, so the peak is
         the kept maps and one (N, 3) image: each point and each image point
         gets one integer key, its coordinates to 2^-19, and the image sorted
@@ -83,46 +115,22 @@ def _keys(x):
     return (digits[:, 0] << 42) | (digits[:, 1] << 21) | digits[:, 2]
 
 
-@cache
-def _antipodes(rule):
-    """Index of the point -rhat_i for each point rhat_i of rule, read-only, or None.
-
-    None unless every point's antipode is a point of the rule with an equal
-    weight, both compared exactly, and no point is its own antipode; every
-    embedded rule is centrally symmetric.  Found as QuadratureRule.symmetries
-    finds its maps, by one key sort of the points and of their negatives,
-    but without building the 48 maps: the cache keeps N integers per rule.
-    """
-    anti = np.empty(len(rule), dtype=np.intp)
-    anti[np.argsort(_keys(-rule.points))] = np.argsort(_keys(rule.points))
-    if not (np.array_equal(rule.points[anti], -rule.points)
-            and np.array_equal(rule.weights[anti], rule.weights)
-            and np.all(anti != np.arange(len(rule)))):
-        return None
-    anti.setflags(write=False)
-    return anti
-
-
 def _antipodal_reps(rule, maps, reps):
-    """One point of each orbit of a symmetry group joined with the antipode, and the antipode map.
+    """One point of each orbit of a symmetry group joined with the antipode.
 
     maps (h, N) are the index maps of signed axis permutations on the points
     of rule, closed under composition, and reps the smallest index of each
-    of their orbits, as _orbits returns them; the identity alone is
+    of their orbits, as _orbits gives them; the identity alone is
     maps = arange(N)[None], reps = arange(N).  The antipode -I commutes with
     every signed axis permutation, so the orbit of a rep j under the group
-    and -I is its own orbit joined to that of anti[j], and j is kept if it
-    is the smaller of the two reps: of the N/h points, about N/2h remain,
-    unless an orbit already holds its antipodes, as every orbit does where
-    -I is in the group.  Returns (reps, anti), or (reps, None) unchanged for
-    a rule without exact antipodes (_antipodes).
+    and -I is its own orbit joined to that of rule.antipodes[j], and j is
+    kept if it is the smaller of the two reps: of the N/h points, about N/2h
+    remain, unless an orbit already holds its antipodes, as every orbit
+    does where -I is in the group.
     """
-    anti = _antipodes(rule)
-    if anti is None:
-        return reps, None
     first = np.empty(len(rule), dtype=np.intp)
     first[maps[:, reps]] = reps   # the rep of each point's orbit
-    return reps[first[anti[reps]] >= reps], anti
+    return reps[first[rule.antipodes[reps]] >= reps]
 
 
 @cache
@@ -142,26 +150,27 @@ def _reps(rows, k):
 def _orbits(rows, cols, d):
     """Signed axis permutations that two rules share and that fix d, and their orbits.
 
-    Returns (row_maps, col_maps, reps).  Row k of row_maps and of col_maps is
-    the index map (QuadratureRule.symmetries) of one permutation S_k on the
-    points of ``rows`` and of ``cols``, one row per S_k that both rules hold
-    and that fixes the offset d, compared exactly, the identity first.  S_k
-    maps d + a rows.points[i] onto d + a rows.points[row_maps[k, i]] and
-    b cols.points[j] onto b cols.points[col_maps[k, j]] and keeps inner
+    Returns (k, m, reps).  rows.symmetries[1][k[t]] and cols.symmetries[1][m[t]]
+    are the index maps (QuadratureRule.symmetries) of one permutation S_t on
+    the points of ``rows`` and of ``cols``, one t per S_t that both rules
+    hold and that fixes the offset d, compared exactly, the identity first.
+    S_t maps d + a rows.points[i] onto d + a rows.points[row_map[i]] and
+    b cols.points[j] onto b cols.points[col_map[j]] and keeps inner
     products, so an operator whose entry (i, j) depends on these points and on
     the normals rows.points[i] only through inner products, as the kernel sums
-    of the shifts and the flow rows do, has entry (row_maps[k, i],
-    col_maps[k, j]) equal to entry (i, j): it need only be summed at reps, the
-    smallest index of each orbit, ascending.  The embedded rules hold all 48,
-    so d = 0 (a sphere's own block) keeps 48, an offset along an axis 8, a
-    body diagonal 6, a face diagonal 4, elsewhere in a coordinate plane 2 and
-    anywhere else 1; a rule built by hand may hold fewer.  The shifts join
-    the antipode of the rows to these (_antipodal_reps), which does not fix
-    d but only flips the sign of the odd degrees: 8 -> 16, 6 -> 12, 4 -> 8,
-    2 -> 4 and 1 -> 2, while d = 0 keeps 48.  On the 1202 points of the
-    p = 30 rule the kernel is then summed at 91, 116, 171, 311 and 601 rows
-    instead of 176, 231, 326, 621 and 1202, and at 36 for d = 0.  The flow
-    rows (bem._orbit_blocks) sum each block once per offset class
+    of the shifts and the flow rows do, has entry (row_map[i], col_map[j])
+    equal to entry (i, j): it need only be summed at reps, the smallest
+    index of each orbit, ascending.  The embedded rules hold all 48, so
+    d = 0 (a sphere's own block) keeps 48, an offset along an axis 8, a
+    body diagonal 6, a face diagonal 4, elsewhere in a coordinate plane 2
+    and anywhere else 1; a rule built by hand may hold fewer, but holds
+    {I, -I}, and -I fixes d = 0.  The shifts join the antipode of the rows
+    to these (_antipodal_reps), which does not fix d but only flips the
+    sign of the odd degrees: 8 -> 16, 6 -> 12, 4 -> 8, 2 -> 4 and 1 -> 2,
+    while d = 0 keeps 48.  On the 1202 points of the p = 30 rule the kernel
+    is then summed at 91, 116, 171, 311 and 601 rows instead of 176, 231,
+    326, 621 and 1202, and at 36 for d = 0.  The flow rows
+    (bem._orbit_blocks) sum each block once per offset class
     (_offset_class), at the class's canonical offset, over one source point
     of each antipodal pair: the three spheres of demos/three_spheres.txt
     make 9 blocks in 5 classes, summed at 1490 rows of the 1202-point
@@ -169,15 +178,14 @@ def _orbits(rows, cols, d):
     instead of 782, and 1.83 M pair-degrees over p = 2..8 instead of
     7.22 M.  Rules hash by identity; the caches, which keep them alive,
     match the matrices once per pair of rules and build reps once per
-    subgroup.  The maps are gathered on each call: holding every
-    subgroup's (h, N) maps would take 7 MB over the three-sphere flow at
-    p = 2..8, more than that pass's 3.9 MB peak.
+    subgroup.  No map is gathered here: each caller gathers the columns it
+    needs, as holding every subgroup's (h, N) maps would take 7 MB over the
+    three-sphere flow at p = 2..8, more than that pass's 3.9 MB peak.
     """
-    S, row_maps = rows.symmetries
     k, m = _shared(rows, cols)
-    fix = np.all(S[k] @ d == d, axis=1)
+    fix = np.all(rows.symmetries[0][k] @ d == d, axis=1)
     k, m = k[fix], m[fix]
-    return row_maps[k], cols.symmetries[1][m], _reps(rows, tuple(k.tolist()))
+    return k, m, _reps(rows, tuple(k.tolist()))
 
 
 def _offset_class(rows, cols, d):
@@ -192,8 +200,8 @@ def _offset_class(rows, cols, d):
     _orbits) then has entry (row_map[i], col_map[j]) at d equal to entry
     (i, j) at c: blocks at the offsets of one class are index permutations
     of the block at c, and need only be summed at c.  A rule built by hand
-    shares fewer symmetries, perhaps only the identity, whose classes hold
-    one offset each.
+    shares fewer symmetries, but at least {I, -I}, whose classes hold d and
+    -d.
     """
     S = rows.symmetries[0]
     k, m = _shared(rows, cols)
@@ -228,8 +236,6 @@ def lebedev_rule(order):
         table = np.loadtxt(str(ref)).reshape(-1, 4)
         points = np.ascontiguousarray(table[:, :3])
         weights = table[:, 3] * (4.0 * np.pi)  # tables are normalized to 1
-        if weights.min() <= 0.0:
-            raise DomainError("embedded table for order %d has non-positive weights" % order)
         _cache[order] = QuadratureRule(points=points, weights=weights, exactness_degree=order)
     return _cache[order]
 

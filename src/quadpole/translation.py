@@ -34,9 +34,8 @@ def _refit(src, kind, new_center, new_R):
     about N/16, N/12, N/8, N/4 and N/2 points; d = 0 keeps its 48, which
     hold -I already.
     """
-    # the column maps of a rule against itself repeat the row maps: dropped here, so that
-    # they are not held through the kernel sums (77 kB at p = 30 along an axis)
-    maps, reps = _orbits(src.rule, src.rule, src.center - new_center)[::2]
+    k, _, reps = _orbits(src.rule, src.rule, src.center - new_center)
+    maps = src.rule.symmetries[1][k]
     rel = (src.surface_points - new_center) / new_R
     weights = _project(kind, rel, src.surface_weights[maps], src.rule, src.order, maps, reps)
     return replace(src, center=new_center, radius=new_R, surface_weights=weights,

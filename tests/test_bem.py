@@ -5,7 +5,7 @@ import quadpole as qp
 import quadpole.bem as bem
 from quadpole.bem import _boundary_system, _harmonic_basis
 from quadpole.legendre import kernel_sum, normal_kernel_sum
-from quadpole.quadrature import _antipodes, _offset_class, _orbits
+from quadpole.quadrature import _offset_class, _orbits
 
 
 def uniform_density_expansion(p=5, R=1.0, sigma0=1.0):
@@ -127,11 +127,14 @@ def test_sphere_boundary_validation():
                                      (np.zeros(3), 1.0, [np.inf, 0, 0])):
         with pytest.raises(qp.DomainError, match="finite"):
             qp.SphereBoundary.make(center, radius, velocity, 4)
-    for center, radius, velocity in (([0.0, 0.0], 1.0, [1.0, 0, 0]),
-                                     (np.zeros(3), 1.0, [1.0, 0]),
-                                     (np.zeros(3), [1.0], [1.0, 0, 0]),
-                                     (np.zeros((1, 3)), 1.0, [1.0, 0, 0])):
-        with pytest.raises(qp.DomainError, match="3-vectors"):
+    # the checks that SurfaceExpansion makes, with their messages
+    for center, radius, velocity, message in (
+            ([0.0, 0.0], 1.0, [1.0, 0, 0], "^center must be a finite 3-vector$"),
+            (np.zeros(3), 1.0, [1.0, 0], "^velocity must be a finite 3-vector$"),
+            (np.zeros(3), [1.0], [1.0, 0, 0], "^radius must be finite and positive$"),
+            (np.zeros((1, 3)), 1.0, [1.0, 0, 0], "^center must be a finite 3-vector$"),
+            (np.zeros(3), True, [1.0, 0, 0], "^radius must be finite and positive$")):
+        with pytest.raises(qp.DomainError, match=message):
             qp.SphereBoundary.make(center, radius, velocity, 3)
     s = qp.SphereBoundary.make(np.zeros(3), 1.0, np.array([1.0, 0, 0]), 4)
     assert s.rule.exactness_degree >= 6
@@ -273,20 +276,9 @@ def unreduced_flow_blocks(spheres, sources, rule):
     return blocks, scales
 
 
-def is_summed_unreduced(rule, src_rule, d):
-    """Whether a flow block between two spheres is summed as unreduced_flow_blocks sums
-    it: its offset is its class's canonical one, only the identity fixes it and the
-    source rule has no exact antipodes.  (The oracle sums a sphere's own block, d = 0,
-    by another formula.)"""
-    c = _offset_class(rule, src_rule, d)[0]
-    return (np.any(d != 0.0) and np.array_equal(c, d)
-            and len(_orbits(rule, src_rule, d)[0]) == 1 and _antipodes(src_rule) is None)
-
-
 def assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule):
     # the solve's matrix, block by block: within 1e-13 of the sum of |terms|
-    # of each entry, and bit for bit where no class, orbit or antipodal fold
-    # applies (is_summed_unreduced)
+    # of each entry
     n = len(fit_rule)
     cols = np.cumsum([0] + [len(s.rule) for s in spheres])
     sqw = np.sqrt(fit_rule.weights)[:, None]
@@ -294,10 +286,7 @@ def assert_flow_matches_unreduced(spheres, expansions, fit_rule, ref_rule):
     full, scale = unreduced_flow_blocks(spheres, spheres, fit_rule)
     for (i, j), block in full.items():
         got = A[i * n:(i + 1) * n, cols[j]:cols[j + 1]]
-        if is_summed_unreduced(fit_rule, spheres[j].rule, spheres[i].center - spheres[j].center):
-            assert np.array_equal(got, block * sqw), (i, j)
-        else:
-            assert np.all(np.abs(got - block * sqw) <= 1e-13 * scale[i, j] * sqw), (i, j)
+        assert np.all(np.abs(got - block * sqw) <= 1e-13 * scale[i, j] * sqw), (i, j)
     # boundary_error: each row's mismatch within 1e-13 of its sum of |terms|,
     # so each weighted RMS within 1e-13 of the RMS of those sums
     full, scale = unreduced_flow_blocks(spheres, expansions, ref_rule)
@@ -365,12 +354,13 @@ def hand_built_scene(p):
 
 
 def nudged_rule(p):
-    """The order-p rule with one point moved 1e-6 off the negative of its antipode (its
-    exactness label kept): no exact antipodes, and no symmetry but the identity."""
+    """The order-p rule with one point moved 1e-6 and its antipode moved with it (its
+    exactness label kept): centrally symmetric, with no symmetry but {I, -I}."""
     rule = qp.rule_for_expansion(p)
     points = rule.points.copy()
     points[3] += 1e-6 * np.array([0.3, -0.2, 0.1])
     points[3] /= np.linalg.norm(points[3])
+    points[rule.antipodes[3]] = -points[3]
     return qp.QuadratureRule(points, rule.weights.copy(), rule.exactness_degree)
 
 
@@ -381,16 +371,15 @@ def square_scene(p):
 
 
 def count_recurrences(monkeypatch):
-    """Count the calls of the flow blocks' kernel recurrence, with or without antipodes."""
+    """Count the calls of the flow blocks' kernel recurrence."""
     calls = []
-    for name in ("_normal_pair", "normal_kernel_sum"):
-        original = getattr(bem, name)
+    original = bem._normal_pair
 
-        def counted(*args, original=original):
-            calls.append(1)
-            return original(*args)
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
 
-        monkeypatch.setattr(bem, name, counted)
+    monkeypatch.setattr(bem, "_normal_pair", counted)
     return calls
 
 
@@ -418,28 +407,6 @@ def test_flow_blocks_are_summed_once_per_offset_class(scene, classes, p, monkeyp
     assert_flow_matches_unreduced(spheres, sol.expansions, fit_rule, ref_rule)
 
 
-def test_flow_on_a_rule_without_antipodes_is_summed_unreduced():
-    # a source rule with one point nudged off its antipode has no antipodes
-    # and no symmetry but the identity: its blocks are summed over every
-    # point, at every row, and the one it sends to the other sphere is bit
-    # for bit the unreduced oracle's; the blocks of the embedded rule fold
-    p = 5
-    rule = nudged_rule(p)
-    assert _antipodes(rule) is None and len(rule.symmetries[0]) == 1
-    spheres = [qp.SphereBoundary(np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]), rule, p),
-               qp.SphereBoundary.make(np.array([0.0, 3.0, 0.0]), 1.0,
-                                      np.array([-1.0, 0.0, 0.0]), p)]
-    fit_rule = qp.rule_for_expansion(p, min_order=29)
-    unreduced = [is_summed_unreduced(fit_rule, src.rule, s.center - src.center)
-                 for s in spheres for src in spheres]
-    assert unreduced == [False, False, True, False]
-    assert_flow_matches_unreduced(spheres, random_expansions(spheres, 1), fit_rule,
-                                  qp.lebedev_rule(59))
-    sol = qp.solve_potential_flow(spheres)
-    assert sol.rank == 2 * p * p
-    assert_flow_matches_unreduced(spheres, sol.expansions, fit_rule, qp.lebedev_rule(59))
-
-
 def test_offset_classes_use_only_the_shared_symmetries():
     # the canonical offset is the largest image under the symmetries both
     # rules hold, and the maps returned carry it back to d
@@ -451,11 +418,14 @@ def test_offset_classes_use_only_the_shared_symmetries():
     g = [k for k in range(len(S)) if np.array_equal(S[k] @ np.array(c), d)]
     assert any(np.array_equal(row_map, rule.symmetries[1][k]) for k in g)
     assert np.array_equal(col_map, row_map)
-    # a rule with only the identity keeps every offset as it is
-    assert _offset_class(rule, nudged_rule(5), d)[0] == tuple(d)
-    # the turned rule holds {I, -I}: an offset goes to the larger of d and -d
-    turned = hand_built_scene(5)[0].rule
-    assert _offset_class(rule, turned, d)[0] == (2.5, -1.5, 1.0)
+    # the nudged and the turned rule hold only {I, -I}: an offset goes to the
+    # larger of d and -d, and the maps carry it back
+    for hand_built in (nudged_rule(5), hand_built_scene(5)[0].rule):
+        c, row_map, col_map = _offset_class(rule, hand_built, d)
+        assert c == (2.5, -1.5, 1.0)
+        assert np.array_equal(rule.points[row_map], -rule.points)
+        assert np.array_equal(hand_built.points[col_map], -hand_built.points)
+    assert _offset_class(rule, hand_built, -d)[0] == (2.5, -1.5, 1.0)
 
 
 def test_flow_on_a_hand_built_rule_uses_only_shared_symmetries():
@@ -468,10 +438,10 @@ def test_flow_on_a_hand_built_rule_uses_only_shared_symmetries():
     fit_rule = qp.rule_for_expansion(p, min_order=29)
     ref_rule = qp.lebedev_rule(59)
     for rows in (fit_rule, ref_rule):
-        row_maps, col_maps, _ = _orbits(rows, rotated, np.zeros(3))
-        assert len(row_maps) == 2
-        assert np.array_equal(rows.points[row_maps[1]], -rows.points)
-        assert np.array_equal(rotated.points[col_maps[1]], -rotated.points)
+        k, m, _ = _orbits(rows, rotated, np.zeros(3))
+        assert len(k) == 2
+        assert np.array_equal(rows.points[rows.symmetries[1][k[1]]], -rows.points)
+        assert np.array_equal(rotated.points[rotated.symmetries[1][m[1]]], -rotated.points)
         assert len(_orbits(rows, rotated, spheres[1].center)[0]) == 1
         assert len(_orbits(rows, spheres[1].rule, -spheres[1].center)[0]) == 8
     sol = qp.solve_potential_flow(spheres)
@@ -533,7 +503,7 @@ def test_flow_system_stays_well_conditioned_near_contact(gap, p):
 
 
 def test_flow_refuses_a_singular_system(monkeypatch):
-    # a system whose normal equations have no Cholesky factor is a
+    # a system whose Gram matrix has no positive smallest eigenvalue is a
     # SolverError, not a LinAlgError
     import quadpole.bem as bem
     monkeypatch.setattr(bem, "_boundary_system",

@@ -36,6 +36,23 @@ def test_fit_outer_empty_and_errors():
         qp.fit_outer(qp.PointCharges.empty(), np.zeros(3), -1.0, 3)
 
 
+
+def test_order_and_radius_must_not_be_bools():
+    # True is an int to Python, but as an order or a radius it is refused,
+    # by the checks and with the messages that SphereBoundary uses
+    rule = qp.lebedev_rule(7)
+    with pytest.raises(qp.DomainError, match="^order must be an integer >= 1"):
+        qp.fit_outer(qp.PointCharges.empty(), np.zeros(3), 1.0, True)
+    with pytest.raises(qp.DomainError, match="^order must be an integer >= 1"):
+        qp.SurfaceExpansion(np.zeros(3), 1.0, rule, np.zeros(len(rule)), True, "outer")
+    with pytest.raises(qp.DomainError, match="^radius must be finite and positive$"):
+        qp.SurfaceExpansion(np.zeros(3), True, rule, np.zeros(len(rule)), 4, "outer")
+    with pytest.raises(qp.DomainError, match="^radius must be finite and positive$"):
+        qp.SphereBoundary(np.zeros(3), True, [1.0, 0.0, 0.0], rule, 4)
+    assert qp.SurfaceExpansion(np.zeros(3), 1, rule, np.zeros(len(rule)), np.int64(4),
+                               "outer").radius == 1.0
+
+
 # clouds of 1 to 20 positive charges in the cube |y_k| <= 1/2, inside the unit
 # sphere; positive, so that no cancellation between sources makes max |w| small
 # beside the roundoff of the sums

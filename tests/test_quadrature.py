@@ -3,9 +3,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadpole as qp
-from quadpole.quadrature import _antipodal_reps, _antipodes, _orbits, sphere_monomial_integral
+from quadpole.quadrature import _antipodal_reps, _orbits, sphere_monomial_integral
 
 
 def test_rule_point_counts():
@@ -151,6 +152,18 @@ def test_symmetries_peak_memory_is_the_maps():
     assert peak <= 3 * maps.nbytes
 
 
+def lone_pair_rule(rule):
+    """rule with the weights of a point that only the identity fixes and of its antipode
+    scaled by 1.5, and every weight rescaled to sum to 4 pi."""
+    a = np.abs(rule.points)
+    lone = np.flatnonzero((a > 0).all(axis=1) & (a[:, 0] != a[:, 1]) & (a[:, 1] != a[:, 2])
+                          & (a[:, 0] != a[:, 2]))[0]
+    weights = rule.weights.copy()
+    weights[[lone, rule.antipodes[lone]]] *= 1.5
+    weights *= 4.0 * np.pi / weights.sum()
+    return qp.QuadratureRule(rule.points.copy(), weights, rule.exactness_degree)
+
+
 def test_hand_built_rules_keep_only_their_exact_symmetries():
     rule = qp.lebedev_rule(19)
     # turned about a generic axis, only the inversion, which commutes with
@@ -164,14 +177,132 @@ def test_hand_built_rules_keep_only_their_exact_symmetries():
     S, maps = rotated.symmetries
     assert np.array_equal(S, [np.eye(3), -np.eye(3)])
     assert np.array_equal(rotated.points[maps[1]], -rotated.points)
-    # a changed weight at a point that no symmetry but the identity fixes
-    a = np.abs(rule.points)
-    lone = np.flatnonzero((a > 0).all(axis=1) & (a[:, 0] != a[:, 1]) & (a[:, 1] != a[:, 2])
-                          & (a[:, 0] != a[:, 2]))[0]
-    weights = rule.weights.copy()
-    weights[lone] *= 1.5
-    S, maps = qp.QuadratureRule(rule.points.copy(), weights, 19).symmetries
-    assert np.array_equal(S, [np.eye(3)]) and np.array_equal(maps, [np.arange(len(rule))])
+    # a changed weight pair at a point that no symmetry but the identity
+    # fixes and at its antipode leaves only {I, -I}
+    S, maps = lone_pair_rule(rule).symmetries
+    assert np.array_equal(S, [np.eye(3), -np.eye(3)])
+    assert np.array_equal(maps, [np.arange(len(rule)), rule.antipodes])
+
+
+def renormalised(weights):
+    return weights * (4.0 * np.pi / weights.sum())
+
+
+# (points, weights) of the 26-point rule -> an input that breaks the rule contract
+MALFORMED = {
+    "negated weights": lambda x, w: (x, -w),
+    "a zero weight pair": lambda x, w: (x, renormalised(np.where(np.abs(x[:, 0]) == 1.0, 0.0, w))),
+    "weights not summing to 4 pi": lambda x, w: (x, w * (1.0 + 1e-11)),
+    "a NaN point": lambda x, w: (np.where(np.arange(len(x))[:, None] == 2, np.nan, x), w),
+    "a NaN weight": lambda x, w: (x, np.where(np.arange(len(w)) == 2, np.nan, w)),
+    "points (N, 2)": lambda x, w: (x[:, :2], w),
+    "points (N, 3, 1)": lambda x, w: (x[..., None], w),
+    "one weight too few": lambda x, w: (x, w[:-1]),
+    "weights (N, 1)": lambda x, w: (x, w[:, None]),
+    "no points": lambda x, w: (x[:0], w[:0]),
+    "points off the sphere": lambda x, w: (x * (1.0 + 1e-11), w),
+    "an odd point out": lambda x, w: (x[1:], renormalised(w[1:])),
+    "an unequal weight pair": lambda x, w: (x, renormalised(w * np.where(np.arange(len(w)) == 0,
+                                                                         1.5, 1.0))),
+    "a point moved without its antipode": lambda x, w: (
+        np.where(np.arange(len(x))[:, None] == 0, x[[0]] @ np.array([[0.6, 0.8, 0.0],
+                                                                     [-0.8, 0.6, 0.0],
+                                                                     [0.0, 0.0, 1.0]]), x), w),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_rules_that_break_the_contract_are_refused(case):
+    # a rule is unit points with positive weights summing to 4 pi, each point
+    # with an exact antipode of equal weight: the kernel sums fold every
+    # point into its antipode, so anything else would be a silent wrong answer
+    rule = qp.lebedev_rule(7)
+    points, weights = MALFORMED[case](rule.points.copy(), rule.weights.copy())
+    with pytest.raises(qp.DomainError):
+        qp.QuadratureRule(points, weights, 7)
+
+
+def test_rules_are_built_from_plain_lists():
+    rule = qp.lebedev_rule(5)
+    listed = qp.QuadratureRule(rule.points.tolist(), rule.weights.tolist(), 5)
+    for name in ("points", "weights", "antipodes"):
+        got = getattr(listed, name)
+        assert np.array_equal(got, getattr(rule, name)) and not got.flags.writeable
+    assert listed.points.dtype == listed.weights.dtype == float
+
+
+def contract_holds(points, weights):
+    """Whether (points, weights) meet the rule contract, checked apart from the code: the
+    rows (x, y, z, w) sorted equal the rows (-x, -y, -z, w) sorted."""
+    points, weights = np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
+    if points.shape[1:] != (3,) or weights.shape != points.shape[:1]:
+        return False
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+        return False
+    rows = np.column_stack([points, weights])
+    flipped = np.column_stack([-points, weights])
+    return (np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-12)
+            and np.all(weights > 0.0)
+            and abs(weights.sum() / (4.0 * np.pi) - 1.0) <= 1e-12
+            and np.array_equal(rows[np.lexsort(rows.T)], flipped[np.lexsort(flipped.T)]))
+
+
+EDITS = st.sampled_from(["scale point", "set weight", "drop point", "negate point",
+                         "swap points", "turn", "scale weights"])
+FACTORS = st.sampled_from([1.0, -1.0, 0.0, 1.0 + 1e-13, 1.0 + 1e-11, 1.5, 1e308, np.nan, np.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@np.errstate(over="ignore", invalid="ignore")   # inf * 0 and overflows are inputs too
+def edited(rule, edits):
+    """rule's points and weights, copied, after each (edit, index, factor) of edits, and
+    whether they meet the contract."""
+    points, weights = rule.points.copy(), rule.weights.copy()
+    for edit, i, f in edits:
+        i %= len(weights)
+        if edit == "scale point":
+            points[i] *= f
+        elif edit == "set weight":
+            weights[i] = f * weights[i]
+        elif edit == "drop point":
+            points, weights = np.delete(points, i, axis=0), np.delete(weights, i)
+        elif edit == "negate point":
+            points[i] = -points[i]
+        elif edit == "swap points":
+            points[[0, i]], weights[[0, i]] = points[[i, 0]], weights[[i, 0]]
+        elif edit == "turn":   # a signed axis permutation keeps the contract
+            points = -points[:, [1, 2, 0]] if f < 0 else points[:, [2, 0, 1]]
+        else:
+            weights = weights * f
+    return points, weights, contract_holds(points, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.sampled_from([3, 5, 7, 9]), edits=st.lists(st.tuples(EDITS, st.integers(0, 37),
+                                                                     FACTORS), max_size=3),
+       as_lists=st.booleans())
+def test_random_rules_are_built_whole_or_refused(order, edits, as_lists):
+    # an embedded rule edited at random: the rule is built, meeting every
+    # invariant, exactly when the input meets the contract, and otherwise
+    # refused with a DomainError
+    points, weights, holds = edited(qp.lebedev_rule(order), edits)
+    if as_lists:
+        points, weights = points.tolist(), weights.tolist()
+    try:
+        built = qp.QuadratureRule(points, weights, order)
+    except qp.DomainError:
+        assert not holds
+        return
+    assert holds
+    n = len(built.weights)
+    assert built.points.shape == (n, 3) and built.antipodes.shape == (n,)
+    assert np.all(np.abs(np.linalg.norm(built.points, axis=1) - 1.0) <= 1e-12)
+    assert np.all(built.weights > 0.0)
+    assert abs(built.weights.sum() - 4.0 * np.pi) <= 4e-12 * np.pi
+    assert np.array_equal(built.points[built.antipodes], -built.points)
+    assert np.array_equal(built.weights[built.antipodes], built.weights)
+    assert not (built.points.flags.writeable or built.weights.flags.writeable
+                or built.antipodes.flags.writeable)
 
 
 def test_rules_compare_and_hash_by_identity():
@@ -184,50 +315,56 @@ def test_rules_compare_and_hash_by_identity():
 
 def test_orbits_are_matched_once_per_rule_pair_and_subgroup():
     rows, cols = qp.lebedev_rule(29), qp.lebedev_rule(19)
-    axis = _orbits(rows, cols, np.array([0.0, 2.0, 0.0]))
-    assert len(axis[0]) == 8 and axis[1].shape == (8, len(cols))
-    # another offset fixed by the same 8 symmetries gets the same maps and
+    d = np.array([0.0, 2.0, 0.0])
+    k, m, reps = axis = _orbits(rows, cols, d)
+    assert len(k) == len(m) == 8
+    # k and m index the same matrices in each rule's symmetries, each fixing d
+    assert np.array_equal(rows.symmetries[0][k], cols.symmetries[0][m])
+    assert np.all(rows.symmetries[0][k] @ d == d)
+    # another offset fixed by the same 8 symmetries gets the same indices and
     # the same cached orbit representatives, which are read-only
     again = _orbits(rows, cols, np.array([0.0, 0.5, 0.0]))
-    assert all(np.array_equal(a, b) for a, b in zip(axis, again)) and again[2] is axis[2]
+    assert all(np.array_equal(a, b) for a, b in zip(axis, again)) and again[2] is reps
     with pytest.raises(ValueError):
-        axis[2][0] = 1
+        reps[0] = 1
     plane = _orbits(rows, cols, np.array([1.0, 2.0, 0.0]))
-    assert len(plane[0]) == 2 and len(plane[2]) > len(axis[2])
+    assert len(plane[0]) == 2 and len(plane[2]) > len(reps)
     # a hand-built column rule with the embedded points is matched on its own:
-    # a changed weight at a point that only the identity fixes leaves only I
-    a = np.abs(cols.points)
-    lone = np.flatnonzero((a > 0).all(axis=1) & (a[:, 0] != a[:, 1]) & (a[:, 1] != a[:, 2])
-                          & (a[:, 0] != a[:, 2]))[0]
-    weights = cols.weights.copy()
-    weights[lone] *= 1.5
-    changed = qp.QuadratureRule(cols.points.copy(), weights, 19)
+    # a changed weight pair at a point that only the identity fixes and its
+    # antipode leaves {I, -I}, and -I fixes only d = 0
+    changed = lone_pair_rule(cols)
     assert len(_orbits(rows, cols, np.zeros(3))[0]) == 48
-    assert len(_orbits(rows, changed, np.zeros(3))[0]) == 1
+    k, m, _ = _orbits(rows, changed, np.zeros(3))
+    assert np.array_equal(rows.symmetries[0][k], [np.eye(3), -np.eye(3)])
+    assert np.array_equal(changed.symmetries[0][m], [np.eye(3), -np.eye(3)])
+    assert len(_orbits(rows, changed, d)[0]) == 1
 
 
 def test_every_embedded_rule_has_exact_antipodes():
     for order in qp.available_orders():
         rule = qp.lebedev_rule(order)
-        anti = _antipodes(rule)
+        anti = rule.antipodes
         assert anti.shape == (len(rule),) and anti.dtype == np.intp
         assert np.array_equal(rule.points[anti], -rule.points)
         assert np.array_equal(rule.weights[anti], rule.weights)
         assert np.array_equal(anti[anti], np.arange(len(rule)))
         assert np.all(anti != np.arange(len(rule)))
-        assert _antipodes(rule) is anti   # cached, read-only
+        # the map of -I among the symmetries, which the rule keeps read-only
+        S, maps = rule.symmetries
+        assert np.array_equal(maps[(S == -np.eye(3)).all(axis=(1, 2))], [anti])
         with pytest.raises(ValueError):
             anti[0] = 1
 
 
 def test_fits_find_antipodes_without_the_symmetry_maps():
-    # the cache keeps N integers per rule, not the 48 maps of QuadratureRule.symmetries
+    # a rule keeps N integers for its antipodes, not the 48 maps of
+    # QuadratureRule.symmetries, which fits and evaluations never build
     rule = qp.rule_for_expansion(9)
     copy = qp.QuadratureRule(rule.points.copy(), rule.weights.copy(), rule.exactness_degree)
     cloud = qp.PointCharges(np.array([[0.1, 0.2, -0.3]]), np.array([1.0]))
     exp = qp.fit_outer(cloud, np.zeros(3), 1.0, 9, rule=copy)
     qp.eval_outer_potential(exp, np.array([2.0, 0.0, 0.0]))
-    assert _antipodes(copy) is not None and "symmetries" not in vars(copy)
+    assert np.array_equal(copy.antipodes, rule.antipodes) and "symmetries" not in vars(copy)
 
 
 # shift vectors d and (points per orbit of the symmetries that fix d, the same
@@ -241,18 +378,16 @@ ORBIT_COUNTS = {"zero": ([0.0, 0.0, 0.0], 36, 36), "axis": ([0.0, -0.375, 0.0], 
 def test_the_antipode_halves_the_orbit_reps_unless_the_group_holds_it(shift):
     d, count, folded = ORBIT_COUNTS[shift]
     rule = qp.lebedev_rule(59)
-    maps, _, reps = _orbits(rule, rule, np.array(d))
-    kept, anti = _antipodal_reps(rule, maps, reps)
+    k, _, reps = _orbits(rule, rule, np.array(d))
+    maps = rule.symmetries[1][k]
+    kept = _antipodal_reps(rule, maps, reps)
     assert (len(reps), len(kept)) == (count, folded)
-    # the kept points, their images and the images' antipodes are every point
-    reached = np.union1d(maps[:, kept], anti[maps[:, kept]])
+    # the kept points, their images and the images' antipodes are every point,
+    # each reached from one kept point only
+    reached = np.union1d(maps[:, kept], rule.antipodes[maps[:, kept]])
     assert np.array_equal(reached, np.arange(len(rule)))
-    # a rule without exact antipodes keeps the orbit reps as they are
-    weights = rule.weights.copy()
-    weights[0] *= 1.5
-    changed = qp.QuadratureRule(rule.points.copy(), weights, 59)
-    assert _antipodes(changed) is None
-    assert _antipodal_reps(changed, maps, reps) == (reps, None)
+    assert sum(len(np.union1d(maps[:, j], rule.antipodes[maps[:, j]])) for j in kept) \
+        == len(rule)
 
 
 def test_orthogonality_identity():

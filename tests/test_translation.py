@@ -5,7 +5,7 @@ from test_bem import hand_built_scene, nudged_rule
 
 import quadpole as qp
 from quadpole.legendre import _kernel_dot
-from quadpole.quadrature import _antipodes
+from quadpole.quadrature import _orbits
 
 
 def random_cloud(rng, n, scale=0.5, offset=(0.0, 0.0, 0.0)):
@@ -190,9 +190,9 @@ def test_reduced_shifts_match_full_projection(p, direction):
     # each shift sums the kernel at one new rule point per orbit of the
     # symmetries that fix d and the antipode; the full projection
     # W_j sum_i w_i K(rel_i, rhat_j) is computed here with one kernel_matrix
-    # over every pair.  (On a rule without exact antipodes or symmetries a
-    # shift is one unreduced contracted sum, checked bit for bit in
-    # test_shifts_on_a_rule_without_antipodes_are_one_unreduced_sum.)
+    # over every pair.  (On a rule whose only symmetries are I and -I a
+    # generic shift is one contracted sum over half the points, checked bit
+    # for bit in test_shifts_on_a_rule_with_only_the_antipode_are_one_folded_sum.)
     d, fixing = SHIFT_DIRECTIONS[direction]
     d = np.array(d)
     rule = qp.rule_for_expansion(p)
@@ -247,16 +247,17 @@ def rotated_rule(p):
 
 
 def unequal_weight_rule(p):
-    """The order-p rule with one weight changed by 1e-6: the points are antipodal,
-    but one pair's weights differ."""
+    """The order-p rule with one antipodal pair's weights changed by 1e-6 and every weight
+    rescaled to sum to 4 pi: it keeps fewer symmetries than the embedded rule."""
     rule = qp.rule_for_expansion(p)
     weights = rule.weights.copy()
-    weights[3] *= 1.0 + 1e-6
+    weights[[3, rule.antipodes[3]]] *= 1.0 + 1e-6
+    weights *= 4.0 * np.pi / weights.sum()
     return qp.QuadratureRule(rule.points.copy(), weights, rule.exactness_degree)
 
 
-HAND_BUILT_RULES = {"nudged point": (nudged_rule, False), "rotated": (rotated_rule, True),
-                    "unequal weights": (unequal_weight_rule, False)}
+HAND_BUILT_RULES = {"nudged point": nudged_rule, "rotated": rotated_rule,
+                    "unequal weights": unequal_weight_rule}
 
 
 def shift_cases(d):
@@ -270,12 +271,12 @@ def shift_cases(d):
 @pytest.mark.parametrize("p", [4, 16])
 @pytest.mark.parametrize("case", HAND_BUILT_RULES)
 def test_hand_built_rules_match_the_unreduced_oracle(case, p):
-    # a rule folds antipodal points only where every point's antipode is a
-    # point with an equal weight; folded or not, fits, the three shifts and
-    # both evaluations match the sums over every pair within 1e-13 of their scale
-    make, folds = HAND_BUILT_RULES[case]
-    rule = make(p)
-    assert (_antipodes(rule) is not None) == folds
+    # rules built by hand keep fewer symmetries than the embedded ones, but
+    # every point's antipode: fits, the three shifts and both evaluations,
+    # folded over the antipodes, match the sums over every pair within 1e-13
+    # of their scale
+    rule = HAND_BUILT_RULES[case](p)
+    assert len(rule.symmetries[0]) < 48
     rng = np.random.default_rng(401 + p)
     center, R = np.array([0.2, -0.1, 0.3]), 1.5
     near = random_cloud(rng, 60, scale=0.5, offset=center)
@@ -301,22 +302,28 @@ def test_hand_built_rules_match_the_unreduced_oracle(case, p):
 
 
 @pytest.mark.parametrize("p", [4, 16, 30])
-def test_shifts_on_a_rule_without_antipodes_are_one_unreduced_sum(p):
-    # the nudged rule keeps only the identity and has no exact antipodes, so
-    # each shift is one contracted kernel sum over every pair, and must equal
-    # that sum, made with the call shape the shift uses (one row of weights,
-    # as a column, with its even- and odd-degree totals added), bit for bit
+def test_shifts_on_a_rule_with_only_the_antipode_are_one_folded_sum(p):
+    # the nudged rule keeps only I and -I, and -I fixes no shift but zero, so
+    # each generic shift is one contracted kernel sum at the first point of
+    # each antipodal pair, and must equal that sum, made with the call shape
+    # the shift uses (one row of weights, as a column), bit for bit: the
+    # even- plus the odd-degree total at that point, minus at its antipode
     rule = nudged_rule(p)
-    assert len(rule.symmetries[0]) == 1 and _antipodes(rule) is None
+    d = np.array([0.3, -0.1, 0.2])
+    assert len(rule.symmetries[0]) == 2 and len(_orbits(rule, rule, d)[0]) == 1
     weights = np.random.default_rng(p).uniform(-1.0, 1.0, len(rule))
     coef = (2.0 * np.arange(p) + 1.0) / (4.0 * np.pi)
-    for shift, kind, center, radius, new_R in shift_cases(np.array([0.3, -0.1, 0.2])):
+    half = np.flatnonzero(rule.antipodes > np.arange(len(rule)))
+    for shift, kind, center, radius, new_R in shift_cases(d):
         src = qp.SurfaceExpansion(center, radius, rule, weights, p, kind)
         out = shift(src, np.zeros(3), new_R)
         rel = src.surface_points / new_R
-        rows = rule.points[:, None, :]
+        rows = rule.points[half][:, None, :]
         args = (rel, rows) if out.kind == "outer" else (rows, rel)
-        oracle = rule.weights * np.add(*_kernel_dot(*args, coef, weights[None].T))[:, 0]
+        even, odd = _kernel_dot(*args, coef, weights[None].T)
+        oracle = np.empty(len(rule))
+        oracle[half] = rule.weights[half] * (even + odd)[:, 0]
+        oracle[rule.antipodes[half]] = rule.weights[half] * (even - odd)[:, 0]
         assert np.array_equal(out.surface_weights, oracle), shift.__name__
 
 
