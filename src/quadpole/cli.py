@@ -28,13 +28,14 @@ from .errors import CapacityError, DomainError, QuadpoleError, UnsupportedOrderE
 from .expansion import (
     PointCharges,
     SurfaceExpansion,
-    _coulomb,
+    _coulomb_rays,
+    _exterior_sum,
+    _interior_sum,
     _lines,
     _numbers,
     direct_potential,
     eval_inner_potential,
     eval_outer_potential,
-    eval_point_charge_potential,
     expansion_from_text,
     expansion_to_text,
     fit_inner,
@@ -134,29 +135,33 @@ def cmd_racc(args):
     if np.any(radii >= r_max):
         raise ConfigError("--radii must be below %.6g at p = %d, where r^(p+1) leaves float64"
                           % (r_max, max(orders)))
-    eval_rule = lebedev_rule(args.rule_order)
-    xs = radii[:, None, None] * eval_rule.points   # (radii, points, 3)
-    ys = (1.0 / radii)[:, None, None] * eval_rule.points
+    directions = lebedev_rule(args.rule_order).points
     kinds = ("outer", "outer_points", "outer_diff", "inner", "inner_points", "inner_diff")
     acc = defaultdict(float)   # (kind, p, r) -> summed mean abs error
     for trial in range(args.trials):
         cloud = _sample_cloud(default_rng([args.seed, trial]), args.charges)
         inv = _invert(cloud)
         # Kelvin inversion: |x/|x|^2 - s/|s|^2| = |x - s| / (|x| |s|), so the
-        # inverted cloud's potential at ys is r times that of the charges
-        # q|s| at xs; one sum takes both clouds, and no sum depends on p
+        # inverted cloud's potential at u/r is r times that of the charges
+        # q|s| at r u; one sum takes both clouds, and no sum depends on p
         q = cloud.charges
-        both = _coulomb(xs, cloud.positions,
-                        np.column_stack([q, q * np.linalg.norm(cloud.positions, axis=1)]))
+        both = _coulomb_rays(directions, radii, cloud.positions,
+                             np.column_stack([q, q * np.linalg.norm(cloud.positions, axis=1)]))
         exact, exact_i = both[..., 0], radii[:, None] * both[..., 1]
         for p in orders:
             rule = rule_for_expansion(p, min_order=args.rule_order)
             outer = fit_outer(cloud, np.zeros(3), 1.0, p, rule=rule)
             inner = fit_inner(inv, np.zeros(3), 1.0, p, rule=rule)
-            series = eval_outer_potential(outer, xs)
-            points = eval_point_charge_potential(outer, xs)
-            series_i = eval_inner_potential(inner, ys)
-            points_i = eval_point_charge_potential(inner, ys)
+            # L_n(s, r u) = r^-(n+1) L_n(s, u) and L_n(u / r, s) = r^-n L_n(u, s):
+            # each series is summed once, at the directions, with one set of
+            # per-degree coefficients for each radius
+            degrees = np.arange(p)[:, None]
+            series = _exterior_sum(outer, directions, radii ** -(degrees + 1.0))
+            points = _coulomb_rays(directions, radii, outer.surface_points,
+                                   outer.surface_weights)
+            series_i = _interior_sum(inner, directions, radii ** -degrees)
+            points_i = _coulomb_rays(directions, 1.0 / radii, inner.surface_points,
+                                     inner.surface_weights)
             means = np.mean(np.abs([series - exact, points - exact, series - points,
                                     series_i - exact_i, points_i - exact_i,
                                     series_i - points_i]), axis=-1)   # (kind, radius)

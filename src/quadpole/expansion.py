@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import _kernel_dot, _reproducing, _row_blocks
+from .legendre import _BLOCK_PAIRS, _kernel_dot, _reproducing, _row_blocks
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -227,14 +227,19 @@ def _side_checked(exp, x, outside):
 
 
 def _exterior_sum(exp, x, coef):
-    """sum_i w_i sum_n coef[n] L_n(R rhat_i, x - c), for x on or outside the sphere."""
+    """sum_i w_i sum_n coef[n] L_n(R rhat_i, x - c), for x on or outside the sphere.
+
+    coef may be K sets (p, K) (legendre._kernel_dot); the result then has
+    shape (K,) + x.shape[:-1].
+    """
     rel = _side_checked(exp, x, outside=True)
     pts, w = _surface_set(exp)
     return np.add(*_kernel_dot(pts, rel[..., None, :], coef, w))
 
 
 def _interior_sum(exp, y, coef):
-    """sum_i w_i sum_n coef[n] L_n(y - c, R rhat_i), for y on or inside the sphere."""
+    """sum_i w_i sum_n coef[n] L_n(y - c, R rhat_i), for y on or inside the sphere,
+    with coef (p,) or (p, K) as in :func:`_exterior_sum`."""
     return _interior_sum_at(exp, _side_checked(exp, y, outside=False), coef)
 
 
@@ -320,7 +325,9 @@ def _coulomb(x, positions, charges):
     a full group, or a column of a GEMM, can differ by a fraction of an
     ulp of sum |q|/r).  Blocks cut only the targets: a single target
     against more than 2^14 sources stays one block, as splitting the
-    sources would change the summation order.
+    sources would change the summation order.  A block costs 11 array
+    passes; targets on rays r u from the origin are cheaper in
+    :func:`_coulomb_rays`.
     """
     x = _points(x)
     charges = np.asarray(charges, dtype=float)
@@ -344,15 +351,60 @@ def _coulomb(x, positions, charges):
     return out.reshape(x.shape[:-1] + charges.shape[1:])[()]
 
 
+def _coulomb_rays(directions, radii, positions, charges):
+    """sum_j charges[j] / |r u - positions[j]| at targets r u on rays from the origin.
+
+    The targets are each radius r of radii (K,) along each unit vector u of
+    directions (D, 3); charges has shape (M,) or (M, h), as in
+    :func:`_coulomb`, and the result has shape (K, D) + charges.shape[1:].  With a = u.s, the squared distance of r u from a
+    source s is (r - a)^2 + |s - a u|^2: the directions are taken in
+    blocks, a is one matmul per block and |s - a u|^2 is summed once per
+    block, one component at a time, so a radius costs six array passes,
+    (r - a)^2 + |s - a u|^2, its square root and reciprocal, and one GEMV
+    (GEMM for h sets) against the charges.  Neither term cancels, as
+    |x|^2 + |s|^2 - 2 x.s would near a source.  The three buffers hold
+    2 * 2^14 / 3 pairs, so they take no more memory than _coulomb's two.
+    The distance is compared with 1e-12 only in a block where some
+    |s - a u| is below that.  The sums agree with _coulomb's at r u to
+    rounding, not bit for bit.
+    """
+    charges = np.asarray(charges, dtype=float)
+    src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)
+    m = src.shape[1]
+    out = np.empty((len(radii), len(directions)) + charges.shape[1:])
+    step = max(1, 2 * _BLOCK_PAIRS // (3 * max(1, m)))
+    a_buf, perp_buf, d_buf = np.empty((3, min(step, len(directions)), m))
+    for start in range(0, len(directions), step):
+        u = directions[start:start + step]
+        a, perp, d = a_buf[:len(u)], perp_buf[:len(u)], d_buf[:len(u)]
+        np.matmul(u, src, out=a)
+        np.multiply(a, u[:, :1], out=perp)
+        np.subtract(src[0], perp, out=perp)
+        perp *= perp
+        for k in (1, 2):
+            np.multiply(a, u[:, k:k + 1], out=d)
+            np.subtract(src[k], d, out=d)
+            d *= d
+            perp += d
+        near = perp.min(initial=np.inf) < 1e-24
+        for k, r in enumerate(radii):
+            np.subtract(r, a, out=d)
+            d *= d
+            d += perp
+            dist = np.sqrt(d, out=d)
+            if near and dist.min(initial=np.inf) < 1e-12:
+                raise SingularityError("evaluation point coincides with a source point")
+            np.matmul(np.reciprocal(dist, out=dist), charges, out=out[k, start:start + len(u)])
+    return out
+
+
 def expansion_to_text(exp):
     """Serialize to the documented text format."""
-    lines = [
-        "quadpole-expansion kind=%s p=%d R=%.17g rule_order=%d center=%.17g,%.17g,%.17g"
-        % ((exp.kind, exp.order, exp.radius, exp.rule.exactness_degree) + tuple(exp.center))
-    ]
-    for (x, y, z), w in zip(exp.rule.points, exp.surface_weights):
-        lines.append("%.17g %.17g %.17g %.17g" % (x, y, z, w))
-    return "\n".join(lines) + "\n"
+    header = ("quadpole-expansion kind=%s p=%d R=%.17g rule_order=%d center=%.17g,%.17g,%.17g\n"
+              % ((exp.kind, exp.order, exp.radius, exp.rule.exactness_degree)
+                 + tuple(exp.center)))
+    rows = np.column_stack([exp.rule.points, exp.surface_weights]).ravel().tolist()
+    return header + ("%.17g %.17g %.17g %.17g\n" * len(exp.rule)) % tuple(rows)
 
 
 def _lines(text):

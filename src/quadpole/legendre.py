@@ -235,6 +235,13 @@ def _kernel_dot(x, y, coef, w):
     each monic term G_n of a block is contracted with w by one matmul as
     the recurrence produces it.
 
+    coef may also be K coefficient sets (p, K), such as the radial factors
+    r_k^-(n+1) of L_n(x, r_k u) = r_k^-(n+1) L_n(x, u); the result then has
+    shape (2, K) + batch[:-1] + w.shape[1:].  The recurrence and the
+    per-degree sums are made once and only the last contraction is taken
+    per set, one set at a time, so set k is the sum with coef[:, k] bit
+    for bit.
+
     The two totals are kept apart because L_n has the parity of n,
     L_n(-x, y) = L_n(x, -y) = (-1)^n L_n(x, y): the same sum at the rows
     -x (or -y) is even - odd, and a set that holds -y_b beside y_b is
@@ -276,20 +283,23 @@ def _kernel_dot(x, y, coef, w):
     xx, yy = (pp, 1.0) if rows_are_y else (1.0, pp)
     rows = rows / np.where(r > 0.0, r, 1.0)[:, None]   # a zero row x stays zero
     lam, mu = (s / r, 1.0 / r) if rows_are_y else (r / s, np.full(len(r), 1.0 / s))
-    coef = np.asarray(coef, dtype=float) * _leading(len(coef))
-    degrees = np.arange(len(coef))[:, None]
+    coef = np.asarray(coef, dtype=float)
+    p, sets = len(coef), coef.shape[1:]
+    columns = (coef.T * _leading(p)).reshape(-1, p)   # one row per set
+    degrees = np.arange(p)[:, None]
     _, blocks = _row_blocks(rows[:, None, :], pts)
     h = w_even.shape[1:]
-    out = np.empty((2, len(rows)) + h)
+    out = np.empty((2, len(columns), len(rows)) + h)
     for block, rb, _ in blocks:
-        sums = np.empty((len(coef), len(rb)) + h)
-        for n, g in enumerate(_terms(_set_dot(rb, pts), xx, yy, len(coef))):
+        sums = np.empty((p, len(rb)) + h)
+        for n, g in enumerate(_terms(_set_dot(rb, pts), xx, yy, p)):
             np.matmul(g, w_odd if n % 2 else w_even, out=sums[n])
-        factor = coef[:, None] * lam[block] ** degrees * mu[block]
-        for parity in (0, 1):
-            out[parity, block] = np.einsum("nr,nr...->r...", factor[parity::2],
-                                           sums[parity::2])
-    return out.reshape((2,) + lead + h)
+        factors = columns[:, :, None] * lam[block] ** degrees * mu[block]
+        for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
+            for parity in (0, 1):
+                np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
+                          out=out[parity, k, block])
+    return out.reshape((2,) + sets + lead + h)
 
 
 def kernel_matrix(x, y, p):

@@ -9,6 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -40,14 +41,15 @@ class QuadratureRule:
     The constructor checks the contract that every kernel sum relies on and
     raises a DomainError for any breach: points (N, 3), finite, each of
     norm 1 within 1e-12; weights (N,), finite and positive, summing to 4 pi
-    within 1e-12 relative; and for every point an exact antipode with a
-    bit-equal weight.  Every Lebedev rule is centrally symmetric, so the
-    sums run on one point of each antipodal pair.  The antipode map is kept
-    as ``antipodes``, points[antipodes] == -points, found by one key sort
-    of the points and of their negatives, the match of
-    QuadratureRule.symmetries; points that share a key, all coordinates
-    within 2^-19, may be refused.  Points, weights and antipodes are
-    read-only.
+    within 1e-12 relative; for every point an exact antipode with a
+    bit-equal weight; and an exactness degree that is an integer >= 0, not
+    a bool (a numpy integer is kept as an int).  Every Lebedev rule is
+    centrally symmetric, so the sums run on one point of each antipodal
+    pair.  The antipode map is kept as ``antipodes``, points[antipodes] ==
+    -points, found by one key sort of the points and of their negatives,
+    the match of QuadratureRule.symmetries; points that share a key, all
+    coordinates within 2^-19, may be refused.  Points, weights and
+    antipodes are read-only.
     """
 
     points: np.ndarray          # (N, 3) unit vectors
@@ -56,6 +58,10 @@ class QuadratureRule:
     antipodes: np.ndarray = field(init=False, repr=False)   # (N,) index of -points[i]
 
     def __post_init__(self):
+        degree = self.exactness_degree
+        if not isinstance(degree, Integral) or isinstance(degree, bool) or degree < 0:
+            raise DomainError("rule exactness degree must be an integer >= 0, not %r" % (degree,))
+        object.__setattr__(self, "exactness_degree", int(degree))
         points = np.asarray(self.points, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         if points.shape[1:] != (3,) or weights.shape != points.shape[:1]:

@@ -367,6 +367,102 @@ def test_coulomb_sum_memory_is_block_sized():
     assert peak < 1e6   # the unblocked sum holds 800 x 2000 doubles (12.8 MB) per array
 
 
+def _ray_case(rng, m, h=()):
+    """The racc geometry: the 86 directions of the order-15 rule and m charges in the
+    cube inscribed in the unit sphere, with one set of charges per entry of h."""
+    half = np.sqrt(3.0) / 3.0
+    return (qp.lebedev_rule(15).points, rng.uniform(-half, half, (m, 3)),
+            rng.uniform(-1.0, 1.0, (m,) + h))
+
+
+def _ray_sums(u, radii, y, q):
+    """_coulomb_rays(u, radii, y, q) and _coulomb at the points r_k u_d."""
+    from quadpole.expansion import _coulomb, _coulomb_rays
+    return (_coulomb_rays(u, np.asarray(radii), y, q),
+            _coulomb(np.asarray(radii)[:, None, None] * u, y, q))
+
+
+@pytest.mark.parametrize("h", [(), (1,), (2,)], ids=["vector", "h=1", "h=2"])
+def test_coulomb_rays_match_coulomb(h):
+    # the ray sum against _coulomb at r_k u_d, within 1e-14 sum |q| / (the
+    # smallest distance): at racc's radii, at 1 + 1e-6 with a source 1e-3 inside
+    # the cube corner on one of the rule's directions, and at 1e35; 2000
+    # sources make 18 blocks of 5 directions, the last one partial
+    rng = np.random.default_rng(97)
+    u, y, q = _ray_case(rng, 2000, h)
+    y[0] = (1.0 - 1e-3) * np.sqrt(3.0) / 3.0
+    for radii in (np.geomspace(1.5, 30.0, 16), [1.0 + 1e-6, 2.0], [1e35]):
+        got, want = _ray_sums(u, radii, y, q)
+        assert got.shape == want.shape == (len(radii), len(u)) + h
+        targets = np.asarray(radii)[:, None, None] * u
+        gap = np.min(np.linalg.norm(targets[..., None, :] - y, axis=-1))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(q).sum(axis=0) / gap)
+    # no sources: zero sums of the targets' shape
+    got, want = _ray_sums(u, [1.5, 3.0], y[:0], q[:0])
+    assert got.shape == want.shape == (2, len(u)) + h and np.all(got == 0.0)
+
+
+def test_coulomb_rays_near_a_source_are_as_accurate_as_the_geometry_allows():
+    # a source at the cube corner, 1e-6 from the target (1 + 1e-6) u on its ray:
+    # an ulp in a target or source moves the term q/d by eps |x| q / d^2, so
+    # both sums are checked against an exact one, within eps sum |q| (r + |s|) / d^2
+    from fractions import Fraction
+    from decimal import Decimal, localcontext
+    rng = np.random.default_rng(101)
+    u, y, q = _ray_case(rng, 40)
+    y[0] = np.sqrt(3.0) / 3.0
+    r = 1.0 + 1e-6
+    got, want = _ray_sums(u, [r], y, q)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact, bound = np.empty(len(u)), np.empty(len(u))
+        for d, direction in enumerate(u):
+            dist = [(sum((Fraction(r) * Fraction(a) - Fraction(b)) ** 2
+                         for a, b in zip(direction, s)))
+                    for s in y]
+            dist = [(Decimal(f.numerator) / Decimal(f.denominator)).sqrt() for f in dist]
+            exact[d] = float(sum(Decimal(c) / g for c, g in zip(q, dist)))
+            bound[d] = np.finfo(float).eps * float(sum(
+                Decimal(abs(c) * (r + np.linalg.norm(s))) / g ** 2
+                for c, s, g in zip(q, y, dist)))
+    assert np.min(bound) > 0.0 and np.max(np.abs(want[0] - exact) / bound) < 1.0
+    assert np.max(np.abs(got[0] - exact) / bound) < 1.0
+
+
+def test_coulomb_rays_raise_on_a_source_at_a_target():
+    # a source on a target in the last block of directions, at the last radius
+    from quadpole.expansion import _coulomb_rays
+    rng = np.random.default_rng(103)
+    for h in ((), (2,)):
+        u, y, q = _ray_case(rng, 2000, h)
+        y[7] = 4.0 * u[-1]
+        with pytest.raises(qp.SingularityError):
+            _coulomb_rays(u, np.array([1.5, 4.0]), y, q)
+        assert np.all(np.isfinite(_coulomb_rays(u, np.array([1.5, 3.0]), y, q)))
+
+
+@pytest.mark.parametrize("m, h", [(2000, (2,)), (110, ())], ids=["cloud", "surface"])
+def test_coulomb_rays_memory_is_at_most_coulombs(m, h):
+    # at the racc configuration, the cloud's two-column reference and a
+    # point-charge sum on the 110-point rule: the three ray buffers hold no
+    # more than _coulomb's two, and no (radii, directions, 3) targets are built
+    import tracemalloc
+    from quadpole.expansion import _coulomb, _coulomb_rays
+    u, y, q = _ray_case(np.random.default_rng(107), m, h)
+    radii = np.geomspace(1.5, 30.0, 16)
+    x = radii[:, None, None] * u
+    peaks = []
+    for call in (lambda: _coulomb_rays(u, radii, y, q), lambda: _coulomb(x, y, q)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 def test_fit_builds_no_kernel_matrix():
     import tracemalloc
     rng = np.random.default_rng(83)
@@ -567,6 +663,20 @@ def test_serialization_round_trip():
     assert np.allclose(back.center, e.center)
     assert back.radius == e.radius
     assert np.array_equal(back.surface_weights, e.surface_weights)
+
+
+@pytest.mark.parametrize("order", [3, 15, 59])
+def test_text_is_formatted_row_by_row(order):
+    # the text as a row-by-row "%.17g" format of each point and weight makes it
+    rule = qp.lebedev_rule(order)
+    rng = np.random.default_rng(order)
+    e = qp.fit_outer(random_cloud(rng, 20), np.array([0.5, -0.25, 1.0]), 2.0,
+                     order // 2 + 1, rule)
+    lines = ["quadpole-expansion kind=outer p=%d R=2 rule_order=%d center=0.5,-0.25,1"
+             % (order // 2 + 1, order)]
+    for (x, y, z), w in zip(rule.points, e.surface_weights):
+        lines.append("%.17g %.17g %.17g %.17g" % (x, y, z, w))
+    assert qp.expansion_to_text(e) == "\n".join(lines) + "\n"
 
 
 def test_surface_line_count_names_both_counts():

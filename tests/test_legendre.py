@@ -287,6 +287,29 @@ def test_kernel_dot_matches_kernel_sum(p, targets, h):
         _kernel_dot(near, outer, coef, np.ones(700))
 
 
+@pytest.mark.parametrize("p", [1, 2, 9, 30])
+@pytest.mark.parametrize("targets", [(), (120,), (4, 2)], ids=["scalar", "1-D", "4x2"])
+@pytest.mark.parametrize("h", [(), (1,), (3,)], ids=["vector", "h=1", "h=3"])
+def test_kernel_dot_coefficient_sets_match_single_sets(p, targets, h):
+    # K coefficient sets (p, K) against K calls with one set each, bit for
+    # bit: the set as the first argument with the rows outside it and as the
+    # second with the rows inside it, with one weight array and with an
+    # (even, odd) pair; 120 rows against 300 points make three row blocks
+    rng = np.random.default_rng(43 + p)
+    coef = rng.standard_normal((p, 5))
+    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
+    far = _shell(rng, targets, 1.2, 4.0)[..., None, :]
+    near = _shell(rng, targets, 0.0, 0.9)[..., None, :]
+    for x, y in ((inner, far), (near, outer)):
+        w = rng.standard_normal((300,) + h)
+        for weights in (w, (w, rng.standard_normal((300,) + h))):
+            got = _kernel_dot(x, y, coef, weights)
+            assert got.shape == (2, 5) + targets + h
+            for k in range(5):
+                assert np.array_equal(got[:, k], _kernel_dot(x, y, coef[:, k], weights))
+            assert np.array_equal(_kernel_dot(x, y, coef[:, :1], weights), got[:, :1])
+
+
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
 def test_kernel_dot_is_homogeneous_far_from_unit_scale(scale):
     # L_n(a x, a y) = L_n(x, y) / a: at p = 60 the powers |x|^n alone would

@@ -222,6 +222,22 @@ def test_rules_that_break_the_contract_are_refused(case):
         qp.QuadratureRule(points, weights, 7)
 
 
+@pytest.mark.parametrize("degree", [2.5, "abc", True, False, -1, None, 7.0, np.float64(7)])
+def test_exactness_degree_must_be_a_non_negative_integer(degree):
+    # the degree decides which orders a rule may carry: a fraction, a word
+    # or a bool would be compared as a number, or fail with a bare TypeError
+    rule = qp.lebedev_rule(7)
+    with pytest.raises(qp.DomainError, match="exactness degree"):
+        qp.QuadratureRule(rule.points, rule.weights, degree)
+
+
+@pytest.mark.parametrize("degree", [0, 7, np.int64(7), np.uint8(7), np.int32(0)])
+def test_exactness_degree_may_be_a_numpy_integer(degree):
+    rule = qp.lebedev_rule(7)
+    built = qp.QuadratureRule(rule.points, rule.weights, degree)
+    assert built.exactness_degree == degree and type(built.exactness_degree) is int
+
+
 def test_rules_are_built_from_plain_lists():
     rule = qp.lebedev_rule(5)
     listed = qp.QuadratureRule(rule.points.tolist(), rule.weights.tolist(), 5)
