@@ -150,9 +150,7 @@ def _orbit_blocks(spheres, sources, rule):
     that symmetry's index maps.  They are summed only at one row point per
     orbit of the symmetries that fix c (quadrature._orbits), and over one
     source point of each antipodal pair, which gives the sums from its
-    antipode too (_source_sums).  The three spheres of
-    demos/three_spheres.txt make 9 blocks in 5 classes, spheres 0 and 1
-    being mirror images in y.
+    antipode too (_source_sums).
     """
     classes = {}
     for i, s in enumerate(spheres):

@@ -30,6 +30,7 @@ from .expansion import (
     SurfaceExpansion,
     _coulomb_rays,
     _exterior_sum,
+    _fit,
     _interior_sum,
     _lines,
     _numbers,
@@ -136,6 +137,9 @@ def cmd_racc(args):
         raise ConfigError("--radii must be below %.6g at p = %d, where r^(p+1) leaves float64"
                           % (r_max, max(orders)))
     directions = lebedev_rule(args.rule_order).points
+    shared = defaultdict(list)   # rule -> the orders fitted on it
+    for p in orders:
+        shared[rule_for_expansion(p, min_order=args.rule_order)].append(p)
     kinds = ("outer", "outer_points", "outer_diff", "inner", "inner_points", "inner_diff")
     acc = defaultdict(float)   # (kind, p, r) -> summed mean abs error
     for trial in range(args.trials):
@@ -148,20 +152,26 @@ def cmd_racc(args):
         both = _coulomb_rays(directions, radii, cloud.positions,
                              np.column_stack([q, q * np.linalg.norm(cloud.positions, axis=1)]))
         exact, exact_i = both[..., 0], radii[:, None] * both[..., 1]
+        # the orders that share a rule share one fit of each cloud and one
+        # point-charge sum of each kind, with one charge column per order
+        fits = {}   # p -> outer, inner and their point-charge sums
+        for rule, ps in shared.items():
+            outers = _fit("outer", cloud, np.zeros(3), 1.0, ps, rule)
+            inners = _fit("inner", inv, np.zeros(3), 1.0, ps, rule)
+            points = _coulomb_rays(directions, radii, rule.points,
+                                   np.column_stack([e.surface_weights for e in outers]))
+            points_i = _coulomb_rays(directions, 1.0 / radii, rule.points,
+                                     np.column_stack([e.surface_weights for e in inners]))
+            for k, p in enumerate(ps):
+                fits[p] = outers[k], inners[k], points[..., k], points_i[..., k]
         for p in orders:
-            rule = rule_for_expansion(p, min_order=args.rule_order)
-            outer = fit_outer(cloud, np.zeros(3), 1.0, p, rule=rule)
-            inner = fit_inner(inv, np.zeros(3), 1.0, p, rule=rule)
+            outer, inner, points, points_i = fits[p]
             # L_n(s, r u) = r^-(n+1) L_n(s, u) and L_n(u / r, s) = r^-n L_n(u, s):
             # each series is summed once, at the directions, with one set of
             # per-degree coefficients for each radius
             degrees = np.arange(p)[:, None]
             series = _exterior_sum(outer, directions, radii ** -(degrees + 1.0))
-            points = _coulomb_rays(directions, radii, outer.surface_points,
-                                   outer.surface_weights)
             series_i = _interior_sum(inner, directions, radii ** -degrees)
-            points_i = _coulomb_rays(directions, 1.0 / radii, inner.surface_points,
-                                     inner.surface_weights)
             means = np.mean(np.abs([series - exact, points - exact, series - points,
                                     series_i - exact_i, points_i - exact_i,
                                     series_i - points_i]), axis=-1)   # (kind, radius)

@@ -144,45 +144,57 @@ def _require_same_geometry(a, b):
 
 def fit_outer(sources, center, R, p, rule=None):
     """Project enclosed sources onto surface weights of an order-p outer expansion."""
-    R = _radius(R)
-    rule = rule or rule_for_expansion(p)
-    center = _center(center)
-    rel = (sources.positions - center) / R
-    dist = np.linalg.norm(rel, axis=1)
-    diag = {
-        "n_sources_outside": int(np.sum(dist > 1.0)),
-        "max_source_radius": float(dist.max(initial=0.0) * R),
-    }
-    weights = _project("outer", rel, sources.charges, rule, p)
-    return SurfaceExpansion(center=center, radius=R, rule=rule, surface_weights=weights,
-                            order=p, kind="outer", diagnostics=diag)
+    return _fit("outer", sources, center, R, [p], rule)[0]
 
 
 def fit_inner(sources, center, R, p, rule=None):
     """Project exterior sources onto surface weights of an order-p inner expansion."""
+    return _fit("inner", sources, center, R, [p], rule)[0]
+
+
+def _fit(kind, sources, center, R, orders, rule=None):
+    """Expansions of one kind of the sources at each of orders, all on one rule.
+
+    The rule defaults to the one the largest order needs.  The orders share
+    one kernel sum: order p's coefficients (2n+1)/(4 pi), n < p, zero-padded
+    to the largest order, are one coefficient set of legendre._kernel_dot,
+    so each order's weights equal those of a fit at that order alone to
+    rounding.
+    """
     R = _radius(R)
-    rule = rule or rule_for_expansion(p)
+    rule = rule or rule_for_expansion(max(orders))
     center = _center(center)
     rel = (sources.positions - center) / R
     dist = np.linalg.norm(rel, axis=1)
-    if np.any(np.abs(dist - 1.0) <= 1e-12):
-        raise SingularityError("source lies on the bounding sphere")
-    diag = {
-        "n_sources_inside": int(np.sum(dist < 1.0)),
-        "min_source_radius": float(dist.min(initial=np.inf) * R),
-    }
-    weights = _project("inner", rel, sources.charges, rule, p)
-    return SurfaceExpansion(center=center, radius=R, rule=rule, surface_weights=weights,
-                            order=p, kind="inner", diagnostics=diag)
+    if kind == "outer":
+        diag = {
+            "n_sources_outside": int(np.sum(dist > 1.0)),
+            "max_source_radius": float(dist.max(initial=0.0) * R),
+        }
+    else:
+        if np.any(np.abs(dist - 1.0) <= 1e-12):
+            raise SingularityError("source lies on the bounding sphere")
+        diag = {
+            "n_sources_inside": int(np.sum(dist < 1.0)),
+            "min_source_radius": float(dist.min(initial=np.inf) * R),
+        }
+    degrees = np.arange(max(orders))[:, None]
+    coef = np.where(degrees < orders, _reproducing(len(degrees))[:, None], 0.0)   # (p, K)
+    weights = _project(kind, rel, sources.charges, rule, coef)
+    return [SurfaceExpansion(center=center, radius=R, rule=rule, surface_weights=w, order=p,
+                             kind=kind, diagnostics=dict(diag))
+            for p, w in zip(orders, weights)]
 
 
-def _project(kind, rel, charges, rule, p, maps=None, reps=None):
-    """Surface weights W_j sum_i charges[i] K(rel_i, rhat_j) of an order-p fit on rule.
+def _project(kind, rel, charges, rule, coef, maps=None, reps=None):
+    """Surface weights W_j sum_i charges[i] K(rel_i, rhat_j) of a fit on rule.
 
     rel holds the sources' unit-scaled positions (M, 3) and charges (M,) their
-    charges.  The sums are contracted as the recurrence runs
-    (legendre._kernel_dot), so no (N, M) kernel matrix is made, and they are
-    made at one point of each antipodal pair of the rule: K(x, -rhat) =
+    charges.  K is the kernel sum with the per-degree coefficients coef (p,),
+    (2n+1)/(4 pi) for an order-p fit, or K coefficient sets (p, K), which
+    give K rows of weights (K, N).  The sums are contracted as the recurrence
+    runs (legendre._kernel_dot), so no (N, M) kernel matrix is made, and they
+    are made at one point of each antipodal pair of the rule: K(x, -rhat) =
     sum_n (-1)^n c_n L_n(x, rhat), so the sum at -rhat_j is the even-degree
     total at rhat_j minus the odd, as is K(-rhat, y) for an inner fit.
 
@@ -198,15 +210,18 @@ def _project(kind, rel, charges, rule, p, maps=None, reps=None):
     if maps is None:
         maps, reps = np.arange(len(rule))[None], np.arange(len(rule))
     reps = _antipodal_reps(rule, maps, reps)
-    pts, coef = rule.points[reps][:, None, :], _reproducing(p)
+    pts = rule.points[reps][:, None, :]
     if kind == "outer":   # K(y/R, rhat_j): the sources are the first argument
-        even, odd = _kernel_dot(rel, pts, coef, charges.T)
+        sums = _kernel_dot(rel, pts, coef, charges.T)
     else:
-        even, odd = _kernel_dot(pts, rel, coef, charges.T)
-    weights = np.empty(len(rule))
+        sums = _kernel_dot(pts, rel, coef, charges.T)
+    # (2,) + sets + (reps,) + h, with the reps last, as sets + maps[:, reps].shape
+    sets, at = np.shape(coef)[1:], maps[:, reps]
+    even, odd = np.moveaxis(sums, len(sets) + 1, -1).reshape((2,) + sets + at.shape)
+    weights = np.empty(sets + (len(rule),))
     # the antipodes first, so that an orbit holding its own antipodes keeps even + odd
-    weights[rule.antipodes[maps[:, reps]]] = rule.weights[reps] * (even - odd).T
-    weights[maps[:, reps]] = rule.weights[reps] * (even + odd).T
+    weights[..., rule.antipodes[at]] = rule.weights[reps] * (even - odd)
+    weights[..., at] = rule.weights[reps] * (even + odd)
     return weights
 
 
@@ -356,22 +371,33 @@ def _coulomb_rays(directions, radii, positions, charges):
 
     The targets are each radius r of radii (K,) along each unit vector u of
     directions (D, 3); charges has shape (M,) or (M, h), as in
-    :func:`_coulomb`, and the result has shape (K, D) + charges.shape[1:].  With a = u.s, the squared distance of r u from a
-    source s is (r - a)^2 + |s - a u|^2: the directions are taken in
-    blocks, a is one matmul per block and |s - a u|^2 is summed once per
-    block, one component at a time, so a radius costs six array passes,
-    (r - a)^2 + |s - a u|^2, its square root and reciprocal, and one GEMV
-    (GEMM for h sets) against the charges.  Neither term cancels, as
-    |x|^2 + |s|^2 - 2 x.s would near a source.  The three buffers hold
-    2 * 2^14 / 3 pairs, so they take no more memory than _coulomb's two.
-    The distance is compared with 1e-12 only in a block where some
-    |s - a u| is below that.  The sums agree with _coulomb's at r u to
-    rounding, not bit for bit.
+    :func:`_coulomb`, and the result has shape (K, D) + charges.shape[1:].
+    With a = u.s, the squared distance of r u from a source s is
+    (r - a)^2 + |s - a u|^2: the directions are taken in blocks, a is one
+    matmul per block and |s - a u|^2 is summed once per block, one component
+    at a time, so a radius costs six array passes, (r - a)^2 + |s - a u|^2,
+    its square root and reciprocal, and one GEMV (GEMM for h sets) against
+    the charges.  Neither term cancels, as |x|^2 + |s|^2 - 2 x.s would near
+    a source.  The three buffers hold 2 * 2^14 / 3 pairs, so they take no
+    more memory than _coulomb's two.  The sums agree with _coulomb's at r u
+    to rounding, not bit for bit.
+
+    Next to a source, r - a cancels after a has rounded by an ulp of |s|,
+    so a pair closer than 2^-16 max(r, |s|) is summed as |r u - s|, one
+    component at a time, as _coulomb sums it.  As that distance is at least
+    |s - a u| and |r - |s||, such a pair is looked for only in a block where
+    some |s - a u| is that small, and only at a radius within a factor
+    1 - 2^-16 of the range of |s|.  The distance is compared with 1e-12
+    only in a block where some |s - a u| is below that.
     """
     charges = np.asarray(charges, dtype=float)
     src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)
     m = src.shape[1]
     out = np.empty((len(radii), len(directions)) + charges.shape[1:])
+    s2 = src[0] * src[0] + src[1] * src[1] + src[2] * src[2]
+    # |r u - s| >= |r - |s||, so a pair is close only at a radius in (low, high)
+    low = (1.0 - 2.0 ** -16) * np.sqrt(s2.min(initial=np.inf))
+    high = np.sqrt(s2.max(initial=0.0)) / (1.0 - 2.0 ** -16)
     step = max(1, 2 * _BLOCK_PAIRS // (3 * max(1, m)))
     a_buf, perp_buf, d_buf = np.empty((3, min(step, len(directions)), m))
     for start in range(0, len(directions), step):
@@ -386,11 +412,15 @@ def _coulomb_rays(directions, radii, positions, charges):
             np.subtract(src[k], d, out=d)
             d *= d
             perp += d
-        near = perp.min(initial=np.inf) < 1e-24
+        gap = perp.min(initial=np.inf)
+        near, close = gap < 1e-24, gap < (2.0 ** -16 * high) ** 2
         for k, r in enumerate(radii):
             np.subtract(r, a, out=d)
             d *= d
             d += perp
+            if close and low < r < high:
+                i, j = np.nonzero(d < 2.0 ** -32 * np.maximum(r * r, s2))
+                d[i, j] = sum((r * u[i, c] - src[c, j]) ** 2 for c in range(3))
             dist = np.sqrt(d, out=d)
             if near and dist.min(initial=np.inf) < 1e-12:
                 raise SingularityError("evaluation point coincides with a source point")

@@ -13,9 +13,13 @@ C^lambda_n, it runs on G_n = T_n / k_n,
     G_n = (x.y/y.y) G_{n-1} - b_n (x.x/y.y) G_{n-2},
     b_n = (n-1)(n+2 lambda-2) / (4(n+lambda-1)(n+lambda-2))
 
-which costs four array passes per degree, one fewer than the recurrence
-for T_n itself, and three where x.x/y.y is one number per point of a set
-(see _kernel_dot).  At lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the
+_terms is the only code that runs it.  Its callers give it u = x.y/y.y,
+v = x.x/y.y and G_0 = |y|^(-2 lambda), a number or one value per point of
+a set or per row, which it yields unexpanded; the callers refuse y = 0,
+through _ratios or, in _kernel_dot, by its own check.  G_1 costs one array
+pass, and each later degree four, one fewer than the recurrence for T_n
+itself, or, where v is one number per point of a set, three (two at G_2;
+see _kernel_dot).  At lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the
 leading coefficient of P_n, and b_n = (n-1)^2/((2n-1)(2n-3)).  The gradient
 of L_n is the same recurrence at lambda = 3/2, since P'_{n+1} = C^{3/2}_n
 (see normal_kernel_sum).  Each sum folds k_n into its own per-degree
@@ -26,7 +30,9 @@ leave the range of float64.
 kernel_sum returns the sum for every pair.  Fits, shifts, evaluations and
 de-tracing only contract it with weights, so they call _kernel_dot, which
 contracts each term with the weights as the recurrence makes it and never
-holds a pair matrix.  L_n has the parity of n,
+holds a pair matrix; G_0 does not depend on the row there, so it is
+contracted once per call and each row block starts at G_1.  L_n has the
+parity of n,
 
     L_n(-x, y) = L_n(x, -y) = (-1)^n L_n(x, y),
 
@@ -75,7 +81,7 @@ def legendre_poly(n, t):
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise DomainError("argument outside [-1, 1]")
-    *_, g_n = _terms(np.clip(t, -1.0, 1.0), 1.0, 1.0, n + 1)
+    *_, g_n = _terms(np.clip(t, -1.0, 1.0), 1.0, np.ones(t.shape), n + 1)
     return (kappa[n] * g_n)[()]
 
 
@@ -108,33 +114,49 @@ def _steps(p, lam):
                  for n in range(2, p))
 
 
-def _terms(xy, xx, yy, p, lam=0.5):
-    """Yield G_n = T_n / k_n, n < p, at Gegenbauer index lam, from broadcast inner products.
+def _terms(u, v, g0, p, lam=0.5, work=None):
+    """Yield G_n = T_n / k_n, n < p, at Gegenbauer index lam, from u = x.y/y.y and v = x.x/y.y.
 
-    Only two terms are kept: the array holding G_n is reused for G_{n+2},
-    so a consumer must copy what it needs before asking for the next term.
+    g0 is G_0 = |y|^(-2 lam): a number, or an array that broadcasts against
+    u, such as one value per point of a set or one per row.  It is yielded
+    as given, unexpanded, so a caller that sums G_0 elsewhere pays nothing
+    for it here.  The later terms are arrays of the broadcast shape, made in
+    work, an array (3,) + that shape, if given, so that the row blocks of
+    one sum can share one set of arrays.  Only two terms are kept: the
+    array holding G_n is reused for G_{n+2}, so a consumer must copy what it
+    needs before asking for the next term.
     """
-    xy, xx, yy = (np.asarray(a, dtype=float) for a in (xy, xx, yy))
-    if np.any(yy <= 0.0):
-        raise SingularityError("second argument must be nonzero")
-    shape = np.broadcast_shapes(xy.shape, xx.shape, yy.shape)
-    g_prev = np.empty(shape)
-    g_prev[...] = yy ** -lam
-    yield g_prev
+    yield g0
     if p < 2:
         return
-    u = xy / yy
-    v = xx / yy
-    g_cur = np.multiply(u, g_prev, out=np.empty(shape))
-    yield g_cur
-    tmp, v_step = np.empty(shape), np.empty(v.shape)
-    for step in _steps(p, lam):
-        # G_n = u G_{n-1} - b_n v G_{n-2}, written over G_{n-2};
-        # four array passes, three where v is smaller than the terms
-        g_prev *= np.multiply(v, step, out=v_step)
-        g_prev += np.multiply(u, g_cur, out=tmp)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v), np.shape(g0))
+    g_cur, g_prev, tmp = work if work is not None else [np.empty(shape) for _ in range(3)]
+    yield np.multiply(u, g0, out=g_cur)
+    v_step = np.empty(np.broadcast_shapes(np.shape(v), np.shape(g0)))
+    for n, step in enumerate(_steps(p, lam), 2):
+        # G_n = u G_{n-1} - b_n v G_{n-2}, written over G_{n-2}, or for n = 2,
+        # from G_0 as given, over the third array
+        np.multiply(v, step, out=v_step)
+        if n == 2:
+            v_step *= g0
+            np.multiply(u, g_cur, out=g_prev)
+            g_prev += v_step
+        else:
+            g_prev *= v_step
+            g_prev += np.multiply(u, g_cur, out=tmp)
         g_prev, g_cur = g_cur, g_prev
         yield g_cur
+
+
+def _ratios(xy, xx, yy, lam=0.5):
+    """u = x.y/y.y, v = x.x/y.y and G_0 = |y|^(-2 lam) for _terms, from the inner products.
+
+    Raises a SingularityError where y = 0.
+    """
+    yy = np.asarray(yy, dtype=float)
+    if np.any(yy <= 0.0):
+        raise SingularityError("second argument must be nonzero")
+    return np.divide(xy, yy), np.divide(xx, yy), yy ** -lam
 
 
 def _dot(a, b):
@@ -187,7 +209,7 @@ def f_sequence_raw(xy, xx, yy, p):
     Inputs broadcast; the result has shape (p,) + broadcast shape.
     """
     out = np.empty((p,) + np.broadcast_shapes(np.shape(xy), np.shape(xx), np.shape(yy)))
-    for n, g in enumerate(_terms(xy, xx, yy, p)):
+    for n, g in enumerate(_terms(*_ratios(xy, xx, yy), p)):
         out[n] = g
     out *= _leading(p).reshape((p,) + (1,) * (out.ndim - 1))
     return out
@@ -214,7 +236,7 @@ def kernel_sum(x, y, coef):
     batch, blocks = _row_blocks(x, y)
     out = np.empty(batch)
     for rows, xb, yb in blocks:
-        terms = _terms(*_inner_products(xb, yb), len(coef))
+        terms = _terms(*_ratios(*_inner_products(xb, yb)), len(coef))
         total = np.multiply(next(terms), coef[0], out=out[rows])
         tmp = np.empty_like(total)
         for c, g in zip(coef[1:], terms):
@@ -255,11 +277,16 @@ def _kernel_dot(x, y, coef, w):
         L_n(x, y) = (s/|y|)^n / |y|  L_n(x/s, yhat)    (rows y)
         L_n(x, y) = (|x|/s)^n / s    L_n(xhat, y/s)    (rows x)
 
-    So x.y is one matmul of the block's directions against the set, x.x
-    and y.y are one per set point (the rows' are 1), the recurrence takes
-    three array passes per degree, and the row factors, with coef[n]
-    kappa_n, scale only the (p, rows) + w.shape[1:] per-degree sums.  Both
-    factors are at most 1 where the series converges, |x| <= |y|.  The
+    So u = x.y/y.y is one matmul per block of the block's directions
+    against the set, divided once per call by its y.y where the rows are x
+    (where they are y, y.y = 1), and v = x.x/y.y and G_0 = |y|^-1 are one
+    number per set point, or one number.  G_0 does not depend on the row:
+    it is contracted with w once per call, and each block starts at
+    G_1 = u G_0, which takes one array pass, G_2 two and every later degree
+    three, with p - 1 matmuls, in one set of block arrays that all blocks
+    share.  The row factors, with coef[n] kappa_n, scale only the
+    (p, rows) + w.shape[1:] per-degree sums.  Both factors are at most 1
+    where the series converges, |x| <= |y|.  The
     contractions are summed by the BLAS, so, as with expansion._coulomb,
     the last bits of a result can depend on the block layout and differ
     from kernel_sum(x, y, coef) @ w.
@@ -280,7 +307,9 @@ def _kernel_dot(x, y, coef, w):
     s = y_norms.min() if y_norms.size else 1.0
     pts = pts / s
     pp = _dot(pts, pts)
-    xx, yy = (pp, 1.0) if rows_are_y else (1.0, pp)
+    if not rows_are_y:   # so that one matmul gives u = x.y/y.y (y.y = 1 where the rows are y)
+        pts /= pp[:, None]
+    v, g0 = (pp, 1.0) if rows_are_y else (1.0 / pp, pp ** -0.5)
     rows = rows / np.where(r > 0.0, r, 1.0)[:, None]   # a zero row x stays zero
     lam, mu = (s / r, 1.0 / r) if rows_are_y else (r / s, np.full(len(r), 1.0 / s))
     coef = np.asarray(coef, dtype=float)
@@ -290,9 +319,16 @@ def _kernel_dot(x, y, coef, w):
     _, blocks = _row_blocks(rows[:, None, :], pts)
     h = w_even.shape[1:]
     out = np.empty((2, len(columns), len(rows)) + h)
+    g0_sum = np.broadcast_to(g0, pts.shape[:1]) @ w_even   # G_0 does not depend on the row
+    # one set of block arrays, u and the terms, shared by the blocks
+    work = np.empty((4, max((len(rb) for _, rb, _ in blocks), default=0), len(pts)))
     for block, rb, _ in blocks:
         sums = np.empty((p, len(rb)) + h)
-        for n, g in enumerate(_terms(_set_dot(rb, pts), xx, yy, p)):
+        sums[0] = g0_sum
+        u = np.matmul(rb[:, 0], pts.T, out=work[0, :len(rb)])
+        terms = _terms(u, v, g0, p, work=work[1:, :len(rb)])
+        next(terms)   # G_0, summed above
+        for n, g in enumerate(terms, 1):
             np.matmul(g, w_odd if n % 2 else w_even, out=sums[n])
         factors = columns[:, :, None] * lam[block] ** degrees * mu[block]
         for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
@@ -378,19 +414,20 @@ def _normal_block(a, x, n, c_a, c_b, on_set):
     the unsplit sums; P and Q are made over S_A's two parts where n does not
     broadcast the terms to a larger shape.
     """
-    terms = _terms(_set_dot(x, a) if on_set else _dot(x, a), _dot(a, a), _dot(x, x),
-                   len(c_a), 1.5)
+    u, v, g0 = _ratios(_set_dot(x, a) if on_set else _dot(x, a), _dot(a, a), _dot(x, x), 1.5)
+    shape = np.broadcast_shapes(u.shape, v.shape, g0.shape)
     # s_a[m % 2] += c_a[m] T_m and s_b[m % 2] += c_b[m] T_m
-    g = next(terms)
-    s_a = [np.multiply(g, c_a[0]), np.zeros_like(g)]
-    s_b = [np.multiply(g, c_b[0]), np.zeros_like(g)]
-    tmp = np.empty_like(g)
+    s_a = [np.multiply(g0, c_a[0], out=np.empty(shape)), np.zeros(shape)]
+    s_b = [np.multiply(g0, c_b[0], out=np.empty(shape)), np.zeros(shape)]
+    tmp = np.empty(shape)
+    terms = _terms(u, v, g0, len(c_a), 1.5)
+    g = next(terms)   # G_0, added above
     for m, (ca, cb, g) in enumerate(zip(c_a[1:], c_b[1:], terms), 1):
         s_a[m % 2] += np.multiply(g, ca, out=tmp)
         s_b[m % 2] += np.multiply(g, cb, out=tmp)
-    del terms, g, tmp   # free the recurrence's arrays before P and Q
+    del terms, g, tmp, u, v, g0   # free the recurrence's arrays before P and Q
     na, nx = _set_dot(n, a) if on_set else _dot(n, a), _dot(n, x)
-    fits = isinstance(s_a[0], np.ndarray) and np.broadcast(s_a[0], na, nx).shape == s_a[0].shape
+    fits = np.broadcast(s_a[0], na, nx).shape == shape
     even = np.multiply(na, s_a[1], out=s_a[1] if fits else None)
     even -= np.multiply(nx, s_b[0], out=s_b[0] if fits else None)
     odd = np.multiply(na, s_a[0], out=s_a[0] if fits else None)

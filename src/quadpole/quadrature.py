@@ -46,10 +46,10 @@ class QuadratureRule:
     a bool (a numpy integer is kept as an int).  Every Lebedev rule is
     centrally symmetric, so the sums run on one point of each antipodal
     pair.  The antipode map is kept as ``antipodes``, points[antipodes] ==
-    -points, found by one key sort of the points and of their negatives,
-    the match of QuadratureRule.symmetries; points that share a key, all
-    coordinates within 2^-19, may be refused.  Points, weights and
-    antipodes are read-only.
+    -points, found by one lexicographic sort of the exact coordinates of
+    the points and one of their negatives, the match of
+    QuadratureRule.symmetries, so points however close are matched
+    exactly.  Points, weights and antipodes are read-only.
     """
 
     points: np.ndarray          # (N, 3) unit vectors
@@ -76,7 +76,7 @@ class QuadratureRule:
         if not (np.all(weights > 0.0) and abs(total - 4.0 * np.pi) <= 4e-12 * np.pi):
             raise DomainError("rule weights must be positive and sum to 4 pi")
         anti = np.empty(len(points), dtype=np.intp)
-        anti[np.argsort(_keys(-points))] = np.argsort(_keys(points))
+        anti[_lexsort(-points)] = _lexsort(points)
         if not (np.array_equal(points[anti], -points) and np.array_equal(weights[anti], weights)):
             raise DomainError("every rule point needs an antipode with an equal weight")
         for name, value in (("points", points), ("weights", weights), ("antipodes", anti)):
@@ -96,18 +96,17 @@ class QuadratureRule:
         both compared exactly.  The embedded rules have all 48; a rule built
         by hand keeps those that hold exactly, at least {I, -I}.
         Built on first use, one of the 48 images at a time, so the peak is
-        the kept maps and one (N, 3) image: each point and each image point
-        gets one integer key, its coordinates to 2^-19, and the image sorted
-        by key lines up with the points sorted by key.
+        the kept maps and one (N, 3) image: the image sorted by its exact
+        coordinates, lexicographically, lines up with the points so sorted.
         """
-        order = np.argsort(_keys(self.points))
+        order = _lexsort(self.points)
         kept, maps = [], []
         for axes in itertools.permutations(range(3)):
             for signs in itertools.product((1.0, -1.0), repeat=3):
                 s = np.diag(signs)[list(axes)]
                 image = self.points @ s.T                   # exact: entries are 0 and +-1
                 m = np.empty(len(self), dtype=np.intp)
-                m[np.argsort(_keys(image))] = order
+                m[_lexsort(image)] = order
                 if (np.array_equal(self.points[m], image)
                         and np.array_equal(self.weights[m], self.weights)):
                     kept.append(s)
@@ -115,10 +114,9 @@ class QuadratureRule:
         return np.array(kept), np.array(maps)
 
 
-def _keys(x):
-    """One integer key per point of x (N, 3), coordinates in [-1, 1]: those coordinates to 2^-19."""
-    digits = np.rint((x + 1.0) * 2.0 ** 19).astype(np.int64)   # 0..2^20 each
-    return (digits[:, 0] << 42) | (digits[:, 1] << 21) | digits[:, 2]
+def _lexsort(x):
+    """The order of the points x (N, 3) sorted by x[:, 0], then x[:, 1], then x[:, 2], exactly."""
+    return np.lexsort(x.T[::-1])
 
 
 def _antipodal_reps(rule, maps, reps):
@@ -173,20 +171,14 @@ def _orbits(rows, cols, d):
     {I, -I}, and -I fixes d = 0.  The shifts join the antipode of the rows
     to these (_antipodal_reps), which does not fix d but only flips the
     sign of the odd degrees: 8 -> 16, 6 -> 12, 4 -> 8, 2 -> 4 and 1 -> 2,
-    while d = 0 keeps 48.  On the 1202 points of the p = 30 rule the kernel
-    is then summed at 91, 116, 171, 311 and 601 rows instead of 176, 231,
-    326, 621 and 1202, and at 36 for d = 0.  The flow rows
-    (bem._orbit_blocks) sum each block once per offset class
+    while d = 0 keeps 48 (README, Notes, gives the row counts).  The flow
+    rows (bem._orbit_blocks) sum each block once per offset class
     (_offset_class), at the class's canonical offset, over one source point
-    of each antipodal pair: the three spheres of demos/three_spheres.txt
-    make 9 blocks in 5 classes, summed at 1490 rows of the 1202-point
-    reference rule instead of 2944 and at 397 of the 302-point fit rule
-    instead of 782, and 1.83 M pair-degrees over p = 2..8 instead of
-    7.22 M.  Rules hash by identity; the caches, which keep them alive,
-    match the matrices once per pair of rules and build reps once per
-    subgroup.  No map is gathered here: each caller gathers the columns it
-    needs, as holding every subgroup's (h, N) maps would take 7 MB over the
-    three-sphere flow at p = 2..8, more than that pass's 3.9 MB peak.
+    of each antipodal pair.  Rules hash by identity; the caches, which keep
+    them alive, match the matrices once per pair of rules and build reps
+    once per subgroup.  No map is gathered here: each caller gathers the
+    columns it needs, as holding every subgroup's (h, N) maps at once can
+    take more memory than the rest of a flow solve.
     """
     k, m = _shared(rows, cols)
     fix = np.all(rows.symmetries[0][k] @ d == d, axis=1)

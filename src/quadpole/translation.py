@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .expansion import _SLACK, _center, _project, _radius, _require_kind
+from .legendre import _reproducing
 from .quadrature import _orbits
 
 __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
@@ -37,7 +38,8 @@ def _refit(src, kind, new_center, new_R):
     k, _, reps = _orbits(src.rule, src.rule, src.center - new_center)
     maps = src.rule.symmetries[1][k]
     rel = (src.surface_points - new_center) / new_R
-    weights = _project(kind, rel, src.surface_weights[maps], src.rule, src.order, maps, reps)
+    weights = _project(kind, rel, src.surface_weights[maps], src.rule, _reproducing(src.order),
+                       maps, reps)
     return replace(src, center=new_center, radius=new_R, surface_weights=weights,
                    kind=kind, diagnostics=None)
 

@@ -116,6 +116,26 @@ def test_racc_matches_per_radius_loop(tmp_path):
         assert abs(float(pref) - total[kind, p, r] / trials * factor) <= tol * factor
 
 
+def test_racc_fits_each_cloud_once_per_rule(tmp_path, monkeypatch):
+    # --orders 2,5,8 is p = 3, 6 and 9 on the rules of order 15, 15 and 17:
+    # per trial, one fit of the cloud and one of the inverted cloud per rule,
+    # each for all the orders on that rule
+    import quadpole.cli as cli
+    calls = []
+
+    def counted(kind, sources, center, R, orders, rule=None):
+        calls.append((kind, tuple(orders), rule.exactness_degree))
+        return fit(kind, sources, center, R, orders, rule)
+
+    fit = cli._fit
+    monkeypatch.setattr(cli, "_fit", counted)
+    assert run(["racc", "--charges", "50", "--trials", "3", "--orders", "2,5,8",
+                "--out", str(tmp_path / "racc.csv")]) == 0
+    per_trial = [("outer", (3, 6), 15), ("inner", (3, 6), 15),
+                 ("outer", (9,), 17), ("inner", (9,), 17)]
+    assert calls == per_trial * 3
+
+
 def test_racc_far_radius_is_allowed_at_low_order(tmp_path):
     # the bound on --radii follows the requested orders: r^(p+1) = 1e140 at p = 3
     out = tmp_path / "racc.csv"

@@ -200,6 +200,29 @@ def test_fit_inner_empty_and_singular():
         qp.fit_inner(unit_charge_at([1.0, 0.0, 0.0]), np.zeros(3), 1.0, 3)
 
 
+@pytest.mark.parametrize("kind", ["outer", "inner"])
+def test_orders_fitted_together_match_fits_at_each_order(kind):
+    # one kernel sum for the orders 3, 6 and 9 on one rule, against one fit
+    # per order, within 1e-14 of the largest weight; the cloud and its
+    # inversion are those of racc, and each expansion keeps its diagnostics
+    from quadpole.expansion import _fit
+    rng = np.random.default_rng(127)
+    half = np.sqrt(3.0) / 3.0
+    cloud = qp.PointCharges(rng.uniform(-half, half, (300, 3)), rng.uniform(-1.0, 1.0, 300))
+    if kind == "inner":
+        cloud = qp.PointCharges(cloud.positions / np.sum(cloud.positions ** 2, axis=1)[:, None],
+                                cloud.charges)
+    fit = qp.fit_outer if kind == "outer" else qp.fit_inner
+    rule = qp.lebedev_rule(17)
+    together = _fit(kind, cloud, np.zeros(3), 1.0, [3, 6, 9], rule)
+    for p, got in zip((3, 6, 9), together):
+        alone = fit(cloud, np.zeros(3), 1.0, p, rule=rule)
+        assert (got.order, got.kind, got.rule) == (p, kind, rule)
+        assert got.diagnostics == alone.diagnostics
+        w = alone.surface_weights
+        assert np.max(np.abs(got.surface_weights - w)) <= 1e-14 * np.max(np.abs(w))
+
+
 def test_inner_decay_slope():
     rng = np.random.default_rng(53)
     inside = random_cloud(rng, 150, scale=0.55)
@@ -427,6 +450,28 @@ def test_coulomb_rays_near_a_source_are_as_accurate_as_the_geometry_allows():
                 for c, s, g in zip(q, y, dist)))
     assert np.min(bound) > 0.0 and np.max(np.abs(want[0] - exact) / bound) < 1.0
     assert np.max(np.abs(got[0] - exact) / bound) < 1.0
+
+
+def test_coulomb_rays_next_to_a_source_are_as_accurate_as_coulomb():
+    # a source at the cube corner, 1e-6 from the target (1 + 1e-6) u on the
+    # body diagonal, among 500 charges: a = u.s rounds by an ulp of |s| before
+    # r - a cancels, so that pair is summed as |r u - s|, as _coulomb sums it;
+    # both sums against an exact one at that target
+    from fractions import Fraction
+    from decimal import Decimal, localcontext
+    rng = np.random.default_rng(109)
+    u, y, q = _ray_case(rng, 500)
+    y[0] = np.sqrt(3.0) / 3.0
+    r = 1.0 + 1e-6
+    d = np.argmax(u @ np.ones(3))
+    got, want = _ray_sums(u, [r], y, q)
+    x = r * u[d]   # the target as _coulomb takes it
+    with localcontext() as ctx:
+        ctx.prec = 40
+        dist = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, s)) for s in y]
+        dist = [(Decimal(f.numerator) / Decimal(f.denominator)).sqrt() for f in dist]
+        exact = float(sum(Decimal(c) / g for c, g in zip(q, dist)))
+    assert abs(got[0, d] - exact) <= 2.0 * abs(want[0, d] - exact)
 
 
 def test_coulomb_rays_raise_on_a_source_at_a_target():

@@ -7,7 +7,9 @@ import pytest
 import quadpole as qp
 from quadpole.legendre import (
     _kernel_dot,
+    _leading,
     _normal_pair,
+    _terms,
     grad_scaled_legendre_stack,
     kernel_matrix,
     kernel_sum,
@@ -252,7 +254,28 @@ def _shell(rng, shape, r_min, r_max):
     return d * (rng.uniform(r_min, r_max, shape) / np.linalg.norm(d, axis=-1))[..., None]
 
 
-@pytest.mark.parametrize("p", [1, 2, 30])
+@pytest.mark.parametrize("g0", ["number", "per set point", "per row"])
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
+def test_terms_start_from_the_given_g0(p, g0):
+    # the monic terms G_n = L_n / kappa_n of rows against a set from u = x.y/y.y,
+    # v = x.x/y.y and G_0 = 1/|y| given as one number (a set on the unit
+    # sphere), one value per set point or one per row; G_0 comes back as given
+    rng = np.random.default_rng(53 + p)
+    rows, pts = _shell(rng, (7, 1), 0.1, 3.0), _shell(rng, (40,), 0.1, 3.0)
+    x, y = {"number": (rows, pts / np.linalg.norm(pts, axis=-1)[:, None]),
+            "per set point": (rows, pts), "per row": (pts, rows)}[g0]
+    xy, xx, yy = (np.sum(x * y, axis=-1), np.sum(x * x, axis=-1), np.sum(y * y, axis=-1))
+    given = 1.0 if g0 == "number" else yy ** -0.5
+    terms = _terms(xy / yy, xx / yy, given, p)
+    assert next(terms) is given
+    got = [given] + [g.copy() for g in terms]
+    assert len(got) == p
+    expect = scaled_legendre_stack(x, y, p) / _leading(p).reshape((p,) + (1,) * xy.ndim)
+    for g, e in zip(got, expect):
+        assert np.all(np.abs(np.broadcast_to(g, e.shape) - e) <= 1e-14 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
 @pytest.mark.parametrize("targets", [(), (40,), (4, 2)], ids=["scalar", "1-D", "4x2"])
 @pytest.mark.parametrize("h", [(), (1,), (8,)], ids=["vector", "h=1", "h=8"])
 def test_kernel_dot_matches_kernel_sum(p, targets, h):
@@ -260,9 +283,11 @@ def test_kernel_dot_matches_kernel_sum(p, targets, h):
     # 1e-14 of sum |K||w|: the summed set as the first argument with the
     # targets outside it, as in a fit or an exterior sum, and as the second
     # with the targets inside it, as in an interior sum; a point of the set
-    # and a target sit at the origin, and 40 targets make two row blocks
+    # and a target sit at the origin, and 40 targets make two row blocks.
+    # Three coefficient sets are each held to the same bound.
     rng = np.random.default_rng(17 + p)
     coef = rng.standard_normal(p)
+    sets = rng.standard_normal((p, 3))
     inner = _shell(rng, (700,), 0.0, 1.0)
     inner[0] = 0.0
     outer = _shell(rng, (700,), 1.0, 3.0)
@@ -276,9 +301,16 @@ def test_kernel_dot_matches_kernel_sum(p, targets, h):
         got = np.add(*_kernel_dot(x, y, coef, w))   # the even- plus the odd-degree total
         assert np.shape(got) == np.shape(expect) == targets + h
         assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+        got = np.add(*_kernel_dot(x, y, sets, w))
+        assert got.shape == (3,) + targets + h
+        for k, c in enumerate(sets.T):
+            K = kernel_sum(x, y, c)
+            assert np.all(np.abs(got[k] - K @ w) <= 1e-14 * (np.abs(K) @ np.abs(w)))
         # no sources: zero sums of the same shape
         got = _kernel_dot(*empty, coef, w[:0])
         assert np.shape(got) == (2,) + targets + h and np.all(got == 0.0)
+        got = _kernel_dot(*empty, sets, w[:0])
+        assert np.shape(got) == (2, 3) + targets + h and np.all(got == 0.0)
     # a zero second argument, as a target or in the set, is singular
     with pytest.raises(qp.SingularityError):
         _kernel_dot(inner, np.zeros(targets + (1, 3)), coef, np.ones(700))

@@ -372,6 +372,26 @@ def test_every_embedded_rule_has_exact_antipodes():
             anti[0] = 1
 
 
+def test_points_however_close_are_matched_to_their_exact_antipodes():
+    # the 26-point rule with one more antipodal pair 1e-8 from one of its
+    # points, weights renormalised, in 20 point orders: coordinates rounded to
+    # a grid would give the near pair one key and refuse the rule in most orders
+    rule = qp.lebedev_rule(7)
+    near = rule.points[3] + np.array([1e-8, -2e-8, 0.5e-8])
+    near /= np.linalg.norm(near)
+    points = np.concatenate([rule.points, [near, -near]])
+    weights = np.append(rule.weights, [rule.weights[3]] * 2)
+    weights *= 4.0 * np.pi / weights.sum()
+    rng = np.random.default_rng(113)
+    for _ in range(20):
+        order = rng.permutation(len(points))
+        built = qp.QuadratureRule(points[order], weights[order], 7)
+        # each point against every point, compared exactly
+        match = (-built.points[:, None, :] == built.points).all(axis=2)
+        assert np.all(match.sum(axis=1) == 1)
+        assert np.array_equal(built.antipodes, np.argmax(match, axis=1))
+
+
 def test_fits_find_antipodes_without_the_symmetry_maps():
     # a rule keeps N integers for its antipodes, not the 48 maps of
     # QuadratureRule.symmetries, which fits and evaluations never build
