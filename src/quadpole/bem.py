@@ -6,19 +6,8 @@ with each sphere's surface weights, by weighted least squares on a finer
 fit rule, solved on the p_j^2 harmonic columns of each sphere's weights
 (_harmonic_basis), the system's rank, by its normal equations.  Each row
 of that system is a normal-derivative kernel sum, one scalar n.grad L per
-pair, and three symmetries cut the sums (see _orbit_blocks):
-- a block depends on its spheres only through their offset, radii, rules
-  and order, so the blocks of one offset class, congruent under a signed
-  axis permutation that both rules hold, are summed once
-  (quadrature._offset_class);
-- within a block, rows are summed at one point per orbit of the
-  symmetries that fix its offset (quadrature._orbits);
-- the lambda = 3/2 terms have the parity of their degree in the source
-  point, so one recurrence over half of a centrally symmetric source rule
-  gives the sums at both points of each antipodal pair
-  (legendre._normal_pair).
-The other entries are index permutations of those, and boundary_error
-builds no matrix.
+pair, summed once per offset class, at one row point per orbit and over
+half of each source rule (_orbit_blocks); boundary_error builds no matrix.
 """
 from dataclasses import dataclass
 from functools import cache
@@ -123,10 +112,9 @@ def outer_gradient(exp, x):
 def _source_sums(rule, pts, x, n, p):
     """Order-p sums n.grad_x L(a, x) from the points a = pts[b] of rule (pts' first axis).
 
-    Returns (sums, idx): sums[s] holds the sums from the points idx[s].  The
-    recurrence runs over one point of each antipodal pair (the rule's
-    antipodes) and gives the sums from those points and from their
-    antipodes (legendre._normal_pair), so idx is (2, N/2).
+    Returns (sums, idx): sums[s] holds the sums from the points idx[s], idx
+    (2, N/2) being one point of each antipodal pair and its antipode, both
+    from one recurrence (legendre._normal_pair).
     """
     anti = rule.antipodes
     half = np.flatnonzero(anti > np.arange(len(anti)))
@@ -137,20 +125,14 @@ def _orbit_blocks(spheres, sources, rule):
     """Yield (i, j, sums, targets, cols): block (i, j) of the flow rows, one row per orbit.
 
     Block (i, j) maps source j's surface weights to n.grad(Phi) at sphere i's
-    points s.center + R rhat, with normals rhat, rhat the points of ``rule``.
-    Each entry is a normal-derivative kernel sum, one scalar per pair:
+    points s.center + R rhat, with normals rhat, rhat the points of ``rule``:
     entry (targets[k, m], cols[k, s, b]) of the block is sums[s, m, b], one
-    k per symmetry.
-
-    The block depends on d = s.center - src.center, the two radii, the two
-    rules and src.order only, so blocks are grouped by offset class
-    (quadrature._offset_class): a symmetry that both rules hold carries the
-    class's canonical offset c to d, and the class's sums are made once, at
-    c, and yielded for each block in it with targets and cols composed with
-    that symmetry's index maps.  They are summed only at one row point per
-    orbit of the symmetries that fix c (quadrature._orbits), and over one
-    source point of each antipodal pair, which gives the sums from its
-    antipode too (_source_sums).
+    k per symmetry.  A block depends on d = s.center - src.center, the two
+    radii, the two rules and src.order only, so the sums are made once per
+    offset class (quadrature._offset_class), at its canonical offset c, at
+    the reps of the symmetries that fix c (quadrature._orbits) and from
+    both points of each antipodal source pair (_source_sums); each block of
+    the class composes targets and cols with its own class maps.
     """
     classes = {}
     for i, s in enumerate(spheres):
@@ -284,10 +266,9 @@ def boundary_error(sol, spheres, reference_rule):
     """Weighted RMS of |n.v0 + n.grad(Phi)| per sphere on a finer rule.
 
     sol must hold one expansion per sphere, with its center and radius.
-    No matrix is built: each block's orbit sums (see _orbit_blocks) at one
-    point of each antipodal pair and at its antipode are multiplied by the
-    source weights at those points, permuted by every symmetry, and the
-    results are scattered to the orbits' rows.
+    No matrix is built: the sums of each block (_orbit_blocks) are
+    contracted with the source weights they index and scattered to the
+    rows.
     """
     spheres = list(spheres)
     if len(sol.expansions) != len(spheres) or not all(

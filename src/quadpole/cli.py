@@ -100,6 +100,17 @@ class ConfigError(Exception):
     pass
 
 
+def _read(path):
+    """The text of the file at path, or a DomainError naming the file and the first byte
+    that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError("%s: not UTF-8 text at byte %d" % (path, exc.start)) from exc
+
+
 def _write(path, text):
     """Write text to the file at path, or to stdout when path is "-"."""
     if path == "-":
@@ -235,8 +246,7 @@ def cmd_tacc(args):
 
 def cmd_flow(args):
     orders = _resolve_orders(args, 0)
-    with open(args.scene) as fh:
-        scene = parse_scene(fh.read())
+    scene = parse_scene(_read(args.scene))
     ref = lebedev_rule(59)
     rows = []
     for p in orders:
@@ -271,8 +281,7 @@ def cmd_convert(args):
         raise ConfigError("--order must be in 1..%d" % MAX_ORDER)
     if args.direction == "poly2exp" and not (np.isfinite(args.radius) and args.radius > 0.0):
         raise ConfigError("--radius must be finite and positive")
-    with open(args.input) as fh:
-        text = fh.read()
+    text = _read(args.input)
     if args.direction == "charges2poly":
         rows = np.reshape([_numbers("charges", n, f, 4) for n, f in _lines(text)], (-1, 4))
         charges = PointCharges(rows[:, :3], rows[:, 3])

@@ -191,30 +191,22 @@ def _project(kind, rel, charges, rule, coef, maps=None, reps=None):
 
     rel holds the sources' unit-scaled positions (M, 3) and charges (M,) their
     charges.  K is the kernel sum with the per-degree coefficients coef (p,),
-    (2n+1)/(4 pi) for an order-p fit, or K coefficient sets (p, K), which
-    give K rows of weights (K, N).  The sums are contracted as the recurrence
-    runs (legendre._kernel_dot), so no (N, M) kernel matrix is made, and they
-    are made at one point of each antipodal pair of the rule: K(x, -rhat) =
-    sum_n (-1)^n c_n L_n(x, rhat), so the sum at -rhat_j is the even-degree
-    total at rhat_j minus the odd, as is K(-rhat, y) for an inner fit.
+    (2n+1)/(4 pi) for an order-p fit, or coefficient sets (p, K), which
+    give K rows of weights (K, N).  It is one legendre._kernel_dot at one
+    point of each antipodal pair, whose antipode takes legendre's row fold.
 
-    A shift passes the index maps (h, N) of the symmetries t that leave the
-    kernel unchanged, K(rel_t(i), rhat_t(j)) = K(rel_i, rhat_j), with reps
-    the smallest index of each of their orbits (quadrature._orbits), and
-    charges (h, M) permuted by each map, charges[t, i] = q_t(i).  The sum
-    at t(j) is then the sum at j against the charges q_t(i), so the kernel
-    is summed at one point j per orbit of the maps and the antipode
-    (quadrature._antipodal_reps), against h rows of charges, and the sums
-    are scattered to the orbit.
+    A shift passes the index maps (h, N) of the symmetries that fix its
+    offset, with reps one point per orbit (quadrature._orbits), and
+    charges (h, M), row t permuted by map t, charges[t, i] = q_t(i): the
+    sum at t(j) is the sum at j against row t, so the kernel is summed at
+    quadrature._antipodal_reps only and scattered to the orbits.
     """
     if maps is None:
         maps, reps = np.arange(len(rule))[None], np.arange(len(rule))
     reps = _antipodal_reps(rule, maps, reps)
     pts = rule.points[reps][:, None, :]
-    if kind == "outer":   # K(y/R, rhat_j): the sources are the first argument
-        sums = _kernel_dot(rel, pts, coef, charges.T)
-    else:
-        sums = _kernel_dot(pts, rel, coef, charges.T)
+    args = (rel, pts) if kind == "outer" else (pts, rel)   # K(y/R, rhat_j): sources first
+    sums = _kernel_dot(*args, coef, charges.T[None])
     # (2,) + sets + (reps,) + h, with the reps last, as sets + maps[:, reps].shape
     sets, at = np.shape(coef)[1:], maps[:, reps]
     even, odd = np.moveaxis(sums, len(sets) + 1, -1).reshape((2,) + sets + at.shape)
@@ -265,17 +257,18 @@ def _interior_sum_at(exp, rel, coef):
 
 
 def _surface_set(exp):
-    """The points R rhat_i and weights w_i that the surface sums run over.
+    """The points R rhat_i and weights (2, B) that the surface sums run over.
 
-    The set is one point of each antipodal pair i, i' = rule.antipodes[i],
-    with the weights w_i + w_i' for the even degrees and w_i - w_i' for the
-    odd (legendre._kernel_dot): L_n has the parity of n, so the pair's terms
-    are (w_i + (-1)^n w_i') L_n(., R rhat_i).
+    The set is one point i of each antipodal pair i, i' = rule.antipodes[i],
+    with the set fold's rows w_i + w_i' and w_i - w_i' (legendre).
     """
     anti = exp.rule.antipodes
     half = np.flatnonzero(anti > np.arange(len(anti)))
     w, w_anti = exp.surface_weights[half], exp.surface_weights[anti[half]]
-    return exp.radius * exp.rule.points[half], (w + w_anti, w - w_anti)
+    folded = np.empty((2, len(half)))
+    np.add(w, w_anti, out=folded[0])
+    np.subtract(w, w_anti, out=folded[1])
+    return exp.radius * exp.rule.points[half], folded
 
 
 def eval_outer_potential(exp, x):

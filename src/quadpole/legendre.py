@@ -16,10 +16,9 @@ C^lambda_n, it runs on G_n = T_n / k_n,
 _terms is the only code that runs it.  Its callers give it u = x.y/y.y,
 v = x.x/y.y and G_0 = |y|^(-2 lambda), a number or one value per point of
 a set or per row, which it yields unexpanded; the callers refuse y = 0,
-through _ratios or, in _kernel_dot, by its own check.  G_1 costs one array
-pass, and each later degree four, one fewer than the recurrence for T_n
-itself, or, where v is one number per point of a set, three (two at G_2;
-see _kernel_dot).  At lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the
+through _ratios or, in _kernel_dot, by its own check.  The monic form
+saves one array pass per degree over the recurrence for T_n itself.
+At lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the
 leading coefficient of P_n, and b_n = (n-1)^2/((2n-1)(2n-3)).  The gradient
 of L_n is the same recurrence at lambda = 3/2, since P'_{n+1} = C^{3/2}_n
 (see normal_kernel_sum).  Each sum folds k_n into its own per-degree
@@ -29,28 +28,23 @@ leave the range of float64.
 
 kernel_sum returns the sum for every pair.  Fits, shifts, evaluations and
 de-tracing only contract it with weights, so they call _kernel_dot, which
-contracts each term with the weights as the recurrence makes it and never
-holds a pair matrix; G_0 does not depend on the row there, so it is
-contracted once per call and each row block starts at G_1.  L_n has the
-parity of n,
+contracts each term as the recurrence makes it and never holds a pair
+matrix.
 
-    L_n(-x, y) = L_n(x, -y) = (-1)^n L_n(x, y),
+Parity.  C^lambda_n has the parity of n, so for every lambda
 
-as P_n(-t) = (-1)^n P_n(t): in the recurrence only x.y changes sign.  So
-_kernel_dot keeps its even- and odd-degree totals apart: the sum at -x is
-even - odd, and a set that holds -y beside y with weights w and w' is
-summed over y alone, with w + w' for the even degrees and w - w' for the
-odd.  Every embedded Lebedev rule is centrally symmetric, with equal
-weights at rhat and -rhat, so a fit sums the kernel at half of the rule's
-points and an evaluation over half of them.  The lambda = 3/2 terms have
-the same parity, T_m(-a, x) = (-1)^m T_m(a, x), and n.(-a) = -n.a, so
-_normal_pair keeps the parts P and Q of n.grad_x L even and odd in a
-apart: one recurrence gives the sum at a, P + Q, and at -a, P - Q, and
-the flow rows run over half of each source rule.
+    T_n(-x, y) = T_n(x, -y) = (-1)^n T_n(x, y):
 
-A contracted sum is summed by the BLAS, so, like expansion._coulomb, its
-last bits can change with the block layout; so can a normal_kernel_sum of
-a point set against rows, whose inner products with the set are matmuls.
+in the recurrence only x.y changes sign.  A sum whose even- and odd-degree
+totals are kept apart therefore folds in two ways.  The row fold: the
+same sum at the rows -x (or -y) is even - odd.  The set fold: a set that
+holds -y beside y, with weights w and w', is summed over y alone, with
+w + w' for the even degrees and w - w' for the odd.  Every quadrature
+rule is centrally symmetric with equal weights at rhat and -rhat
+(QuadratureRule), so a fit takes the row fold (expansion._project), a
+surface sum the set fold (expansion._surface_set), and a flow row gets
+the sums from a source point and from its antipode out of one
+recurrence (_normal_pair): each runs the kernel at half the rule.
 """
 import math
 from functools import cache
@@ -171,8 +165,7 @@ def _set_dot(rows, pts):
 
 def _inner_products(x, y):
     """x.y, x.x and y.y over the last axis."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = (np.asarray(a, dtype=float) for a in (x, y))
     return _dot(x, y), _dot(x, x), _dot(y, y)
 
 
@@ -227,8 +220,7 @@ def kernel_sum(x, y, coef):
     each times coef[n] kappa_n, so no (p,) + batch stack is built.  The
     batch is summed in row blocks of about 2^14 pairs, so the recurrence's
     working arrays stay in cache; each element's arithmetic is that of one
-    unblocked sum, bit for bit.  A sum that is contracted with weights
-    right away is :func:`_kernel_dot`, which builds no batch-sized array.
+    unblocked sum, bit for bit.
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
@@ -245,60 +237,49 @@ def kernel_sum(x, y, coef):
 
 
 def _kernel_dot(x, y, coef, w):
-    """Even- and odd-degree totals of sum_b [sum_n coef[n] L_n(x, y)][..., b] w[b, ...].
+    """Even- and odd-degree totals of sum_b [sum_n coef[n] L_n(x, y)][..., b] w[n % P, b, ...].
 
     One of x and y is the point set summed over, shape (B, 3); the other
     is one point (3,) or points (..., 1, 3) that vary along the leading
-    batch axes only: the rows.  w has shape (B,) or (B, h), or is a pair
-    (w_even, w_odd) of such arrays that the even and the odd degrees take
-    in turn.  The result has shape (2,) + batch[:-1] + w.shape[1:]: the
-    sum over the even degrees, then the sum over the odd ones.  No pair
-    matrix is made: the rows are taken in blocks of about 2^14 pairs, and
-    each monic term G_n of a block is contracted with w by one matmul as
-    the recurrence produces it.
+    batch axes only: the rows.  w has shape (P, B) + h, and degree n is
+    contracted with w[n % P]: P = 1 is one weight per set point, P = 2 the
+    set fold (module docstring) with the rows w + w' and w - w', and P = p
+    one weight per degree, such as the moments sum_s w_s R_s^n of shells
+    of radii R_s, as L_n(R u, x) = R^n L_n(u, x).  The result has shape
+    (2,) + batch[:-1] + h: the sum over the even degrees, then over the
+    odd, kept apart for the row fold.
 
-    coef may also be K coefficient sets (p, K), such as the radial factors
-    r_k^-(n+1) of L_n(x, r_k u) = r_k^-(n+1) L_n(x, u); the result then has
-    shape (2, K) + batch[:-1] + w.shape[1:].  The recurrence and the
-    per-degree sums are made once and only the last contraction is taken
-    per set, one set at a time, so set k is the sum with coef[:, k] bit
-    for bit.
+    coef may also hold coefficient sets, shape (p,) + sets, such as the
+    radial factors r_k^-(n+1) of L_n(x, r_k u) = r_k^-(n+1) L_n(x, u); the
+    result then has shape (2,) + sets + batch[:-1] + h.  The recurrence
+    and the per-degree sums are made once and only the last contraction
+    is taken per set, one set at a time, so each set is the sum with its
+    own coefficients (p,) bit for bit.
 
-    The two totals are kept apart because L_n has the parity of n,
-    L_n(-x, y) = L_n(x, -y) = (-1)^n L_n(x, y): the same sum at the rows
-    -x (or -y) is even - odd, and a set that holds -y_b beside y_b is
-    summed over one point of each such pair, with weights w_b + w_b' for
-    the even degrees and w_b - w_b' for the odd, b' the index of -y_b.
-
-    The recurrence runs on the rows' unit directions and on the set
-    divided by s, the smallest |y|, where L_n is homogeneous of degree n
-    in x and -(n+1) in y:
+    No pair matrix is made: the rows are taken in blocks of about 2^14
+    pairs, and each monic term G_n of a block is contracted with w by one
+    matmul as the recurrence produces it.  The recurrence runs on the
+    rows' unit directions and on the set divided by s, the smallest |y|,
+    where L_n is homogeneous of degree n in x and -(n+1) in y:
 
         L_n(x, y) = (s/|y|)^n / |y|  L_n(x/s, yhat)    (rows y)
         L_n(x, y) = (|x|/s)^n / s    L_n(xhat, y/s)    (rows x)
 
-    So u = x.y/y.y is one matmul per block of the block's directions
-    against the set, divided once per call by its y.y where the rows are x
-    (where they are y, y.y = 1), and v = x.x/y.y and G_0 = |y|^-1 are one
-    number per set point, or one number.  G_0 does not depend on the row:
-    it is contracted with w once per call, and each block starts at
-    G_1 = u G_0, which takes one array pass, G_2 two and every later degree
-    three, with p - 1 matmuls, in one set of block arrays that all blocks
-    share.  The row factors, with coef[n] kappa_n, scale only the
-    (p, rows) + w.shape[1:] per-degree sums.  Both factors are at most 1
-    where the series converges, |x| <= |y|.  The
-    contractions are summed by the BLAS, so, as with expansion._coulomb,
-    the last bits of a result can depend on the block layout and differ
-    from kernel_sum(x, y, coef) @ w.
+    So v = x.x/y.y and G_0 = |y|^-1 are one number per set point, or one
+    number, and G_0, which does not depend on the row, is contracted once
+    per call.  The row factors, with coef[n] kappa_n, scale only the
+    per-degree sums; both are at most 1 where the series converges,
+    |x| <= |y|.  The contractions are summed by the BLAS, so, as with
+    expansion._coulomb, the last bits of a result can depend on the block
+    layout and differ from kernel_sum(x, y, coef) @ w[0].
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
-    x, y = (np.asarray(a, dtype=float) for a in (x, y))
-    w_even, w_odd = (np.asarray(a, dtype=float) for a in (w if isinstance(w, tuple) else (w, w)))
+    x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
     rows_are_y = x.ndim == 2 and y.shape[-2:-1] in ((), (1,))
     pts, rows = (x, y) if rows_are_y else (y, x)
-    if pts.ndim != 2 or rows.shape[-2:-1] not in ((), (1,)):
-        raise ValueError("need a point set (B, 3) and points (..., 1, 3)")
+    if pts.ndim != 2 or rows.shape[-2:-1] not in ((), (1,)) or w.shape[1:2] != pts.shape[:1]:
+        raise ValueError("need a point set (B, 3), points (..., 1, 3) and weights (P, B) + h")
     lead, rows = rows.shape[:-2], rows.reshape(-1, 3)
     r = np.sqrt(_dot(rows, rows))
     y_norms = r if rows_are_y else np.sqrt(_dot(pts, pts))
@@ -314,12 +295,12 @@ def _kernel_dot(x, y, coef, w):
     lam, mu = (s / r, 1.0 / r) if rows_are_y else (r / s, np.full(len(r), 1.0 / s))
     coef = np.asarray(coef, dtype=float)
     p, sets = len(coef), coef.shape[1:]
-    columns = (coef.T * _leading(p)).reshape(-1, p)   # one row per set
+    columns = coef.reshape(p, -1).T * _leading(p)   # one row per set, in the sets' order
     degrees = np.arange(p)[:, None]
     _, blocks = _row_blocks(rows[:, None, :], pts)
-    h = w_even.shape[1:]
+    h = w.shape[2:]
     out = np.empty((2, len(columns), len(rows)) + h)
-    g0_sum = np.broadcast_to(g0, pts.shape[:1]) @ w_even   # G_0 does not depend on the row
+    g0_sum = np.broadcast_to(g0, pts.shape[:1]) @ w[0]
     # one set of block arrays, u and the terms, shared by the blocks
     work = np.empty((4, max((len(rb) for _, rb, _ in blocks), default=0), len(pts)))
     for block, rb, _ in blocks:
@@ -329,7 +310,7 @@ def _kernel_dot(x, y, coef, w):
         terms = _terms(u, v, g0, p, work=work[1:, :len(rb)])
         next(terms)   # G_0, summed above
         for n, g in enumerate(terms, 1):
-            np.matmul(g, w_odd if n % 2 else w_even, out=sums[n])
+            np.matmul(g, w[n % len(w)], out=sums[n])
         factors = columns[:, :, None] * lam[block] ** degrees * mu[block]
         for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
             for parity in (0, 1):
@@ -359,8 +340,7 @@ def normal_kernel_sum(a, x, n, coef):
     with T_m = |a|^m C^{3/2}_m(ahat.xhat) / |x|^{m+3} the terms of |x-a|^-3.
     So S_A = sum_m coef[m+1] T_m and S_B = sum_m coef[m] T_m, m < p, are
     added as the recurrence produces T_m, with no (p,) + batch stack, and
-    the normal derivative is (n.a) S_A - (n.x) S_B, one scalar per pair:
-    the sum P + Q of its parts even and odd in a (see _normal_pair).
+    the normal derivative is (n.a) S_A - (n.x) S_B, one scalar per pair.
     n = np.eye(3) against a[..., None, :] and x[..., None, :] gives the
     gradient, shape batch + (3,); the recurrence still runs once per pair
     of a and x.  Blocked like :func:`kernel_sum`, and bit-identical to an
@@ -374,16 +354,15 @@ def normal_kernel_sum(a, x, n, coef):
 def _normal_pair(a, x, n, coef):
     """normal_kernel_sum(a, x, n, coef) and the same sum at -a, shape (2,) + batch.
 
-    T_m(-a, x) = (-1)^m T_m(a, x), as C^{3/2}_m has the parity of m, and
-    n.(-a) = -n.a, so with S_A and S_B split by the parity of m, the parts
-    of the sum even and odd in a are
+    By the parity of T_m in a (module docstring) and n.(-a) = -n.a, the
+    parts of the sum even and odd in a are, with S_A and S_B split by the
+    parity of m,
 
         P = (n.a) S_A,odd - (n.x) S_B,even,   Q = (n.a) S_A,even - (n.x) S_B,odd,
 
-    and the sum is P + Q at a and P - Q at -a: a set that holds -a_b beside
-    a_b needs the recurrence at one point of each such pair.  Both come from
-    the one recurrence of normal_kernel_sum, in the same blocks, so the
-    first is normal_kernel_sum(a, x, n, coef) bit for bit.
+    and the sum is P + Q at a and P - Q at -a.  Both come from the one
+    recurrence of normal_kernel_sum, in the same blocks, so the first is
+    normal_kernel_sum(a, x, n, coef) bit for bit.
     """
     return _normal_sums(a, x, n, coef, pair=True)
 

@@ -42,14 +42,12 @@ class QuadratureRule:
     raises a DomainError for any breach: points (N, 3), finite, each of
     norm 1 within 1e-12; weights (N,), finite and positive, summing to 4 pi
     within 1e-12 relative; for every point an exact antipode with a
-    bit-equal weight; and an exactness degree that is an integer >= 0, not
-    a bool (a numpy integer is kept as an int).  Every Lebedev rule is
-    centrally symmetric, so the sums run on one point of each antipodal
-    pair.  The antipode map is kept as ``antipodes``, points[antipodes] ==
-    -points, found by one lexicographic sort of the exact coordinates of
-    the points and one of their negatives, the match of
-    QuadratureRule.symmetries, so points however close are matched
-    exactly.  Points, weights and antipodes are read-only.
+    bit-equal weight, which the kernel sums' folds rely on (legendre); and
+    an exactness degree that is an integer >= 0, not a bool (a numpy
+    integer is kept as an int).  ``antipodes`` maps each point to its
+    antipode, points[antipodes] == -points, matched by exact lexicographic
+    sorts as in symmetries, so points however close are told apart.
+    Points, weights and antipodes are read-only.
     """
 
     points: np.ndarray          # (N, 3) unit vectors
@@ -120,17 +118,13 @@ def _lexsort(x):
 
 
 def _antipodal_reps(rule, maps, reps):
-    """One point of each orbit of a symmetry group joined with the antipode.
+    """The reps of a symmetry group's orbits that stay reps once the antipode joins it.
 
-    maps (h, N) are the index maps of signed axis permutations on the points
-    of rule, closed under composition, and reps the smallest index of each
-    of their orbits, as _orbits gives them; the identity alone is
-    maps = arange(N)[None], reps = arange(N).  The antipode -I commutes with
-    every signed axis permutation, so the orbit of a rep j under the group
-    and -I is its own orbit joined to that of rule.antipodes[j], and j is
-    kept if it is the smaller of the two reps: of the N/h points, about N/2h
-    remain, unless an orbit already holds its antipodes, as every orbit
-    does where -I is in the group.
+    maps (h, N) and reps are the group's index maps and orbit reps, as
+    _orbits gives them, or arange(N)[None] and arange(N) for the identity
+    alone.  -I commutes with every signed axis permutation, so the joined
+    orbit of rep j is its orbit and that of rule.antipodes[j], and j is
+    kept if it is the smaller of the two reps.
     """
     first = np.empty(len(rule), dtype=np.intp)
     first[maps[:, reps]] = reps   # the rep of each point's orbit
@@ -161,24 +155,20 @@ def _orbits(rows, cols, d):
     S_t maps d + a rows.points[i] onto d + a rows.points[row_map[i]] and
     b cols.points[j] onto b cols.points[col_map[j]] and keeps inner
     products, so an operator whose entry (i, j) depends on these points and on
-    the normals rows.points[i] only through inner products, as the kernel sums
-    of the shifts and the flow rows do, has entry (row_map[i], col_map[j])
-    equal to entry (i, j): it need only be summed at reps, the smallest
-    index of each orbit, ascending.  The embedded rules hold all 48, so
-    d = 0 (a sphere's own block) keeps 48, an offset along an axis 8, a
-    body diagonal 6, a face diagonal 4, elsewhere in a coordinate plane 2
-    and anywhere else 1; a rule built by hand may hold fewer, but holds
-    {I, -I}, and -I fixes d = 0.  The shifts join the antipode of the rows
-    to these (_antipodal_reps), which does not fix d but only flips the
-    sign of the odd degrees: 8 -> 16, 6 -> 12, 4 -> 8, 2 -> 4 and 1 -> 2,
-    while d = 0 keeps 48 (README, Notes, gives the row counts).  The flow
-    rows (bem._orbit_blocks) sum each block once per offset class
-    (_offset_class), at the class's canonical offset, over one source point
-    of each antipodal pair.  Rules hash by identity; the caches, which keep
-    them alive, match the matrices once per pair of rules and build reps
-    once per subgroup.  No map is gathered here: each caller gathers the
-    columns it needs, as holding every subgroup's (h, N) maps at once can
-    take more memory than the rest of a flow solve.
+    the normals rows.points[i] only through inner products, as the shifts
+    and the flow rows do, has entry (row_map[i], col_map[j]) equal to entry
+    (i, j): it need only be summed at reps, the smallest index of each
+    orbit, ascending.  The embedded rules hold all 48, so d = 0 keeps 48,
+    an offset along an axis 8, a body diagonal 6, a face diagonal 4,
+    elsewhere in a coordinate plane 2 and anywhere else 1; a rule built by
+    hand holds at least {I, -I}, and -I fixes d = 0 only.  The antipode,
+    which flips only the sign of the odd degrees (legendre's row fold), joins
+    these in the fits and shifts (_antipodal_reps) and doubles each group
+    but that of d = 0, which holds it already.  Rules hash by identity; the caches,
+    which keep them alive, match the matrices once per pair of rules and
+    build reps once per subgroup.  No map is gathered here: each caller
+    gathers the columns it needs, as holding every subgroup's (h, N) maps
+    at once can take more memory than the rest of a flow solve.
     """
     k, m = _shared(rows, cols)
     fix = np.all(rows.symmetries[0][k] @ d == d, axis=1)
@@ -192,28 +182,19 @@ def _offset_class(rows, cols, d):
     Returns (c, row_map, col_map).  c is the largest image of d, in
     lexicographic order, under the signed axis permutations that both rules
     hold, compared exactly, as a tuple; row_map and col_map are the index
-    maps on rows and cols of the inverse of the first of them with S d = c.
-    An operator whose entry (i, j) at offset d depends on d + a rows.points[i],
-    rows.points[i] and b cols.points[j] only through inner products (see
-    _orbits) then has entry (row_map[i], col_map[j]) at d equal to entry
-    (i, j) at c: blocks at the offsets of one class are index permutations
-    of the block at c, and need only be summed at c.  A rule built by hand
-    shares fewer symmetries, but at least {I, -I}, whose classes hold d and
-    -d.
+    maps on rows and cols of the first of them with S c = d.
+    An operator as in _orbits then has entry (row_map[i], col_map[j]) at d
+    equal to entry (i, j) at c: the blocks at the offsets of one class are
+    index permutations of the block at c, and need only be summed at c.
+    Rules that share only {I, -I} have the classes {d, -d}.
     """
-    S = rows.symmetries[0]
     k, m = _shared(rows, cols)
-    images = (S[k] @ d).tolist()
+    # the shared symmetries are a group, closed under inverses S^T, so d @ S,
+    # the images S^T d, are all the images of d, and S c = d where S^T d = c
+    images = (d @ rows.symmetries[0][k]).tolist()
     c = max(images)
     g = images.index(c)
-    return tuple(c), _inverse(rows.symmetries[1][k[g]]), _inverse(cols.symmetries[1][m[g]])
-
-
-def _inverse(perm):
-    """The inverse of an index permutation."""
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    return inv
+    return tuple(c), rows.symmetries[1][k[g]], cols.symmetries[1][m[g]]
 
 
 def available_orders():

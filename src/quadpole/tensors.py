@@ -162,7 +162,7 @@ def detrace_directional(pt, r, n):
     coef[n] = (2 * n + 1) / (4.0 * np.pi)
     r = np.asarray(r, dtype=float)
     moments = rule.weights * directional_moment(pt, rule.points, n)
-    return np.add(*_kernel_dot(r[..., None, :], rule.points, coef, moments))
+    return np.add(*_kernel_dot(r[..., None, :], rule.points, coef, moments[None]))
 
 
 def polytensor_from_expansion(exp):

@@ -3,8 +3,7 @@
 Every shift refits the old expansion's surface weights, taken as point
 charges at its surface points, onto the new sphere: the same kernel
 projection that ``fit_outer`` and ``fit_inner`` apply to point charges,
-summed once per orbit of the rule's symmetries that fix the shift and of
-the antipode (see ``quadrature._orbits`` and ``quadrature._antipodal_reps``).
+summed once per symmetry orbit (see ``_refit``).
 """
 from dataclasses import replace
 
@@ -22,18 +21,9 @@ def _refit(src, kind, new_center, new_R):
     """Fit the old weights, as charges at the old surface points, on the new sphere.
 
     The old points seen from the new center are rel_i = d + R rhat_i, with
-    d = src.center - new_center, and each symmetry t that fixes d leaves
-    the kernel unchanged (quadrature._orbits), so the new weight at t(j) is
-    W_j sum_i w_{t(i)} K(rel_i, rhat_j).  The kernel is summed at one point j
-    per orbit of those symmetries and the antipode, against one row of
-    permuted weights w[t] per symmetry, and the rows are scattered to the
-    orbit (expansion._project): the sum at -rhat_j is the even-degree total
-    minus the odd.  On the embedded rules the group that sums at one point
-    grows from 8 to 16 for a shift along an axis, 6 to 12 along a body
-    diagonal, 4 to 8 along a face diagonal, 2 to 4 elsewhere in a
-    coordinate plane and 1 to 2 anywhere else, so the kernel is summed at
-    about N/16, N/12, N/8, N/4 and N/2 points; d = 0 keeps its 48, which
-    hold -I already.
+    d = src.center - new_center.  The kernel is summed once per orbit of
+    the symmetries that fix d (quadrature._orbits) and the antipode,
+    against the weights permuted by each symmetry (expansion._project).
     """
     k, _, reps = _orbits(src.rule, src.rule, src.center - new_center)
     maps = src.rule.symmetries[1][k]

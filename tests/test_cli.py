@@ -227,6 +227,15 @@ def test_flow_non_finite_scene(tmp_path, capfd):
     assert "DLASCL" not in err
 
 
+@pytest.mark.parametrize("argv", [["flow", "--scene"], ["convert", "exp2charges"]],
+                         ids=["flow-scene", "convert-input"])
+def test_input_that_is_not_utf8_names_the_file_and_byte(tmp_path, capsys, argv):
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"0 0 0 1\n\x84\x00\xff")
+    assert run(argv + [str(src)]) == 3
+    assert "%s: not UTF-8 text at byte 8" % src in capsys.readouterr().err
+
+
 def test_flow_overlapping_scene(tmp_path):
     scene = tmp_path / "scene.txt"
     scene.write_text("0 0 0 1 1 0 0\n1 0 0 1 1 0 0\n")

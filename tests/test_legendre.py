@@ -298,25 +298,25 @@ def test_kernel_dot_matches_kernel_sum(p, targets, h):
         w = rng.standard_normal((700,) + h)
         K = kernel_sum(x, y, coef)
         expect, scale = K @ w, np.abs(K) @ np.abs(w)
-        got = np.add(*_kernel_dot(x, y, coef, w))   # the even- plus the odd-degree total
+        got = np.add(*_kernel_dot(x, y, coef, w[None]))   # the even- plus the odd-degree total
         assert np.shape(got) == np.shape(expect) == targets + h
         assert np.all(np.abs(got - expect) <= 1e-14 * scale)
-        got = np.add(*_kernel_dot(x, y, sets, w))
+        got = np.add(*_kernel_dot(x, y, sets, w[None]))
         assert got.shape == (3,) + targets + h
         for k, c in enumerate(sets.T):
             K = kernel_sum(x, y, c)
             assert np.all(np.abs(got[k] - K @ w) <= 1e-14 * (np.abs(K) @ np.abs(w)))
         # no sources: zero sums of the same shape
-        got = _kernel_dot(*empty, coef, w[:0])
+        got = _kernel_dot(*empty, coef, w[None, :0])
         assert np.shape(got) == (2,) + targets + h and np.all(got == 0.0)
-        got = _kernel_dot(*empty, sets, w[:0])
+        got = _kernel_dot(*empty, sets, w[None, :0])
         assert np.shape(got) == (2, 3) + targets + h and np.all(got == 0.0)
     # a zero second argument, as a target or in the set, is singular
     with pytest.raises(qp.SingularityError):
-        _kernel_dot(inner, np.zeros(targets + (1, 3)), coef, np.ones(700))
+        _kernel_dot(inner, np.zeros(targets + (1, 3)), coef, np.ones((1, 700)))
     outer[5] = 0.0
     with pytest.raises(qp.SingularityError):
-        _kernel_dot(near, outer, coef, np.ones(700))
+        _kernel_dot(near, outer, coef, np.ones((1, 700)))
 
 
 @pytest.mark.parametrize("p", [1, 2, 9, 30])
@@ -325,8 +325,8 @@ def test_kernel_dot_matches_kernel_sum(p, targets, h):
 def test_kernel_dot_coefficient_sets_match_single_sets(p, targets, h):
     # K coefficient sets (p, K) against K calls with one set each, bit for
     # bit: the set as the first argument with the rows outside it and as the
-    # second with the rows inside it, with one weight array and with an
-    # (even, odd) pair; 120 rows against 300 points make three row blocks
+    # second with the rows inside it, with one weight row (P = 1) and with
+    # two (P = 2); 120 rows against 300 points make three row blocks
     rng = np.random.default_rng(43 + p)
     coef = rng.standard_normal((p, 5))
     inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
@@ -334,12 +334,63 @@ def test_kernel_dot_coefficient_sets_match_single_sets(p, targets, h):
     near = _shell(rng, targets, 0.0, 0.9)[..., None, :]
     for x, y in ((inner, far), (near, outer)):
         w = rng.standard_normal((300,) + h)
-        for weights in (w, (w, rng.standard_normal((300,) + h))):
+        for weights in (w[None], np.stack([w, rng.standard_normal((300,) + h)])):
             got = _kernel_dot(x, y, coef, weights)
             assert got.shape == (2, 5) + targets + h
             for k in range(5):
                 assert np.array_equal(got[:, k], _kernel_dot(x, y, coef[:, k], weights))
             assert np.array_equal(_kernel_dot(x, y, coef[:, :1], weights), got[:, :1])
+
+
+@pytest.mark.parametrize("p", [2, 9])
+def test_kernel_dot_sets_on_two_axes_keep_their_order(p):
+    # coefficient sets (p, 2, 3) against one call per set, bit for bit,
+    # with the set as the first argument and as the second
+    rng = np.random.default_rng(59 + p)
+    coef = rng.standard_normal((p, 2, 3))
+    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
+    far, near = _shell(rng, (40, 1), 1.2, 4.0), _shell(rng, (40, 1), 0.0, 0.9)
+    w = rng.standard_normal((1, 300))
+    for x, y in ((inner, far), (near, outer)):
+        got = _kernel_dot(x, y, coef, w)
+        assert got.shape == (2, 2, 3, 40)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(got[:, i, j], _kernel_dot(x, y, coef[:, i, j], w))
+
+
+@pytest.mark.parametrize("side", ["outside", "inside"])
+def test_kernel_dot_weights_per_degree_fold_shells(side):
+    # 40 shells of radii R_s on the 302-point rule with weights w[s, j], at
+    # p = 12, as in a volume potential.  L_n(R u, x) = R^n L_n(u, x) and
+    # L_n(x, R u) = R^-(n+1) L_n(x, u), so for targets outside all shells
+    # they fold into one weight per degree m[n, j] = sum_s w[s, j] R_s^n,
+    # and inside all shells into sum_s w[s, j] R_s^-(n+1): one call with
+    # these P = p weights equals the shell-by-shell sum within 1e-14 of
+    # sum |terms|.  Degree n takes w[n % P], so two equal rows are one row,
+    # bit for bit.
+    p, rule = 12, qp.lebedev_rule(29)
+    assert len(rule) == 302
+    rng = np.random.default_rng(61)
+    radii = rng.uniform(1.0, 2.0, 40)
+    w = rng.standard_normal((40, len(rule)))
+    coef, n = np.ones(p), np.arange(p)[:, None]
+    if side == "outside":
+        x = _shell(rng, (25, 1), 2.5, 5.0)
+        moments = radii ** n @ w
+        got = np.add(*_kernel_dot(rule.points, x, coef, moments))
+        shells = [(R * rule.points, x) for R in radii]
+    else:
+        x = _shell(rng, (25, 1), 0.0, 0.8)
+        moments = radii ** -(n + 1.0) @ w
+        got = np.add(*_kernel_dot(x, rule.points, coef, moments))
+        shells = [(x, R * rule.points) for R in radii]
+    expect = sum(np.add(*_kernel_dot(*args, coef, ws[None])) for args, ws in zip(shells, w))
+    scale = sum(np.abs(kernel_sum(*args, coef)) @ np.abs(ws) for args, ws in zip(shells, w))
+    assert got.shape == (25,)
+    assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+    args = shells[0]
+    assert np.array_equal(_kernel_dot(*args, coef, np.stack([w[0], w[0]])),
+                          _kernel_dot(*args, coef, w[:1]))
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
@@ -352,9 +403,9 @@ def test_kernel_dot_is_homogeneous_far_from_unit_scale(scale):
     far, near = _shell(rng, (9, 1), 1.2, 4.0), _shell(rng, (9, 1), 0.0, 0.9)
     w = rng.standard_normal(300)
     for x, y in ((inner, far), (near, outer)):
-        expect = np.add(*_kernel_dot(x, y, coef, w))
+        expect = np.add(*_kernel_dot(x, y, coef, w[None]))
         bound = np.abs(kernel_sum(x, y, coef)) @ np.abs(w)
-        got = scale * np.add(*_kernel_dot(scale * x, scale * y, coef, w))
+        got = scale * np.add(*_kernel_dot(scale * x, scale * y, coef, w[None]))
         assert np.all(np.abs(got - expect) <= 1e-13 * bound)
 
 
@@ -378,21 +429,23 @@ def test_kernel_dot_keeps_the_parities_apart(p, scale):
     w = rng.standard_normal((300, 2))
     for x, y, rows_are_x in ((inner, far, False), (near, outer, True)):
         x, y = scale * x, scale * y
-        parts = _kernel_dot(x, y, coef, w)
+        parts = _kernel_dot(x, y, coef, w[None])
         assert parts.shape == (2, 40, 2)
         bound = np.abs(kernel_sum(x, y, coef)) @ np.abs(w)
         for part, c in zip(parts, (np.where(odd, 0.0, coef), np.where(odd, coef, 0.0))):
             assert np.all(np.abs(part - kernel_sum(x, y, c) @ w) <= 1e-13 * bound)
         assert p > 1 or np.all(parts[1] == 0.0)
-        flipped = _kernel_dot(-x, y, coef, w) if rows_are_x else _kernel_dot(x, -y, coef, w)
+        flipped = (_kernel_dot(-x, y, coef, w[None]) if rows_are_x
+                   else _kernel_dot(x, -y, coef, w[None]))
         assert np.all(np.abs(np.add(*flipped) - (parts[0] - parts[1])) <= 1e-13 * bound)
         # the set of antipodal pairs (z_b, -z_b), b < 150, folded
         rows, half = (x, y[:150]) if rows_are_x else (y, x[:150])
         pairs = np.concatenate([half, -half])
-        folded = (w[:150] + w[150:], w[:150] - w[150:])
+        folded = np.stack([w[:150] + w[150:], w[:150] - w[150:]])
         args, got = ((rows, pairs), (rows, half)) if rows_are_x else ((pairs, rows), (half, rows))
         bound = np.abs(kernel_sum(*args, coef)) @ np.abs(w)
-        error = np.add(*_kernel_dot(*got, coef, folded)) - np.add(*_kernel_dot(*args, coef, w))
+        unfolded = np.add(*_kernel_dot(*args, coef, w[None]))
+        error = np.add(*_kernel_dot(*got, coef, folded)) - unfolded
         assert np.all(np.abs(error) <= 1e-13 * bound)
 
 

@@ -320,7 +320,7 @@ def test_shifts_on_a_rule_with_only_the_antipode_are_one_folded_sum(p):
         rel = src.surface_points / new_R
         rows = rule.points[half][:, None, :]
         args = (rel, rows) if out.kind == "outer" else (rows, rel)
-        even, odd = _kernel_dot(*args, coef, weights[None].T)
+        even, odd = _kernel_dot(*args, coef, weights[None].T[None])
         oracle = np.empty(len(rule))
         oracle[half] = rule.weights[half] * (even + odd)[:, 0]
         oracle[rule.antipodes[half]] = rule.weights[half] * (even - odd)[:, 0]
