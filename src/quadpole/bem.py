@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _center, _exterior_sum, _interior_sum, _lines,
-                        _numbers, _order, _points, _radius, _require_kind, _side_checked)
-from .legendre import _BLOCK_PAIRS, _normal_pair, kernel_matrix
+                        _numbers, _points, _radius, _require_kind, _side_checked, _surface_set)
+from .legendre import _BLOCK_PAIRS, _kernel_dot, _normal_sums, _order, kernel_matrix
 from .quadrature import QuadratureRule, _offset_class, _orbits, rule_for_expansion
 
 __all__ = [
@@ -100,25 +100,21 @@ def jump_check(exp, yhat):
 
 
 def outer_gradient(exp, x):
-    """Gradient of the outer-expansion potential at exterior point(s) x."""
+    """Gradient of the outer-expansion potential at exterior point(s) x.
+
+    With grad_x L_k(a, x) = T_(k-1)(a, x) a - T_k(a, x) x (normal_kernel_sum),
+    it is one lambda = 3/2 kernel sum over the folded surface set: against
+    w a for degrees below p - 1, minus x times the sum against w.  w a is
+    odd in a, so its fold rows are swapped.
+    """
     _require_kind(exp, "outer")
     rel = _side_checked(exp, x, outside=True)
-    sums, idx = _source_sums(exp.rule, exp.radius * exp.rule.points[:, None, :],
-                             rel[..., None, None, :], np.eye(3), exp.order)
-    return sum(np.tensordot(part, exp.surface_weights[i], axes=(-2, 0))
-               for part, i in zip(sums, idx))
-
-
-def _source_sums(rule, pts, x, n, p):
-    """Order-p sums n.grad_x L(a, x) from the points a = pts[b] of rule (pts' first axis).
-
-    Returns (sums, idx): sums[s] holds the sums from the points idx[s], idx
-    (2, N/2) being one point of each antipodal pair and its antipode, both
-    from one recurrence (legendre._normal_pair).
-    """
-    anti = rule.antipodes
-    half = np.flatnonzero(anti > np.arange(len(anti)))
-    return _normal_pair(pts[half], x, n, np.ones(p)), np.stack([half, anti[half]])
+    pts, fold = _surface_set(exp)   # fold rows w + w', w - w'
+    W = np.concatenate([fold[::-1, :, None] * pts, fold[:, :, None]], axis=2)
+    coef = np.ones((exp.order, 2))
+    coef[-1, 0] = 0.0
+    sums = np.add(*_kernel_dot(pts, rel[..., None, :], coef, W, 1.5))
+    return sums[0, ..., :3] - rel * sums[1, ..., 3:]
 
 
 def _orbit_blocks(spheres, sources, rule):
@@ -131,8 +127,8 @@ def _orbit_blocks(spheres, sources, rule):
     radii, the two rules and src.order only, so the sums are made once per
     offset class (quadrature._offset_class), at its canonical offset c, at
     the reps of the symmetries that fix c (quadrature._orbits) and from
-    both points of each antipodal source pair (_source_sums); each block of
-    the class composes targets and cols with its own class maps.
+    both points of each antipodal source pair (legendre._normal_sums); each
+    block of the class composes targets and cols with its own class maps.
     """
     classes = {}
     for i, s in enumerate(spheres):
@@ -144,9 +140,11 @@ def _orbit_blocks(spheres, sources, rule):
     for (c, R, r, src_rule, p), members in classes.items():
         c = np.array(c)
         k, m, reps = _orbits(rule, src_rule, c)
+        half = np.flatnonzero(src_rule.antipodes > np.arange(len(src_rule)))
         # seen from the source's center as c + R rhat, which each symmetry maps exactly
-        sums, idx = _source_sums(src_rule, r * src_rule.points,
-                                 (c + R * normals[reps])[:, None, :], normals[reps, None, :], p)
+        sums = _normal_sums(r * src_rule.points[half], (c + R * normals[reps])[:, None, :],
+                            normals[reps, None, :], np.ones(p), pair=True)
+        idx = np.stack([half, src_rule.antipodes[half]])
         targets = rule.symmetries[1][k[:, None], reps]
         cols = src_rule.symmetries[1][m[:, None, None], idx]
         for i, j, row_map, col_map in members:

@@ -6,13 +6,12 @@ far field of enclosed sources; inner expansions represent the field of
 exterior sources inside the sphere.
 """
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import _BLOCK_PAIRS, _kernel_dot, _reproducing, _row_blocks
+from .legendre import _BLOCK_PAIRS, _kernel_dot, _order, _reproducing, _row_blocks
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -111,13 +110,6 @@ def _radius(R):
     if R.shape != () or R.dtype.kind not in "iuf" or not (np.isfinite(R) and R > 0.0):
         raise DomainError("radius must be finite and positive")
     return float(R)
-
-
-def _order(order):
-    """order, if it is an integer >= 1 (not a bool), else a DomainError."""
-    if not isinstance(order, Integral) or isinstance(order, bool) or order < 1:
-        raise DomainError("order must be an integer >= 1, not %r" % (order,))
-    return order
 
 
 def _points(x):

@@ -17,19 +17,20 @@ _terms is the only code that runs it.  Its callers give it u = x.y/y.y,
 v = x.x/y.y and G_0 = |y|^(-2 lambda), a number or one value per point of
 a set or per row, which it yields unexpanded; the callers refuse y = 0,
 through _ratios or, in _kernel_dot, by its own check.  The monic form
-saves one array pass per degree over the recurrence for T_n itself.
-At lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the
-leading coefficient of P_n, and b_n = (n-1)^2/((2n-1)(2n-3)).  The gradient
-of L_n is the same recurrence at lambda = 3/2, since P'_{n+1} = C^{3/2}_n
-(see normal_kernel_sum).  Each sum folds k_n into its own per-degree
+saves one array pass per degree over the recurrence for T_n itself.  At
+lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the leading coefficient
+of P_n, and b_n = (n-1)^2/((2n-1)(2n-3)).  The gradient of L_n is the
+same recurrence at lambda = 3/2, since P'_{n+1} = C^{3/2}_n (see
+normal_kernel_sum).  Each sum folds k_n into its own per-degree
 coefficients, and the Legendre polynomial P_n(t) is kappa_n G_n at
 x = t zhat, y = zhat.  Degrees stop at 1000: beyond that, G_n and k_n
 leave the range of float64.
 
-kernel_sum returns the sum for every pair.  Fits, shifts, evaluations and
-de-tracing only contract it with weights, so they call _kernel_dot, which
-contracts each term as the recurrence makes it and never holds a pair
-matrix.
+kernel_sum returns the sum for every pair.  Fits, shifts, evaluations,
+de-tracing and the outer gradient only contract it with weights, so they
+call _kernel_dot, which contracts each term as the recurrence makes it and
+never holds a pair matrix.  T_m is homogeneous of degree m in x and
+-(m + 2 lambda) in y, so that one contraction serves both indices.
 
 Parity.  C^lambda_n has the parity of n, so for every lambda
 
@@ -44,10 +45,10 @@ rule is centrally symmetric with equal weights at rhat and -rhat
 (QuadratureRule), so a fit takes the row fold (expansion._project), a
 surface sum the set fold (expansion._surface_set), and a flow row gets
 the sums from a source point and from its antipode out of one
-recurrence (_normal_pair): each runs the kernel at half the rule.
+recurrence (_normal_sums): each runs the kernel at half the rule.
 """
-import math
 from functools import cache
+from numbers import Integral
 
 import numpy as np
 
@@ -67,16 +68,23 @@ __all__ = [
 def legendre_poly(n, t):
     """Evaluate the Legendre polynomial P_n(t) = L_n(t zhat, zhat), n <= 1000.
 
-    Accepts scalar or array t with |t| <= 1 (clamped within 1e-12 slack).
+    Accepts scalar or array t, not NaN, with |t| <= 1 (clamped within 1e-12 slack).
     """
-    if n < 0:
-        raise DomainError("polynomial degree must be non-negative")
-    kappa = _leading(n + 1)
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
+        raise DomainError("polynomial degree must be an integer >= 0, not %r" % (n,))
+    kappa = _leading(n + 1, 0.5)
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
+    if not np.all(np.abs(t) <= 1.0 + 1e-12):
         raise DomainError("argument outside [-1, 1]")
     *_, g_n = _terms(np.clip(t, -1.0, 1.0), 1.0, np.ones(t.shape), n + 1)
     return (kappa[n] * g_n)[()]
+
+
+def _order(order):
+    """order, if it is an integer >= 1 (not a bool), else a DomainError."""
+    if not isinstance(order, Integral) or isinstance(order, bool) or order < 1:
+        raise DomainError("order must be an integer >= 1, not %r" % (order,))
+    return order
 
 
 @cache
@@ -204,7 +212,7 @@ def f_sequence_raw(xy, xx, yy, p):
     out = np.empty((p,) + np.broadcast_shapes(np.shape(xy), np.shape(xx), np.shape(yy)))
     for n, g in enumerate(_terms(*_ratios(xy, xx, yy), p)):
         out[n] = g
-    out *= _leading(p).reshape((p,) + (1,) * (out.ndim - 1))
+    out *= _leading(p, 0.5).reshape((p,) + (1,) * (out.ndim - 1))
     return out
 
 
@@ -224,7 +232,7 @@ def kernel_sum(x, y, coef):
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
-    coef = np.asarray(coef, dtype=float) * _leading(len(coef))
+    coef = np.asarray(coef, dtype=float) * _leading(len(coef), 0.5)
     batch, blocks = _row_blocks(x, y)
     out = np.empty(batch)
     for rows, xb, yb in blocks:
@@ -236,8 +244,10 @@ def kernel_sum(x, y, coef):
     return out[()]   # a numpy scalar for a scalar batch
 
 
-def _kernel_dot(x, y, coef, w):
-    """Even- and odd-degree totals of sum_b [sum_n coef[n] L_n(x, y)][..., b] w[n % P, b, ...].
+def _kernel_dot(x, y, coef, w, lam=0.5):
+    """Even- and odd-degree totals of sum_b [sum_n coef[n] T_n(x, y)][..., b] w[n % P, b, ...].
+
+    T_n are the Gegenbauer terms at index lam (module docstring), L_n at 1/2.
 
     One of x and y is the point set summed over, shape (B, 3); the other
     is one point (3,) or points (..., 1, 3) that vary along the leading
@@ -260,14 +270,14 @@ def _kernel_dot(x, y, coef, w):
     pairs, and each monic term G_n of a block is contracted with w by one
     matmul as the recurrence produces it.  The recurrence runs on the
     rows' unit directions and on the set divided by s, the smallest |y|,
-    where L_n is homogeneous of degree n in x and -(n+1) in y:
+    where T_n is homogeneous of degree n in x and -(n + 2 lam) in y:
 
-        L_n(x, y) = (s/|y|)^n / |y|  L_n(x/s, yhat)    (rows y)
-        L_n(x, y) = (|x|/s)^n / s    L_n(xhat, y/s)    (rows x)
+        T_n(x, y) = (s/|y|)^n |y|^(-2 lam)  T_n(x/s, yhat)    (rows y)
+        T_n(x, y) = (|x|/s)^n s^(-2 lam)    T_n(xhat, y/s)    (rows x)
 
-    So v = x.x/y.y and G_0 = |y|^-1 are one number per set point, or one
-    number, and G_0, which does not depend on the row, is contracted once
-    per call.  The row factors, with coef[n] kappa_n, scale only the
+    So v = x.x/y.y and G_0 = |y|^(-2 lam) are one number per set point, or
+    one number, and G_0, which does not depend on the row, is contracted
+    once per call.  The row factors, with coef[n] k_n, scale only the
     per-degree sums; both are at most 1 where the series converges,
     |x| <= |y|.  The contractions are summed by the BLAS, so, as with
     expansion._coulomb, the last bits of a result can depend on the block
@@ -290,12 +300,14 @@ def _kernel_dot(x, y, coef, w):
     pp = _dot(pts, pts)
     if not rows_are_y:   # so that one matmul gives u = x.y/y.y (y.y = 1 where the rows are y)
         pts /= pp[:, None]
-    v, g0 = (pp, 1.0) if rows_are_y else (1.0 / pp, pp ** -0.5)
+    v, g0 = (pp, 1.0) if rows_are_y else (1.0 / pp, pp ** -lam)
     rows = rows / np.where(r > 0.0, r, 1.0)[:, None]   # a zero row x stays zero
-    lam, mu = (s / r, 1.0 / r) if rows_are_y else (r / s, np.full(len(r), 1.0 / s))
+    # 1 / r ** (2 lam): r ** -1.0 can differ from 1 / r in the last bit
+    ratio, mu = ((s / r, 1.0 / r ** (2 * lam)) if rows_are_y
+                 else (r / s, np.full(len(r), 1.0 / s ** (2 * lam))))
     coef = np.asarray(coef, dtype=float)
     p, sets = len(coef), coef.shape[1:]
-    columns = coef.reshape(p, -1).T * _leading(p)   # one row per set, in the sets' order
+    columns = coef.reshape(p, -1).T * _leading(p, lam)   # one row per set, in the sets' order
     degrees = np.arange(p)[:, None]
     _, blocks = _row_blocks(rows[:, None, :], pts)
     h = w.shape[2:]
@@ -307,11 +319,11 @@ def _kernel_dot(x, y, coef, w):
         sums = np.empty((p, len(rb)) + h)
         sums[0] = g0_sum
         u = np.matmul(rb[:, 0], pts.T, out=work[0, :len(rb)])
-        terms = _terms(u, v, g0, p, work=work[1:, :len(rb)])
+        terms = _terms(u, v, g0, p, lam, work=work[1:, :len(rb)])
         next(terms)   # G_0, summed above
         for n, g in enumerate(terms, 1):
             np.matmul(g, w[n % len(w)], out=sums[n])
-        factors = columns[:, :, None] * lam[block] ** degrees * mu[block]
+        factors = columns[:, :, None] * ratio[block] ** degrees * mu[block]
         for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
             for parity in (0, 1):
                 np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
@@ -320,8 +332,8 @@ def _kernel_dot(x, y, coef, w):
 
 
 def kernel_matrix(x, y, p):
-    """Reproducing kernel K(x, y) = sum_{n<p} (2n+1)/(4 pi) L_n(x, y), broadcast."""
-    return kernel_sum(x, y, _reproducing(p))
+    """Reproducing kernel K(x, y) = sum_{n<p} (2n+1)/(4 pi) L_n(x, y), broadcast, p >= 1."""
+    return kernel_sum(x, y, _reproducing(_order(p)))
 
 
 def _reproducing(p):
@@ -342,17 +354,16 @@ def normal_kernel_sum(a, x, n, coef):
     added as the recurrence produces T_m, with no (p,) + batch stack, and
     the normal derivative is (n.a) S_A - (n.x) S_B, one scalar per pair.
     n = np.eye(3) against a[..., None, :] and x[..., None, :] gives the
-    gradient, shape batch + (3,); the recurrence still runs once per pair
-    of a and x.  Blocked like :func:`kernel_sum`, and bit-identical to an
-    unblocked sum, except for a point set a (B, 3) against rows x and n
-    (..., 1, 3), as the flow rows are: there x.a and n.a are one matmul
-    per row block, whose last bits can depend on the block layout.
+    gradient, shape batch + (3,).  Blocked like :func:`kernel_sum`, and
+    bit-identical to an unblocked sum, except for a point set a (B, 3)
+    against rows x and n (..., 1, 3), as the flow rows are: there x.a and
+    n.a are one matmul per row block, whose last bits depend on the blocks.
     """
     return _normal_sums(a, x, n, coef, pair=False)[()]   # a numpy scalar for a scalar batch
 
 
-def _normal_pair(a, x, n, coef):
-    """normal_kernel_sum(a, x, n, coef) and the same sum at -a, shape (2,) + batch.
+def _normal_sums(a, x, n, coef, pair):
+    """normal_kernel_sum(a, x, n, coef); with pair, also the same sum at -a, shape (2,) + batch.
 
     By the parity of T_m in a (module docstring) and n.(-a) = -n.a, the
     parts of the sum even and odd in a are, with S_A and S_B split by the
@@ -360,15 +371,9 @@ def _normal_pair(a, x, n, coef):
 
         P = (n.a) S_A,odd - (n.x) S_B,even,   Q = (n.a) S_A,even - (n.x) S_B,odd,
 
-    and the sum is P + Q at a and P - Q at -a.  Both come from the one
-    recurrence of normal_kernel_sum, in the same blocks, so the first is
-    normal_kernel_sum(a, x, n, coef) bit for bit.
+    and the sum is P + Q at a and P - Q at -a, both from one recurrence
+    per row block; P + Q does not depend on pair, bit for bit.
     """
-    return _normal_sums(a, x, n, coef, pair=True)
-
-
-def _normal_sums(a, x, n, coef, pair):
-    """P + Q, and P - Q after it if pair (_normal_pair), one row block at a time."""
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
     lead = _leading(len(coef), 1.5)

@@ -118,6 +118,57 @@ def test_outer_gradient_contract():
         qp.outer_gradient(inner, np.array([3.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+@pytest.mark.parametrize("p", [1, 2, 8, 30])
+def test_outer_gradient_matches_the_pairwise_sums(p, scale):
+    # the contracted lambda = 3/2 sum against the pairwise gradients
+    # normal_kernel_sum(a, x, eye(3), ones(p)) times the weights, within
+    # 1e-13 of sum_b |w_b| sum_k |grad L_k(a_b, x)|: targets on the sphere,
+    # near it and far, in two row blocks at p = 30, and a single point
+    rng = np.random.default_rng(71 + p)
+    rule = qp.rule_for_expansion(p)
+    exp = qp.SurfaceExpansion(scale * np.array([0.3, -1.2, 0.5]), 1.7 * scale, rule,
+                              rng.standard_normal(len(rule)), p, "outer")
+    d = rng.standard_normal((40, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    rel = d * exp.radius * np.concatenate([[1.0], rng.uniform(1.0, 1.1, 19),
+                                           rng.uniform(1.1, 5.0, 20)])[:, None]
+    a = (exp.surface_points - exp.center)[:, None, :]
+
+    def pairwise(c):
+        return normal_kernel_sum(a, rel[:, None, None, :], np.eye(3), c)
+
+    expect = np.einsum("mbi,b->mi", pairwise(np.ones(p)), exp.surface_weights)
+    scale_of = sum(np.einsum("mbi,b->mi", np.abs(pairwise(c)), np.abs(exp.surface_weights))
+                   for c in np.eye(p))
+    for rows in (slice(None), slice(0, 1), 0):
+        got = qp.outer_gradient(exp, exp.center + rel[rows])
+        assert got.shape == expect[rows].shape
+        assert np.all(np.abs(got - expect[rows]) <= 1e-13 * scale_of[rows])
+
+
+def test_outer_gradient_builds_no_pairwise_array():
+    # the gradient is contracted as the recurrence runs: at p = 30 on the
+    # 1202-point rule, 3000 targets would need a (2, 3000, 601, 3) array of
+    # pairwise sums, 86.5 MB; the peak stays below 5% of it
+    import tracemalloc
+    p, m = 30, 3000
+    rng = np.random.default_rng(7)
+    rule = qp.rule_for_expansion(p)
+    exp = qp.SurfaceExpansion(np.zeros(3), 1.0, rule, rng.standard_normal(len(rule)), p, "outer")
+    x = rng.standard_normal((m, 3))
+    x *= 1.5 / np.linalg.norm(x, axis=1)[:, None]
+    qp.outer_gradient(exp, x[:10])
+    tracemalloc.start()
+    try:
+        grad = qp.outer_gradient(exp, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.shape == (m, 3) and np.all(np.isfinite(grad))
+    assert peak < 0.05 * 2 * m * (len(rule) // 2) * 3 * 8
+
+
 def test_sphere_boundary_validation():
     with pytest.raises(qp.DomainError):
         qp.SphereBoundary.make(np.zeros(3), -1.0, np.array([1.0, 0, 0]), 4)
@@ -373,13 +424,13 @@ def square_scene(p):
 def count_recurrences(monkeypatch):
     """Count the calls of the flow blocks' kernel recurrence."""
     calls = []
-    original = bem._normal_pair
+    original = bem._normal_sums
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(bem, "_normal_pair", counted)
+    monkeypatch.setattr(bem, "_normal_sums", counted)
     return calls
 
 

@@ -8,7 +8,7 @@ import quadpole as qp
 from quadpole.legendre import (
     _kernel_dot,
     _leading,
-    _normal_pair,
+    _normal_sums,
     _terms,
     grad_scaled_legendre_stack,
     kernel_matrix,
@@ -39,6 +39,16 @@ def test_legendre_poly_domain():
     assert qp.legendre_poly(1000, 1.0) == pytest.approx(1.0, abs=1e-11)
     with pytest.raises(qp.DomainError):
         qp.legendre_poly(1001, 0.0)
+
+
+@pytest.mark.parametrize("n, t", [(2, np.nan), (2, [0.5, np.nan]), (2.5, 0.5), (True, 0.5),
+                                  ("2", 0.5), (np.float64(2.0), 0.5), (None, 0.5)])
+def test_legendre_poly_refuses_malformed_input(n, t):
+    # a NaN argument and a degree that is not an integer (or is a bool)
+    # are domain errors, not a NaN result or a bare TypeError
+    with pytest.raises(qp.DomainError):
+        qp.legendre_poly(n, t)
+    assert qp.legendre_poly(np.int64(2), 0.5) == qp.legendre_poly(2, 0.5)
 
 
 def test_f_sequence_paper_values():
@@ -146,6 +156,15 @@ def test_stack_and_matrix_broadcast():
     assert L.shape == (6, 4, 5)
     K = kernel_matrix(xs[:, None, :], ys[None, :, :], 6)
     assert K[2, 3] == pytest.approx(kernel_matrix(xs[2], ys[3], 6), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, True, False, 0, -1, None, "3"])
+def test_kernel_matrix_order_must_be_a_positive_integer(p):
+    # a fractional order summed ceil(p) degrees, and True one
+    x, y = np.array([0.3, 0.1, 0.0]), np.array([0.0, 1.0, 0.5])
+    with pytest.raises(qp.DomainError, match="order must be an integer >= 1"):
+        kernel_matrix(x, y, p)
+    assert kernel_matrix(x, y, np.int64(3)) == kernel_matrix(x, y, 3)
 
 
 def _stitched(fn, coef, *arrays, rows=97):
@@ -317,6 +336,37 @@ def test_kernel_dot_matches_kernel_sum(p, targets, h):
     outer[5] = 0.0
     with pytest.raises(qp.SingularityError):
         _kernel_dot(near, outer, coef, np.ones((1, 700)))
+
+
+def _three_halves_terms(x, y, p):
+    """T_m(x, y) = |x|^m / |y|^(m+3) P'_(m+1)(xhat.yhat), m < p, from numpy's Legendre series."""
+    nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
+    t = np.clip(np.sum(x * y, axis=-1) / (nx * ny), -1.0, 1.0)
+    return np.stack([nx ** m / ny ** (m + 3)
+                     * np.polynomial.legendre.legval(t, np.polynomial.legendre.legder(
+                         np.eye(m + 2)[m + 1])) for m in range(p)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+@pytest.mark.parametrize("p", [1, 2, 9, 30])
+def test_kernel_dot_at_three_halves_matches_legendre_derivatives(p, scale):
+    # at lambda = 3/2 the contracted sum is that of the terms of |x-y|^-3,
+    # C^(3/2)_m = P'_(m+1), within 1e-13 of sum |terms||w|: the set as the
+    # first argument with the rows outside it (the outer gradient) and as
+    # the second with the rows inside it, at three scales
+    rng = np.random.default_rng(29 + p)
+    coef = rng.standard_normal(p)
+    inner, outer = _shell(rng, (300,), 0.1, 1.0) * scale, _shell(rng, (300,), 1.0, 3.0) * scale
+    far = _shell(rng, (40,), 1.2, 4.0)[:, None, :] * scale
+    near = _shell(rng, (40,), 0.1, 0.9)[:, None, :] * scale
+    w = rng.standard_normal((300, 2))
+    for x, y in ((inner, far), (near, outer)):
+        terms = _three_halves_terms(x, y, p)
+        expect = np.tensordot(coef, terms, axes=(0, 0)) @ w
+        bound = np.tensordot(np.abs(coef), np.abs(terms), axes=(0, 0)) @ np.abs(w)
+        got = np.add(*_kernel_dot(x, y, coef, w[None], 1.5))
+        assert got.shape == (40, 2)
+        assert np.all(np.abs(got - expect) <= 1e-13 * bound)
 
 
 @pytest.mark.parametrize("p", [1, 2, 9, 30])
@@ -568,7 +618,7 @@ def test_normal_pair_keeps_the_parities_apart(p, scale):
     x = _shell(rng, (40, 1), 0.8, 3.0) * scale
     n = rng.standard_normal((40, 1, 3))
     for set_a, on_set in ((a, True), (a[None], False)):
-        pair = _normal_pair(set_a, x, n, coef)
+        pair = _normal_sums(set_a, x, n, coef, pair=True)
         assert pair.shape == (2, 40, 300)
         assert np.array_equal(pair[0], normal_kernel_sum(set_a, x, n, coef))
         for got, sign in zip(pair, (1.0, -1.0)):
