@@ -55,7 +55,7 @@ class SphereBoundary:
 
     @staticmethod
     def make(center, radius, velocity, order):
-        return SphereBoundary(center, radius, velocity, rule_for_expansion(_order(order)), order)
+        return SphereBoundary(center, radius, velocity, rule_for_expansion(order), order)
 
 
 @dataclass(frozen=True)

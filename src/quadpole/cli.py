@@ -281,6 +281,8 @@ def cmd_convert(args):
         raise ConfigError("--order must be in 1..%d" % MAX_ORDER)
     if args.direction == "poly2exp" and not (np.isfinite(args.radius) and args.radius > 0.0):
         raise ConfigError("--radius must be finite and positive")
+    if args.rule_order < 0:
+        raise ConfigError("--rule-order must be >= 0 (0: the smallest rule the order needs)")
     text = _read(args.input)
     if args.direction == "charges2poly":
         rows = np.reshape([_numbers("charges", n, f, 4) for n, f in _lines(text)], (-1, 4))
@@ -288,7 +290,7 @@ def cmd_convert(args):
         out = polytensor_to_text(moments_from_charges(charges, args.order))
     elif args.direction == "poly2exp":
         pt = polytensor_from_text(text)
-        rule = rule_for_expansion(pt.order, min_order=args.rule_order or 0)
+        rule = rule_for_expansion(pt.order, min_order=args.rule_order or None)
         out = expansion_to_text(expansion_from_polytensor(pt, args.radius, rule))
     else:   # exp2charges
         exp = expansion_from_text(text)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import _BLOCK_PAIRS, _kernel_dot, _order, _reproducing, _row_blocks
+from .legendre import _BLOCK_PAIRS, _aligned, _kernel_dot, _order, _reproducing, _row_blocks
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -316,7 +316,8 @@ def _coulomb(x, positions, charges):
     charges has shape (M,) or (M, h), for h charge sets at the same
     positions, and the result has shape x.shape[:-1] + charges.shape[1:].
     The targets are summed in the kernel sums' row blocks of about 2^14
-    pairs, inside two block-sized buffers, so no (targets, M) array is built.
+    pairs, inside two block arrays from legendre._aligned, so no
+    (targets, M) array is built.
     The squared distance is summed one component at a time, in the order
     np.linalg.norm adds them, from one contiguous (3, M) copy of the
     positions, and each block is one GEMV (GEMM for h sets) against the
@@ -335,7 +336,7 @@ def _coulomb(x, positions, charges):
     src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)
     out = np.empty((n,) + charges.shape[1:])
     if blocks:
-        r2_buf, d_buf = np.empty((2, len(blocks[0][1]), m))
+        r2_buf, d_buf = _aligned(2, (len(blocks[0][1]), m))
     for rows, xb, _ in blocks:
         r2, d = r2_buf[:len(xb)], d_buf[:len(xb)]
         np.subtract(xb[..., 0], src[0], out=r2)
@@ -363,9 +364,9 @@ def _coulomb_rays(directions, radii, positions, charges):
     at a time, so a radius costs six array passes, (r - a)^2 + |s - a u|^2,
     its square root and reciprocal, and one GEMV (GEMM for h sets) against
     the charges.  Neither term cancels, as |x|^2 + |s|^2 - 2 x.s would near
-    a source.  The three buffers hold 2 * 2^14 / 3 pairs, so they take no
-    more memory than _coulomb's two.  The sums agree with _coulomb's at r u
-    to rounding, not bit for bit.
+    a source.  The three block arrays, from legendre._aligned, hold
+    2 * 2^14 / 3 pairs, so they take no more memory than _coulomb's two.
+    The sums agree with _coulomb's at r u to rounding, not bit for bit.
 
     Next to a source, r - a cancels after a has rounded by an ulp of |s|,
     so a pair closer than 2^-16 max(r, |s|) is summed as |r u - s|, one
@@ -384,7 +385,7 @@ def _coulomb_rays(directions, radii, positions, charges):
     low = (1.0 - 2.0 ** -16) * np.sqrt(s2.min(initial=np.inf))
     high = np.sqrt(s2.max(initial=0.0)) / (1.0 - 2.0 ** -16)
     step = max(1, 2 * _BLOCK_PAIRS // (3 * max(1, m)))
-    a_buf, perp_buf, d_buf = np.empty((3, min(step, len(directions)), m))
+    a_buf, perp_buf, d_buf = _aligned(3, (min(step, len(directions)), m))
     for start in range(0, len(directions), step):
         u = directions[start:start + step]
         a, perp, d = a_buf[:len(u)], perp_buf[:len(u)], d_buf[:len(u)]

@@ -123,7 +123,7 @@ def _terms(u, v, g0, p, lam=0.5, work=None):
     u, such as one value per point of a set or one per row.  It is yielded
     as given, unexpanded, so a caller that sums G_0 elsewhere pays nothing
     for it here.  The later terms are arrays of the broadcast shape, made in
-    work, an array (3,) + that shape, if given, so that the row blocks of
+    work, three arrays of that shape, if given, so that the row blocks of
     one sum can share one set of arrays.  Only two terms are kept: the
     array holding G_n is reused for G_{n+2}, so a consumer must copy what it
     needs before asking for the next term.
@@ -177,7 +177,31 @@ def _inner_products(x, y):
     return _dot(x, y), _dot(x, x), _dot(y, y)
 
 
-_BLOCK_PAIRS = 2 ** 14   # about 7 working arrays of this many float64s fit a 2 MB L2 cache
+# About 7 working arrays of this many float64s fit a 2 MB L2 cache.  Blocks
+# of 2^15 pairs were 5-10% faster per kernel call, but raised the peak of a
+# tacc pass at p = 16, 30 from 1.79 to 2.36 MB.
+_BLOCK_PAIRS = 2 ** 14
+
+
+def _aligned(count, shape):
+    """count float64 arrays of the given shape from one np.empty, each starting on a 64-byte boundary.
+
+    The block arrays of the pairwise sums are taken from here.  numpy starts
+    a large buffer at any multiple of 16 bytes within a cache line, often
+    16, 32 or 48, and a vector loop whose operands do not start on a line
+    splits its loads across lines: on an AVX-512 machine a multiply of two
+    2^14-float blocks into a third took 6.6 us so, against 3.1 us with each
+    block starting on a line.  Each array is padded to a multiple of 8
+    floats, one line, so the next starts on a line too, and a block of
+    fewer rows, a[:rows], starts where a does.  Only where the arrays sit
+    changes, not what is computed, so results do not depend on it.
+    """
+    size = int(np.prod(shape))
+    stride = -(-size // 8) * 8
+    buf = np.empty(count * stride + 8)   # numpy aligns a float64 buffer to 8 bytes at least
+    start = -buf.ctypes.data % 64 // 8
+    # cut from a nonempty view, as numpy moves an empty slice to the buffer's start
+    return [buf[start + i * stride:][:size].reshape(shape) for i in range(count)]
 
 
 def _row_blocks(*arrays):
@@ -267,10 +291,11 @@ def _kernel_dot(x, y, coef, w, lam=0.5):
     own coefficients (p,) bit for bit.
 
     No pair matrix is made: the rows are taken in blocks of about 2^14
-    pairs, and each monic term G_n of a block is contracted with w by one
-    matmul as the recurrence produces it.  The recurrence runs on the
-    rows' unit directions and on the set divided by s, the smallest |y|,
-    where T_n is homogeneous of degree n in x and -(n + 2 lam) in y:
+    pairs, in four block arrays from _aligned, and each monic term G_n of
+    a block is contracted with w by one matmul as the recurrence produces
+    it.  The recurrence runs on the rows' unit directions and on the set
+    divided by s, the smallest |y|, where T_n is homogeneous of degree n
+    in x and -(n + 2 lam) in y:
 
         T_n(x, y) = (s/|y|)^n |y|^(-2 lam)  T_n(x/s, yhat)    (rows y)
         T_n(x, y) = (|x|/s)^n s^(-2 lam)    T_n(xhat, y/s)    (rows x)
@@ -314,12 +339,12 @@ def _kernel_dot(x, y, coef, w, lam=0.5):
     out = np.empty((2, len(columns), len(rows)) + h)
     g0_sum = np.broadcast_to(g0, pts.shape[:1]) @ w[0]
     # one set of block arrays, u and the terms, shared by the blocks
-    work = np.empty((4, max((len(rb) for _, rb, _ in blocks), default=0), len(pts)))
+    work = _aligned(4, (max((len(rb) for _, rb, _ in blocks), default=0), len(pts)))
     for block, rb, _ in blocks:
         sums = np.empty((p, len(rb)) + h)
         sums[0] = g0_sum
-        u = np.matmul(rb[:, 0], pts.T, out=work[0, :len(rb)])
-        terms = _terms(u, v, g0, p, lam, work=work[1:, :len(rb)])
+        u = np.matmul(rb[:, 0], pts.T, out=work[0][:len(rb)])
+        terms = _terms(u, v, g0, p, lam, work=[a[:len(rb)] for a in work[1:]])
         next(terms)   # G_0, summed above
         for n, g in enumerate(terms, 1):
             np.matmul(g, w[n % len(w)], out=sums[n])

@@ -14,6 +14,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import CapacityError, DomainError, UnsupportedOrderError
+from .legendre import _order
 
 __all__ = [
     "QuadratureRule",
@@ -223,11 +224,10 @@ def rule_for_expansion(p, min_order=None):
     """Smallest embedded rule exact to degree >= 2p-2.
 
     ``min_order`` pins the rule to at least that order, for experiments
-    that fix one grid across several expansion orders.
+    that fix one grid across several expansion orders.  p and min_order,
+    when given, must be integers >= 1 (a DomainError otherwise).
     """
-    if p < 1:
-        raise DomainError("expansion order must be positive")
-    need = max(2 * p - 2, min_order or 0)
+    need = max(2 * _order(p) - 2, 0 if min_order is None else _order(min_order))
     for order in _ORDERS:
         if order >= need:
             return lebedev_rule(order)
@@ -265,6 +265,8 @@ def verify_exactness(rule, degree):
 
     The degree may reach one past the highest embedded rule, MAX_PROBE_DEGREE.
     """
+    if not isinstance(degree, Integral) or isinstance(degree, bool):
+        raise DomainError("degree must be an integer, not %r" % (degree,))
     if not 0 <= degree <= MAX_PROBE_DEGREE:
         raise DomainError("degree must be in 0..%d" % MAX_PROBE_DEGREE)
     x, y, z = rule.points.T

@@ -302,6 +302,19 @@ def test_convert_charges_comments_and_blank_lines(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_convert_rule_order_must_not_be_negative(tmp_path, capsys):
+    # 0, the default, asks for no minimum; below 0 is a configuration error
+    charges, poly = tmp_path / "charges.txt", tmp_path / "m.poly"
+    charges.write_text("0.1 0.2 0.3 1\n")
+    assert run(["convert", "charges2poly", str(charges), "--order", "3", "--out", str(poly)]) == 0
+    assert run(["convert", "poly2exp", str(poly), "--rule-order", "0"]) == 0
+    assert "rule_order=5 " in capsys.readouterr().out   # p = 3 needs degree 4
+    assert run(["convert", "poly2exp", str(poly), "--rule-order", "15"]) == 0
+    assert "rule_order=15 " in capsys.readouterr().out
+    assert run(["convert", "poly2exp", str(poly), "--rule-order", "-1"]) == 2
+    assert "--rule-order" in capsys.readouterr().err
+
+
 def test_convert_missing_input():
     assert run(["convert", "charges2poly", "/nonexistent.txt"]) == 2
 

@@ -420,9 +420,14 @@ def test_coulomb_rays_match_coulomb(h):
         targets = np.asarray(radii)[:, None, None] * u
         gap = np.min(np.linalg.norm(targets[..., None, :] - y, axis=-1))
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(q).sum(axis=0) / gap)
-    # no sources: zero sums of the targets' shape
+    # no sources: zero sums of the targets' shape; no directions or no
+    # radii: empty sums, with or without sources
     got, want = _ray_sums(u, [1.5, 3.0], y[:0], q[:0])
     assert got.shape == want.shape == (2, len(u)) + h and np.all(got == 0.0)
+    for directions, radii in ((u[:0], [1.5, 3.0]), (u, []), (u[:0], [])):
+        for sources in ((y, q), (y[:0], q[:0])):
+            got, want = _ray_sums(directions, radii, *sources)
+            assert got.shape == want.shape == (len(radii), len(directions)) + h
 
 
 def test_coulomb_rays_near_a_source_are_as_accurate_as_the_geometry_allows():

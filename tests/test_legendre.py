@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import quadpole as qp
+from quadpole import legendre
 from quadpole.legendre import (
+    _aligned,
     _kernel_dot,
     _leading,
     _normal_sums,
@@ -627,3 +629,75 @@ def test_normal_pair_keeps_the_parities_apart(p, scale):
             expect = np.tensordot(coef, terms, axes=(0, 0))
             bound = np.tensordot(np.abs(coef), size, axes=(0, 0))
             assert np.all(np.abs(got - expect) <= 1e-14 * bound)
+
+
+def _line_offset(a):
+    """Bytes from the start of the 64-byte cache line that holds a's first element."""
+    return a.ctypes.data % 64
+
+
+@pytest.mark.parametrize("count", [1, 3, 4])
+@pytest.mark.parametrize("shape", [0, 1, 7, 8, 16001, (3, 0), (27, 601)])
+def test_aligned_arrays_start_on_cache_lines(count, shape):
+    arrays = _aligned(count, shape)
+    assert len(arrays) == count
+    for k, a in enumerate(arrays):
+        assert a.shape == np.empty(shape).shape and a.dtype == np.float64 and a.flags.writeable
+        assert _line_offset(a) == 0 and _line_offset(a[:2]) == 0
+        a[:] = k
+    # disjoint: each array keeps what was written to it
+    for k, a in enumerate(arrays):
+        assert np.all(a == k)
+        assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
+
+
+def test_kernel_dot_gives_the_recurrence_aligned_block_arrays(monkeypatch):
+    # u and the three term arrays of every block start on a cache line, in
+    # a sum of three blocks, the last one partial, and in a one-block sum
+    seen = []
+
+    def checked_terms(u, v, g0, p, lam=0.5, work=None):
+        seen.append([_line_offset(a) for a in (u, *work)])
+        return _terms(u, v, g0, p, lam, work)
+
+    monkeypatch.setattr(legendre, "_terms", checked_terms)
+    rng = np.random.default_rng(113)
+    pts, coef = _shell(rng, (601,), 0.5, 1.0), rng.standard_normal(30)
+    for rows in (_shell(rng, (60, 1), 1.5, 3.0), _shell(rng, (5, 1), 1.5, 3.0)):
+        _kernel_dot(pts, rows, coef, rng.standard_normal((2, 601)))
+    assert seen == [[0] * 4] * 4
+
+
+def _at_line_offset(a, k):
+    """A copy of a in a fresh buffer, k floats past a cache line, in a's memory order."""
+    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+    buf = np.empty(a.size + 16)
+    start = -buf.ctypes.data % 64 // 8 + k
+    copy = buf[start:start + a.size].reshape(a.shape, order=order)
+    copy[...] = a
+    return copy
+
+
+def test_kernel_dot_does_not_depend_on_where_its_inputs_sit(monkeypatch):
+    # the kernel sums of a p = 30 fit (500 sources, 601 rule rows) and of an
+    # axial shift (8 permuted weight columns), replayed with x and y copied
+    # to each of the 8 float offsets within a cache line, and w to each
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, _kernel_dot(*args)))
+        return calls[-1][1]
+
+    rng = np.random.default_rng(127)
+    with monkeypatch.context() as m:
+        m.setattr(qp.expansion, "_kernel_dot", recorded)
+        exp = qp.fit_outer(qp.PointCharges(rng.uniform(-0.5, 0.5, (500, 3)),
+                                           rng.uniform(-1.0, 1.0, 500)), np.zeros(3), 1.0, 30)
+        qp.shift_outer(exp, np.array([0.0, 0.0, 0.25]), 1.5)
+    assert [np.shape(args[3]) for args, _ in calls] == [(1, 500), (1, 1202, 8)]
+    assert len(calls[0][0][1]) == 601
+    for (x, y, coef, w), want in calls:
+        for j in range(8):
+            xj, yj = _at_line_offset(x, j), _at_line_offset(y, j)
+            for k in range(8):
+                assert np.array_equal(_kernel_dot(xj, yj, coef, _at_line_offset(w, k)), want)

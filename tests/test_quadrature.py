@@ -63,6 +63,25 @@ def test_rule_for_expansion_min_order_override():
     assert qp.rule_for_expansion(3, min_order=15).exactness_degree == 15
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3", None, 0, -1],
+                         ids=["float", "bool", "str", "none", "zero", "negative"])
+def test_rule_for_expansion_refuses_an_order_that_is_not_an_integer(bad):
+    # p, and min_order when given, are checked like every other order
+    with pytest.raises(qp.DomainError, match="integer >= 1"):
+        qp.rule_for_expansion(bad)
+    if bad is not None:
+        with pytest.raises(qp.DomainError, match="integer >= 1"):
+            qp.rule_for_expansion(3, min_order=bad)
+    assert qp.rule_for_expansion(np.int64(3), min_order=np.int64(15)).exactness_degree == 15
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", None], ids=["float", "bool", "str", "none"])
+def test_verify_exactness_refuses_a_degree_that_is_not_an_integer(bad):
+    with pytest.raises(qp.DomainError, match="degree must be an integer"):
+        qp.verify_exactness(qp.lebedev_rule(3), bad)
+    assert qp.verify_exactness(qp.lebedev_rule(3), np.int64(3)) < 1e-12
+
+
 def test_point_count_scaling():
     for p in range(1, 17):
         assert len(qp.rule_for_expansion(p)) <= 2 * p * p + 6
