@@ -109,7 +109,7 @@ def outer_gradient(exp, x):
     """
     _require_kind(exp, "outer")
     rel = _side_checked(exp, x, outside=True)
-    pts, fold = _surface_set(exp)   # fold rows w + w', w - w'
+    pts, fold = _surface_set(exp.rule, exp.surface_weights, exp.radius)   # rows w + w', w - w'
     W = np.concatenate([fold[::-1, :, None] * pts, fold[:, :, None]], axis=2)
     coef = np.ones((exp.order, 2))
     coef[-1, 0] = 0.0

@@ -29,14 +29,11 @@ from .expansion import (
     PointCharges,
     SurfaceExpansion,
     _coulomb_rays,
-    _exterior_sum,
     _fit,
-    _interior_sum,
     _lines,
     _numbers,
+    _sums_on_rule,
     direct_potential,
-    eval_inner_potential,
-    eval_outer_potential,
     expansion_from_text,
     expansion_to_text,
     fit_inner,
@@ -147,7 +144,8 @@ def cmd_racc(args):
     if np.any(radii >= r_max):
         raise ConfigError("--radii must be below %.6g at p = %d, where r^(p+1) leaves float64"
                           % (r_max, max(orders)))
-    directions = lebedev_rule(args.rule_order).points
+    eval_rule = lebedev_rule(args.rule_order)
+    directions = eval_rule.points
     shared = defaultdict(list)   # rule -> the orders fitted on it
     for p in orders:
         shared[rule_for_expansion(p, min_order=args.rule_order)].append(p)
@@ -181,8 +179,8 @@ def cmd_racc(args):
             # each series is summed once, at the directions, with one set of
             # per-degree coefficients for each radius
             degrees = np.arange(p)[:, None]
-            series = _exterior_sum(outer, directions, radii ** -(degrees + 1.0))
-            series_i = _interior_sum(inner, directions, radii ** -degrees)
+            series = _sums_on_rule([outer], eval_rule, 1.0, radii ** -(degrees + 1.0))[:, 0]
+            series_i = _sums_on_rule([inner], eval_rule, 1.0, radii ** -degrees)[:, 0]
             means = np.mean(np.abs([series - exact, points - exact, series - points,
                                     series_i - exact_i, points_i - exact_i,
                                     series_i - points_i]), axis=-1)   # (kind, radius)
@@ -218,21 +216,24 @@ def cmd_tacc(args):
             outer_cases.append((s, t, direct_potential(moved, x)))
         for s in INNER_SHIFTS:
             t, r1 = np.array([s, 0.0, 0.0]), 0.5 - s
-            y = t + r1 * eval_rule.points
-            inner_cases.append((s, t, r1, y, direct_potential(inv, y)))
+            inner_cases.append((s, t, r1, direct_potential(inv, t + r1 * eval_rule.points)))
         for p in orders:
             rule = rule_for_expansion(p, min_order=args.rule_order)
             # t + (1 - s) cloud seen from t at radius 1 - s is the cloud itself,
-            # so one fit of the cloud gives the weights of every outer case
+            # so one fit of the cloud gives the weights of every outer case.
+            # Each case is evaluated at its center + rho R rhat_j, with rho = 2
+            # (x) or 1 (y): the shifted expansions of one kind are one sum
+            # (_sums_on_rule), made one at a time and kept only as weights
             unit = fit_outer(cloud, np.zeros(3), 1.0, p, rule=rule).surface_weights
-            for s, t, exact in outer_cases:
-                src_exp = SurfaceExpansion(t, 1.0 - s, rule, unit, p, "outer")
-                shifted = shift_outer(src_exp, np.zeros(3), 1.0)
-                acc["outer", p, s] += np.abs(eval_outer_potential(shifted, x) - exact)
+            shifted = (shift_outer(SurfaceExpansion(t, 1.0 - s, rule, unit, p, "outer"),
+                                   np.zeros(3), 1.0) for s, t, _ in outer_cases)
+            for (s, _, exact), values in zip(outer_cases, _sums_on_rule(shifted, eval_rule, 2.0)):
+                acc["outer", p, s] += np.abs(values - exact)
+            del unit   # not held through the inner shifts, where the pass peaks
             src_exp = fit_inner(inv, np.zeros(3), 0.5, p, rule=rule)
-            for s, t, r1, y, exact in inner_cases:
-                shifted = shift_inner(src_exp, t, r1)
-                acc["inner", p, s] += np.abs(eval_inner_potential(shifted, y) - exact)
+            shifted = (shift_inner(src_exp, t, r1) for _, t, r1, _ in inner_cases)
+            for (s, *_, exact), values in zip(inner_cases, _sums_on_rule(shifted, eval_rule, 1.0)):
+                acc["inner", p, s] += np.abs(values - exact)
     rows = []
     for (kind, p, s), total in acc.items():
         err = total / args.trials

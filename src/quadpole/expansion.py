@@ -125,10 +125,12 @@ def _require_kind(exp, kind):
         raise ContractViolation("expected an %s expansion, got %s" % (kind, exp.kind))
 
 
+def _same_rule(a, b):
+    return a is b or (np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights))
+
+
 def _require_same_geometry(a, b):
-    same_rule = a.rule is b.rule or (np.array_equal(a.rule.points, b.rule.points)
-                                     and np.array_equal(a.rule.weights, b.rule.weights))
-    if (a.order != b.order or not same_rule
+    if (a.order != b.order or not _same_rule(a.rule, b.rule)
             or abs(a.radius - b.radius) > 1e-12 * max(a.radius, b.radius)
             or np.any(np.abs(a.center - b.center) > 1e-12 * (1.0 + np.abs(a.center)))):
         raise ContractViolation("expansions do not share center, radius, rule, and order")
@@ -212,17 +214,26 @@ def _project(kind, rel, charges, rule, coef, maps=None, reps=None):
 def _side_checked(exp, x, outside):
     """x - c for point(s) x on the sphere or on its outside (inside) side, else a GeometryError.
 
-    "On the sphere" allows the slack _SLACK R plus the rounding of a point
-    c + R rhat made in absolute coordinates, 4 eps (|c| + R).
+    The test is on |x - c| / R, so that it holds at any scale (_require_side).
     """
     rel = _points(x) - exp.center
-    r = np.linalg.norm(rel, axis=-1)
-    band = 4.0 * np.finfo(float).eps * (np.linalg.norm(exp.center) + exp.radius)
-    if np.any(r < (1.0 - _SLACK) * exp.radius - band if outside
-              else r > (1.0 + _SLACK) * exp.radius + band):
+    with np.errstate(over="ignore"):   # a point or center too far to square is far outside
+        r = np.linalg.norm(rel / exp.radius, axis=-1)
+        c = np.linalg.norm(exp.center / exp.radius)
+    _require_side(r, c, outside)
+    return rel
+
+
+def _require_side(r, c, outside):
+    """A GeometryError unless distances r, in radii, put points on the sphere or outside (inside).
+
+    "On the sphere" allows the slack _SLACK plus the rounding of a point
+    c + R rhat made in absolute coordinates, 4 eps (c + 1), with c = |c| / R.
+    """
+    band = _SLACK + 4.0 * np.finfo(float).eps * (c + 1.0)
+    if np.any(r < 1.0 - band if outside else r > 1.0 + band):
         raise GeometryError("evaluation point %s the sphere, where the series diverges"
                             % ("inside" if outside else "outside"))
-    return rel
 
 
 def _exterior_sum(exp, x, coef):
@@ -232,35 +243,81 @@ def _exterior_sum(exp, x, coef):
     shape (K,) + x.shape[:-1].
     """
     rel = _side_checked(exp, x, outside=True)
-    pts, w = _surface_set(exp)
+    pts, w = _surface_set(exp.rule, exp.surface_weights, exp.radius)
     return np.add(*_kernel_dot(pts, rel[..., None, :], coef, w))
 
 
 def _interior_sum(exp, y, coef):
     """sum_i w_i sum_n coef[n] L_n(y - c, R rhat_i), for y on or inside the sphere,
     with coef (p,) or (p, K) as in :func:`_exterior_sum`."""
-    return _interior_sum_at(exp, _side_checked(exp, y, outside=False), coef)
-
-
-def _interior_sum_at(exp, rel, coef):
-    """The same sum at offsets rel = y - c from the center, unchecked."""
-    pts, w = _surface_set(exp)
+    rel = _side_checked(exp, y, outside=False)
+    pts, w = _surface_set(exp.rule, exp.surface_weights, exp.radius)
     return np.add(*_kernel_dot(rel[..., None, :], pts, coef, w))
 
 
-def _surface_set(exp):
-    """The points R rhat_i and weights (2, B) that the surface sums run over.
+def _half(rule):
+    """One point i of each antipodal pair i, rule.antipodes[i] of the rule, as indices."""
+    return np.flatnonzero(rule.antipodes > np.arange(len(rule)))
 
-    The set is one point i of each antipodal pair i, i' = rule.antipodes[i],
-    with the set fold's rows w_i + w_i' and w_i - w_i' (legendre).
+
+def _surface_set(rule, weights, radius=1.0):
+    """The points radius * rhat_i and weights (2, B) + h that the surface sums run over.
+
+    weights holds h weights per rule point, shape (N,) + h.  The set is one
+    point i of each antipodal pair i, i' = rule.antipodes[i], with the set
+    fold's rows w_i + w_i' and w_i - w_i' (legendre).
     """
-    anti = exp.rule.antipodes
-    half = np.flatnonzero(anti > np.arange(len(anti)))
-    w, w_anti = exp.surface_weights[half], exp.surface_weights[anti[half]]
-    folded = np.empty((2, len(half)))
+    half = _half(rule)
+    w, w_anti = weights[half], weights[rule.antipodes[half]]
+    folded = np.empty((2,) + w.shape)
     np.add(w, w_anti, out=folded[0])
     np.subtract(w, w_anti, out=folded[1])
-    return exp.radius * exp.rule.points[half], folded
+    return radius * rule.points[half], folded
+
+
+def _sums_on_rule(exps, at, rho, coef=None):
+    """Sums of expansions that share a rule, an order and a kind at c_k + rho R_k rhat_j.
+
+    rhat_j runs over the points of the rule ``at``.  exps is an iterable
+    of K expansions, read once, so that a caller may make them one at a
+    time: only their weights are kept.  coef, by default ones (the
+    potential), holds per-degree coefficients (p,) or sets (p,) + sets, as
+    in legendre._kernel_dot, and the result has shape sets + (K, len(at)).
+
+    As L_n(rho R e, R rhat) = L_n(rho e, rhat) / R, the K sums share one
+    geometry, the unit points of their rule against rho rhat_j, and are
+    one _kernel_dot with the K weight sets, set-folded (_surface_set), as
+    weight columns, column k divided by R_k.  The call runs at one point of
+    each antipodal pair of ``at``, whose antipode takes the row fold,
+    even - odd, as in _project.  The targets are rho radii from the
+    centers, as rule points are unit vectors, and rho must put them on the
+    side of the sphere where the series converges, with the slack of
+    _side_checked.
+    """
+    first, weights, radii = None, [], []
+    for exp in exps:
+        first = exp if first is None else first
+        if (exp.order != first.order or exp.kind != first.kind
+                or not _same_rule(exp.rule, first.rule)):
+            raise ContractViolation("expansions summed together must share rule, order and kind")
+        weights.append(exp.surface_weights)
+        radii.append(exp.radius)
+    if first is None:
+        raise ContractViolation("no expansions to sum")
+    outer = first.kind == "outer"
+    _require_side(rho, 0.0, outer)
+    pts, w = _surface_set(first.rule, np.stack(weights, axis=-1))   # w: (2, B, K)
+    del weights
+    half = _half(at)
+    rows = rho * at.points[half][:, None, :]
+    coef = np.ones(first.order) if coef is None else coef
+    sums = _kernel_dot(*((pts, rows) if outer else (rows, pts)), coef, w)
+    sums /= radii   # (2,) + sets + (len(half), K)
+    even, odd = np.moveaxis(sums, -1, -2)
+    out = np.empty(even.shape[:-1] + (len(at),))
+    out[..., half] = even + odd
+    out[..., at.antipodes[half]] = even - odd
+    return out
 
 
 def eval_outer_potential(exp, x):
@@ -282,17 +339,19 @@ def eval_point_charge_potential(exp, x):
 
 def interaction_energy(outer, inner):
     """Energy between the sources of a shared-sphere outer/inner pair: the inner
-    expansion summed at the outer's weighted surface points, taken as offsets
-    R rhat_i from the shared center (c + R rhat_i would round off the sphere)."""
+    expansion summed at the outer's weighted surface points, taken relative to
+    the center (c + R rhat_i would round off the sphere), by _sums_on_rule, so
+    folded on both sides: half the rule's points against half its points."""
     _require_kind(outer, "outer")
     _require_kind(inner, "inner")
     _require_same_geometry(outer, inner)
-    return float(outer.surface_weights @ _interior_sum_at(
-        inner, outer.radius * outer.rule.points, np.ones(inner.order)))
+    return float(outer.surface_weights @ _sums_on_rule([inner], outer.rule, 1.0)[0])
 
 
 def energy_between_outers(a, b):
     """Coulomb energy of two disjoint outer expansions via their point charges."""
+    _require_kind(a, "outer")
+    _require_kind(b, "outer")
     sep = np.linalg.norm(a.center - b.center)
     if sep <= a.radius + b.radius:
         raise GeometryError("bounding spheres overlap")
@@ -308,6 +367,20 @@ def direct_potential(sources, x):
 def direct_energy(a, b):
     """Brute-force double Coulomb sum between two charge sets."""
     return float(a.charges @ _coulomb(a.positions, b.positions, b.charges))
+
+
+def _coincidence(*arrays):
+    """The distance 1e-12 s below which a target coincides with a source.
+
+    s is the largest |coordinate| of the arrays, the scale of the call.
+    Beyond 2^500, or below 2^-500 but not 0, squared distances would
+    overflow or fall into the subnormal numbers: a DomainError.
+    """
+    s = max(np.abs(a).max(initial=0.0) for a in arrays)
+    if s > 2.0 ** 500 or 0.0 < s < 2.0 ** -500:
+        raise DomainError("coordinates of size %.3g: squared distances leave the range of "
+                          "float64" % s)
+    return 1e-12 * s
 
 
 def _coulomb(x, positions, charges):
@@ -328,10 +401,12 @@ def _coulomb(x, positions, charges):
     against more than 2^14 sources stays one block, as splitting the
     sources would change the summation order.  A block costs 11 array
     passes; targets on rays r u from the origin are cheaper in
-    :func:`_coulomb_rays`.
+    :func:`_coulomb_rays`.  A target within 1e-12 of the call's
+    coordinate scale of a source is a SingularityError (_coincidence).
     """
     x = _points(x)
     charges = np.asarray(charges, dtype=float)
+    tol = _coincidence(x, positions)
     (n, m), blocks = _row_blocks(x.reshape(-1, 1, 3), positions)
     src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)
     out = np.empty((n,) + charges.shape[1:])
@@ -346,7 +421,7 @@ def _coulomb(x, positions, charges):
             d *= d
             r2 += d
         dist = np.sqrt(r2, out=r2)
-        if dist.min(initial=np.inf) < 1e-12:
+        if dist.min(initial=np.inf) <= tol:
             raise SingularityError("evaluation point coincides with a source point")
         np.matmul(np.reciprocal(dist, out=dist), charges, out=out[rows])
     return out.reshape(x.shape[:-1] + charges.shape[1:])[()]
@@ -373,10 +448,12 @@ def _coulomb_rays(directions, radii, positions, charges):
     component at a time, as _coulomb sums it.  As that distance is at least
     |s - a u| and |r - |s||, such a pair is looked for only in a block where
     some |s - a u| is that small, and only at a radius within a factor
-    1 - 2^-16 of the range of |s|.  The distance is compared with 1e-12
-    only in a block where some |s - a u| is below that.
+    1 - 2^-16 of the range of |s|.  The distance is compared with the
+    coincidence distance of _coincidence, on the scale of the radii and
+    the sources, only in a block where some |s - a u| is below it.
     """
     charges = np.asarray(charges, dtype=float)
+    tol = _coincidence(radii, positions)   # the directions are unit vectors
     src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)
     m = src.shape[1]
     out = np.empty((len(radii), len(directions)) + charges.shape[1:])
@@ -399,7 +476,7 @@ def _coulomb_rays(directions, radii, positions, charges):
             d *= d
             perp += d
         gap = perp.min(initial=np.inf)
-        near, close = gap < 1e-24, gap < (2.0 ** -16 * high) ** 2
+        near, close = gap <= tol * tol, gap < (2.0 ** -16 * high) ** 2
         for k, r in enumerate(radii):
             np.subtract(r, a, out=d)
             d *= d
@@ -408,7 +485,7 @@ def _coulomb_rays(directions, radii, positions, charges):
                 i, j = np.nonzero(d < 2.0 ** -32 * np.maximum(r * r, s2))
                 d[i, j] = sum((r * u[i, c] - src[c, j]) ** 2 for c in range(3))
             dist = np.sqrt(d, out=d)
-            if near and dist.min(initial=np.inf) < 1e-12:
+            if near and dist.min(initial=np.inf) <= tol:
                 raise SingularityError("evaluation point coincides with a source point")
             np.matmul(np.reciprocal(dist, out=dist), charges, out=out[k, start:start + len(u)])
     return out

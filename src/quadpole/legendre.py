@@ -47,6 +47,7 @@ surface sum the set fold (expansion._surface_set), and a flow row gets
 the sums from a source point and from its antipode out of one
 recurrence (_normal_sums): each runs the kernel at half the rule.
 """
+import math
 from functools import cache
 from numbers import Integral
 
@@ -182,6 +183,11 @@ def _inner_products(x, y):
 # tacc pass at p = 16, 30 from 1.79 to 2.36 MB.
 _BLOCK_PAIRS = 2 ** 14
 
+# _kernel_dot sums at the coordinates it is given while 2 lam |e| is at most
+# this, with its largest |coordinate| in [2^(e-1), 2^e): the squares and the
+# powers r^(2 lam) stay well inside float64 there.
+_SCALE_FREE = 256
+
 
 def _aligned(count, shape):
     """count float64 arrays of the given shape from one np.empty, each starting on a 64-byte boundary.
@@ -304,13 +310,25 @@ def _kernel_dot(x, y, coef, w, lam=0.5):
     one number, and G_0, which does not depend on the row, is contracted
     once per call.  The row factors, with coef[n] k_n, scale only the
     per-degree sums; both are at most 1 where the series converges,
-    |x| <= |y|.  The contractions are summed by the BLAS, so, as with
+    |x| <= |y|.  Far from unit scale x and y are first scaled by a power
+    of two (_SCALE_FREE), so that the result does not depend on the scale,
+    or is a DomainError where its largest value leaves the normal range of
+    float64.  The contractions are summed by the BLAS, so, as with
     expansion._coulomb, the last bits of a result can depend on the block
     layout and differ from kernel_sum(x, y, coef) @ w[0].
     """
     if len(coef) < 1:
         raise DomainError("at least one coefficient required")
     x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
+    # T_n(2^-e x, 2^-e y) = 2^(2 lam e) T_n(x, y): far from unit scale, where
+    # x.x, y.y or r^(2 lam) would leave float64, the sum runs on x and y
+    # scaled by 2^-e, exactly, and is scaled back at the end
+    power = round(2 * lam)
+    e = math.frexp(max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))[1]
+    if power * abs(e) > _SCALE_FREE:
+        x, y = np.ldexp(x, -e), np.ldexp(y, -e)
+    else:
+        e = 0
     rows_are_y = x.ndim == 2 and y.shape[-2:-1] in ((), (1,))
     pts, rows = (x, y) if rows_are_y else (y, x)
     if pts.ndim != 2 or rows.shape[-2:-1] not in ((), (1,)) or w.shape[1:2] != pts.shape[:1]:
@@ -353,7 +371,14 @@ def _kernel_dot(x, y, coef, w, lam=0.5):
             for parity in (0, 1):
                 np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
                           out=out[parity, k, block])
-    return out.reshape((2,) + sets + lead + h)
+    out = out.reshape((2,) + sets + lead + h)
+    if e:
+        top = np.abs(out).max(initial=0.0)
+        if top and not -1022 < math.frexp(top)[1] - power * e <= 1024:
+            raise DomainError("kernel sums at coordinates near 2^%d leave the normal range "
+                              "of float64" % e)
+        out = np.ldexp(out, -power * e)
+    return out
 
 
 def kernel_matrix(x, y, p):

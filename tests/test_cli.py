@@ -167,6 +167,59 @@ def test_tacc_writes_csv(tmp_path):
     assert len(lines) == 2 + (3 + 4) * n_dirs
 
 
+def test_tacc_deterministic(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["tacc", "--charges", "30", "--trials", "2", "--orders", "3", "--seed", "7"]
+    assert run(argv + ["--out", str(a)]) == 0
+    assert run(argv + ["--out", str(b)]) == 0
+    assert read_csv(a) == read_csv(b)
+    c = tmp_path / "c.csv"
+    assert run(argv[:-2] + ["--seed", "8", "--out", str(c)]) == 0
+    assert read_csv(a) != read_csv(c)
+
+
+def test_tacc_matches_per_case_loop(tmp_path):
+    # the oracle fits each moved cloud at its own center, then shifts and
+    # evaluates one case at a time at the absolute targets; tacc fits the
+    # cloud once and sums the shifted expansions of one kind together
+    import quadpole as qp
+    from quadpole.cli import INNER_SHIFTS, OUTER_SHIFTS, _invert, _sample_cloud
+    seed, charges, trials, orders = 11, 200, 2, (3, 8)
+    eval_rule = qp.lebedev_rule(15)
+    x = 2.0 * eval_rule.points
+    total, scale = {}, 0.0   # (kind, p, shift) -> summed abs error per point, in the rows' order
+    for trial in range(trials):
+        cloud = _sample_cloud(np.random.default_rng([seed, trial]), charges)
+        inv = _invert(cloud)
+        scale = max(scale, np.sum(np.abs(cloud.charges)))
+        for p in orders:
+            rule = qp.rule_for_expansion(p, min_order=15)
+            for s in OUTER_SHIFTS:
+                t = np.array([s, 0.0, 0.0])
+                moved = qp.PointCharges(t + (1.0 - s) * cloud.positions, cloud.charges)
+                shifted = qp.shift_outer(qp.fit_outer(moved, t, 1.0 - s, p, rule=rule),
+                                         np.zeros(3), 1.0)
+                err = np.abs(qp.eval_outer_potential(shifted, x) - qp.direct_potential(moved, x))
+                total["outer", p, s] = total.get(("outer", p, s), 0.0) + err
+            src = qp.fit_inner(inv, np.zeros(3), 0.5, p, rule=rule)
+            for s in INNER_SHIFTS:
+                t, r1 = np.array([s, 0.0, 0.0]), 0.5 - s
+                y = t + r1 * eval_rule.points
+                err = np.abs(qp.eval_inner_potential(qp.shift_inner(src, t, r1), y)
+                             - qp.direct_potential(inv, y))
+                total["inner", p, s] = total.get(("inner", p, s), 0.0) + err
+    out = tmp_path / "tacc.csv"
+    assert run(["tacc", "--seed", str(seed), "--charges", str(charges), "--trials", str(trials),
+                "--orders", ",".join(str(p - 1) for p in orders), "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in read_csv(out).splitlines()[2:]]
+    want = [(kind, p, s, ct, err / trials) for (kind, p, s), errs in total.items()
+            for ct, err in zip(eval_rule.points[:, 0], errs)]
+    assert [(kind, int(p), float(s), float(ct)) for kind, p, s, ct, _ in rows] == \
+        [row[:4] for row in want]
+    got = np.array([float(row[4]) for row in rows])
+    assert np.all(np.abs(got - [row[4] for row in want]) <= 1e-12 * scale)
+
+
 @pytest.mark.parametrize("command", ["racc", "tacc"])
 def test_experiments_without_charges(tmp_path, command):
     # an empty cloud takes the general path: every expansion and sum is zero

@@ -126,6 +126,60 @@ def test_eval_on_the_wrong_side_rejected():
     qp.eval_inner_potential(inner, inner.surface_points)
 
 
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_evaluation_is_scale_free(k):
+    # 200 charges, the fit's radius and center and the targets all scaled by
+    # 2^k: every potential is 2^-k times the unit-scale one.  At 2^600 the
+    # squared distances of the kernel sum overflow and at 2^-600 those of
+    # the side check underflow, so both test at a scale near 1.  The direct
+    # sum may refuse a scale beyond 2^500 with a typed error instead.
+    rng = np.random.default_rng(97)
+    cloud = random_cloud(rng, 200)
+    exterior = random_cloud(rng, 50, scale=0.5, offset=(4.0, 0.0, 0.0))
+    c, x, y = np.array([0.25, -0.5, 0.0]), np.array([3.0, 1.0, 0.5]), np.array([0.5, 0.25, 0.0])
+
+    def scaled(charges):
+        return qp.PointCharges(np.ldexp(charges.positions, k), charges.charges)
+
+    for evaluate, sources, target in ((qp.eval_outer_potential, cloud, x),
+                                      (qp.eval_inner_potential, exterior, y)):
+        fit = qp.fit_outer if evaluate is qp.eval_outer_potential else qp.fit_inner
+        want = np.ldexp(evaluate(fit(sources, c, 1.0, 12), c + target), -k)
+        got = evaluate(fit(scaled(sources), np.ldexp(c, k), 2.0 ** k, 12),
+                       np.ldexp(c + target, k))
+        assert abs(got - want) <= 1e-15 * abs(want)
+    want = np.ldexp(qp.direct_potential(cloud, x), -k)
+    if abs(k) > 500:
+        with pytest.raises(qp.QuadpoleError):
+            qp.direct_potential(scaled(cloud), np.ldexp(x, k))
+    else:
+        assert abs(qp.direct_potential(scaled(cloud), np.ldexp(x, k)) - want) <= 1e-15 * abs(want)
+
+
+def test_coulomb_coincidence_is_relative_to_the_scale():
+    # a target 3 2^-500 from a unit charge is no coincidence, and one 3 2^600
+    # away, whose squared distance overflows, is a typed error, not 0; a
+    # target within 1e-12 of the scale of a source coincides with it at any scale
+    from quadpole.expansion import _coulomb_rays
+    charge = unit_charge_at([0.0, 0.0, 0.0])
+    near = np.array([3.0 * 2.0 ** -500, 0.0, 0.0])
+    assert qp.direct_potential(charge, near) == 2.0 ** 500 / 3.0
+    assert _coulomb_rays(np.eye(3), [3.0 * 2.0 ** -500], np.zeros((1, 3)), [1.0])[0, 0] \
+        == 2.0 ** 500 / 3.0
+    with pytest.raises(qp.DomainError, match="squared distances"):
+        qp.direct_potential(charge, np.ldexp(near, 1100))
+    with pytest.raises(qp.DomainError, match="squared distances"):
+        _coulomb_rays(np.eye(3), [3.0 * 2.0 ** 600], np.zeros((1, 3)), [1.0])
+    for k in (-300, 0, 300):
+        source = np.ldexp(np.array([[1.0, 2.0, 3.0]]), k)
+        off = source[0] * (1.0 + 1e-14)
+        with pytest.raises(qp.SingularityError):
+            qp.direct_potential(qp.PointCharges(source, [1.0]), np.stack([source[0] * 2, off]))
+        u = source[0] / np.linalg.norm(source[0])
+        with pytest.raises(qp.SingularityError):
+            _coulomb_rays(u[None], [np.linalg.norm(off)], source, [1.0])
+
+
 @pytest.mark.parametrize("distance", [1.0, 1e3, 1e5, 1e6])
 def test_own_surface_points_are_on_the_sphere_far_from_the_origin(distance):
     # c + R rhat rounds off the sphere by about eps |c|, far more than the
@@ -554,6 +608,55 @@ def test_linearity_of_fit():
     assert np.allclose((ea + eb).surface_weights, eab.surface_weights, atol=1e-13)
 
 
+@pytest.mark.parametrize("at", [3, 15], ids=["6 points", "86 points"])
+@pytest.mark.parametrize("sets", [None, 16], ids=["potential", "16 coefficient sets"])
+def test_sums_on_rule_match_the_evaluations(at, sets):
+    # expansions of one rule, order and kind summed together at c + rho R rhat_j,
+    # rhat_j the points of an evaluation rule, against each one's evaluation
+    # there (coefficient sets: the sums that racc makes), within 1e-14 of
+    # sum |w| / R, the size of the potential on the sphere
+    from quadpole.expansion import _exterior_sum, _interior_sum, _sums_on_rule
+    rng = np.random.default_rng(101)
+    at, p = qp.lebedev_rule(at), 8
+    rule = qp.rule_for_expansion(p)
+    coef = None if sets is None else rng.standard_normal((p, sets))
+    outer = [qp.fit_outer(random_cloud(rng, 40), [0.5, 0.0, -1.0], 0.8, p, rule=rule)]
+    inner = [qp.fit_inner(random_cloud(rng, 30, offset=(5.0, 0.0, 0.0)), c, R, p, rule=rule)
+             for c, R in (([0.0, 0.0, 0.0], 1.0), ([0.5, 0.5, 0.0], 2.0),
+                          ([-1.0, 0.0, 0.3], 0.25), ([0.0, 1.0, 1.0], 1.5))]
+    for exps, rho, evaluate, total in (
+            (outer, 1.0, qp.eval_outer_potential, _exterior_sum),
+            (outer, 2.5, qp.eval_outer_potential, _exterior_sum),
+            (inner, 1.0, qp.eval_inner_potential, _interior_sum),
+            (inner, 0.6, qp.eval_inner_potential, _interior_sum)):
+        got = _sums_on_rule(iter(exps), at, rho, coef)
+        assert got.shape == (() if sets is None else (sets,)) + (len(exps), len(at))
+        for k, e in enumerate(exps):
+            targets = e.center + rho * e.radius * at.points
+            want = evaluate(e, targets) if sets is None else total(e, targets, coef)
+            tol = 1e-14 * np.sum(np.abs(e.surface_weights)) / e.radius
+            assert np.all(np.abs(got[..., k, :] - want) <= tol)
+
+
+def test_sums_on_rule_contract():
+    from quadpole.expansion import _sums_on_rule
+    at = qp.lebedev_rule(15)
+    empty = qp.fit_inner(qp.PointCharges.empty(), [1.0, 0.0, 0.0], 2.0, 6)
+    assert np.all(_sums_on_rule([empty, empty], at, 1.0) == 0.0)
+    outer = qp.fit_outer(unit_charge_at([0.1, 0.0, 0.0]), np.zeros(3), 1.0, 6, rule=empty.rule)
+    with pytest.raises(qp.GeometryError, match="inside the sphere"):
+        _sums_on_rule([outer], at, 1.0 - 1e-6)
+    with pytest.raises(qp.GeometryError, match="outside the sphere"):
+        _sums_on_rule([empty], at, 1.0 + 1e-6)
+    for mixed in ([outer, qp.fit_outer(unit_charge_at([0.1, 0.0, 0.0]), np.zeros(3), 1.0, 5,
+                                       rule=empty.rule)],
+                  [outer, qp.fit_outer(unit_charge_at([0.1, 0.0, 0.0]), np.zeros(3), 1.0, 6,
+                                       rule=qp.rule_for_expansion(12))],
+                  [empty, outer], []):
+        with pytest.raises(qp.ContractViolation):
+            _sums_on_rule(mixed, at, 1.0)
+
+
 def test_interaction_energy_two_charges():
     d = 5.0
     outer = qp.fit_outer(unit_charge_at([0.0, 0.0, 0.0]), np.zeros(3), 1.0, 4)
@@ -573,6 +676,9 @@ def test_interaction_energy_cloud_vs_double_sum():
     val = qp.interaction_energy(outer, inner)
     ref = qp.direct_energy(inside, outside)
     assert val == pytest.approx(ref, abs=5e-6)
+    # the folded sum against the inner expansion evaluated at each surface point
+    unfolded = outer.surface_weights @ qp.eval_inner_potential(inner, outer.surface_points)
+    assert val == pytest.approx(unfolded, rel=1e-13)
 
 
 def test_interaction_energy_contract_checks():
@@ -642,7 +748,9 @@ def test_kind_checks_share_one_message():
                    lambda: qp.outer_gradient(inner, far),
                    lambda: qp.polytensor_from_expansion(inner),
                    lambda: qp.shift_outer(inner, near, 2.0),
-                   lambda: qp.outer_to_inner(inner, np.array([4.0, 0.0, 0.0]), 1.0)]
+                   lambda: qp.outer_to_inner(inner, np.array([4.0, 0.0, 0.0]), 1.0),
+                   lambda: qp.energy_between_outers(inner, outer),
+                   lambda: qp.energy_between_outers(outer, inner)]
     wrong_inner = [lambda: qp.eval_inner_potential(outer, near),
                    lambda: qp.interaction_energy(outer, outer),
                    lambda: qp.shift_inner(outer, near, 0.5)]

@@ -461,6 +461,33 @@ def test_kernel_dot_is_homogeneous_far_from_unit_scale(scale):
         assert np.all(np.abs(got - expect) <= 1e-13 * bound)
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_kernel_dot_is_scale_free_by_powers_of_two(k, lam):
+    # T_n(2^k x, 2^k y) = 2^(-2 lam k) T_n(x, y).  At these scales x.x and
+    # y.y leave float64, so the sum runs on x and y scaled back by a power of
+    # two; every step at lambda = 1/2 is then exact, so the result is 2^(-k)
+    # times the unit-scale one bit for bit.  At 3/2, r^3 is a pow call, within
+    # an ulp; at 2^-600 and 2^600 the results, near 2^(-+1800), are no
+    # normal float64 numbers: a DomainError.
+    rng = np.random.default_rng(37)
+    coef = rng.standard_normal(30)
+    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
+    far, near = _shell(rng, (9, 1), 1.2, 4.0), _shell(rng, (9, 1), 0.0, 0.9)
+    w = rng.standard_normal((1, 300, 2))
+    power = round(2 * lam)
+    for x, y in ((inner, far), (near, outer)):
+        if power * abs(k) > 1022:
+            with pytest.raises(qp.DomainError, match="normal range of float64"):
+                _kernel_dot(np.ldexp(x, k), np.ldexp(y, k), coef, w, lam)
+            continue
+        expect = np.ldexp(_kernel_dot(x, y, coef, w, lam), -power * k)
+        got = _kernel_dot(np.ldexp(x, k), np.ldexp(y, k), coef, w, lam)
+        if lam == 0.5:
+            assert np.array_equal(got, expect)
+        assert np.all(np.abs(got - expect) <= 1e-15 * np.abs(expect))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
 @pytest.mark.parametrize("p", [1, 2, 30, 200])
 def test_kernel_dot_keeps_the_parities_apart(p, scale):
