@@ -7,7 +7,9 @@ fit rule, solved on the p_j^2 harmonic columns of each sphere's weights
 (_harmonic_basis), the system's rank, by its normal equations.  Each row
 of that system is a normal-derivative kernel sum, one scalar n.grad L per
 pair, summed once per offset class, at one row point per orbit and over
-half of each source rule (_orbit_blocks); boundary_error builds no matrix.
+half of each source rule, the classes that share a source rule and an
+order packed into shared calls of at most one row block (_orbit_blocks);
+boundary_error builds no matrix.
 """
 from dataclasses import dataclass
 from functools import cache
@@ -16,8 +18,8 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _center, _exterior_sum, _interior_sum, _lines,
-                        _numbers, _points, _radius, _require_kind, _side_checked, _surface_set)
-from .legendre import _BLOCK_PAIRS, _kernel_dot, _normal_sums, _order, kernel_matrix
+                        _numbers, _radius, _require_kind, _side_checked, _surface_set)
+from .legendre import _BLOCK_PAIRS, _kernel_dot, _normal_sums, _order, _points, kernel_matrix
 from .quadrature import QuadratureRule, _offset_class, _orbits, rule_for_expansion
 
 __all__ = [
@@ -118,37 +120,69 @@ def outer_gradient(exp, x):
 
 
 def _orbit_blocks(spheres, sources, rule):
-    """Yield (i, j, sums, targets, cols): block (i, j) of the flow rows, one row per orbit.
+    """Yield (i, j, sums, rows, targets, cols): block (i, j) of the flow rows, one row per orbit.
 
     Block (i, j) maps source j's surface weights to n.grad(Phi) at sphere i's
     points s.center + R rhat, with normals rhat, rhat the points of ``rule``:
-    entry (targets[k, m], cols[k, s, b]) of the block is sums[s, m, b], one
-    k per symmetry.  A block depends on d = s.center - src.center, the two
-    radii, the two rules and src.order only, so the sums are made once per
-    offset class (quadrature._offset_class), at its canonical offset c, at
-    the reps of the symmetries that fix c (quadrature._orbits) and from
+    entry (targets[k, m], cols[k, s, b]) of the block is sums[s, rows][m, b],
+    one k per symmetry.  A block depends on d = s.center - src.center, the
+    two radii, the two rules and src.order only, so the sums are made once
+    per offset class (quadrature._offset_class), at its canonical offset c,
+    at the reps of the symmetries that fix c (quadrature._orbits) and from
     both points of each antipodal source pair (legendre._normal_sums); each
     block of the class composes targets and cols with its own class maps.
+
+    The classes that share a source rule and an order share the calls of
+    the sum too.  By the homogeneity n.grad_x L_k(r u, x) = r^-2 n.grad L_k(u, x/r),
+    the set is the unit half source rule, a class's rows are (c + R rhat)/r
+    and its normals rhat/r^2, the sum being linear in n.  The classes are
+    packed, in order, into calls of at most one row block of the sum
+    (_BLOCK_PAIRS pairs), so that few blocks run nearly empty; a class
+    larger than a block is summed alone, in the blocks it needs.  ``sums``
+    is the output of one call, and ``rows`` the slice of it that holds the
+    class.
     """
-    classes = {}
+    groups = {}
     for i, s in enumerate(spheres):
         for j, src in enumerate(sources):
             c, row_map, col_map = _offset_class(rule, src.rule, s.center - src.center)
-            key = (c, s.radius, src.radius, src.rule, src.order)
-            classes.setdefault(key, []).append((i, j, row_map, col_map))
+            classes = groups.setdefault((src.rule, src.order), {})
+            classes.setdefault((c, s.radius, src.radius), []).append((i, j, row_map, col_map))
     normals = rule.points
-    for (c, R, r, src_rule, p), members in classes.items():
-        c = np.array(c)
-        k, m, reps = _orbits(rule, src_rule, c)
+    for (src_rule, p), classes in groups.items():
+        classes = [(key, _orbits(rule, src_rule, np.array(key[0])), members)
+                   for key, members in classes.items()]
         half = np.flatnonzero(src_rule.antipodes > np.arange(len(src_rule)))
-        # seen from the source's center as c + R rhat, which each symmetry maps exactly
-        sums = _normal_sums(r * src_rule.points[half], (c + R * normals[reps])[:, None, :],
-                            normals[reps, None, :], np.ones(p), pair=True)
         idx = np.stack([half, src_rule.antipodes[half]])
-        targets = rule.symmetries[1][k[:, None], reps]
-        cols = src_rule.symmetries[1][m[:, None, None], idx]
-        for i, j, row_map, col_map in members:
-            yield i, j, sums, row_map[targets], col_map[cols]
+        sizes = [len(reps) for _, (*_, reps), _ in classes]
+        for run in _packs(classes, sizes, _BLOCK_PAIRS // len(half)):
+            # seen from the source's center in units of its radius, as
+            # (c + R rhat)/r, which each symmetry maps exactly
+            x = np.concatenate([(np.array(c) + R * normals[reps]) / r
+                                for (c, R, r), (*_, reps), _ in run])
+            n = np.concatenate([normals[reps] * r ** -2 for (*_, r), (*_, reps), _ in run])
+            sums = _normal_sums(src_rule.points[half], x[:, None, :], n[:, None, :],
+                                np.ones(p), pair=True)
+            start = 0
+            for _, (k, m, reps), members in run:
+                rows, start = slice(start, start + len(reps)), start + len(reps)
+                targets = rule.symmetries[1][k[:, None], reps]
+                cols = src_rule.symmetries[1][m[:, None, None], idx]
+                for i, j, row_map, col_map in members:
+                    yield i, j, sums, rows, row_map[targets], col_map[cols]
+
+
+def _packs(items, sizes, cap):
+    """Runs of consecutive items whose sizes sum to at most cap, or of one larger item."""
+    run, total = [], 0
+    for item, size in zip(items, sizes):
+        if run and total + size > cap:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size
+    if run:
+        yield run
 
 
 def _boundary_system(spheres, sources, rule, bases):
@@ -170,14 +204,15 @@ def _boundary_system(spheres, sources, rule, bases):
     cols = np.cumsum([0] + [P.shape[1] for P in bases])
     AP = np.empty((n * len(spheres), cols[-1]))
     owner = np.empty(n, dtype=np.intp)
-    for i, j, sums, targets, where in _orbit_blocks(spheres, sources, rule):
+    for i, j, sums, rows, targets, where in _orbit_blocks(spheres, sources, rule):
         h, reps = targets.shape
         width = sums.shape[2]
         owner[targets] = np.arange(h * reps).reshape(h, reps)   # one (k, m) reaching each row
         # offset[k, c]: the flat index in sums of the entry in column c, less m * width
         offset = np.empty((h, len(bases[j])), dtype=np.intp)
         offset[np.arange(h)[:, None], where.reshape(h, -1)] = (
-            np.arange(len(sums))[:, None] * (reps * width) + np.arange(width)).ravel()
+            np.arange(len(sums))[:, None] * sums[0].size + rows.start * width
+            + np.arange(width)).ravel()
         block = AP[i * n:(i + 1) * n, cols[j]:cols[j + 1]]
         step = max(1, _BLOCK_PAIRS // len(bases[j]))
         for t in range(0, n, step):
@@ -276,9 +311,9 @@ def boundary_error(sol, spheres, reference_rule):
                                 "with the sphere's center and radius")
     mismatch = np.stack([reference_rule.points @ s.velocity for s in spheres])
     part = np.empty(len(reference_rule))
-    for i, j, sums, targets, cols in _orbit_blocks(spheres, sol.expansions, reference_rule):
+    for i, j, sums, rows, targets, cols in _orbit_blocks(spheres, sol.expansions, reference_rule):
         w = sol.expansions[j].surface_weights[cols].transpose(1, 2, 0)
-        part[targets] = np.matmul(sums, w).sum(axis=0).T
+        part[targets] = np.matmul(sums[:, rows], w).sum(axis=0).T
         mismatch[i] += part
     return _rms_per_sphere(mismatch * np.sqrt(reference_rule.weights), reference_rule)
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import _BLOCK_PAIRS, _aligned, _kernel_dot, _order, _reproducing, _row_blocks
+from .legendre import (_BLOCK_PAIRS, _aligned, _kernel_dot, _order, _points, _reproducing,
+                       _row_blocks)
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -110,14 +111,6 @@ def _radius(R):
     if R.shape != () or R.dtype.kind not in "iuf" or not (np.isfinite(R) and R > 0.0):
         raise DomainError("radius must be finite and positive")
     return float(R)
-
-
-def _points(x):
-    """x as a float array, or a DomainError unless it holds finite 3-vectors (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (3,) or not np.all(np.isfinite(x)):
-        raise DomainError("evaluation points must be finite 3-vectors")
-    return x
 
 
 def _require_kind(exp, kind):

@@ -234,6 +234,22 @@ def _row_blocks(*arrays):
     return batch, [(rows, *(cut(a, rows) for a in arrays)) for rows in blocks]
 
 
+def _points(x, name="evaluation points"):
+    """x as a float array, or a DomainError naming it unless it holds finite 3-vectors (..., 3)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,) or not np.all(np.isfinite(x)):
+        raise DomainError("%s must be finite 3-vectors" % name)
+    return x
+
+
+def _coefficients(coef):
+    """coef as a float array, or a DomainError unless it is finite, of shape (p,), p >= 1."""
+    coef = np.asarray(coef, dtype=float)
+    if coef.ndim != 1 or len(coef) < 1 or not np.all(np.isfinite(coef)):
+        raise DomainError("coefficients must be finite, shape (p,) with p >= 1")
+    return coef
+
+
 def f_sequence_raw(xy, xx, yy, p):
     """Sequence L_0..L_{p-1} from the inner products x.y, x.x, y.y.
 
@@ -258,11 +274,11 @@ def kernel_sum(x, y, coef):
     each times coef[n] kappa_n, so no (p,) + batch stack is built.  The
     batch is summed in row blocks of about 2^14 pairs, so the recurrence's
     working arrays stay in cache; each element's arithmetic is that of one
-    unblocked sum, bit for bit.
+    unblocked sum, bit for bit.  x and y must be finite 3-vectors and coef
+    finite, each else a DomainError.
     """
-    if len(coef) < 1:
-        raise DomainError("at least one coefficient required")
-    coef = np.asarray(coef, dtype=float) * _leading(len(coef), 0.5)
+    x, y, coef = _points(x, "x"), _points(y, "y"), _coefficients(coef)
+    coef = coef * _leading(len(coef), 0.5)
     batch, blocks = _row_blocks(x, y)
     out = np.empty(batch)
     for rows, xb, yb in blocks:
@@ -400,16 +416,23 @@ def normal_kernel_sum(a, x, n, coef):
         grad_x L_k(a, x) = T_{k-1}(a, x) a - T_k(a, x) x,   T_{-1} = 0,
 
     with T_m = |a|^m C^{3/2}_m(ahat.xhat) / |x|^{m+3} the terms of |x-a|^-3.
-    So S_A = sum_m coef[m+1] T_m and S_B = sum_m coef[m] T_m, m < p, are
-    added as the recurrence produces T_m, with no (p,) + batch stack, and
-    the normal derivative is (n.a) S_A - (n.x) S_B, one scalar per pair.
+    So S_A = sum_m coef[m+1] T_m and S_B = sum_m coef[m] T_m, m < p, with
+    coef[p] = 0, give the normal derivative (n.a) S_A - (n.x) S_B, one
+    scalar per pair.  S_B and S_A - S_B, whose coefficients are
+    coef[m+1] - coef[m], are added as the recurrence produces T_m, each
+    term only where its coefficient is nonzero, with no (p,) + batch
+    stack: a constant coef costs one accumulation per degree.
     n = np.eye(3) against a[..., None, :] and x[..., None, :] gives the
     gradient, shape batch + (3,).  Blocked like :func:`kernel_sum`, and
     bit-identical to an unblocked sum, except for a point set a (B, 3)
     against rows x and n (..., 1, 3), as the flow rows are: there x.a and
     n.a are one matmul per row block, whose last bits depend on the blocks.
+    a, x and n must be finite 3-vectors and coef finite, each else a
+    DomainError.
     """
-    return _normal_sums(a, x, n, coef, pair=False)[()]   # a numpy scalar for a scalar batch
+    a, x, n = _points(a, "a"), _points(x, "x"), _points(n, "n")
+    sums = _normal_sums(a, x, n, _coefficients(coef), pair=False)
+    return sums[()]   # a numpy scalar for a scalar batch
 
 
 def _normal_sums(a, x, n, coef, pair):
@@ -422,49 +445,57 @@ def _normal_sums(a, x, n, coef, pair):
         P = (n.a) S_A,odd - (n.x) S_B,even,   Q = (n.a) S_A,even - (n.x) S_B,odd,
 
     and the sum is P + Q at a and P - Q at -a, both from one recurrence
-    per row block; P + Q does not depend on pair, bit for bit.
+    per row block; P + Q does not depend on pair, bit for bit.  S_A is
+    made as S_B + (S_A - S_B), whose coefficients (coef[m+1] - coef[m]) k_m
+    are zero but for the last degree where coef is constant, as for the
+    flow rows (_normal_block).  Its callers give it coef (p,), p >= 1.
     """
-    if len(coef) < 1:
-        raise DomainError("at least one coefficient required")
     lead = _leading(len(coef), 1.5)
     coef = np.asarray(coef, dtype=float)
-    c_a, c_b = np.append(coef[1:], 0.0) * lead, coef * lead
+    c_b, c_d = coef * lead, (np.append(coef[1:], 0.0) - coef) * lead
     on_set = np.ndim(a) == 2 and np.shape(x)[-2:-1] == np.shape(n)[-2:-1] == (1,)
     batch, blocks = _row_blocks(a, x, n)
     out = np.empty((2,) + batch if pair else batch)
     for rows, ab, xb, nb in blocks:
-        even, odd = _normal_block(ab, xb, nb, c_a, c_b, on_set)
-        if pair:
-            np.subtract(even, odd, out=out[1][rows])
-        np.add(even, odd, out=(out[0] if pair else out)[rows])
+        even, odd = _normal_block(ab, xb, nb, c_b, c_d, on_set)
+        if pair:   # out[1, rows], not out[1][rows]: a scalar batch's out[1] is a copy
+            np.subtract(even, odd, out=out[1, rows])
+        np.add(even, odd, out=out[0, rows] if pair else out[rows])
         del even, odd   # before the next block's recurrence
     return out
 
 
-def _normal_block(a, x, n, c_a, c_b, on_set):
-    """P and Q of one row block: the sums S_A and S_B, split by parity into four arrays.
+def _normal_block(a, x, n, c_b, c_d, on_set):
+    """P and Q of one row block, from the sums S_B and S_D = S_A - S_B, split by parity.
 
-    Each term goes to one sum of each pair, so a degree costs the passes of
-    the unsplit sums; P and Q are made over S_A's two parts where n does not
-    broadcast the terms to a larger shape.
+    S_B takes c_b[m] T_m and S_D c_d[m] T_m, each only where its
+    coefficient is nonzero: for a constant coef, such as the flow rows',
+    only the last degree reaches S_D, so a degree costs one accumulation,
+    not the two of S_A and S_B.  S_A = S_B + S_D is made once, in S_D's
+    arrays, and P and Q over S_D's and S_B's where n does not broadcast the
+    terms to a larger shape.
     """
     u, v, g0 = _ratios(_set_dot(x, a) if on_set else _dot(x, a), _dot(a, a), _dot(x, x), 1.5)
     shape = np.broadcast_shapes(u.shape, v.shape, g0.shape)
-    # s_a[m % 2] += c_a[m] T_m and s_b[m % 2] += c_b[m] T_m
-    s_a = [np.multiply(g0, c_a[0], out=np.empty(shape)), np.zeros(shape)]
-    s_b = [np.multiply(g0, c_b[0], out=np.empty(shape)), np.zeros(shape)]
+    s_b, s_d = [None, None], [None, None]   # the even- and odd-degree parts
     tmp = np.empty(shape)
-    terms = _terms(u, v, g0, len(c_a), 1.5)
-    g = next(terms)   # G_0, added above
-    for m, (ca, cb, g) in enumerate(zip(c_a[1:], c_b[1:], terms), 1):
-        s_a[m % 2] += np.multiply(g, ca, out=tmp)
-        s_b[m % 2] += np.multiply(g, cb, out=tmp)
-    del terms, g, tmp, u, v, g0   # free the recurrence's arrays before P and Q
+    for m, g in enumerate(_terms(u, v, g0, len(c_b), 1.5)):
+        for sums, c in ((s_b, c_b[m]), (s_d, c_d[m])):
+            if not c:
+                continue
+            if sums[m % 2] is None:
+                sums[m % 2] = np.multiply(g, c, out=np.empty(shape))
+            else:
+                sums[m % 2] += np.multiply(g, c, out=tmp)
+    del g, tmp, u, v, g0   # free the recurrence's arrays before P and Q
+    s_b = [np.zeros(shape) if s is None else s for s in s_b]
+    s_a = [b if d is None else np.add(d, b, out=d) for b, d in zip(s_b, s_d)]
     na, nx = _set_dot(n, a) if on_set else _dot(n, a), _dot(n, x)
-    fits = np.broadcast(s_a[0], na, nx).shape == shape
-    even = np.multiply(na, s_a[1], out=s_a[1] if fits else None)
+    fits = np.broadcast(s_b[0], na, nx).shape == shape
+    # both products of S_A first, as S_A may be S_B where S_D is zero
+    even = np.multiply(na, s_a[1], out=s_d[1] if fits else None)
+    odd = np.multiply(na, s_a[0], out=s_d[0] if fits else None)
     even -= np.multiply(nx, s_b[0], out=s_b[0] if fits else None)
-    odd = np.multiply(na, s_a[0], out=s_a[0] if fits else None)
     odd -= np.multiply(nx, s_b[1], out=s_b[1] if fits else None)
     return even, odd
 

@@ -204,8 +204,12 @@ def available_orders():
 
 
 def lebedev_rule(order):
-    """Load the embedded Lebedev rule with the given exactness degree."""
-    if order not in _ORDERS:
+    """Load the embedded Lebedev rule with the given exactness degree.
+
+    An order that is not the integer order of an embedded rule, such as a
+    float, a bool or an array, is an UnsupportedOrderError.
+    """
+    if not isinstance(order, Integral) or isinstance(order, bool) or order not in _ORDERS:
         raise UnsupportedOrderError(
             "no embedded Lebedev rule of order %r; supported orders: %s"
             % (order, ", ".join(map(str, _ORDERS)))
@@ -242,12 +246,26 @@ def sphere_monomial_integral(a, b, c):
 
     Zero when any exponent is odd; otherwise
     4 pi (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!!.  Elementwise over
-    broadcast arrays of non-negative integer exponents.
+    broadcast arrays of non-negative integer exponents; any other exponent,
+    a bool or a float included, is a DomainError that names it.
     """
+    a, b, c = (_exponent(name, e) for name, e in zip("abc", (a, b, c)))
     total = np.add(np.add(a, b), c)
     dfac = np.array([_double_factorial(k - 1) for k in range(np.max(total, initial=0) + 3)])
     even = np.where(np.arange(len(dfac)) % 2, 0.0, dfac)   # dfac[k] = (k-1)!!, 0 for odd k
     return (4.0 * np.pi * (even[a] * even[b] * even[c]) / dfac[total + 2])[()]
+
+
+def _exponent(name, value):
+    """value as an integer array, or a DomainError naming it unless each entry is an integer >= 0.
+
+    A bool, a float or a string is refused even where it compares equal to an integer.
+    """
+    e = np.asarray(value)
+    if e.dtype.kind not in "iu" or np.any(e < 0):
+        raise DomainError("exponent %s must be an integer >= 0, or an array of them, not %r"
+                          % (name, value))
+    return e
 
 
 @cache

@@ -210,6 +210,81 @@ def test_kernel_sum_matches_weighted_stack(p, shapes):
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("p", [1, 2, 8, 30])
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((5, 1, 3), (1, 4, 3)), ((40, 3), (7, 1, 3))],
+                         ids=["scalar", "batched", "set against rows"])
+def test_normal_pair_with_constant_coefficients(p, shapes):
+    # a constant coef, as the flow rows have, adds each degree to S_B alone
+    # and to S_A - S_B only at the last degree (at p = 1, S_A = 0): both
+    # P + Q, the sum at a, and P - Q, the sum at -a, match the gradient
+    # stack within 1e-14 of its largest component, and a scalar batch is a
+    # numpy scalar.  The sources lie inside the rows' shell, as a flow's do.
+    rng = np.random.default_rng(67 + p)
+    a = _shell(rng, shapes[0][:-1], 0.0, 1.0)
+    x = _shell(rng, shapes[1][:-1], 1.5, 3.0)
+    n = _shell(rng, shapes[1][:-1], 1.0, 1.0)
+    coef = np.full(p, 1.7)
+    got = normal_kernel_sum(a, x, n, coef)
+    pair = _normal_sums(a, x, n, coef, pair=True)
+    for sums, sign in zip(pair, (1.0, -1.0)):
+        grad = np.tensordot(coef, grad_scaled_legendre_stack(sign * a, x, p), axes=(0, 0))
+        expect = np.einsum("...k,...k->...", n, grad)
+        assert sums.shape == expect.shape
+        assert np.max(np.abs(sums - expect)) <= 1e-14 * np.max(np.abs(grad))
+    assert np.array_equal(got, pair[0])
+    if shapes[0] == (3,):
+        assert isinstance(got, np.float64) and got.shape == ()
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == pair.shape[1:]
+
+
+POINTS = np.array([[0.1, 0.2, 0.3], [0.0, 0.5, 0.0]])
+SOURCES = np.array([[2.0, 0.0, 1.0], [0.0, -3.0, 0.0]])
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("x", [[0.1, np.nan, 0.3], [0.0, 0.5, 0.0]], "x must be finite 3-vectors"),
+    ("y", [[2.0, 0.0, np.inf], [0.0, -3.0, 0.0]], "y must be finite 3-vectors"),
+    ("coef", [1.0, np.nan, 1.0], "coefficients must be finite, shape"),
+    ("x", [[0.1, 0.2], [0.0, 0.5]], "x must be finite 3-vectors"),
+    ("y", np.ones((2, 4)), "y must be finite 3-vectors"),
+    ("x", 0.5, "x must be finite 3-vectors"),
+    ("coef", np.ones((4, 1)), "coefficients must be finite, shape"),
+    ("coef", [], "coefficients must be finite, shape"),
+])
+def test_kernel_sum_refuses_non_finite_or_malformed_input(name, value, match):
+    # a NaN or an infinity is a domain error, not a NaN result, and a vector
+    # that is not a 3-vector one too, not an IndexError
+    args = {"x": POINTS, "y": SOURCES, "coef": np.ones(4)}
+    assert np.all(np.isfinite(kernel_sum(**args)))
+    args[name] = value
+    with pytest.raises(qp.DomainError, match=match):
+        kernel_sum(**args)
+    if name != "coef":
+        with pytest.raises(qp.DomainError, match=match):
+            kernel_matrix(args["x"], args["y"], 4)
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("a", [[0.1, 0.2, np.nan], [0.0, 0.5, 0.0]], "a must be finite 3-vectors"),
+    ("x", [[2.0, -np.inf, 1.0], [0.0, -3.0, 0.0]], "x must be finite 3-vectors"),
+    ("n", [[1.0, 0.0, 0.0], [np.nan, 0.0, 1.0]], "n must be finite 3-vectors"),
+    ("coef", [1.0, 1.0, np.inf], "coefficients must be finite, shape"),
+    ("a", [[0.1, 0.2], [0.0, 0.5]], "a must be finite 3-vectors"),
+    ("x", np.ones((2, 4)), "x must be finite 3-vectors"),
+    ("n", [1.0, 0.0], "n must be finite 3-vectors"),
+    ("n", 1.0, "n must be finite 3-vectors"),
+    ("coef", 1.0, "coefficients must be finite, shape"),
+])
+def test_normal_kernel_sum_refuses_non_finite_or_malformed_input(name, value, match):
+    args = {"a": POINTS, "x": SOURCES, "n": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            "coef": np.ones(4)}
+    assert np.all(np.isfinite(normal_kernel_sum(**args)))
+    args[name] = value
+    with pytest.raises(qp.DomainError, match=match):
+        normal_kernel_sum(**args)
+
+
 @pytest.mark.parametrize("p", [1, 2, 30])
 @pytest.mark.parametrize("shapes", [
     # more pairs than one block, ending in a partial block, blocked along x,

@@ -48,6 +48,16 @@ def test_unsupported_order():
         qp.lebedev_rule(60)
 
 
+@pytest.mark.parametrize("order", [np.array([15]), np.array([15, 17]), np.array(15), 15.0,
+                                   True, "15", None])
+def test_lebedev_rule_refuses_an_order_that_is_not_an_integer(order):
+    # arrays, floats, bools and strings are a typed error, not a TypeError
+    # (unhashable) or a ValueError (ambiguous truth value) from the lookup
+    with pytest.raises(qp.UnsupportedOrderError, match="no embedded Lebedev rule"):
+        qp.lebedev_rule(order)
+    assert qp.lebedev_rule(np.int64(15)) is qp.lebedev_rule(15)
+
+
 def test_rule_for_expansion():
     assert qp.rule_for_expansion(1).exactness_degree == 3
     assert qp.rule_for_expansion(8).exactness_degree == 15
@@ -92,6 +102,21 @@ def test_monomial_integral_closed_form():
     assert sphere_monomial_integral(1, 0, 0) == 0.0
     assert sphere_monomial_integral(2, 0, 0) == pytest.approx(4 * np.pi / 3)
     assert sphere_monomial_integral(2, 2, 2) == pytest.approx(4 * np.pi / 105)
+
+
+@pytest.mark.parametrize("exponents, name", [
+    ((-1, 0, 0), "a"), ((0, -2, 2), "b"), ((0, 0, 1.5), "c"), ((True, 0, 0), "a"),
+    ((2, 2.0, 0), "b"), ((np.array([2, -1]), 0, 0), "a"), ((0, 0, np.array([2.0])), "c"),
+    ((0, "2", 0), "b"), ((0, None, 0), "b"),
+])
+def test_monomial_integral_refuses_an_exponent_that_is_not_a_natural_number(exponents, name):
+    # a negative exponent would index the factorial table from its end
+    # (4 pi for (-1, 0, 0), 0 for (-2, 2, 0)); a float, a bool or a string
+    # is refused too, each as a DomainError that names the exponent
+    with pytest.raises(qp.DomainError, match="exponent %s must be an integer >= 0" % name):
+        sphere_monomial_integral(*exponents)
+    assert sphere_monomial_integral(np.int64(2), np.uint8(0), 0) \
+        == sphere_monomial_integral(2, 0, 0)
 
 
 def test_monomial_integral_is_elementwise():
