@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from collections import defaultdict
+from itertools import chain, groupby
 
 import numpy as np
 from numpy.random import default_rng   # numpy 2 would load it lazily, in the first trial
@@ -119,14 +120,28 @@ def _write(path, text):
 
 def _write_csv(path, header_cols, rows, args_note):
     """Write the rows as CSV under a note line, or raise a DomainError, writing
-    nothing, if a float cell is not finite."""
-    lines = ["# quadpole %s %s" % (__version__, args_note), ",".join(header_cols)]
-    for n, row in enumerate(rows, start=1):
-        if not all(math.isfinite(v) for v in row if isinstance(v, float)):
+    nothing, if a float cell is not finite.
+
+    Each run of consecutive rows with the same cell types is formatted by one
+    %-string over its flattened cells, floats as %.17g and the rest as str,
+    and its float cells are checked in one pass; the row that holds a value
+    that is not finite is looked for only then, to name it.
+    """
+    parts = ["# quadpole %s %s\n%s\n" % (__version__, args_note, ",".join(header_cols))]
+    done = 0
+    for types, run in groupby(rows, key=lambda row: tuple(map(type, row))):
+        run = list(run)
+        floats = [i for i, t in enumerate(types) if issubclass(t, float)]
+        cells = list(chain.from_iterable(run))
+        if not all(map(math.isfinite, chain.from_iterable(cells[i::len(types)] for i in floats))):
+            n, row = next((n, row) for n, row in enumerate(run, start=done + 1)
+                          if not all(math.isfinite(row[i]) for i in floats))
             raise DomainError("result row %d (%s) holds a value that is not finite"
                               % (n, ",".join(map(str, row))))
-        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
-    _write(path, "\n".join(lines) + "\n")
+        line = ",".join("%.17g" if i in floats else "%s" for i in range(len(types))) + "\n"
+        parts.append(line * len(run) % tuple(cells))
+        done += len(run)
+    _write(path, "".join(parts))
 
 
 def cmd_racc(args):

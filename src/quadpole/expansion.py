@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
 from .legendre import (_BLOCK_PAIRS, _aligned, _kernel_dot, _order, _points, _reproducing,
-                       _row_blocks)
+                       _row_blocks, _source_dot)
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -105,11 +105,17 @@ def _center(center, name="center"):
     return center
 
 
-def _radius(R):
-    """R as a float, or a DomainError unless it is one finite, positive real number."""
+def _radius(R, divisor=False):
+    """R as a float, or a DomainError unless it is one finite, positive real number.
+
+    A divisor, a radius that positions are divided by, as in fits and
+    shifts, must have a finite reciprocal too: it is at least 2^-1024.
+    """
     R = np.asarray(R)
     if R.shape != () or R.dtype.kind not in "iuf" or not (np.isfinite(R) and R > 0.0):
         raise DomainError("radius must be finite and positive")
+    if divisor and R <= 2.0 ** -1024:   # 1 / R is 2^1024 or more
+        raise DomainError("radius %r is too small: its reciprocal overflows float64" % float(R))
     return float(R)
 
 
@@ -144,11 +150,11 @@ def _fit(kind, sources, center, R, orders, rule=None):
 
     The rule defaults to the one the largest order needs.  The orders share
     one kernel sum: order p's coefficients (2n+1)/(4 pi), n < p, zero-padded
-    to the largest order, are one coefficient set of legendre._kernel_dot,
+    to the largest order, are one coefficient set of legendre._source_dot,
     so each order's weights equal those of a fit at that order alone to
     rounding.
     """
-    R = _radius(R)
+    R = _radius(R, divisor=True)
     rule = rule or rule_for_expansion(max(orders))
     center = _center(center)
     rel = (sources.positions - center) / R
@@ -173,30 +179,37 @@ def _fit(kind, sources, center, R, orders, rule=None):
             for p, w in zip(orders, weights)]
 
 
-def _project(kind, rel, charges, rule, coef, maps=None, reps=None):
+def _project(kind, rel, charges, rule, coef, group=None, reps=None):
     """Surface weights W_j sum_i charges[i] K(rel_i, rhat_j) of a fit on rule.
 
     rel holds the sources' unit-scaled positions (M, 3) and charges (M,) their
     charges.  K is the kernel sum with the per-degree coefficients coef (p,),
     (2n+1)/(4 pi) for an order-p fit, or coefficient sets (p, K), which
-    give K rows of weights (K, N).  It is one legendre._kernel_dot at one
-    point of each antipodal pair, whose antipode takes legendre's row fold.
+    give K rows of weights (K, N).  It is one legendre._source_dot, which
+    contracts over the sources, at one point of each antipodal pair, whose
+    antipode takes legendre's row fold.
 
-    A shift passes the index maps (h, N) of the symmetries that fix its
-    offset, with reps one point per orbit (quadrature._orbits), and
-    charges (h, M), row t permuted by map t, charges[t, i] = q_t(i): the
-    sum at t(j) is the sum at j against row t, so the kernel is summed at
-    quadrature._antipodal_reps only and scattered to the orbits.
+    A shift, whose sources are the rule's own points, passes group, the
+    indices of the symmetries that fix its offset, with reps one point per
+    orbit (quadrature._orbits).  The charges are permuted by each
+    symmetry's index map t, q_t(i) = charges[t(i)]: the sum at t(j) is the
+    sum at j against q_t, so the kernel is summed at
+    quadrature._antipodal_reps only and scattered to the orbits.  The
+    maps (h, N) are let go before the kernel sum, which keeps only the
+    permuted charges (h, N).
     """
-    if maps is None:
+    if group is None:
         maps, reps = np.arange(len(rule))[None], np.arange(len(rule))
+    else:
+        maps = rule.symmetries[1][group]
+        charges = charges[maps]
     reps = _antipodal_reps(rule, maps, reps)
-    pts = rule.points[reps][:, None, :]
-    args = (rel, pts) if kind == "outer" else (pts, rel)   # K(y/R, rhat_j): sources first
-    sums = _kernel_dot(*args, coef, charges.T[None])
-    # (2,) + sets + (reps,) + h, with the reps last, as sets + maps[:, reps].shape
-    sets, at = np.shape(coef)[1:], maps[:, reps]
-    even, odd = np.moveaxis(sums, len(sets) + 1, -1).reshape((2,) + sets + at.shape)
+    at = maps[:, reps]
+    del maps
+    sums = _source_dot(rel, rule.points[reps], coef, charges, kind == "inner")
+    # (2,) + sets + h + (reps,), as sets + at.shape
+    sets = np.shape(coef)[1:]
+    even, odd = sums.reshape((2,) + sets + at.shape)
     weights = np.empty(sets + (len(rule),))
     # the antipodes first, so that an orbit holding its own antipodes keeps even + odd
     weights[..., rule.antipodes[at]] = rule.weights[reps] * (even - odd)

@@ -16,10 +16,12 @@ C^lambda_n, it runs on G_n = T_n / k_n,
 _terms is the only code that runs it.  Its callers give it u = x.y/y.y,
 v = x.x/y.y and G_0 = |y|^(-2 lambda), a number or one value per point of
 a set or per row, which it yields unexpanded; the callers refuse y = 0,
-through _ratios or, in _kernel_dot, by its own check.  The monic form
-saves one array pass per degree over the recurrence for T_n itself.  At
-lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the leading coefficient
-of P_n, and b_n = (n-1)^2/((2n-1)(2n-3)).  The gradient of L_n is the
+through _ratios or, in _kernel_dot and _source_dot, by their own checks.
+The monic form saves one array pass per degree over the recurrence for
+T_n itself; with v and G_0 numbers, as _source_dot gives them, a degree
+costs three array passes.  At lambda = 1/2, k_n is
+kappa_n = (2n)!/(2^n n!^2), the leading coefficient of P_n, and
+b_n = (n-1)^2/((2n-1)(2n-3)).  The gradient of L_n is the
 same recurrence at lambda = 3/2, since P'_{n+1} = C^{3/2}_n (see
 normal_kernel_sum).  Each sum folds k_n into its own per-degree
 coefficients, and the Legendre polynomial P_n(t) is kappa_n G_n at
@@ -27,10 +29,13 @@ x = t zhat, y = zhat.  Degrees stop at 1000: beyond that, G_n and k_n
 leave the range of float64.
 
 kernel_sum returns the sum for every pair.  Fits, shifts, evaluations,
-de-tracing and the outer gradient only contract it with weights, so they
-call _kernel_dot, which contracts each term as the recurrence makes it and
-never holds a pair matrix.  T_m is homogeneous of degree m in x and
--(m + 2 lambda) in y, so that one contraction serves both indices.
+de-tracing and the outer gradient only contract it with weights, each
+term as the recurrence makes it, with no pair matrix, in one of two
+directions.  Evaluations, energies, layers, de-tracing and the outer
+gradient contract over a point set with _kernel_dot, where T_m, homogeneous
+of degree m in x and -(m + 2 lambda) in y, lets one contraction serve both
+indices.  Fits and shifts contract over their sources with _source_dot,
+which runs the recurrence on cosines alone against the unit rule points.
 
 Parity.  C^lambda_n has the parity of n, so for every lambda
 
@@ -123,11 +128,13 @@ def _terms(u, v, g0, p, lam=0.5, work=None):
     g0 is G_0 = |y|^(-2 lam): a number, or an array that broadcasts against
     u, such as one value per point of a set or one per row.  It is yielded
     as given, unexpanded, so a caller that sums G_0 elsewhere pays nothing
-    for it here.  The later terms are arrays of the broadcast shape, made in
-    work, three arrays of that shape, if given, so that the row blocks of
-    one sum can share one set of arrays.  Only two terms are kept: the
-    array holding G_n is reused for G_{n+2}, so a consumer must copy what it
-    needs before asking for the next term.
+    for it here.  With v and g0 numbers each step of the recurrence is a
+    number; else it is an array that broadcasts along the terms, one more
+    pass per degree.  The later terms are arrays of the broadcast shape,
+    made in work, three arrays of that shape, if given, so that the row
+    blocks of one sum can share one set of arrays.  Only two terms are
+    kept: the array holding G_n is reused for G_{n+2}, so a consumer must
+    copy what it needs before asking for the next term.
     """
     yield g0
     if p < 2:
@@ -135,11 +142,15 @@ def _terms(u, v, g0, p, lam=0.5, work=None):
     shape = np.broadcast_shapes(np.shape(u), np.shape(v), np.shape(g0))
     g_cur, g_prev, tmp = work if work is not None else [np.empty(shape) for _ in range(3)]
     yield np.multiply(u, g0, out=g_cur)
-    v_step = np.empty(np.broadcast_shapes(np.shape(v), np.shape(g0)))
+    scalar = np.ndim(v) == 0 and np.ndim(g0) == 0
+    v_step = None if scalar else np.empty(np.broadcast_shapes(np.shape(v), np.shape(g0)))
     for n, step in enumerate(_steps(p, lam), 2):
         # G_n = u G_{n-1} - b_n v G_{n-2}, written over G_{n-2}, or for n = 2,
         # from G_0 as given, over the third array
-        np.multiply(v, step, out=v_step)
+        if scalar:
+            v_step = v * step
+        else:
+            np.multiply(v, step, out=v_step)
         if n == 2:
             v_step *= g0
             np.multiply(u, g_cur, out=g_prev)
@@ -185,7 +196,8 @@ _BLOCK_PAIRS = 2 ** 14
 
 # _kernel_dot sums at the coordinates it is given while 2 lam |e| is at most
 # this, with its largest |coordinate| in [2^(e-1), 2^e): the squares and the
-# powers r^(2 lam) stay well inside float64 there.
+# powers r^(2 lam) stay well inside float64 there.  _source_dot takes the
+# norms of its sources at their coordinates while 2 |e| is at most this.
 _SCALE_FREE = 256
 
 
@@ -324,12 +336,14 @@ def _kernel_dot(x, y, coef, w, lam=0.5):
 
     So v = x.x/y.y and G_0 = |y|^(-2 lam) are one number per set point, or
     one number, and G_0, which does not depend on the row, is contracted
-    once per call.  The row factors, with coef[n] k_n, scale only the
-    per-degree sums; both are at most 1 where the series converges,
-    |x| <= |y|.  Far from unit scale x and y are first scaled by a power
-    of two (_SCALE_FREE), so that the result does not depend on the scale,
-    or is a DomainError where its largest value leaves the normal range of
-    float64.  The contractions are summed by the BLAS, so, as with
+    once per call.  A v per set point is broadcast along the block's rows
+    once per degree, a pass that _source_dot, with v a number, does not
+    make.  The row factors, with coef[n] k_n, scale only the per-degree
+    sums; both are at most 1 where the series converges, |x| <= |y|.  Far
+    from unit scale x and y are first scaled by a power of two
+    (_SCALE_FREE), so that the result does not depend on the scale, or is a
+    DomainError where its largest value leaves the normal range of float64.
+    The contractions are summed by the BLAS, so, as with
     expansion._coulomb, the last bits of a result can depend on the block
     layout and differ from kernel_sum(x, y, coef) @ w[0].
     """
@@ -395,6 +409,86 @@ def _kernel_dot(x, y, coef, w, lam=0.5):
                               "of float64" % e)
         out = np.ldexp(out, -power * e)
     return out
+
+
+def _source_dot(x, pts, coef, q, inner):
+    """Even- and odd-degree totals of sum_i q[..., i] sum_n coef[n] L_n at each point of pts.
+
+    The contraction of _kernel_dot taken the other way round, over the
+    sources: the sum that fits and shifts make.  L_n is L_n(x_i, rhat_b)
+    for the outer kind and L_n(rhat_b, x_i) for the inner, with the sources
+    x (M, 3), their charges q, shape h + (M,), and the unit vectors rhat_b
+    of pts (B, 3).  coef holds per-degree coefficients (p,) or sets
+    (p,) + sets, and the result has shape (2,) + sets + h + (B,): the sum
+    over the even degrees, then over the odd, kept apart for the row fold.
+
+    pts must be unit vectors, as the points of a QuadratureRule are, and are
+    taken as exact directions: L_n = a_i^(n+o) kappa_n G_n(t), with
+    t = xhat_i.rhat_b, and a_i = |x_i|, o = 0 for the outer kind or
+    a_i = 1/|x_i|, o = 1 for the inner.  The results therefore differ
+    from _kernel_dot's, which takes |rhat_b| as it is, by roundoff.
+
+    The sources are taken in blocks, the points whole.  For each block one
+    matmul gives t, and the recurrence runs on t alone, _terms(t, 1, 1):
+    its steps are numbers, so a degree costs three passes over the block
+    and no broadcast.  The powers a_i^(n+o), coef[n] kappa_n and the
+    charges are folded into weights, one (sets h, rows) matrix per degree,
+    made once per block, and a degree is one matmul of them with G_n, added
+    to its parity's total.  The four block arrays, from _aligned, the
+    powers and the weights hold about 4 * 2^14 numbers.  Sources far from
+    unit scale are scaled by a power of two to take their norms; a sum that
+    leaves float64 is a DomainError, and an inner source at 0 a
+    SingularityError.
+    """
+    if len(coef) < 1:
+        raise DomainError("at least one coefficient required")
+    x, pts, q = (np.asarray(a, dtype=float) for a in (x, pts, q))
+    coef = np.asarray(coef, dtype=float)
+    p, sets, h = len(coef), coef.shape[1:], q.shape[:-1]
+    columns = coef.reshape(p, -1) * _leading(p)[:, None]   # (p, K), one column per set
+    charges = q.reshape(math.prod(h), len(x))   # (H, M)
+    n_sets, n_pts = columns.shape[1], len(pts)
+    width = n_sets * len(charges)   # the rows of a degree's weights and totals
+    exponents = np.arange(p, dtype=float)[:, None] + (1.0 if inner else 0.0)   # n + o
+    e = math.frexp(np.abs(x).max(initial=0.0))[1]
+    if 2 * abs(e) > _SCALE_FREE:
+        x = np.ldexp(x, -e)
+    else:
+        e = 0
+    step = max(1, 4 * _BLOCK_PAIRS // (4 * n_pts + p * width + p * n_sets))
+    out = np.zeros((2, width, n_pts))
+    totals = [out[n % 2] for n in range(1, p)]   # degree n's parity total
+    g0_sum = np.zeros(width)   # G_0 = 1: the weights of degree 0, summed
+    work = _aligned(4, (min(step, len(x)), n_pts))
+    weights_buf, tmp = np.empty(p * width * min(step, len(x))), np.empty((width, n_pts))
+    with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
+        for start in range(0, len(x), step):
+            xb = x[start:start + step]
+            r = np.sqrt(_dot(xb, xb))
+            if inner and not r.all():
+                raise SingularityError("second argument must be nonzero")
+            t = np.matmul(xb / np.where(r > 0.0, r, 1.0)[:, None], pts.T,
+                          out=work[0][:len(xb)])   # a zero source x stays zero
+            if e:
+                r = np.ldexp(r, e)
+            # a^(n+o) coef[n] kappa_n, one row per set, times the charges
+            scaled = np.empty((p, n_sets, len(xb)))
+            np.power(1.0 / r if inner else r, exponents, out=scaled[:, 0])
+            scaled[:, 1:] = scaled[:, :1]
+            scaled *= columns[:, :, None]
+            weights = weights_buf[:p * width * len(xb)].reshape(p, width, len(xb))
+            np.multiply(scaled[:, :, None, :], charges[:, start:start + step],
+                        out=weights.reshape(p, n_sets, len(charges), len(xb)))
+            g0_sum += weights[0].sum(axis=-1)
+            terms = _terms(t, 1.0, 1.0, p, work=[a[:len(xb)] for a in work[1:]])
+            next(terms)
+            for total, w, g in zip(totals, weights[1:], terms):
+                total += np.matmul(w, g, out=tmp)
+        out[0] += g0_sum[:, None]
+        if not np.all(np.isfinite(out)):
+            raise DomainError("kernel sums over sources near 2^%d leave the range of float64"
+                              % (math.frexp(np.abs(x).max(initial=0.0))[1] + e))
+    return out.reshape((2,) + sets + h + (n_pts,))
 
 
 def kernel_matrix(x, y, p):

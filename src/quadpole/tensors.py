@@ -13,13 +13,14 @@ sum over the point set, with no expansion of P_n into powers.
 """
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .expansion import (PointCharges, SurfaceExpansion, _lines, _numbers, _radius,
                         _require_kind)
-from .legendre import _kernel_dot
+from .legendre import _kernel_dot, _order, _points
 from .quadrature import _double_factorial as double_factorial, rule_for_expansion
 
 __all__ = [
@@ -81,10 +82,18 @@ class Polytensor:
         return Polytensor(p, tuple({t: 0.0 for t in triples(n)} for n in range(p)))
 
 
+def _degree(pt, n):
+    """n, if it is an integer moment order 0 <= n < pt.order (not a bool), else a DomainError."""
+    if not isinstance(n, Integral) or isinstance(n, bool) or not 0 <= n < pt.order:
+        raise DomainError("moment order n must be an integer in 0..%d, not %r"
+                          % (pt.order - 1, n))
+    return n
+
+
 def moments_from_charges(sources, p):
     """Monomial moments M[n1,n2,n3] = sum_q q * x^n1 y^n2 z^n3, orders < p."""
-    if p < 1:
-        raise DomainError("order must be positive")
+    if _order(p) > MAX_ORDER:
+        raise DomainError("polytensor order must be in 1..%d, not %d" % (MAX_ORDER, p))
     x, y, z = sources.positions.T
     q = sources.charges
     coeffs = []
@@ -96,9 +105,7 @@ def moments_from_charges(sources, p):
 
 def directional_moment(pt, r, n):
     """m_n(r) = sum multinomial(n; t) r^t M[t], the n-fold contraction with r."""
-    if not 0 <= n < pt.order:
-        raise DomainError("moment order out of range")
-    r = np.asarray(r, dtype=float)
+    n, r = _degree(pt, n), _points(r, "directions r")
     out = 0.0
     for t, m in pt.coeffs[n].items():
         out = out + multinomial(n, t) * m \
@@ -155,12 +162,10 @@ def detrace_directional(pt, r, n):
     charges q at y it is n!/(2n-1)!! sum q |y|^n |r|^n P_n(rhat.yhat),
     homogeneous of degree n in r.
     """
-    if not 0 <= n < pt.order:
-        raise DomainError("moment order out of range")
+    n, r = _degree(pt, n), _points(r, "directions r")
     rule = rule_for_expansion(n + 1)
     coef = np.zeros(n + 1)
     coef[n] = (2 * n + 1) / (4.0 * np.pi)
-    r = np.asarray(r, dtype=float)
     moments = rule.weights * directional_moment(pt, rule.points, n)
     return np.add(*_kernel_dot(r[..., None, :], rule.points, coef, moments[None]))
 

@@ -26,10 +26,8 @@ def _refit(src, kind, new_center, new_R):
     against the weights permuted by each symmetry (expansion._project).
     """
     k, _, reps = _orbits(src.rule, src.rule, src.center - new_center)
-    maps = src.rule.symmetries[1][k]
     rel = (src.surface_points - new_center) / new_R
-    weights = _project(kind, rel, src.surface_weights[maps], src.rule, _reproducing(src.order),
-                       maps, reps)
+    weights = _project(kind, rel, src.surface_weights, src.rule, _reproducing(src.order), k, reps)
     return replace(src, center=new_center, radius=new_R, surface_weights=weights,
                    kind=kind, diagnostics=None)
 
@@ -37,7 +35,7 @@ def _refit(src, kind, new_center, new_R):
 def shift_outer(src, new_center, new_R):
     """Outer -> outer shift; the source sphere must fit inside the new one."""
     _require_kind(src, "outer")
-    new_center, new_R = _center(new_center), _radius(new_R)
+    new_center, new_R = _center(new_center), _radius(new_R, divisor=True)
     t = np.linalg.norm(new_center - src.center)
     if t + src.radius > (1.0 + _SLACK) * new_R:
         raise GeometryError("source sphere not contained in the new sphere")
@@ -47,7 +45,7 @@ def shift_outer(src, new_center, new_R):
 def outer_to_inner(src, new_center, new_R):
     """Outer -> inner shift (multipole-to-local translation)."""
     _require_kind(src, "outer")
-    new_center, new_R = _center(new_center), _radius(new_R)
+    new_center, new_R = _center(new_center), _radius(new_R, divisor=True)
     dist = np.linalg.norm(src.surface_points - new_center, axis=1) / new_R
     bad = np.nonzero(dist <= 1.0 + _SLACK)[0]
     if bad.size:
@@ -60,7 +58,7 @@ def outer_to_inner(src, new_center, new_R):
 def shift_inner(src, new_center, new_R):
     """Inner -> inner shift; the new sphere must fit inside the old one."""
     _require_kind(src, "inner")
-    new_center, new_R = _center(new_center), _radius(new_R)
+    new_center, new_R = _center(new_center), _radius(new_R, divisor=True)
     t = np.linalg.norm(new_center - src.center)
     if t + new_R > (1.0 + _SLACK) * src.radius:
         raise GeometryError("new sphere not contained in the old sphere")

@@ -156,6 +156,25 @@ def test_csv_writer_refuses_non_finite_cells(tmp_path):
     assert not out.exists()
 
 
+def test_csv_writer_names_the_row_that_is_not_finite(tmp_path):
+    # rows are formatted in runs of one shape: a NaN in row k, in the first
+    # run or in a later one, still names row k and the row's cells
+    from quadpole.cli import _write_csv
+    out = tmp_path / "out.csv"
+    rows = [("a", 1, 0.5, 1.0)] * 4 + [(2, 0.25)] * 3 + [("b", 2, 0.5, 1.0)] * 4
+    for k in (1, 3, 6, 11):
+        bad = list(rows)
+        bad[k - 1] = bad[k - 1][:-1] + (float("nan"),)
+        cells = ",".join(map(str, bad[k - 1][:-1]))
+        with pytest.raises(quadpole.DomainError, match=r"^result row %d \(%s,nan\) " % (k, cells)):
+            _write_csv(str(out), ["kind", "value"], bad, "note")
+    assert not out.exists()
+    _write_csv(str(out), ["kind", "value"], rows, "note")
+    lines = out.read_text().splitlines()
+    assert lines[2:] == [",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+                         for row in rows]
+
+
 def test_tacc_writes_csv(tmp_path):
     out = tmp_path / "tacc.csv"
     rc = run(["tacc", "--charges", "30", "--trials", "1", "--orders", "3",

@@ -11,6 +11,7 @@ from quadpole.legendre import (
     _kernel_dot,
     _leading,
     _normal_sums,
+    _source_dot,
     _terms,
     grad_scaled_legendre_stack,
     kernel_matrix,
@@ -369,6 +370,20 @@ def test_terms_start_from_the_given_g0(p, g0):
     expect = scaled_legendre_stack(x, y, p) / _leading(p).reshape((p,) + (1,) * xy.ndim)
     for g, e in zip(got, expect):
         assert np.all(np.abs(np.broadcast_to(g, e.shape) - e) <= 1e-14 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
+def test_terms_with_number_steps_match_array_steps(p, lam):
+    # v = 1 and G_0 = 1 as numbers, as the source sums give them: each step
+    # is then a number, and every term equals, bit for bit, the term made
+    # with v and G_0 as arrays of ones
+    t = np.random.default_rng(67 + p).uniform(-1.0, 1.0, (13, 40))
+    ones = np.ones(40)
+    pairs = list(zip(*([np.copy(g) for g in _terms(t, v, v, p, lam)] for v in (1.0, ones))))
+    assert len(pairs) == p
+    for a, b in pairs:
+        assert np.array_equal(np.broadcast_to(a, b.shape), b)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 30])
@@ -781,25 +796,88 @@ def _at_line_offset(a, k):
 
 
 def test_kernel_dot_does_not_depend_on_where_its_inputs_sit(monkeypatch):
-    # the kernel sums of a p = 30 fit (500 sources, 601 rule rows) and of an
-    # axial shift (8 permuted weight columns), replayed with x and y copied
-    # to each of the 8 float offsets within a cache line, and w to each
+    # the source sums of a p = 30 fit (500 sources, 601 rule points) and of
+    # an axial shift (8 permuted charge rows), and the kernel sum of that
+    # fit's evaluation at 500 targets, each replayed with its two point
+    # arrays copied to each of the 8 float offsets within a cache line, and
+    # its charges or weights to each
     calls = []
 
-    def recorded(*args):
-        calls.append((args, _kernel_dot(*args)))
-        return calls[-1][1]
+    def recorder(f):
+        def recorded(*args):
+            calls.append((f, args, f(*args)))
+            return calls[-1][2]
+        return recorded
 
     rng = np.random.default_rng(127)
     with monkeypatch.context() as m:
-        m.setattr(qp.expansion, "_kernel_dot", recorded)
+        m.setattr(qp.expansion, "_source_dot", recorder(_source_dot))
+        m.setattr(qp.expansion, "_kernel_dot", recorder(_kernel_dot))
         exp = qp.fit_outer(qp.PointCharges(rng.uniform(-0.5, 0.5, (500, 3)),
                                            rng.uniform(-1.0, 1.0, 500)), np.zeros(3), 1.0, 30)
         qp.shift_outer(exp, np.array([0.0, 0.0, 0.25]), 1.5)
-    assert [np.shape(args[3]) for args, _ in calls] == [(1, 500), (1, 1202, 8)]
-    assert len(calls[0][0][1]) == 601
-    for (x, y, coef, w), want in calls:
+        qp.eval_outer_potential(exp, _shell(rng, (500,), 1.5, 3.0))
+    assert [(f, np.shape(args[3])) for f, args, _ in calls] == [
+        (_source_dot, (500,)), (_source_dot, (8, 1202)), (_kernel_dot, (2, 601))]
+    assert len(calls[0][1][1]) == 601
+    for f, (x, y, coef, w, *rest), want in calls:
         for j in range(8):
             xj, yj = _at_line_offset(x, j), _at_line_offset(y, j)
             for k in range(8):
-                assert np.array_equal(_kernel_dot(xj, yj, coef, _at_line_offset(w, k)), want)
+                assert np.array_equal(f(xj, yj, coef, _at_line_offset(w, k), *rest), want)
+
+
+def test_source_dot_gives_the_recurrence_aligned_block_arrays(monkeypatch):
+    # t and the three term arrays of every source block start on a cache
+    # line, in a sum of three blocks, the last one partial, and in a
+    # one-block sum; t and the steps of the recurrence are numbers
+    seen = []
+
+    def checked_terms(u, v, g0, p, lam=0.5, work=None):
+        seen.append([_line_offset(a) for a in (u, *work)] + [np.ndim(v), np.ndim(g0)])
+        return _terms(u, v, g0, p, lam, work)
+
+    monkeypatch.setattr(legendre, "_terms", checked_terms)
+    rng = np.random.default_rng(131)
+    pts, coef = _shell(rng, (601,), 1.0, 1.0), rng.standard_normal(30)
+    for m in (60, 5):
+        _source_dot(_shell(rng, (m,), 0.1, 0.9), pts, coef, rng.standard_normal(m), False)
+    assert seen == [[0] * 6] * 4
+
+
+@pytest.mark.parametrize("k", [300, 600])
+def test_source_dot_is_scale_free(k):
+    # sources far from unit scale are summed at their norms without squaring
+    # them out of float64.  Inner sources at 2^k: the even degrees give
+    # 2^-k times the degree-0 sum at unit scale bit for bit, as the higher
+    # degrees fall below it by 2^-2k each, and the odd ones are below
+    # 2^-2k.  Outer sources at 2^-k: the even degrees give those of sources
+    # at the center bit for bit, and the odd ones are below 2^-k.
+    rng = np.random.default_rng(137)
+    pts, coef = _shell(rng, (50,), 1.0, 1.0), rng.standard_normal(30)
+    x, q = _shell(rng, (40,), 1.2, 3.0), rng.standard_normal((2, 40))
+    scale = np.abs(coef).sum() * np.abs(q).sum(axis=-1)[:, None]
+    even, odd = _source_dot(np.ldexp(x, k), pts, coef, q, True)
+    assert np.array_equal(even, np.ldexp(_source_dot(x, pts, coef[:1], q, True)[0], -k))
+    assert np.all(np.abs(odd) <= 2.0 ** (-2 * k) * scale)
+    even, odd = _source_dot(np.ldexp(x, -k), pts, coef, q, False)
+    assert np.array_equal(even, _source_dot(0.0 * x, pts, coef, q, False)[0])
+    assert np.all(np.abs(odd) <= 2.0 ** (-k + 2) * scale)
+
+
+def test_source_dot_refuses_sums_that_leave_float64():
+    # outer sources at 2^600 take |x|^n and inner ones at 2^-600 take
+    # |x|^-(n+1): beyond float64 from n = 2 on, a DomainError, not a
+    # warning or an inf; at p = 1 both sums are finite.  An inner source at
+    # the center is a SingularityError, an outer one a charge like any other.
+    rng = np.random.default_rng(139)
+    pts = _shell(rng, (50,), 1.0, 1.0)
+    x, q = _shell(rng, (40,), 1.2, 3.0), rng.standard_normal(40)
+    for far, inner in ((np.ldexp(x, 600), False), (np.ldexp(x, -600), True)):
+        with pytest.raises(qp.DomainError, match="leave the range of float64"):
+            _source_dot(far, pts, np.ones(4), q, inner)
+        assert np.all(np.isfinite(_source_dot(far, pts, np.ones(1), q, inner)))
+    x[17] = 0.0
+    with pytest.raises(qp.SingularityError):
+        _source_dot(x, pts, np.ones(4), q, True)
+    assert np.all(np.isfinite(_source_dot(x, pts, np.ones(4), q, False)))

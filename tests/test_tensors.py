@@ -54,6 +54,28 @@ def test_moments_from_charges():
     assert m.slice(2)[(1, 0, 1)] == pytest.approx(2 * 3.0 - 1 * (-0.5))
 
 
+@pytest.mark.parametrize("p", [2.5, "3", None, True, 0, MAX_ORDER + 1])
+def test_moments_from_charges_refuses_orders_that_are_not_polytensor_orders(p):
+    cloud = qp.PointCharges(np.array([[0.1, 0.2, 0.3]]), np.array([1.0]))
+    with pytest.raises(qp.DomainError, match="order must be"):
+        qp.moments_from_charges(cloud, p)
+    assert qp.moments_from_charges(cloud, np.int64(3)).order == 3
+
+
+@pytest.mark.parametrize("call", [qp.directional_moment, qp.detrace_directional])
+def test_directional_moments_refuse_malformed_directions_and_orders(call):
+    # a scalar, a 2-vector or a NaN direction, and an order that is not an
+    # integer in 0..p-1, each a DomainError that names the argument
+    m = qp.moments_from_charges(qp.PointCharges(np.array([[0.1, 0.2, 0.3]]), np.array([1.0])), 4)
+    for r in (1.0, [1.0, 2.0], [np.nan, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]]):
+        with pytest.raises(qp.DomainError, match="^directions r must be finite 3-vectors$"):
+            call(m, r, 2)
+    for n in (2.5, "1", None, True, -1, 4):
+        with pytest.raises(qp.DomainError, match="^moment order n must be an integer in 0..3"):
+            call(m, [1.0, 0.0, 0.0], n)
+    assert np.shape(call(m, np.eye(3), np.int64(2))) == (3,)
+
+
 def test_directional_moment_matches_dense():
     rng = np.random.default_rng(107)
     a = random_polytensor(rng, 5)

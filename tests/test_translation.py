@@ -4,7 +4,9 @@ from hypothesis import assume, given, settings, strategies as st
 from test_bem import hand_built_scene, nudged_rule
 
 import quadpole as qp
-from quadpole.legendre import _kernel_dot
+from quadpole import legendre
+from quadpole.expansion import _fit
+from quadpole.legendre import _reproducing, _source_dot, _terms
 from quadpole.quadrature import _orbits
 
 
@@ -173,6 +175,30 @@ def test_radii_must_be_finite_and_positive(radius):
             call(radius)
 
 
+@pytest.mark.parametrize("radius", [1e-320, 2.0 ** -1024])
+def test_radii_whose_reciprocal_overflows_are_refused(radius):
+    # fits and shifts divide positions by the radius: at 2^-1024 or below, a
+    # subnormal, that overflows, and the radius is refused by name before
+    # any warning; the next radius up is the smallest taken.  An expansion
+    # only stores its radius, and keeps any finite positive one.
+    near = qp.PointCharges(np.array([[0.0, 0.0, 0.0]]), np.array([1.0]))
+    far = qp.PointCharges(np.array([[3.0, 0.0, 0.0]]), np.array([1.0]))
+    outer = qp.fit_outer(near, np.zeros(3), 1.0, 4)
+    inner = qp.fit_inner(far, np.zeros(3), 1.0, 4)
+    calls = [lambda R: qp.fit_outer(near, np.zeros(3), R, 4),
+             lambda R: qp.fit_inner(far, np.zeros(3), R, 4),
+             lambda R: qp.shift_outer(outer, np.zeros(3), R),
+             lambda R: qp.outer_to_inner(outer, np.array([4.0, 0.0, 0.0]), R),
+             lambda R: qp.shift_inner(inner, np.zeros(3), R)]
+    for call in calls:
+        with pytest.raises(qp.DomainError, match="^radius %r is too small" % radius):
+            call(radius)
+    smallest = np.nextafter(2.0 ** -1024, 1.0)
+    assert qp.fit_outer(near, np.zeros(3), smallest, 4).radius == smallest
+    assert qp.SurfaceExpansion(np.zeros(3), radius, outer.rule, outer.surface_weights, 4,
+                               "outer").radius == radius
+
+
 # shift vectors d = src.center - new_center and the number of the rules' 48
 # signed axis permutations that fix them
 SHIFT_DIRECTIONS = {
@@ -304,9 +330,9 @@ def test_hand_built_rules_match_the_unreduced_oracle(case, p):
 @pytest.mark.parametrize("p", [4, 16, 30])
 def test_shifts_on_a_rule_with_only_the_antipode_are_one_folded_sum(p):
     # the nudged rule keeps only I and -I, and -I fixes no shift but zero, so
-    # each generic shift is one contracted kernel sum at the first point of
-    # each antipodal pair, and must equal that sum, made with the call shape
-    # the shift uses (one row of weights, as a column), bit for bit: the
+    # each generic shift is one source sum at the first point of each
+    # antipodal pair, and must equal that sum, made with the call shape the
+    # shift uses (the weights as one row of charges), bit for bit: the
     # even- plus the odd-degree total at that point, minus at its antipode
     rule = nudged_rule(p)
     d = np.array([0.3, -0.1, 0.2])
@@ -318,13 +344,82 @@ def test_shifts_on_a_rule_with_only_the_antipode_are_one_folded_sum(p):
         src = qp.SurfaceExpansion(center, radius, rule, weights, p, kind)
         out = shift(src, np.zeros(3), new_R)
         rel = src.surface_points / new_R
-        rows = rule.points[half][:, None, :]
-        args = (rel, rows) if out.kind == "outer" else (rows, rel)
-        even, odd = _kernel_dot(*args, coef, weights[None].T[None])
+        even, odd = _source_dot(rel, rule.points[half], coef, weights[None], out.kind == "inner")
         oracle = np.empty(len(rule))
-        oracle[half] = rule.weights[half] * (even + odd)[:, 0]
-        oracle[rule.antipodes[half]] = rule.weights[half] * (even - odd)[:, 0]
+        oracle[half] = rule.weights[half] * (even + odd)[0]
+        oracle[rule.antipodes[half]] = rule.weights[half] * (even - odd)[0]
         assert np.array_equal(out.surface_weights, oracle), shift.__name__
+
+
+@pytest.mark.parametrize("h", [(), (8,)], ids=["one charge set", "8 charge sets"])
+@pytest.mark.parametrize("kind", ["outer", "inner"])
+@pytest.mark.parametrize("p", [1, 4, 16, 30])
+def test_source_sum_matches_the_dense_projection(p, kind, h):
+    # legendre._source_dot at one point of each antipodal pair, even + odd
+    # there and even - odd at the antipode, times the rule weights, against
+    # the fit over every pair by kernel_matrix (unreduced_fit) within 1e-13
+    # of its roundoff scale, with sources on the side of the unit sphere
+    # where the series converges and on the other, and two coefficient sets:
+    # the order-p fit's and one drawn at random, whose oracle is kernel_sum.
+    # Inner sources inside the sphere stay beyond radius 0.8: there the
+    # oracle's own recurrence, with x.x/y.y > 1, loses digits as the powers
+    # grow, 1e-13 of its scale at p = 30 and radius 0.7.  No sources sum to
+    # zero.
+    rule = qp.rule_for_expansion(p)
+    rng = np.random.default_rng(503 + p)
+    half = np.flatnonzero(rule.antipodes > np.arange(len(rule)))
+    coef = np.stack([_reproducing(p), rng.standard_normal(p)], axis=1)
+    bands = {"outer": [(0.05, 0.95), (1.05, 3.0)], "inner": [(1.05, 3.0), (0.8, 0.95)]}
+    for r_min, r_max in bands[kind]:
+        d = rng.standard_normal((150, 3))
+        rel = d * (rng.uniform(r_min, r_max, 150) / np.linalg.norm(d, axis=1))[:, None]
+        q = rng.uniform(-1.0, 1.0, h + (150,))
+        even, odd = _source_dot(rel, rule.points[half], coef, q, kind == "inner")
+        assert even.shape == odd.shape == (2,) + h + (len(half),)
+        got = np.empty((2,) + h + (len(rule),))
+        got[..., half] = rule.weights[half] * (even + odd)
+        got[..., rule.antipodes[half]] = rule.weights[half] * (even - odd)
+        pairs = ((rel[:, None], rule.points[None]) if kind == "outer"
+                 else (rule.points[:, None], rel[None]))
+        K = qp.kernel_sum(*pairs, coef[:, 1])
+        K = K if kind == "outer" else K.T   # (sources, points)
+        for charges, fitted, drawn in zip(q.reshape(-1, 150), got[0].reshape(-1, len(rule)),
+                                          got[1].reshape(-1, len(rule))):
+            want, bound = unreduced_fit(kind, rel, charges, np.abs(charges), rule, p)
+            assert np.all(np.abs(fitted - want) <= 1e-13 * bound)
+            want, bound = rule.weights * (charges @ K), rule.weights * (np.abs(charges) @ np.abs(K))
+            assert np.all(np.abs(drawn - want) <= 1e-13 * bound)
+    none = _source_dot(np.zeros((0, 3)), rule.points[half], coef, np.zeros(h + (0,)),
+                       kind == "inner")
+    assert none.shape == (2, 2) + h + (len(half),) and np.all(none == 0.0)
+
+
+def test_fits_and_shifts_run_the_recurrence_on_cosines_alone(monkeypatch):
+    # every recurrence that a fit or a shift runs has x.x/y.y = 1 and
+    # G_0 = 1 as numbers: its steps are numbers, and no degree multiplies a
+    # block by one value per source
+    seen = []
+
+    def recorded(u, v, g0, p, lam=0.5, work=None):
+        seen[-1].append((np.ndim(v), np.ndim(g0)))
+        return _terms(u, v, g0, p, lam, work)
+
+    rng = np.random.default_rng(509)
+    near, far = random_cloud(rng, 80), random_cloud(rng, 80, offset=(4.0, 0.0, 0.0))
+    origin = np.zeros(3)
+    outer, inner = qp.fit_outer(near, origin, 1.0, 16), qp.fit_inner(far, origin, 1.0, 16)
+    calls = [lambda: qp.fit_outer(near, origin, 1.0, 16),
+             lambda: qp.fit_inner(far, origin, 1.0, 16),
+             lambda: _fit("outer", near, origin, 1.0, [3, 6, 9]),
+             lambda: _fit("inner", far, origin, 1.0, [3, 6, 9]),
+             lambda: qp.shift_outer(outer, np.array([0.2, 0.0, 0.0]), 1.5),
+             lambda: qp.outer_to_inner(outer, np.array([5.0, 1.0, 0.0]), 1.0),
+             lambda: qp.shift_inner(inner, np.array([0.1, 0.2, 0.3]), 0.5)]
+    monkeypatch.setattr(legendre, "_terms", recorded)
+    for call in calls:
+        seen.append([])
+        call()
+    assert all(seen) and all(s == (0, 0) for calls in seen for s in calls)
 
 
 # shift vectors of each class, up to a signed axis permutation drawn with them
