@@ -17,8 +17,8 @@ from functools import cache
 import numpy as np
 
 from .errors import ContractViolation, DomainError, GeometryError, SolverError
-from .expansion import (SurfaceExpansion, _center, _exterior_sum, _interior_sum, _lines,
-                        _numbers, _radius, _require_kind, _side_checked, _surface_set)
+from .expansion import (SurfaceExpansion, _center, _lines, _numbers, _radius, _require_kind,
+                        _side_checked, _surface_set, _surface_sum)
 from .legendre import _BLOCK_PAIRS, _kernel_dot, _normal_sums, _order, _points, kernel_matrix
 from .quadrature import QuadratureRule, _offset_class, _orbits, rule_for_expansion
 
@@ -72,22 +72,22 @@ class FlowSolution:
 
 def single_layer_ext(exp, x):
     """Exterior single-layer potential; identical to the outer-expansion sum."""
-    return _exterior_sum(exp, x, np.ones(exp.order))
+    return _surface_sum(exp, x, np.ones(exp.order), True)
 
 
 def double_layer_ext(exp, x):
     """Exterior double-layer potential, sum of (m/R) L_m terms."""
-    return _exterior_sum(exp, x, np.arange(exp.order) / exp.radius)
+    return _surface_sum(exp, x, np.arange(exp.order) / exp.radius, True)
 
 
 def single_layer_int(exp, y):
     """Interior single-layer potential, sum of L_m(y, R rhat_i) terms."""
-    return _interior_sum(exp, y, np.ones(exp.order))
+    return _surface_sum(exp, y, np.ones(exp.order), False)
 
 
 def double_layer_int(exp, y):
     """Interior double-layer potential, sum of -(m+1)/R L_m terms."""
-    return _interior_sum(exp, y, -(np.arange(exp.order) + 1.0) / exp.radius)
+    return _surface_sum(exp, y, -(np.arange(exp.order) + 1.0) / exp.radius, False)
 
 
 def jump_check(exp, yhat):
@@ -111,11 +111,11 @@ def outer_gradient(exp, x):
     """
     _require_kind(exp, "outer")
     rel = _side_checked(exp, x, outside=True)
-    pts, fold = _surface_set(exp.rule, exp.surface_weights, exp.radius)   # rows w + w', w - w'
-    W = np.concatenate([fold[::-1, :, None] * pts, fold[:, :, None]], axis=2)
+    pts, fold = _surface_set(exp.rule, exp.surface_weights)   # rows w + w', w - w'
+    W = np.concatenate([fold[::-1, :, None] * (exp.radius * pts), fold[:, :, None]], axis=2)
     coef = np.ones((exp.order, 2))
     coef[-1, 0] = 0.0
-    sums = np.add(*_kernel_dot(pts, rel[..., None, :], coef, W, 1.5))
+    sums = np.add(*_kernel_dot(rel, pts, exp.radius, coef, W, True, 1.5))
     return sums[0, ..., :3] - rel * sums[1, ..., 3:]
 
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import (_BLOCK_PAIRS, _aligned, _kernel_dot, _order, _points, _reproducing,
-                       _row_blocks, _source_dot)
+from .legendre import (_BLOCK_PAIRS, _aligned, _kernel_dot, _order, _points, _real,
+                       _reproducing, _row_blocks, _source_dot)
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -43,8 +43,8 @@ class PointCharges:
     charges: np.ndarray     # (M,)
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        q = np.atleast_1d(np.asarray(self.charges, dtype=float))
+        pos = np.atleast_2d(_real(self.positions, "positions"))
+        q = np.atleast_1d(_real(self.charges, "charges"))
         if pos.shape != (len(q), 3):
             raise DomainError("positions must be (M, 3) matching M charges")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(q))):
@@ -80,7 +80,7 @@ class SurfaceExpansion:
         if self.rule.exactness_degree < 2 * self.order - 2:
             raise DomainError("rule exactness inadequate for expansion order")
         object.__setattr__(self, "center", _center(self.center))
-        w = np.asarray(self.surface_weights, dtype=float)
+        w = _real(self.surface_weights, "surface weights")
         if w.shape != (len(self.rule),) or not np.all(np.isfinite(w)):
             raise DomainError("one finite surface weight per quadrature point required")
         object.__setattr__(self, "surface_weights", w)
@@ -99,7 +99,7 @@ class SurfaceExpansion:
 
 def _center(center, name="center"):
     """center as a float array, or a DomainError that calls it name unless a finite 3-vector."""
-    center = np.asarray(center, dtype=float)
+    center = _real(center, name)
     if center.shape != (3,) or not np.all(np.isfinite(center)):
         raise DomainError("%s must be a finite 3-vector" % name)
     return center
@@ -117,6 +117,15 @@ def _radius(R, divisor=False):
     if divisor and R <= 2.0 ** -1024:   # 1 / R is 2^1024 or more
         raise DomainError("radius %r is too small: its reciprocal overflows float64" % float(R))
     return float(R)
+
+
+def _in_radii(positions, center, R):
+    """(positions - center) / R, or a DomainError naming R where a quotient leaves float64."""
+    with np.errstate(over="ignore"):
+        rel = (positions - center) / R
+    if not np.all(np.isfinite(rel)):
+        raise DomainError("radius %r is too small: positions divided by it leave float64" % R)
+    return rel
 
 
 def _require_kind(exp, kind):
@@ -157,8 +166,9 @@ def _fit(kind, sources, center, R, orders, rule=None):
     R = _radius(R, divisor=True)
     rule = rule or rule_for_expansion(max(orders))
     center = _center(center)
-    rel = (sources.positions - center) / R
-    dist = np.linalg.norm(rel, axis=1)
+    rel = _in_radii(sources.positions, center, R)
+    with np.errstate(over="ignore"):   # a source too far to square is far outside
+        dist = np.linalg.norm(sources.positions - center, axis=1) / R
     if kind == "outer":
         diag = {
             "n_sources_outside": int(np.sum(dist > 1.0)),
@@ -242,23 +252,16 @@ def _require_side(r, c, outside):
                             % ("inside" if outside else "outside"))
 
 
-def _exterior_sum(exp, x, coef):
-    """sum_i w_i sum_n coef[n] L_n(R rhat_i, x - c), for x on or outside the sphere.
+def _surface_sum(exp, x, coef, outside):
+    """sum_i w_i sum_n coef[n] L_n at point(s) x and the surface points c + R rhat_i.
 
-    coef may be K sets (p, K) (legendre._kernel_dot); the result then has
-    shape (K,) + x.shape[:-1].
+    L_n(R rhat_i, x - c) for x on or outside the sphere (outside), else
+    L_n(x - c, R rhat_i) for x on or inside it.  coef may be K sets (p, K)
+    (legendre._kernel_dot); the result then has shape (K,) + x.shape[:-1].
     """
-    rel = _side_checked(exp, x, outside=True)
-    pts, w = _surface_set(exp.rule, exp.surface_weights, exp.radius)
-    return np.add(*_kernel_dot(pts, rel[..., None, :], coef, w))
-
-
-def _interior_sum(exp, y, coef):
-    """sum_i w_i sum_n coef[n] L_n(y - c, R rhat_i), for y on or inside the sphere,
-    with coef (p,) or (p, K) as in :func:`_exterior_sum`."""
-    rel = _side_checked(exp, y, outside=False)
-    pts, w = _surface_set(exp.rule, exp.surface_weights, exp.radius)
-    return np.add(*_kernel_dot(rel[..., None, :], pts, coef, w))
+    rel = _side_checked(exp, x, outside)
+    pts, w = _surface_set(exp.rule, exp.surface_weights)
+    return np.add(*_kernel_dot(rel, pts, exp.radius, coef, w, outside))
 
 
 def _half(rule):
@@ -266,8 +269,8 @@ def _half(rule):
     return np.flatnonzero(rule.antipodes > np.arange(len(rule)))
 
 
-def _surface_set(rule, weights, radius=1.0):
-    """The points radius * rhat_i and weights (2, B) + h that the surface sums run over.
+def _surface_set(rule, weights):
+    """The unit points rhat_i and weights (2, B) + h that the surface sums run over.
 
     weights holds h weights per rule point, shape (N,) + h.  The set is one
     point i of each antipodal pair i, i' = rule.antipodes[i], with the set
@@ -278,7 +281,7 @@ def _surface_set(rule, weights, radius=1.0):
     folded = np.empty((2,) + w.shape)
     np.add(w, w_anti, out=folded[0])
     np.subtract(w, w_anti, out=folded[1])
-    return radius * rule.points[half], folded
+    return rule.points[half], folded
 
 
 def _sums_on_rule(exps, at, rho, coef=None):
@@ -315,9 +318,8 @@ def _sums_on_rule(exps, at, rho, coef=None):
     pts, w = _surface_set(first.rule, np.stack(weights, axis=-1))   # w: (2, B, K)
     del weights
     half = _half(at)
-    rows = rho * at.points[half][:, None, :]
     coef = np.ones(first.order) if coef is None else coef
-    sums = _kernel_dot(*((pts, rows) if outer else (rows, pts)), coef, w)
+    sums = _kernel_dot(rho * at.points[half], pts, 1.0, coef, w, outer)
     sums /= radii   # (2,) + sets + (len(half), K)
     even, odd = np.moveaxis(sums, -1, -2)
     out = np.empty(even.shape[:-1] + (len(at),))
@@ -329,13 +331,13 @@ def _sums_on_rule(exps, at, rho, coef=None):
 def eval_outer_potential(exp, x):
     """Potential of an outer expansion at exterior point(s) x."""
     _require_kind(exp, "outer")
-    return _exterior_sum(exp, x, np.ones(exp.order))
+    return _surface_sum(exp, x, np.ones(exp.order), True)
 
 
 def eval_inner_potential(exp, y):
     """Potential of an inner expansion at interior point(s) y."""
     _require_kind(exp, "inner")
-    return _interior_sum(exp, y, np.ones(exp.order))
+    return _surface_sum(exp, y, np.ones(exp.order), False)
 
 
 def eval_point_charge_potential(exp, x):

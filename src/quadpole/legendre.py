@@ -14,28 +14,27 @@ C^lambda_n, it runs on G_n = T_n / k_n,
     b_n = (n-1)(n+2 lambda-2) / (4(n+lambda-1)(n+lambda-2))
 
 _terms is the only code that runs it.  Its callers give it u = x.y/y.y,
-v = x.x/y.y and G_0 = |y|^(-2 lambda), a number or one value per point of
-a set or per row, which it yields unexpanded; the callers refuse y = 0,
-through _ratios or, in _kernel_dot and _source_dot, by their own checks.
-The monic form saves one array pass per degree over the recurrence for
-T_n itself; with v and G_0 numbers, as _source_dot gives them, a degree
-costs three array passes.  At lambda = 1/2, k_n is
-kappa_n = (2n)!/(2^n n!^2), the leading coefficient of P_n, and
-b_n = (n-1)^2/((2n-1)(2n-3)).  The gradient of L_n is the
-same recurrence at lambda = 3/2, since P'_{n+1} = C^{3/2}_n (see
-normal_kernel_sum).  Each sum folds k_n into its own per-degree
-coefficients, and the Legendre polynomial P_n(t) is kappa_n G_n at
-x = t zhat, y = zhat.  Degrees stop at 1000: beyond that, G_n and k_n
-leave the range of float64.
+v = x.x/y.y and G_0 = |y|^(-2 lambda), numbers or one value per pair,
+which it yields unexpanded; the callers refuse y = 0, through _ratios or
+_polar.  The monic form saves one array pass per degree over the
+recurrence for T_n itself; with v and G_0 numbers a degree costs three
+array passes.  At lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the
+leading coefficient of P_n, and b_n = (n-1)^2/((2n-1)(2n-3)).  The
+gradient of L_n is the same recurrence at lambda = 3/2, since
+P'_{n+1} = C^{3/2}_n (see normal_kernel_sum).  Each sum folds k_n into
+its own per-degree coefficients, and the Legendre polynomial P_n(t) is
+kappa_n G_n at x = t zhat, y = zhat.  Degrees stop at 1000: beyond that,
+G_n and k_n leave the range of float64.
 
-kernel_sum returns the sum for every pair.  Fits, shifts, evaluations,
-de-tracing and the outer gradient only contract it with weights, each
-term as the recurrence makes it, with no pair matrix, in one of two
-directions.  Evaluations, energies, layers, de-tracing and the outer
-gradient contract over a point set with _kernel_dot, where T_m, homogeneous
-of degree m in x and -(m + 2 lambda) in y, lets one contraction serve both
-indices.  Fits and shifts contract over their sources with _source_dot,
-which runs the recurrence on cosines alone against the unit rule points.
+kernel_sum returns the sum for every pair.  Every other sum contracts it
+with weights, each term as the recurrence makes it, with no pair matrix,
+against the unit points rhat of a rule taken as exact directions: the
+recurrence runs on the cosines t = xhat.rhat alone, _terms(t, 1, 1), and
+the radial powers stay out of it.  Evaluations, energies, layers,
+de-tracing and the outer gradient contract over the rule's points with
+_kernel_dot, which scales each row's per-degree sums; fits and shifts
+contract over their sources with _source_dot, which folds the powers into
+per-source weights.
 
 Parity.  C^lambda_n has the parity of n, so for every lambda
 
@@ -79,7 +78,7 @@ def legendre_poly(n, t):
     if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
         raise DomainError("polynomial degree must be an integer >= 0, not %r" % (n,))
     kappa = _leading(n + 1, 0.5)
-    t = np.asarray(t, dtype=float)
+    t = _real(t, "t")
     if not np.all(np.abs(t) <= 1.0 + 1e-12):
         raise DomainError("argument outside [-1, 1]")
     *_, g_n = _terms(np.clip(t, -1.0, 1.0), 1.0, np.ones(t.shape), n + 1)
@@ -126,15 +125,15 @@ def _terms(u, v, g0, p, lam=0.5, work=None):
     """Yield G_n = T_n / k_n, n < p, at Gegenbauer index lam, from u = x.y/y.y and v = x.x/y.y.
 
     g0 is G_0 = |y|^(-2 lam): a number, or an array that broadcasts against
-    u, such as one value per point of a set or one per row.  It is yielded
-    as given, unexpanded, so a caller that sums G_0 elsewhere pays nothing
-    for it here.  With v and g0 numbers each step of the recurrence is a
-    number; else it is an array that broadcasts along the terms, one more
-    pass per degree.  The later terms are arrays of the broadcast shape,
-    made in work, three arrays of that shape, if given, so that the row
-    blocks of one sum can share one set of arrays.  Only two terms are
-    kept: the array holding G_n is reused for G_{n+2}, so a consumer must
-    copy what it needs before asking for the next term.
+    u, such as one value per pair.  It is yielded as given, unexpanded, so
+    a caller that sums G_0 elsewhere pays nothing for it here.  With v and
+    g0 numbers each step of the recurrence is a number; else it is an array
+    that broadcasts along the terms, one more pass per degree.  The later
+    terms are arrays of the broadcast shape, made in work, three arrays of
+    that shape, if given, so that the row blocks of one sum can share one
+    set of arrays.  Only two terms are kept: the array holding G_n is
+    reused for G_{n+2}, so a consumer must copy what it needs before asking
+    for the next term.
     """
     yield g0
     if p < 2:
@@ -194,10 +193,9 @@ def _inner_products(x, y):
 # tacc pass at p = 16, 30 from 1.79 to 2.36 MB.
 _BLOCK_PAIRS = 2 ** 14
 
-# _kernel_dot sums at the coordinates it is given while 2 lam |e| is at most
-# this, with its largest |coordinate| in [2^(e-1), 2^e): the squares and the
-# powers r^(2 lam) stay well inside float64 there.  _source_dot takes the
-# norms of its sources at their coordinates while 2 |e| is at most this.
+# _polar takes norms at the coordinates it is given while 2 lam |e| is at
+# most this, with the call's largest |coordinate| in [2^(e-1), 2^e): the
+# squares and the powers r^(2 lam) stay well inside float64 there.
 _SCALE_FREE = 256
 
 
@@ -246,9 +244,18 @@ def _row_blocks(*arrays):
     return batch, [(rows, *(cut(a, rows) for a in arrays)) for rows in blocks]
 
 
+def _real(a, name):
+    """a as a float array, or a DomainError naming it unless its dtype is integer or float:
+    a complex, bool, string or object array is refused, not cast."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise DomainError("%s must be real numbers, not of dtype %s" % (name, a.dtype))
+    return a.astype(float, copy=False)
+
+
 def _points(x, name="evaluation points"):
     """x as a float array, or a DomainError naming it unless it holds finite 3-vectors (..., 3)."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, name)
     if x.shape[-1:] != (3,) or not np.all(np.isfinite(x)):
         raise DomainError("%s must be finite 3-vectors" % name)
     return x
@@ -256,7 +263,7 @@ def _points(x, name="evaluation points"):
 
 def _coefficients(coef):
     """coef as a float array, or a DomainError unless it is finite, of shape (p,), p >= 1."""
-    coef = np.asarray(coef, dtype=float)
+    coef = _real(coef, "coefficients")
     if coef.ndim != 1 or len(coef) < 1 or not np.all(np.isfinite(coef)):
         raise DomainError("coefficients must be finite, shape (p,) with p >= 1")
     return coef
@@ -302,101 +309,65 @@ def kernel_sum(x, y, coef):
     return out[()]   # a numpy scalar for a scalar batch
 
 
-def _kernel_dot(x, y, coef, w, lam=0.5):
-    """Even- and odd-degree totals of sum_b [sum_n coef[n] T_n(x, y)][..., b] w[n % P, b, ...].
+def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5):
+    """Even- and odd-degree totals of sum_b [sum_n coef[n] T_n][..., b] w[n % P, b, ...] at rows x.
 
-    T_n are the Gegenbauer terms at index lam (module docstring), L_n at 1/2.
+    T_n are the Gegenbauer terms at index lam (module docstring), L_n at
+    1/2: T_n(R rhat_b, x) for rows outside the sphere of radius R
+    (outside), as in evaluations, the exterior layers and the outer
+    gradient, else T_n(x, R rhat_b), with rhat_b the unit vectors of pts
+    (B, 3) and the rows x (..., 3).  Degree n is contracted with w[n % P],
+    w of shape (P, B) + h: P = 1 is one weight per point, P = 2 the set fold
+    (module docstring) with the rows w + w' and w - w', and P = p one weight
+    per degree, such as the moments sum_s w_s R_s^n of shells of radii R_s.
+    coef holds per-degree coefficients (p,) or sets (p,) + sets, such as
+    the radial factors of L_n(x, r_k u) = r_k^-(n+1) L_n(x, u); each set is
+    the sum with its own coefficients (p,) bit for bit, as only the last
+    contraction is taken per set.  The result has shape
+    (2,) + sets + x.shape[:-1] + h: the sum over the even degrees, then over
+    the odd, kept apart for the row fold.
 
-    One of x and y is the point set summed over, shape (B, 3); the other
-    is one point (3,) or points (..., 1, 3) that vary along the leading
-    batch axes only: the rows.  w has shape (P, B) + h, and degree n is
-    contracted with w[n % P]: P = 1 is one weight per set point, P = 2 the
-    set fold (module docstring) with the rows w + w' and w - w', and P = p
-    one weight per degree, such as the moments sum_s w_s R_s^n of shells
-    of radii R_s, as L_n(R u, x) = R^n L_n(u, x).  The result has shape
-    (2,) + batch[:-1] + h: the sum over the even degrees, then over the
-    odd, kept apart for the row fold.
-
-    coef may also hold coefficient sets, shape (p,) + sets, such as the
-    radial factors r_k^-(n+1) of L_n(x, r_k u) = r_k^-(n+1) L_n(x, u); the
-    result then has shape (2,) + sets + batch[:-1] + h.  The recurrence
-    and the per-degree sums are made once and only the last contraction
-    is taken per set, one set at a time, so each set is the sum with its
-    own coefficients (p,) bit for bit.
-
-    No pair matrix is made: the rows are taken in blocks of about 2^14
-    pairs, in four block arrays from _aligned, and each monic term G_n of
-    a block is contracted with w by one matmul as the recurrence produces
-    it.  The recurrence runs on the rows' unit directions and on the set
-    divided by s, the smallest |y|, where T_n is homogeneous of degree n
-    in x and -(n + 2 lam) in y:
-
-        T_n(x, y) = (s/|y|)^n |y|^(-2 lam)  T_n(x/s, yhat)    (rows y)
-        T_n(x, y) = (|x|/s)^n s^(-2 lam)    T_n(xhat, y/s)    (rows x)
-
-    So v = x.x/y.y and G_0 = |y|^(-2 lam) are one number per set point, or
-    one number, and G_0, which does not depend on the row, is contracted
-    once per call.  A v per set point is broadcast along the block's rows
-    once per degree, a pass that _source_dot, with v a number, does not
-    make.  The row factors, with coef[n] k_n, scale only the per-degree
-    sums; both are at most 1 where the series converges, |x| <= |y|.  Far
-    from unit scale x and y are first scaled by a power of two
-    (_SCALE_FREE), so that the result does not depend on the scale, or is a
-    DomainError where its largest value leaves the normal range of float64.
-    The contractions are summed by the BLAS, so, as with
-    expansion._coulomb, the last bits of a result can depend on the block
-    layout and differ from kernel_sum(x, y, coef) @ w[0].
+    pts must be unit vectors, as the points of a QuadratureRule are, and are
+    taken as exact directions, as in _source_dot: with t = xhat.rhat_b,
+    T_n = (a/b)^n b^(-2 lam) k_n G_n(t), where a = R and b = |x| outside,
+    a = |x| and b = R inside, so the results differ from kernel_sum's by
+    roundoff.  The rows are taken in blocks of about 2^14 pairs, in four
+    block arrays from _aligned: one matmul gives t, the recurrence runs on t
+    alone, _terms(t, 1, 1), and each G_n is contracted with w by one matmul
+    as it is made.  G_0 = 1, so degree 0 is the column sum of w[0], made
+    once.  The row factors (a/b)^n b^(-2 lam), with coef[n] k_n, scale only
+    the per-degree sums.  Far from unit scale x and R are first scaled by a
+    power of two (_polar), so that the result does not depend on the scale,
+    or is a DomainError where it leaves the normal range of float64.  A row
+    at 0 is a SingularityError outside.  The matmuls are summed by the
+    BLAS, so the last bits of a result can depend on the block layout.
     """
-    if len(coef) < 1:
-        raise DomainError("at least one coefficient required")
-    x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
+    p, sets, lead, h = len(coef), coef.shape[1:], x.shape[:-1], w.shape[2:]
     # T_n(2^-e x, 2^-e y) = 2^(2 lam e) T_n(x, y): far from unit scale, where
-    # x.x, y.y or r^(2 lam) would leave float64, the sum runs on x and y
-    # scaled by 2^-e, exactly, and is scaled back at the end
+    # x.x or r^(2 lam) would leave float64, the sum runs on x and R scaled by
+    # 2^-e, exactly, and is scaled back at the end
     power = round(2 * lam)
-    e = math.frexp(max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))[1]
-    if power * abs(e) > _SCALE_FREE:
-        x, y = np.ldexp(x, -e), np.ldexp(y, -e)
-    else:
-        e = 0
-    rows_are_y = x.ndim == 2 and y.shape[-2:-1] in ((), (1,))
-    pts, rows = (x, y) if rows_are_y else (y, x)
-    if pts.ndim != 2 or rows.shape[-2:-1] not in ((), (1,)) or w.shape[1:2] != pts.shape[:1]:
-        raise ValueError("need a point set (B, 3), points (..., 1, 3) and weights (P, B) + h")
-    lead, rows = rows.shape[:-2], rows.reshape(-1, 3)
-    r = np.sqrt(_dot(rows, rows))
-    y_norms = r if rows_are_y else np.sqrt(_dot(pts, pts))
-    if np.any(y_norms <= 0.0):
-        raise SingularityError("second argument must be nonzero")
-    s = y_norms.min() if y_norms.size else 1.0
-    pts = pts / s
-    pp = _dot(pts, pts)
-    if not rows_are_y:   # so that one matmul gives u = x.y/y.y (y.y = 1 where the rows are y)
-        pts /= pp[:, None]
-    v, g0 = (pp, 1.0) if rows_are_y else (1.0 / pp, pp ** -lam)
-    rows = rows / np.where(r > 0.0, r, 1.0)[:, None]   # a zero row x stays zero
-    # 1 / r ** (2 lam): r ** -1.0 can differ from 1 / r in the last bit
-    ratio, mu = ((s / r, 1.0 / r ** (2 * lam)) if rows_are_y
-                 else (r / s, np.full(len(r), 1.0 / s ** (2 * lam))))
-    coef = np.asarray(coef, dtype=float)
-    p, sets = len(coef), coef.shape[1:]
+    r, dirs, e = _polar(x.reshape(-1, 3), max(np.abs(x).max(initial=0.0), R), power, outside)
+    R = math.ldexp(R, -e)
+    a, b = (R, r) if outside else (r, R)   # |x| and |y| of T_n(x, y)
+    # 1 / b ** (2 lam): b ** -1.0 can differ from 1 / b in the last bit
+    ratio, mu = a / b, np.broadcast_to(1.0 / b ** (2 * lam), r.shape)
     columns = coef.reshape(p, -1).T * _leading(p, lam)   # one row per set, in the sets' order
-    degrees = np.arange(p)[:, None]
-    _, blocks = _row_blocks(rows[:, None, :], pts)
-    h = w.shape[2:]
-    out = np.empty((2, len(columns), len(rows)) + h)
-    g0_sum = np.broadcast_to(g0, pts.shape[:1]) @ w[0]
-    # one set of block arrays, u and the terms, shared by the blocks
-    work = _aligned(4, (max((len(rb) for _, rb, _ in blocks), default=0), len(pts)))
-    for block, rb, _ in blocks:
-        sums = np.empty((p, len(rb)) + h)
+    out = np.empty((2, len(columns), len(r)) + h)
+    g0_sum = w[0].sum(axis=0)
+    step = max(1, _BLOCK_PAIRS // max(1, len(pts)))
+    # one set of block arrays, t and the terms, shared by the blocks
+    work = _aligned(4, (min(step, len(r)), len(pts)))
+    for start in range(0, len(r), step):
+        block, db = slice(start, start + step), dirs[start:start + step]
+        sums = np.empty((p, len(db)) + h)
         sums[0] = g0_sum
-        u = np.matmul(rb[:, 0], pts.T, out=work[0][:len(rb)])
-        terms = _terms(u, v, g0, p, lam, work=[a[:len(rb)] for a in work[1:]])
-        next(terms)   # G_0, summed above
+        t = np.matmul(db, pts.T, out=work[0][:len(db)])
+        terms = _terms(t, 1.0, 1.0, p, lam, work=[buf[:len(db)] for buf in work[1:]])
+        next(terms)   # G_0 = 1, summed above
         for n, g in enumerate(terms, 1):
             np.matmul(g, w[n % len(w)], out=sums[n])
-        factors = columns[:, :, None] * ratio[block] ** degrees * mu[block]
+        factors = columns[:, :, None] * ratio[block] ** np.arange(p)[:, None] * mu[block]
         for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
             for parity in (0, 1):
                 np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
@@ -411,6 +382,23 @@ def _kernel_dot(x, y, coef, w, lam=0.5):
     return out
 
 
+def _polar(x, scale, power, singular):
+    """Norms r and unit directions of the points x (M, 3), at 2^-e x, and e.
+
+    e is 0 unless power |e| exceeds _SCALE_FREE, with scale, the call's
+    largest coordinate, in [2^(e-1), 2^e): the norms are then taken without
+    squaring x out of float64.  A point at 0 has direction 0, and is a
+    SingularityError where it is the kernel's second argument (singular).
+    """
+    e = math.frexp(scale)[1]
+    e = e if power * abs(e) > _SCALE_FREE else 0
+    x = np.ldexp(x, -e) if e else x
+    r = np.sqrt(_dot(x, x))
+    if singular and not r.all():
+        raise SingularityError("second argument must be nonzero")
+    return r, x / np.where(r > 0.0, r, 1.0)[:, None], e
+
+
 def _source_dot(x, pts, coef, q, inner):
     """Even- and odd-degree totals of sum_i q[..., i] sum_n coef[n] L_n at each point of pts.
 
@@ -422,11 +410,9 @@ def _source_dot(x, pts, coef, q, inner):
     (p,) + sets, and the result has shape (2,) + sets + h + (B,): the sum
     over the even degrees, then over the odd, kept apart for the row fold.
 
-    pts must be unit vectors, as the points of a QuadratureRule are, and are
-    taken as exact directions: L_n = a_i^(n+o) kappa_n G_n(t), with
-    t = xhat_i.rhat_b, and a_i = |x_i|, o = 0 for the outer kind or
-    a_i = 1/|x_i|, o = 1 for the inner.  The results therefore differ
-    from _kernel_dot's, which takes |rhat_b| as it is, by roundoff.
+    pts must be unit vectors, taken as exact directions, as in _kernel_dot:
+    L_n = a_i^(n+o) kappa_n G_n(t), with t = xhat_i.rhat_b, and a_i = |x_i|,
+    o = 0 for the outer kind or a_i = 1/|x_i|, o = 1 for the inner.
 
     The sources are taken in blocks, the points whole.  For each block one
     matmul gives t, and the recurrence runs on t alone, _terms(t, 1, 1):
@@ -436,12 +422,10 @@ def _source_dot(x, pts, coef, q, inner):
     made once per block, and a degree is one matmul of them with G_n, added
     to its parity's total.  The four block arrays, from _aligned, the
     powers and the weights hold about 4 * 2^14 numbers.  Sources far from
-    unit scale are scaled by a power of two to take their norms; a sum that
-    leaves float64 is a DomainError, and an inner source at 0 a
+    unit scale are scaled by a power of two to take their norms (_polar); a
+    sum that leaves float64 is a DomainError, and an inner source at 0 a
     SingularityError.
     """
-    if len(coef) < 1:
-        raise DomainError("at least one coefficient required")
     x, pts, q = (np.asarray(a, dtype=float) for a in (x, pts, q))
     coef = np.asarray(coef, dtype=float)
     p, sets, h = len(coef), coef.shape[1:], q.shape[:-1]
@@ -450,11 +434,7 @@ def _source_dot(x, pts, coef, q, inner):
     n_sets, n_pts = columns.shape[1], len(pts)
     width = n_sets * len(charges)   # the rows of a degree's weights and totals
     exponents = np.arange(p, dtype=float)[:, None] + (1.0 if inner else 0.0)   # n + o
-    e = math.frexp(np.abs(x).max(initial=0.0))[1]
-    if 2 * abs(e) > _SCALE_FREE:
-        x = np.ldexp(x, -e)
-    else:
-        e = 0
+    scale = np.abs(x).max(initial=0.0)
     step = max(1, 4 * _BLOCK_PAIRS // (4 * n_pts + p * width + p * n_sets))
     out = np.zeros((2, width, n_pts))
     totals = [out[n % 2] for n in range(1, p)]   # degree n's parity total
@@ -463,31 +443,27 @@ def _source_dot(x, pts, coef, q, inner):
     weights_buf, tmp = np.empty(p * width * min(step, len(x))), np.empty((width, n_pts))
     with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
         for start in range(0, len(x), step):
-            xb = x[start:start + step]
-            r = np.sqrt(_dot(xb, xb))
-            if inner and not r.all():
-                raise SingularityError("second argument must be nonzero")
-            t = np.matmul(xb / np.where(r > 0.0, r, 1.0)[:, None], pts.T,
-                          out=work[0][:len(xb)])   # a zero source x stays zero
-            if e:
-                r = np.ldexp(r, e)
+            # t holds the directions, then their cosines: no directions are kept
+            r, t, e = _polar(x[start:start + step], scale, 2, inner)
+            t = np.matmul(t, pts.T, out=work[0][:len(t)])   # a zero source x stays zero
+            r = np.ldexp(r, e)
             # a^(n+o) coef[n] kappa_n, one row per set, times the charges
-            scaled = np.empty((p, n_sets, len(xb)))
+            scaled = np.empty((p, n_sets, len(r)))
             np.power(1.0 / r if inner else r, exponents, out=scaled[:, 0])
             scaled[:, 1:] = scaled[:, :1]
             scaled *= columns[:, :, None]
-            weights = weights_buf[:p * width * len(xb)].reshape(p, width, len(xb))
+            weights = weights_buf[:p * width * len(r)].reshape(p, width, len(r))
             np.multiply(scaled[:, :, None, :], charges[:, start:start + step],
-                        out=weights.reshape(p, n_sets, len(charges), len(xb)))
+                        out=weights.reshape(p, n_sets, len(charges), len(r)))
             g0_sum += weights[0].sum(axis=-1)
-            terms = _terms(t, 1.0, 1.0, p, work=[a[:len(xb)] for a in work[1:]])
+            terms = _terms(t, 1.0, 1.0, p, work=[a[:len(r)] for a in work[1:]])
             next(terms)
             for total, w, g in zip(totals, weights[1:], terms):
                 total += np.matmul(w, g, out=tmp)
         out[0] += g0_sum[:, None]
         if not np.all(np.isfinite(out)):
             raise DomainError("kernel sums over sources near 2^%d leave the range of float64"
-                              % (math.frexp(np.abs(x).max(initial=0.0))[1] + e))
+                              % math.frexp(scale)[1])
     return out.reshape((2,) + sets + h + (n_pts,))
 
 

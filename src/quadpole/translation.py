@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import GeometryError
-from .expansion import _SLACK, _center, _project, _radius, _require_kind
+from .expansion import _SLACK, _center, _in_radii, _project, _radius, _require_kind
 from .legendre import _reproducing
 from .quadrature import _orbits
 
@@ -26,7 +26,7 @@ def _refit(src, kind, new_center, new_R):
     against the weights permuted by each symmetry (expansion._project).
     """
     k, _, reps = _orbits(src.rule, src.rule, src.center - new_center)
-    rel = (src.surface_points - new_center) / new_R
+    rel = _in_radii(src.surface_points, new_center, new_R)
     weights = _project(kind, rel, src.surface_weights, src.rule, _reproducing(src.order), k, reps)
     return replace(src, center=new_center, radius=new_R, surface_weights=weights,
                    kind=kind, diagnostics=None)
@@ -46,7 +46,8 @@ def outer_to_inner(src, new_center, new_R):
     """Outer -> inner shift (multipole-to-local translation)."""
     _require_kind(src, "outer")
     new_center, new_R = _center(new_center), _radius(new_R, divisor=True)
-    dist = np.linalg.norm(src.surface_points - new_center, axis=1) / new_R
+    with np.errstate(over="ignore"):   # too far to divide is far outside: _refit refuses it
+        dist = np.linalg.norm(src.surface_points - new_center, axis=1) / new_R
     bad = np.nonzero(dist <= 1.0 + _SLACK)[0]
     if bad.size:
         raise GeometryError(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -615,7 +617,7 @@ def test_sums_on_rule_match_the_evaluations(at, sets):
     # rhat_j the points of an evaluation rule, against each one's evaluation
     # there (coefficient sets: the sums that racc makes), within 1e-14 of
     # sum |w| / R, the size of the potential on the sphere
-    from quadpole.expansion import _exterior_sum, _interior_sum, _sums_on_rule
+    from quadpole.expansion import _sums_on_rule, _surface_sum
     rng = np.random.default_rng(101)
     at, p = qp.lebedev_rule(at), 8
     rule = qp.rule_for_expansion(p)
@@ -624,16 +626,17 @@ def test_sums_on_rule_match_the_evaluations(at, sets):
     inner = [qp.fit_inner(random_cloud(rng, 30, offset=(5.0, 0.0, 0.0)), c, R, p, rule=rule)
              for c, R in (([0.0, 0.0, 0.0], 1.0), ([0.5, 0.5, 0.0], 2.0),
                           ([-1.0, 0.0, 0.3], 0.25), ([0.0, 1.0, 1.0], 1.5))]
-    for exps, rho, evaluate, total in (
-            (outer, 1.0, qp.eval_outer_potential, _exterior_sum),
-            (outer, 2.5, qp.eval_outer_potential, _exterior_sum),
-            (inner, 1.0, qp.eval_inner_potential, _interior_sum),
-            (inner, 0.6, qp.eval_inner_potential, _interior_sum)):
+    for exps, rho, evaluate, outside in (
+            (outer, 1.0, qp.eval_outer_potential, True),
+            (outer, 2.5, qp.eval_outer_potential, True),
+            (inner, 1.0, qp.eval_inner_potential, False),
+            (inner, 0.6, qp.eval_inner_potential, False)):
         got = _sums_on_rule(iter(exps), at, rho, coef)
         assert got.shape == (() if sets is None else (sets,)) + (len(exps), len(at))
         for k, e in enumerate(exps):
             targets = e.center + rho * e.radius * at.points
-            want = evaluate(e, targets) if sets is None else total(e, targets, coef)
+            want = (evaluate(e, targets) if sets is None
+                    else _surface_sum(e, targets, coef, outside))
             tol = 1e-14 * np.sum(np.abs(e.surface_weights)) / e.radius
             assert np.all(np.abs(got[..., k, :] - want) <= tol)
 
@@ -844,3 +847,50 @@ def test_surface_line_count_names_both_counts():
         qp.expansion_from_text(text.rsplit("\n", 2)[0] + "\n")
     with pytest.raises(qp.DomainError, match=r"line 1: .* 14 points, but 15 surface lines"):
         qp.expansion_from_text(text + "0 0 1 0\n")
+
+
+def _retyped(value, kind):
+    """The real value as an array of the given dtype kind."""
+    a = np.asarray(value, dtype=float)
+    return {"complex": a + 1j, "bool": a != 0.0, "str": a.astype(str),
+            "object": a.astype(object)}[kind]
+
+
+def _entry_points():
+    """(call of one argument, a real value that it takes, the argument's name) by entry point."""
+    sources = qp.PointCharges(np.array([[0.1, 0.0, 0.0]]), np.array([1.0]))
+    exp = qp.fit_outer(sources, np.zeros(3), 1.0, 4)
+    pt = qp.moments_from_charges(sources, 4)
+    return {
+        "eval_outer_potential": (lambda v: qp.eval_outer_potential(exp, v), [2.0, 0.0, 5.0],
+                                 "evaluation points"),
+        "direct_potential": (lambda v: qp.direct_potential(sources, v), [2.0, 0.0, 5.0],
+                             "evaluation points"),
+        "kernel_sum x": (lambda v: qp.kernel_sum(v, [0.0, 0.0, 2.0], [1.0, 1.0]), [1.0, 0.0, 0.0],
+                         "x"),
+        "kernel_sum coef": (lambda v: qp.kernel_sum([1.0, 0.0, 0.0], [0.0, 0.0, 2.0], v),
+                            [1.0, 1.0], "coefficients"),
+        "PointCharges positions": (lambda v: qp.PointCharges(v, [1.0]), [[0.0, 0.0, 1.0]],
+                                   "positions"),
+        "PointCharges charges": (lambda v: qp.PointCharges([[0.0, 0.0, 1.0]], v), [1.0],
+                                 "charges"),
+        "fit_outer center": (lambda v: qp.fit_outer(sources, v, 1.0, 4), [0.0, 0.0, 0.0],
+                             "center"),
+        "SurfaceExpansion weights": (lambda v: replace(exp, surface_weights=v),
+                                     exp.surface_weights, "surface weights"),
+        "detrace_directional": (lambda v: qp.detrace_directional(pt, v, 2), [1.0, 0.0, 0.0],
+                                "directions r"),
+        "legendre_poly": (lambda v: qp.legendre_poly(3, v), 0.5, "t"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["complex", "bool", "str", "object"])
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+def test_arrays_that_are_not_real_numbers_are_refused(entry, kind):
+    # a complex, bool, string or object array is a DomainError that names
+    # the argument, not a number with its imaginary part dropped (a
+    # ComplexWarning) or a bare TypeError; the same values as floats pass
+    call, value, name = _entry_points()[entry]
+    call(value)
+    with pytest.raises(qp.DomainError, match="^%s must be real numbers" % name):
+        call(_retyped(value, kind))

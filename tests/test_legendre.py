@@ -391,43 +391,46 @@ def test_terms_with_number_steps_match_array_steps(p, lam):
 @pytest.mark.parametrize("h", [(), (1,), (8,)], ids=["vector", "h=1", "h=8"])
 def test_kernel_dot_matches_kernel_sum(p, targets, h):
     # the contracted sum against the kernel sum times the weights, within
-    # 1e-14 of sum |K||w|: the summed set as the first argument with the
-    # targets outside it, as in a fit or an exterior sum, and as the second
-    # with the targets inside it, as in an interior sum; a point of the set
-    # and a target sit at the origin, and 40 targets make two row blocks.
+    # 1e-14 of sum |K||w|: the set R rhat_b, rhat_b unit vectors, as the
+    # first argument with the targets outside it, as in an exterior sum, and
+    # as the second with the targets inside it, as in an interior sum; a
+    # target sits at the origin, and 40 targets make two row blocks.
     # Three coefficient sets are each held to the same bound.
     rng = np.random.default_rng(17 + p)
     coef = rng.standard_normal(p)
     sets = rng.standard_normal((p, 3))
-    inner = _shell(rng, (700,), 0.0, 1.0)
-    inner[0] = 0.0
-    outer = _shell(rng, (700,), 1.0, 3.0)
-    far = _shell(rng, targets, 1.2, 4.0)[..., None, :]
-    near = _shell(rng, targets, 0.0, 0.9)[..., None, :]
+    pts = _shell(rng, (700,), 1.0, 1.0)
+    far = _shell(rng, targets, 1.2, 4.0)
+    near = _shell(rng, targets, 0.0, 0.9)
     near.reshape(-1, 3)[0] = 0.0
-    for x, y, empty in ((inner, far, (inner[:0], far)), (near, outer, (near, outer[:0]))):
+    for rows, R, outside in ((far, 0.8, True), (near, 1.7, False)):
+        args = _pair(rows, pts, R, outside)
         w = rng.standard_normal((700,) + h)
-        K = kernel_sum(x, y, coef)
+        K = kernel_sum(*args, coef)
         expect, scale = K @ w, np.abs(K) @ np.abs(w)
-        got = np.add(*_kernel_dot(x, y, coef, w[None]))   # the even- plus the odd-degree total
+        # the even- plus the odd-degree total
+        got = np.add(*_kernel_dot(rows, pts, R, coef, w[None], outside))
         assert np.shape(got) == np.shape(expect) == targets + h
         assert np.all(np.abs(got - expect) <= 1e-14 * scale)
-        got = np.add(*_kernel_dot(x, y, sets, w[None]))
+        got = np.add(*_kernel_dot(rows, pts, R, sets, w[None], outside))
         assert got.shape == (3,) + targets + h
         for k, c in enumerate(sets.T):
-            K = kernel_sum(x, y, c)
+            K = kernel_sum(*args, c)
             assert np.all(np.abs(got[k] - K @ w) <= 1e-14 * (np.abs(K) @ np.abs(w)))
         # no sources: zero sums of the same shape
-        got = _kernel_dot(*empty, coef, w[None, :0])
+        got = _kernel_dot(rows, pts[:0], R, coef, w[None, :0], outside)
         assert np.shape(got) == (2,) + targets + h and np.all(got == 0.0)
-        got = _kernel_dot(*empty, sets, w[None, :0])
+        got = _kernel_dot(rows, pts[:0], R, sets, w[None, :0], outside)
         assert np.shape(got) == (2, 3) + targets + h and np.all(got == 0.0)
-    # a zero second argument, as a target or in the set, is singular
+    # a zero second argument, a target outside the set, is singular
     with pytest.raises(qp.SingularityError):
-        _kernel_dot(inner, np.zeros(targets + (1, 3)), coef, np.ones((1, 700)))
-    outer[5] = 0.0
-    with pytest.raises(qp.SingularityError):
-        _kernel_dot(near, outer, coef, np.ones((1, 700)))
+        _kernel_dot(np.zeros(targets + (3,)), pts, 0.8, coef, np.ones((1, 700)), True)
+
+
+def _pair(rows, pts, R, outside):
+    """kernel_sum's arguments for _kernel_dot(rows, pts, R, ..., outside), rows as (..., 1, 3)."""
+    rows = rows[..., None, :]
+    return (R * pts, rows) if outside else (rows, R * pts)
 
 
 def _three_halves_terms(x, y, p):
@@ -448,15 +451,15 @@ def test_kernel_dot_at_three_halves_matches_legendre_derivatives(p, scale):
     # the second with the rows inside it, at three scales
     rng = np.random.default_rng(29 + p)
     coef = rng.standard_normal(p)
-    inner, outer = _shell(rng, (300,), 0.1, 1.0) * scale, _shell(rng, (300,), 1.0, 3.0) * scale
-    far = _shell(rng, (40,), 1.2, 4.0)[:, None, :] * scale
-    near = _shell(rng, (40,), 0.1, 0.9)[:, None, :] * scale
+    pts = _shell(rng, (300,), 1.0, 1.0)
+    far = _shell(rng, (40,), 1.2, 4.0) * scale
+    near = _shell(rng, (40,), 0.1, 0.9) * scale
     w = rng.standard_normal((300, 2))
-    for x, y in ((inner, far), (near, outer)):
-        terms = _three_halves_terms(x, y, p)
+    for rows, R, outside in ((far, 0.8 * scale, True), (near, 1.7 * scale, False)):
+        terms = _three_halves_terms(*_pair(rows, pts, R, outside), p)
         expect = np.tensordot(coef, terms, axes=(0, 0)) @ w
         bound = np.tensordot(np.abs(coef), np.abs(terms), axes=(0, 0)) @ np.abs(w)
-        got = np.add(*_kernel_dot(x, y, coef, w[None], 1.5))
+        got = np.add(*_kernel_dot(rows, pts, R, coef, w[None], outside, 1.5))
         assert got.shape == (40, 2)
         assert np.all(np.abs(got - expect) <= 1e-13 * bound)
 
@@ -471,17 +474,19 @@ def test_kernel_dot_coefficient_sets_match_single_sets(p, targets, h):
     # two (P = 2); 120 rows against 300 points make three row blocks
     rng = np.random.default_rng(43 + p)
     coef = rng.standard_normal((p, 5))
-    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
-    far = _shell(rng, targets, 1.2, 4.0)[..., None, :]
-    near = _shell(rng, targets, 0.0, 0.9)[..., None, :]
-    for x, y in ((inner, far), (near, outer)):
+    pts = _shell(rng, (300,), 1.0, 1.0)
+    far = _shell(rng, targets, 1.2, 4.0)
+    near = _shell(rng, targets, 0.0, 0.9)
+    for rows, R, outside in ((far, 0.8, True), (near, 1.7, False)):
         w = rng.standard_normal((300,) + h)
         for weights in (w[None], np.stack([w, rng.standard_normal((300,) + h)])):
-            got = _kernel_dot(x, y, coef, weights)
+            got = _kernel_dot(rows, pts, R, coef, weights, outside)
             assert got.shape == (2, 5) + targets + h
             for k in range(5):
-                assert np.array_equal(got[:, k], _kernel_dot(x, y, coef[:, k], weights))
-            assert np.array_equal(_kernel_dot(x, y, coef[:, :1], weights), got[:, :1])
+                assert np.array_equal(got[:, k],
+                                      _kernel_dot(rows, pts, R, coef[:, k], weights, outside))
+            assert np.array_equal(_kernel_dot(rows, pts, R, coef[:, :1], weights, outside),
+                                  got[:, :1])
 
 
 @pytest.mark.parametrize("p", [2, 9])
@@ -490,14 +495,15 @@ def test_kernel_dot_sets_on_two_axes_keep_their_order(p):
     # with the set as the first argument and as the second
     rng = np.random.default_rng(59 + p)
     coef = rng.standard_normal((p, 2, 3))
-    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
-    far, near = _shell(rng, (40, 1), 1.2, 4.0), _shell(rng, (40, 1), 0.0, 0.9)
+    pts = _shell(rng, (300,), 1.0, 1.0)
+    far, near = _shell(rng, (40,), 1.2, 4.0), _shell(rng, (40,), 0.0, 0.9)
     w = rng.standard_normal((1, 300))
-    for x, y in ((inner, far), (near, outer)):
-        got = _kernel_dot(x, y, coef, w)
+    for rows, R, outside in ((far, 0.8, True), (near, 1.7, False)):
+        got = _kernel_dot(rows, pts, R, coef, w, outside)
         assert got.shape == (2, 2, 3, 40)
         for i, j in np.ndindex(2, 3):
-            assert np.array_equal(got[:, i, j], _kernel_dot(x, y, coef[:, i, j], w))
+            one = _kernel_dot(rows, pts, R, coef[:, i, j], w, outside)
+            assert np.array_equal(got[:, i, j], one)
 
 
 @pytest.mark.parametrize("side", ["outside", "inside"])
@@ -516,23 +522,23 @@ def test_kernel_dot_weights_per_degree_fold_shells(side):
     radii = rng.uniform(1.0, 2.0, 40)
     w = rng.standard_normal((40, len(rule)))
     coef, n = np.ones(p), np.arange(p)[:, None]
-    if side == "outside":
-        x = _shell(rng, (25, 1), 2.5, 5.0)
+    outside = side == "outside"
+    if outside:
+        x = _shell(rng, (25,), 2.5, 5.0)
         moments = radii ** n @ w
-        got = np.add(*_kernel_dot(rule.points, x, coef, moments))
-        shells = [(R * rule.points, x) for R in radii]
     else:
-        x = _shell(rng, (25, 1), 0.0, 0.8)
+        x = _shell(rng, (25,), 0.0, 0.8)
         moments = radii ** -(n + 1.0) @ w
-        got = np.add(*_kernel_dot(x, rule.points, coef, moments))
-        shells = [(x, R * rule.points) for R in radii]
-    expect = sum(np.add(*_kernel_dot(*args, coef, ws[None])) for args, ws in zip(shells, w))
-    scale = sum(np.abs(kernel_sum(*args, coef)) @ np.abs(ws) for args, ws in zip(shells, w))
+    got = np.add(*_kernel_dot(x, rule.points, 1.0, coef, moments, outside))
+    expect = sum(np.add(*_kernel_dot(x, rule.points, R, coef, ws[None], outside))
+                 for R, ws in zip(radii, w))
+    scale = sum(np.abs(kernel_sum(*_pair(x, rule.points, R, outside), coef)) @ np.abs(ws)
+                for R, ws in zip(radii, w))
     assert got.shape == (25,)
     assert np.all(np.abs(got - expect) <= 1e-14 * scale)
-    args = shells[0]
-    assert np.array_equal(_kernel_dot(*args, coef, np.stack([w[0], w[0]])),
-                          _kernel_dot(*args, coef, w[:1]))
+    args = (x, rule.points, radii[0], coef)
+    assert np.array_equal(_kernel_dot(*args, np.stack([w[0], w[0]]), outside),
+                          _kernel_dot(*args, w[:1], outside))
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
@@ -541,13 +547,13 @@ def test_kernel_dot_is_homogeneous_far_from_unit_scale(scale):
     # leave float64 at these scales, so the recurrence runs on scaled points
     rng = np.random.default_rng(23)
     coef = rng.standard_normal(60)
-    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
-    far, near = _shell(rng, (9, 1), 1.2, 4.0), _shell(rng, (9, 1), 0.0, 0.9)
+    pts = _shell(rng, (300,), 1.0, 1.0)
+    far, near = _shell(rng, (9,), 1.2, 4.0), _shell(rng, (9,), 0.0, 0.9)
     w = rng.standard_normal(300)
-    for x, y in ((inner, far), (near, outer)):
-        expect = np.add(*_kernel_dot(x, y, coef, w[None]))
-        bound = np.abs(kernel_sum(x, y, coef)) @ np.abs(w)
-        got = scale * np.add(*_kernel_dot(scale * x, scale * y, coef, w[None]))
+    for rows, R, outside in ((far, 0.8, True), (near, 1.7, False)):
+        expect = np.add(*_kernel_dot(rows, pts, R, coef, w[None], outside))
+        bound = np.abs(kernel_sum(*_pair(rows, pts, R, outside), coef)) @ np.abs(w)
+        got = scale * np.add(*_kernel_dot(scale * rows, pts, scale * R, coef, w[None], outside))
         assert np.all(np.abs(got - expect) <= 1e-13 * bound)
 
 
@@ -555,24 +561,25 @@ def test_kernel_dot_is_homogeneous_far_from_unit_scale(scale):
 @pytest.mark.parametrize("k", [-600, -300, 300, 600])
 def test_kernel_dot_is_scale_free_by_powers_of_two(k, lam):
     # T_n(2^k x, 2^k y) = 2^(-2 lam k) T_n(x, y).  At these scales x.x and
-    # y.y leave float64, so the sum runs on x and y scaled back by a power of
+    # R^2 leave float64, so the sum runs on x and R scaled back by a power of
     # two; every step at lambda = 1/2 is then exact, so the result is 2^(-k)
     # times the unit-scale one bit for bit.  At 3/2, r^3 is a pow call, within
     # an ulp; at 2^-600 and 2^600 the results, near 2^(-+1800), are no
     # normal float64 numbers: a DomainError.
     rng = np.random.default_rng(37)
     coef = rng.standard_normal(30)
-    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
-    far, near = _shell(rng, (9, 1), 1.2, 4.0), _shell(rng, (9, 1), 0.0, 0.9)
+    pts = _shell(rng, (300,), 1.0, 1.0)
+    far, near = _shell(rng, (9,), 1.2, 4.0), _shell(rng, (9,), 0.0, 0.9)
     w = rng.standard_normal((1, 300, 2))
     power = round(2 * lam)
-    for x, y in ((inner, far), (near, outer)):
+    for rows, R, outside in ((far, 0.8, True), (near, 1.7, False)):
+        scaled = (np.ldexp(rows, k), pts, math.ldexp(R, k), coef, w, outside, lam)
         if power * abs(k) > 1022:
             with pytest.raises(qp.DomainError, match="normal range of float64"):
-                _kernel_dot(np.ldexp(x, k), np.ldexp(y, k), coef, w, lam)
+                _kernel_dot(*scaled)
             continue
-        expect = np.ldexp(_kernel_dot(x, y, coef, w, lam), -power * k)
-        got = _kernel_dot(np.ldexp(x, k), np.ldexp(y, k), coef, w, lam)
+        expect = np.ldexp(_kernel_dot(rows, pts, R, coef, w, outside, lam), -power * k)
+        got = _kernel_dot(*scaled)
         if lam == 0.5:
             assert np.array_equal(got, expect)
         assert np.all(np.abs(got - expect) <= 1e-15 * np.abs(expect))
@@ -583,38 +590,37 @@ def test_kernel_dot_is_scale_free_by_powers_of_two(k, lam):
 def test_kernel_dot_keeps_the_parities_apart(p, scale):
     # the even- and odd-degree totals against kernel_sum with the other
     # parity's coefficients zeroed, within 1e-13 of sum |K||w| as in the
-    # homogeneity tests, with the set as the first argument (rows y outside
-    # it) and as the second (rows x inside it, one of them zero).  L_n has the
-    # parity of n, so the sum at the rows -x (or -y) is even - odd, and a set
+    # homogeneity tests, with the set as the first argument (rows outside
+    # it) and as the second (rows inside it, one of them zero).  L_n has the
+    # parity of n, so the sum at the rows -x is even - odd, and a set
     # holding -y_b beside y_b is summed over one point of each pair with the
     # weights w_b + w_b' for the even degrees and w_b - w_b' for the odd.
     # At p = 1 there is no odd degree: its total is zero.
     rng = np.random.default_rng(31 + p)
     coef = rng.standard_normal(p)
     odd = np.arange(p) % 2 == 1
-    inner, outer = _shell(rng, (300,), 0.0, 1.0), _shell(rng, (300,), 1.0, 3.0)
-    far, near = _shell(rng, (40, 1), 1.2, 4.0), _shell(rng, (40, 1), 0.0, 0.9)
+    pts = _shell(rng, (300,), 1.0, 1.0)
+    far, near = _shell(rng, (40,), 1.2, 4.0), _shell(rng, (40,), 0.0, 0.9)
     near[0] = 0.0
     w = rng.standard_normal((300, 2))
-    for x, y, rows_are_x in ((inner, far, False), (near, outer, True)):
-        x, y = scale * x, scale * y
-        parts = _kernel_dot(x, y, coef, w[None])
+    for rows, R, outside in ((far, 0.8, True), (near, 1.7, False)):
+        rows, R = scale * rows, scale * R
+        args = _pair(rows, pts, R, outside)
+        parts = _kernel_dot(rows, pts, R, coef, w[None], outside)
         assert parts.shape == (2, 40, 2)
-        bound = np.abs(kernel_sum(x, y, coef)) @ np.abs(w)
+        bound = np.abs(kernel_sum(*args, coef)) @ np.abs(w)
         for part, c in zip(parts, (np.where(odd, 0.0, coef), np.where(odd, coef, 0.0))):
-            assert np.all(np.abs(part - kernel_sum(x, y, c) @ w) <= 1e-13 * bound)
+            assert np.all(np.abs(part - kernel_sum(*args, c) @ w) <= 1e-13 * bound)
         assert p > 1 or np.all(parts[1] == 0.0)
-        flipped = (_kernel_dot(-x, y, coef, w[None]) if rows_are_x
-                   else _kernel_dot(x, -y, coef, w[None]))
+        flipped = _kernel_dot(-rows, pts, R, coef, w[None], outside)
         assert np.all(np.abs(np.add(*flipped) - (parts[0] - parts[1])) <= 1e-13 * bound)
         # the set of antipodal pairs (z_b, -z_b), b < 150, folded
-        rows, half = (x, y[:150]) if rows_are_x else (y, x[:150])
+        half = pts[:150]
         pairs = np.concatenate([half, -half])
         folded = np.stack([w[:150] + w[150:], w[:150] - w[150:]])
-        args, got = ((rows, pairs), (rows, half)) if rows_are_x else ((pairs, rows), (half, rows))
-        bound = np.abs(kernel_sum(*args, coef)) @ np.abs(w)
-        unfolded = np.add(*_kernel_dot(*args, coef, w[None]))
-        error = np.add(*_kernel_dot(*got, coef, folded)) - unfolded
+        bound = np.abs(kernel_sum(*_pair(rows, pairs, R, outside), coef)) @ np.abs(w)
+        unfolded = np.add(*_kernel_dot(rows, pairs, R, coef, w[None], outside))
+        error = np.add(*_kernel_dot(rows, half, R, coef, folded, outside)) - unfolded
         assert np.all(np.abs(error) <= 1e-13 * bound)
 
 
@@ -779,9 +785,9 @@ def test_kernel_dot_gives_the_recurrence_aligned_block_arrays(monkeypatch):
 
     monkeypatch.setattr(legendre, "_terms", checked_terms)
     rng = np.random.default_rng(113)
-    pts, coef = _shell(rng, (601,), 0.5, 1.0), rng.standard_normal(30)
-    for rows in (_shell(rng, (60, 1), 1.5, 3.0), _shell(rng, (5, 1), 1.5, 3.0)):
-        _kernel_dot(pts, rows, coef, rng.standard_normal((2, 601)))
+    pts, coef = _shell(rng, (601,), 1.0, 1.0), rng.standard_normal(30)
+    for rows in (_shell(rng, (60,), 1.5, 3.0), _shell(rng, (5,), 1.5, 3.0)):
+        _kernel_dot(rows, pts, 1.0, coef, rng.standard_normal((2, 601)), True)
     assert seen == [[0] * 4] * 4
 
 
@@ -817,14 +823,17 @@ def test_kernel_dot_does_not_depend_on_where_its_inputs_sit(monkeypatch):
                                            rng.uniform(-1.0, 1.0, 500)), np.zeros(3), 1.0, 30)
         qp.shift_outer(exp, np.array([0.0, 0.0, 0.25]), 1.5)
         qp.eval_outer_potential(exp, _shell(rng, (500,), 1.5, 3.0))
-    assert [(f, np.shape(args[3])) for f, args, _ in calls] == [
+    weights = {_source_dot: 3, _kernel_dot: 4}   # the position of the charges or weights
+    assert [(f, np.shape(args[weights[f]])) for f, args, _ in calls] == [
         (_source_dot, (500,)), (_source_dot, (8, 1202)), (_kernel_dot, (2, 601))]
     assert len(calls[0][1][1]) == 601
-    for f, (x, y, coef, w, *rest), want in calls:
+    for f, (x, y, *rest), want in calls:
+        i = weights[f] - 2
         for j in range(8):
             xj, yj = _at_line_offset(x, j), _at_line_offset(y, j)
             for k in range(8):
-                assert np.array_equal(f(xj, yj, coef, _at_line_offset(w, k), *rest), want)
+                moved = rest[:i] + [_at_line_offset(rest[i], k)] + rest[i + 1:]
+                assert np.array_equal(f(xj, yj, *moved), want)
 
 
 def test_source_dot_gives_the_recurrence_aligned_block_arrays(monkeypatch):

@@ -5,7 +5,7 @@ from test_bem import hand_built_scene, nudged_rule
 
 import quadpole as qp
 from quadpole import legendre
-from quadpole.expansion import _fit
+from quadpole.expansion import _fit, _sums_on_rule
 from quadpole.legendre import _reproducing, _source_dot, _terms
 from quadpole.quadrature import _orbits
 
@@ -197,6 +197,26 @@ def test_radii_whose_reciprocal_overflows_are_refused(radius):
     assert qp.fit_outer(near, np.zeros(3), smallest, 4).radius == smallest
     assert qp.SurfaceExpansion(np.zeros(3), radius, outer.rule, outer.surface_weights, 4,
                                "outer").radius == radius
+
+
+def test_positions_that_leave_float64_in_radii_are_refused():
+    # fits and shifts that divide positions of size 1e10 by R = 1e-300
+    # overflow: the radius is refused by name, before any warning and not as
+    # a sum "near 2^0".  At R = 1e-150 the quotients fit, and a fit's
+    # diagnostics give the source's radius in absolute units.
+    far = qp.PointCharges(np.array([[1e10, 0.0, 0.0]]), np.array([1.0]))
+    near = qp.PointCharges(np.array([[0.1, 0.0, 0.0]]), np.array([1.0]))
+    outer = qp.fit_outer(near, np.zeros(3), 1.0, 4)
+    big = qp.fit_inner(far, np.zeros(3), 1e9, 4)
+    calls = [lambda: qp.fit_outer(far, np.zeros(3), 1e-300, 4),
+             lambda: qp.fit_inner(far, np.zeros(3), 1e-300, 4),
+             lambda: qp.outer_to_inner(outer, np.array([1e10, 0.0, 0.0]), 1e-300),
+             lambda: qp.shift_inner(big, np.zeros(3), 1e-300)]
+    for call in calls:
+        with pytest.raises(qp.DomainError, match="^radius 1e-300 is too small"):
+            call()
+    diagnostics = qp.fit_inner(far, np.zeros(3), 1e-150, 4).diagnostics
+    assert diagnostics["min_source_radius"] == pytest.approx(1e10, rel=1e-15)
 
 
 # shift vectors d = src.center - new_center and the number of the rules' 48
@@ -395,9 +415,11 @@ def test_source_sum_matches_the_dense_projection(p, kind, h):
 
 
 def test_fits_and_shifts_run_the_recurrence_on_cosines_alone(monkeypatch):
-    # every recurrence that a fit or a shift runs has x.x/y.y = 1 and
-    # G_0 = 1 as numbers: its steps are numbers, and no degree multiplies a
-    # block by one value per source
+    # every recurrence that a fit, a shift or a sum over a surface runs (the
+    # evaluations, the four layers, the energy, the sums on a rule, the
+    # outer gradient and de-tracing) has x.x/y.y = 1 and G_0 = 1 as
+    # numbers: its steps are numbers, and no degree multiplies a block by
+    # one value per source or per set point
     seen = []
 
     def recorded(u, v, g0, p, lam=0.5, work=None):
@@ -415,6 +437,16 @@ def test_fits_and_shifts_run_the_recurrence_on_cosines_alone(monkeypatch):
              lambda: qp.shift_outer(outer, np.array([0.2, 0.0, 0.0]), 1.5),
              lambda: qp.outer_to_inner(outer, np.array([5.0, 1.0, 0.0]), 1.0),
              lambda: qp.shift_inner(inner, np.array([0.1, 0.2, 0.3]), 0.5)]
+    x_out, x_in = np.array([[3.0, 0.5, -1.0], [0.0, 2.0, 2.0]]), np.array([0.3, -0.2, 0.1])
+    calls += [lambda: qp.eval_outer_potential(outer, x_out),
+              lambda: qp.eval_inner_potential(inner, x_in)]
+    calls += [lambda f=f, x=x: f(outer, x)
+              for f, x in ((qp.single_layer_ext, x_out), (qp.double_layer_ext, x_out),
+                           (qp.single_layer_int, x_in), (qp.double_layer_int, x_in))]
+    calls += [lambda: qp.interaction_energy(outer, inner),
+              lambda: _sums_on_rule([inner, inner], qp.lebedev_rule(15), 0.5, np.ones((16, 3))),
+              lambda: qp.outer_gradient(outer, x_out),
+              lambda: qp.detrace_directional(qp.moments_from_charges(near, 6), x_in, 5)]
     monkeypatch.setattr(legendre, "_terms", recorded)
     for call in calls:
         seen.append([])
