@@ -11,14 +11,14 @@ half of each source rule, the classes that share a source rule and an
 order packed into shared calls of at most one row block (_orbit_blocks);
 boundary_error builds no matrix.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError, GeometryError, SolverError
-from .expansion import (SurfaceExpansion, _center, _lines, _numbers, _radius, _require_kind,
-                        _side_checked, _surface_set, _surface_sum)
+from .expansion import (SurfaceExpansion, _center, _half, _lines, _numbers, _radius,
+                        _require_kind, _side_checked, _surface_set, _surface_sum)
 from .legendre import _BLOCK_PAIRS, _kernel_dot, _normal_sums, _order, _points, kernel_matrix
 from .quadrature import QuadratureRule, _offset_class, _orbits, rule_for_expansion
 
@@ -152,7 +152,7 @@ def _orbit_blocks(spheres, sources, rule):
     for (src_rule, p), classes in groups.items():
         classes = [(key, _orbits(rule, src_rule, np.array(key[0])), members)
                    for key, members in classes.items()]
-        half = np.flatnonzero(src_rule.antipodes > np.arange(len(src_rule)))
+        half = _half(src_rule)
         idx = np.stack([half, src_rule.antipodes[half]])
         sizes = [len(reps) for _, (*_, reps), _ in classes]
         for run in _packs(classes, sizes, _BLOCK_PAIRS // len(half)):
@@ -265,7 +265,8 @@ def solve_potential_flow(spheres):
     a G whose smallest eigenvalue is not positive is a SolverError.  cond
     stays below 20 on every scene tested (spheres 0.01 apart included), so
     forming G costs at most cond^2 * 1e-16 relative, far below the
-    truncation error.
+    truncation error.  It is solved on the scene scaled by 2^-e, the largest
+    radius in [2^(e-1), 2^e), with the weights scaled back: exact at any scale.
     """
     spheres = list(spheres)
     if not spheres:
@@ -277,7 +278,10 @@ def solve_potential_flow(spheres):
                 raise GeometryError("spheres %d and %d overlap" % (i, j))
     bases = [_harmonic_basis(s.rule, s.order) for s in spheres]
     fit_rule = rule_for_expansion(max(s.order for s in spheres), min_order=29)
-    AP, b = _boundary_system(spheres, spheres, fit_rule, bases)
+    e = np.frexp(max(s.radius for s in spheres))[1]
+    scaled = [replace(s, center=np.ldexp(s.center, -e), radius=np.ldexp(s.radius, -e))
+              for s in spheres]
+    AP, b = _boundary_system(scaled, scaled, fit_rule, bases)
     G = AP.T @ AP
     try:
         lam = np.linalg.eigvalsh(G)
@@ -290,7 +294,8 @@ def solve_potential_flow(spheres):
     if not (np.all(np.isfinite(z)) and np.isfinite(cond)):
         raise SolverError("non-finite solution from the boundary solve")
     harm = np.cumsum([0] + [P.shape[1] for P in bases])
-    expansions = tuple(SurfaceExpansion(s.center, s.radius, s.rule, P @ zj, s.order, "outer")
+    expansions = tuple(SurfaceExpansion(s.center, s.radius, s.rule, np.ldexp(P @ zj, 2 * e),
+                                        s.order, "outer")
                        for s, P, zj in zip(spheres, bases, np.split(z, harm[1:-1])))
     return FlowSolution(expansions, _rms_per_sphere(AP @ z - b, fit_rule), len(z), float(cond))
 

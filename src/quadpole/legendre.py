@@ -16,7 +16,7 @@ C^lambda_n, it runs on G_n = T_n / k_n,
 _terms is the only code that runs it.  Its callers give it u = x.y/y.y,
 v = x.x/y.y and G_0 = |y|^(-2 lambda), numbers or one value per pair,
 which it yields unexpanded; the callers refuse y = 0, through _ratios or
-_polar.  The monic form saves one array pass per degree over the
+_cosine_blocks.  The monic form saves one array pass per degree over the
 recurrence for T_n itself; with v and G_0 numbers a degree costs three
 array passes.  At lambda = 1/2, k_n is kappa_n = (2n)!/(2^n n!^2), the
 leading coefficient of P_n, and b_n = (n-1)^2/((2n-1)(2n-3)).  The
@@ -28,13 +28,10 @@ G_n and k_n leave the range of float64.
 
 kernel_sum returns the sum for every pair.  Every other sum contracts it
 with weights, each term as the recurrence makes it, with no pair matrix,
-against the unit points rhat of a rule taken as exact directions: the
-recurrence runs on the cosines t = xhat.rhat alone, _terms(t, 1, 1), and
-the radial powers stay out of it.  Evaluations, energies, layers,
-de-tracing and the outer gradient contract over the rule's points with
-_kernel_dot, which scales each row's per-degree sums; fits and shifts
-contract over their sources with _source_dot, which folds the powers into
-per-source weights.
+on the cosines between points and the unit points of a rule
+(_cosine_blocks).  Evaluations, energies, layers, de-tracing and the outer
+gradient contract over the rule's points with _kernel_dot; fits and shifts
+contract over their sources with _source_dot.
 
 Parity.  C^lambda_n has the parity of n, so for every lambda
 
@@ -193,9 +190,8 @@ def _inner_products(x, y):
 # tacc pass at p = 16, 30 from 1.79 to 2.36 MB.
 _BLOCK_PAIRS = 2 ** 14
 
-# _polar takes norms at the coordinates it is given while 2 lam |e| is at
-# most this, with the call's largest |coordinate| in [2^(e-1), 2^e): the
-# squares and the powers r^(2 lam) stay well inside float64 there.
+# Coordinates stay unscaled (_exponent) while 2 lam |e| is at most this:
+# the squares and the powers r^(2 lam) stay well inside float64 there.
 _SCALE_FREE = 256
 
 
@@ -309,6 +305,45 @@ def kernel_sum(x, y, coef):
     return out[()]   # a numpy scalar for a scalar batch
 
 
+def _exponent(scale, power):
+    """The prescale 2^-e of a call whose largest |coordinate| is scale, in [2^(e-1), 2^e):
+    e, or 0 where power |e| is at most _SCALE_FREE."""
+    e = math.frexp(scale)[1]
+    return e if power * abs(e) > _SCALE_FREE else 0
+
+
+def _cosine_blocks(x, pts, e, singular, step, p, lam):
+    """Yield (block, r, terms) for blocks of step points x (M, 3) against the unit points pts.
+
+    The geometry that _kernel_dot and _source_dot share.  pts (B, 3) must be
+    unit vectors rhat_b, as the points of a QuadratureRule are, and are
+    taken as exact directions: with t = xhat.rhat_b, each term is G_n(t)
+    times radial powers, so the recurrence runs on the cosines alone,
+    _terms(t, 1, 1, p, lam).  Its steps are numbers, so a degree costs three
+    passes over the block and no broadcast; the results differ from
+    kernel_sum's by roundoff.  block is the slice of x, and r its norms at
+    2^-e x, e from _exponent, so that far from unit scale they are taken
+    without squaring x out of float64; the caller scales back.  A point at
+    0 has direction 0, and is a SingularityError where it is the kernel's
+    second argument (singular).  One matmul gives t, in the first of four
+    block arrays from _aligned, shared by the blocks, and the terms are made
+    in the other three.  terms yields G_1..G_{p-1}: G_0 = 1 is consumed, as
+    each caller sums its weights once.  A block's terms must be used before
+    the next block is asked for.
+    """
+    work = _aligned(4, (min(step, len(x)), len(pts)))
+    for start in range(0, len(x), step):
+        block = slice(start, start + step)
+        xb = np.ldexp(x[block], -e) if e else x[block]
+        r = np.sqrt(_dot(xb, xb))
+        if singular and not r.all():
+            raise SingularityError("second argument must be nonzero")
+        t = np.matmul(xb / np.where(r > 0.0, r, 1.0)[:, None], pts.T, out=work[0][:len(r)])
+        terms = _terms(t, 1.0, 1.0, p, lam, work=[a[:len(r)] for a in work[1:]])
+        next(terms)
+        yield block, r, terms
+
+
 def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5):
     """Even- and odd-degree totals of sum_b [sum_n coef[n] T_n][..., b] w[n % P, b, ...] at rows x.
 
@@ -327,47 +362,33 @@ def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5):
     (2,) + sets + x.shape[:-1] + h: the sum over the even degrees, then over
     the odd, kept apart for the row fold.
 
-    pts must be unit vectors, as the points of a QuadratureRule are, and are
-    taken as exact directions, as in _source_dot: with t = xhat.rhat_b,
-    T_n = (a/b)^n b^(-2 lam) k_n G_n(t), where a = R and b = |x| outside,
-    a = |x| and b = R inside, so the results differ from kernel_sum's by
-    roundoff.  The rows are taken in blocks of about 2^14 pairs, in four
-    block arrays from _aligned: one matmul gives t, the recurrence runs on t
-    alone, _terms(t, 1, 1), and each G_n is contracted with w by one matmul
-    as it is made.  G_0 = 1, so degree 0 is the column sum of w[0], made
-    once.  The row factors (a/b)^n b^(-2 lam), with coef[n] k_n, scale only
-    the per-degree sums.  Far from unit scale x and R are first scaled by a
-    power of two (_polar), so that the result does not depend on the scale,
-    or is a DomainError where it leaves the normal range of float64.  A row
-    at 0 is a SingularityError outside.  The matmuls are summed by the
+    The rows are the points of _cosine_blocks, and the sum contracts over
+    the rule: T_n = (a/b)^n b^(-2 lam) k_n G_n(t), where a = R and b = |x|
+    outside, a = |x| and b = R inside.  Each G_n is contracted with w by one
+    matmul as it is made; degree 0 is the column sum of w[0], made once.
+    The row factors (a/b)^n b^(-2 lam), with coef[n] k_n, scale only the
+    per-degree sums.  A result that leaves the normal range of float64 at
+    the original scale is a DomainError.  The matmuls are summed by the
     BLAS, so the last bits of a result can depend on the block layout.
     """
     p, sets, lead, h = len(coef), coef.shape[1:], x.shape[:-1], w.shape[2:]
-    # T_n(2^-e x, 2^-e y) = 2^(2 lam e) T_n(x, y): far from unit scale, where
-    # x.x or r^(2 lam) would leave float64, the sum runs on x and R scaled by
-    # 2^-e, exactly, and is scaled back at the end
+    # T_n(2^-e x, 2^-e y) = 2^(2 lam e) T_n(x, y): the sum runs on x and R
+    # scaled by 2^-e, exactly, and is scaled back at the end
     power = round(2 * lam)
-    r, dirs, e = _polar(x.reshape(-1, 3), max(np.abs(x).max(initial=0.0), R), power, outside)
+    e = _exponent(max(np.abs(x).max(initial=0.0), R), power)
     R = math.ldexp(R, -e)
-    a, b = (R, r) if outside else (r, R)   # |x| and |y| of T_n(x, y)
-    # 1 / b ** (2 lam): b ** -1.0 can differ from 1 / b in the last bit
-    ratio, mu = a / b, np.broadcast_to(1.0 / b ** (2 * lam), r.shape)
     columns = coef.reshape(p, -1).T * _leading(p, lam)   # one row per set, in the sets' order
-    out = np.empty((2, len(columns), len(r)) + h)
+    out = np.empty((2, len(columns), math.prod(lead)) + h)
     g0_sum = w[0].sum(axis=0)
     step = max(1, _BLOCK_PAIRS // max(1, len(pts)))
-    # one set of block arrays, t and the terms, shared by the blocks
-    work = _aligned(4, (min(step, len(r)), len(pts)))
-    for start in range(0, len(r), step):
-        block, db = slice(start, start + step), dirs[start:start + step]
-        sums = np.empty((p, len(db)) + h)
+    for block, r, terms in _cosine_blocks(x.reshape(-1, 3), pts, e, outside, step, p, lam):
+        sums = np.empty((p, len(r)) + h)
         sums[0] = g0_sum
-        t = np.matmul(db, pts.T, out=work[0][:len(db)])
-        terms = _terms(t, 1.0, 1.0, p, lam, work=[buf[:len(db)] for buf in work[1:]])
-        next(terms)   # G_0 = 1, summed above
         for n, g in enumerate(terms, 1):
             np.matmul(g, w[n % len(w)], out=sums[n])
-        factors = columns[:, :, None] * ratio[block] ** np.arange(p)[:, None] * mu[block]
+        a, b = (R, r) if outside else (r, R)   # |x| and |y| of T_n(x, y)
+        # 1 / b ** (2 lam): b ** -1.0 can differ from 1 / b in the last bit
+        factors = columns[:, :, None] * (a / b) ** np.arange(p)[:, None] * (1.0 / b ** (2 * lam))
         for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
             for parity in (0, 1):
                 np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
@@ -382,23 +403,6 @@ def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5):
     return out
 
 
-def _polar(x, scale, power, singular):
-    """Norms r and unit directions of the points x (M, 3), at 2^-e x, and e.
-
-    e is 0 unless power |e| exceeds _SCALE_FREE, with scale, the call's
-    largest coordinate, in [2^(e-1), 2^e): the norms are then taken without
-    squaring x out of float64.  A point at 0 has direction 0, and is a
-    SingularityError where it is the kernel's second argument (singular).
-    """
-    e = math.frexp(scale)[1]
-    e = e if power * abs(e) > _SCALE_FREE else 0
-    x = np.ldexp(x, -e) if e else x
-    r = np.sqrt(_dot(x, x))
-    if singular and not r.all():
-        raise SingularityError("second argument must be nonzero")
-    return r, x / np.where(r > 0.0, r, 1.0)[:, None], e
-
-
 def _source_dot(x, pts, coef, q, inner):
     """Even- and odd-degree totals of sum_i q[..., i] sum_n coef[n] L_n at each point of pts.
 
@@ -410,21 +414,14 @@ def _source_dot(x, pts, coef, q, inner):
     (p,) + sets, and the result has shape (2,) + sets + h + (B,): the sum
     over the even degrees, then over the odd, kept apart for the row fold.
 
-    pts must be unit vectors, taken as exact directions, as in _kernel_dot:
-    L_n = a_i^(n+o) kappa_n G_n(t), with t = xhat_i.rhat_b, and a_i = |x_i|,
-    o = 0 for the outer kind or a_i = 1/|x_i|, o = 1 for the inner.
-
-    The sources are taken in blocks, the points whole.  For each block one
-    matmul gives t, and the recurrence runs on t alone, _terms(t, 1, 1):
-    its steps are numbers, so a degree costs three passes over the block
-    and no broadcast.  The powers a_i^(n+o), coef[n] kappa_n and the
-    charges are folded into weights, one (sets h, rows) matrix per degree,
-    made once per block, and a degree is one matmul of them with G_n, added
-    to its parity's total.  The four block arrays, from _aligned, the
-    powers and the weights hold about 4 * 2^14 numbers.  Sources far from
-    unit scale are scaled by a power of two to take their norms (_polar); a
-    sum that leaves float64 is a DomainError, and an inner source at 0 a
-    SingularityError.
+    The sources are the points of _cosine_blocks, the rule taken whole:
+    L_n = a_i^(n+o) kappa_n G_n(t), with a_i = |x_i|, o = 0 for the outer
+    kind or a_i = 1/|x_i|, o = 1 for the inner.  The powers a_i^(n+o),
+    coef[n] kappa_n and the charges are folded into weights, one (sets h,
+    rows) matrix per degree, made once per block, and a degree is one
+    matmul of them with G_n, added to its parity's total.  The block arrays,
+    the powers and the weights hold about 4 * 2^14 numbers.  A sum that
+    leaves float64 is a DomainError.
     """
     x, pts, q = (np.asarray(a, dtype=float) for a in (x, pts, q))
     coef = np.asarray(coef, dtype=float)
@@ -434,36 +431,30 @@ def _source_dot(x, pts, coef, q, inner):
     n_sets, n_pts = columns.shape[1], len(pts)
     width = n_sets * len(charges)   # the rows of a degree's weights and totals
     exponents = np.arange(p, dtype=float)[:, None] + (1.0 if inner else 0.0)   # n + o
-    scale = np.abs(x).max(initial=0.0)
+    e = _exponent(np.abs(x).max(initial=0.0), 2)
     step = max(1, 4 * _BLOCK_PAIRS // (4 * n_pts + p * width + p * n_sets))
     out = np.zeros((2, width, n_pts))
     totals = [out[n % 2] for n in range(1, p)]   # degree n's parity total
     g0_sum = np.zeros(width)   # G_0 = 1: the weights of degree 0, summed
-    work = _aligned(4, (min(step, len(x)), n_pts))
     weights_buf, tmp = np.empty(p * width * min(step, len(x))), np.empty((width, n_pts))
     with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
-        for start in range(0, len(x), step):
-            # t holds the directions, then their cosines: no directions are kept
-            r, t, e = _polar(x[start:start + step], scale, 2, inner)
-            t = np.matmul(t, pts.T, out=work[0][:len(t)])   # a zero source x stays zero
-            r = np.ldexp(r, e)
+        for block, r, terms in _cosine_blocks(x, pts, e, inner, step, p, 0.5):
+            np.ldexp(r, e, out=r)
             # a^(n+o) coef[n] kappa_n, one row per set, times the charges
             scaled = np.empty((p, n_sets, len(r)))
             np.power(1.0 / r if inner else r, exponents, out=scaled[:, 0])
             scaled[:, 1:] = scaled[:, :1]
             scaled *= columns[:, :, None]
             weights = weights_buf[:p * width * len(r)].reshape(p, width, len(r))
-            np.multiply(scaled[:, :, None, :], charges[:, start:start + step],
+            np.multiply(scaled[:, :, None, :], charges[:, block],
                         out=weights.reshape(p, n_sets, len(charges), len(r)))
             g0_sum += weights[0].sum(axis=-1)
-            terms = _terms(t, 1.0, 1.0, p, work=[a[:len(r)] for a in work[1:]])
-            next(terms)
             for total, w, g in zip(totals, weights[1:], terms):
                 total += np.matmul(w, g, out=tmp)
         out[0] += g0_sum[:, None]
         if not np.all(np.isfinite(out)):
             raise DomainError("kernel sums over sources near 2^%d leave the range of float64"
-                              % math.frexp(scale)[1])
+                              % math.frexp(np.abs(x).max())[1])
     return out.reshape((2,) + sets + h + (n_pts,))
 
 

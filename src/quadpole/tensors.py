@@ -21,13 +21,14 @@ from .errors import ContractViolation, DomainError
 from .expansion import (PointCharges, SurfaceExpansion, _lines, _numbers, _radius,
                         _require_kind)
 from .legendre import _kernel_dot, _order, _points
-from .quadrature import _double_factorial as double_factorial, rule_for_expansion
+from .quadrature import _double_factorial, rule_for_expansion
+
+double_factorial = _double_factorial   # not in __all__; tests/test_acceptance.py imports it
 
 __all__ = [
     "Polytensor",
     "triples",
     "multinomial",
-    "double_factorial",
     "moments_from_charges",
     "directional_moment",
     "symmetric_product",
@@ -182,7 +183,7 @@ def expansion_from_polytensor(pt, R, rule):
     R = _radius(R)
     sigma = np.zeros(len(rule))
     for n in range(pt.order):
-        lead = (2 * n + 1) / (4.0 * np.pi) * double_factorial(2 * n - 1) / math.factorial(n)
+        lead = (2 * n + 1) / (4.0 * np.pi) * _double_factorial(2 * n - 1) / math.factorial(n)
         sigma += lead * detrace_directional(pt, rule.points, n) * R ** (-n)
     return SurfaceExpansion(center=np.zeros(3), radius=R, rule=rule,
                             surface_weights=rule.weights * sigma,

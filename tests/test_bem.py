@@ -305,6 +305,27 @@ def test_flow_does_not_depend_on_where_the_scene_sits(distance):
     assert np.allclose(moved, errors(np.zeros(3)), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("k", [-300, 300])
+def test_flow_solve_is_scale_free(k):
+    # the scene scaled by 2^k solves on the same prescaled system: cond,
+    # rank, residuals and boundary errors are those at k = 0 bit for bit,
+    # and the weights, which carry a length squared, are 2^(2k) theirs
+    ref = qp.lebedev_rule(59)
+
+    def solve(k):
+        spheres = [qp.SphereBoundary.make(np.ldexp(s.center, k), np.ldexp(s.radius, k),
+                                          s.velocity, 6) for s in three_sphere_scene(6)]
+        sol = qp.solve_potential_flow(spheres)
+        return sol, qp.boundary_error(sol, spheres, ref)
+
+    (sol0, err0), (sol, err) = solve(0), solve(k)
+    assert sol.cond == sol0.cond and sol.rank == sol0.rank
+    assert np.array_equal(sol.residual_report, sol0.residual_report)
+    assert np.array_equal(err, err0)
+    for e, e0 in zip(sol.expansions, sol0.expansions):
+        assert np.array_equal(e.surface_weights, np.ldexp(e0.surface_weights, 2 * k))
+
+
 def unreduced_flow_blocks(spheres, sources, rule):
     """Each flow block over every rule point, and per entry the sum of |terms| over degrees."""
     blocks, scales = {}, {}

@@ -30,3 +30,22 @@ def test_remove_leaves_no_wrapper(tracer):
     finally:
         t.remove()
     assert t.installed_sites() == []
+
+
+@pytest.mark.parametrize("name", ["racc", "tacc_highp", "flow"])
+def test_traced_pass_matches_the_reference(tracer, name, monkeypatch, tmp_path):
+    # a pass run through the tracer's wrappers, as the benchmark's per-layer
+    # runs make it, must pass the benchmark's own check of its outputs
+    monkeypatch.chdir(os.path.dirname(PERFBENCH))   # the flow scene is named from the root
+    W = importlib.import_module("workloads")
+    workload = W.WORKLOADS[name]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        *_, output = W.run_pass(workload, W.DEFAULT_SEED, str(tmp_path), tracer=t)
+    finally:
+        t.remove()
+    reference = W.load_reference(workload, W.DEFAULT_SEED)
+    assert W.check(workload, output, reference, reference)[0] == []
+    assert t.record.spans and t.record.nesting_errors() == 0
+    assert t.installed_sites() == []

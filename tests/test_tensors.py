@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import quadpole as qp
-from quadpole.quadrature import sphere_monomial_integral
-from quadpole.tensors import MAX_ORDER, double_factorial, multinomial, triples
+from quadpole.quadrature import _double_factorial as double_factorial, sphere_monomial_integral
+from quadpole.tensors import MAX_ORDER, multinomial, triples
 
 
 def dense_from_slice(poly, n):
