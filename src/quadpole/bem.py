@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ContractViolation, DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _center, _half, _lines, _numbers, _radius,
                         _require_kind, _side_checked, _surface_set, _surface_sum)
-from .legendre import _BLOCK_PAIRS, _kernel_dot, _normal_sums, _order, _points, kernel_matrix
+from .legendre import (_BLOCK_PAIRS, _apart, _integer, _kernel_dot, _normal_sums,
+                       _points, _rescaled, kernel_matrix)
 from .quadrature import QuadratureRule, _offset_class, _orbits, rule_for_expansion
 
 __all__ = [
@@ -48,7 +49,7 @@ class SphereBoundary:
     order: int
 
     def __post_init__(self):
-        _order(self.order)
+        _integer(self.order, "order", 1)
         object.__setattr__(self, "center", _center(self.center))
         object.__setattr__(self, "radius", _radius(self.radius))
         object.__setattr__(self, "velocity", _center(self.velocity, "velocity"))
@@ -93,7 +94,7 @@ def double_layer_int(exp, y):
 def jump_check(exp, yhat):
     """R^2 (F_ext - F_int) at a surface point; equals 4 pi sigma there."""
     yhat = _points(yhat)
-    if np.any(np.abs(np.linalg.norm(yhat, axis=-1) - 1.0) > 1e-12):
+    if np.any(np.abs(_apart(yhat, 0.0, 1.0) - 1.0) > 1e-12):
         raise DomainError("surface direction must be a unit vector")
     y = exp.center + exp.radius * yhat
     f_ext = double_layer_ext(exp, y)
@@ -250,6 +251,13 @@ def _harmonic_basis(rule, p):
     return basis
 
 
+def _prescaled(spheres):
+    """e, the largest radius in [2^(e-1), 2^e), and the items, centers and radii times 2^-e."""
+    e = int(np.frexp(max(s.radius for s in spheres))[1])
+    return e, [replace(s, center=np.ldexp(s.center, -e), radius=np.ldexp(s.radius, -e))
+               for s in spheres]
+
+
 def solve_potential_flow(spheres):
     """Solve for surface weights enforcing n.v0 = -n.grad(Phi) on every sphere.
 
@@ -265,22 +273,20 @@ def solve_potential_flow(spheres):
     a G whose smallest eigenvalue is not positive is a SolverError.  cond
     stays below 20 on every scene tested (spheres 0.01 apart included), so
     forming G costs at most cond^2 * 1e-16 relative, far below the
-    truncation error.  It is solved on the scene scaled by 2^-e, the largest
-    radius in [2^(e-1), 2^e), with the weights scaled back: exact at any scale.
+    truncation error.  It is solved on the scene _prescaled by 2^-e, and the
+    weights, a length squared, are _rescaled by 2^2e: exact at any scale.
     """
     spheres = list(spheres)
     if not spheres:
         raise DomainError("at least one sphere required")
     for i in range(len(spheres)):
         for j in range(i + 1, len(spheres)):
-            sep = np.linalg.norm(spheres[i].center - spheres[j].center)
-            if sep <= spheres[i].radius + spheres[j].radius:
+            a, b = spheres[i], spheres[j]
+            if _apart(a.center, b.center, 1.0) <= a.radius + b.radius:
                 raise GeometryError("spheres %d and %d overlap" % (i, j))
     bases = [_harmonic_basis(s.rule, s.order) for s in spheres]
     fit_rule = rule_for_expansion(max(s.order for s in spheres), min_order=29)
-    e = np.frexp(max(s.radius for s in spheres))[1]
-    scaled = [replace(s, center=np.ldexp(s.center, -e), radius=np.ldexp(s.radius, -e))
-              for s in spheres]
+    e, scaled = _prescaled(spheres)
     AP, b = _boundary_system(scaled, scaled, fit_rule, bases)
     G = AP.T @ AP
     try:
@@ -294,8 +300,9 @@ def solve_potential_flow(spheres):
     if not (np.all(np.isfinite(z)) and np.isfinite(cond)):
         raise SolverError("non-finite solution from the boundary solve")
     harm = np.cumsum([0] + [P.shape[1] for P in bases])
-    expansions = tuple(SurfaceExpansion(s.center, s.radius, s.rule, np.ldexp(P @ zj, 2 * e),
-                                        s.order, "outer")
+    scale = "flow weights of spheres of radius near 2^%d" % e
+    expansions = tuple(SurfaceExpansion(s.center, s.radius, s.rule,
+                                        _rescaled(P @ zj, 2 * e, scale), s.order, "outer")
                        for s, P, zj in zip(spheres, bases, np.split(z, harm[1:-1])))
     return FlowSolution(expansions, _rms_per_sphere(AP @ z - b, fit_rule), len(z), float(cond))
 
@@ -306,7 +313,7 @@ def boundary_error(sol, spheres, reference_rule):
     sol must hold one expansion per sphere, with its center and radius.
     No matrix is built: the sums of each block (_orbit_blocks) are
     contracted with the source weights they index and scattered to the
-    rows.
+    rows, on the scene _prescaled as in the solve, the weights by 2^-2e.
     """
     spheres = list(spheres)
     if len(sol.expansions) != len(spheres) or not all(
@@ -316,8 +323,9 @@ def boundary_error(sol, spheres, reference_rule):
                                 "with the sphere's center and radius")
     mismatch = np.stack([reference_rule.points @ s.velocity for s in spheres])
     part = np.empty(len(reference_rule))
-    for i, j, sums, rows, targets, cols in _orbit_blocks(spheres, sol.expansions, reference_rule):
-        w = sol.expansions[j].surface_weights[cols].transpose(1, 2, 0)
+    e, sources = _prescaled(sol.expansions)   # each on its sphere, as checked above
+    for i, j, sums, rows, targets, cols in _orbit_blocks(sources, sources, reference_rule):
+        w = np.ldexp(sources[j].surface_weights[cols], -2 * e).transpose(1, 2, 0)
         part[targets] = np.matmul(sums[:, rows], w).sum(axis=0).T
         mismatch[i] += part
     return _rms_per_sphere(mismatch * np.sqrt(reference_rule.weights), reference_rule)

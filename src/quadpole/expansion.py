@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import (_BLOCK_PAIRS, _aligned, _kernel_dot, _order, _points, _real,
-                       _reproducing, _row_blocks, _source_dot)
+from .legendre import (_BLOCK_PAIRS, _aligned, _apart, _integer, _kernel_dot, _points,
+                       _real, _reproducing, _row_blocks, _source_dot)
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -75,7 +75,7 @@ class SurfaceExpansion:
     def __post_init__(self):
         if self.kind not in ("outer", "inner"):
             raise DomainError("kind must be 'outer' or 'inner'")
-        _order(self.order)
+        _integer(self.order, "order", 1)
         object.__setattr__(self, "radius", _radius(self.radius))
         if self.rule.exactness_degree < 2 * self.order - 2:
             raise DomainError("rule exactness inadequate for expansion order")
@@ -167,8 +167,7 @@ def _fit(kind, sources, center, R, orders, rule=None):
     rule = rule or rule_for_expansion(max(orders))
     center = _center(center)
     rel = _in_radii(sources.positions, center, R)
-    with np.errstate(over="ignore"):   # a source too far to square is far outside
-        dist = np.linalg.norm(sources.positions - center, axis=1) / R
+    dist = _apart(sources.positions, center, R)
     if kind == "outer":
         diag = {
             "n_sources_outside": int(np.sum(dist > 1.0)),
@@ -228,16 +227,10 @@ def _project(kind, rel, charges, rule, coef, group=None, reps=None):
 
 
 def _side_checked(exp, x, outside):
-    """x - c for point(s) x on the sphere or on its outside (inside) side, else a GeometryError.
-
-    The test is on |x - c| / R, so that it holds at any scale (_require_side).
-    """
-    rel = _points(x) - exp.center
-    with np.errstate(over="ignore"):   # a point or center too far to square is far outside
-        r = np.linalg.norm(rel / exp.radius, axis=-1)
-        c = np.linalg.norm(exp.center / exp.radius)
-    _require_side(r, c, outside)
-    return rel
+    """x - c for point(s) x on the sphere or on its outside (inside) side, else a GeometryError."""
+    x = _points(x)
+    _require_side(_apart(x, exp.center, exp.radius), _apart(exp.center, 0.0, exp.radius), outside)
+    return x - exp.center
 
 
 def _require_side(r, c, outside):
@@ -360,8 +353,7 @@ def energy_between_outers(a, b):
     """Coulomb energy of two disjoint outer expansions via their point charges."""
     _require_kind(a, "outer")
     _require_kind(b, "outer")
-    sep = np.linalg.norm(a.center - b.center)
-    if sep <= a.radius + b.radius:
+    if _apart(a.center, b.center, 1.0) <= a.radius + b.radius:
         raise GeometryError("bounding spheres overlap")
     return float(a.surface_weights @ _coulomb(a.surface_points, b.surface_points,
                                               b.surface_weights))
@@ -413,7 +405,6 @@ def _coulomb(x, positions, charges):
     coordinate scale of a source is a SingularityError (_coincidence).
     """
     x = _points(x)
-    charges = np.asarray(charges, dtype=float)
     tol = _coincidence(x, positions)
     (n, m), blocks = _row_blocks(x.reshape(-1, 1, 3), positions)
     src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)

@@ -72,9 +72,7 @@ def legendre_poly(n, t):
 
     Accepts scalar or array t, not NaN, with |t| <= 1 (clamped within 1e-12 slack).
     """
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
-        raise DomainError("polynomial degree must be an integer >= 0, not %r" % (n,))
-    kappa = _leading(n + 1, 0.5)
+    kappa = _leading(_integer(n, "polynomial degree", 0) + 1, 0.5)
     t = _real(t, "t")
     if not np.all(np.abs(t) <= 1.0 + 1e-12):
         raise DomainError("argument outside [-1, 1]")
@@ -82,11 +80,13 @@ def legendre_poly(n, t):
     return (kappa[n] * g_n)[()]
 
 
-def _order(order):
-    """order, if it is an integer >= 1 (not a bool), else a DomainError."""
-    if not isinstance(order, Integral) or isinstance(order, bool) or order < 1:
-        raise DomainError("order must be an integer >= 1, not %r" % (order,))
-    return order
+def _integer(value, name, low, high=None):
+    """value if it is an integer >= low, and <= high if given, not a bool; else a DomainError."""
+    if (not isinstance(value, Integral) or isinstance(value, bool) or value < low
+            or high is not None and value > high):
+        bounds = ">= %d" % low if high is None else "in %d..%d" % (low, high)
+        raise DomainError("%s must be an integer %s, not %r" % (name, bounds, value))
+    return value
 
 
 @cache
@@ -217,7 +217,7 @@ def _aligned(count, shape):
 
 
 def _row_blocks(*arrays):
-    """Broadcast batch shape of 3-vector arrays and their row blocks.
+    """Broadcast batch shape of float arrays of 3-vectors and their row blocks.
 
     Returns (batch, [(rows, block, block, ...), ...]), one block per array,
     cut along the first batch axis with about _BLOCK_PAIRS pairs of the first
@@ -226,7 +226,6 @@ def _row_blocks(*arrays):
     argument that broadcasts along that axis is passed whole; a scalar
     batch is one block indexed by ``...``.
     """
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
     batch = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
     if not batch:
         return batch, [(..., *arrays)]
@@ -255,6 +254,13 @@ def _points(x, name="evaluation points"):
     if x.shape[-1:] != (3,) or not np.all(np.isfinite(x)):
         raise DomainError("%s must be finite 3-vectors" % name)
     return x
+
+
+def _apart(x, center, R):
+    """|x - center| / R over the last axis, by np.hypot, so no square leaves float64; inf is far."""
+    with np.errstate(over="ignore"):
+        d = np.subtract(x, center)
+        return np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2]) / R
 
 
 def _coefficients(coef):
@@ -394,13 +400,15 @@ def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5):
                 np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
                           out=out[parity, k, block])
     out = out.reshape((2,) + sets + lead + h)
-    if e:
-        top = np.abs(out).max(initial=0.0)
-        if top and not -1022 < math.frexp(top)[1] - power * e <= 1024:
-            raise DomainError("kernel sums at coordinates near 2^%d leave the normal range "
-                              "of float64" % e)
-        out = np.ldexp(out, -power * e)
-    return out
+    return _rescaled(out, -power * e, "kernel sums at coordinates near 2^%d" % e) if e else out
+
+
+def _rescaled(a, k, what):
+    """a times 2^k; a DomainError, naming what, where a's top would leave float64's normal range."""
+    top = np.abs(a).max(initial=0.0)
+    if top and not -1022 < math.frexp(top)[1] + k <= 1024:
+        raise DomainError("%s leave the normal range of float64" % what)
+    return np.ldexp(a, k)
 
 
 def _source_dot(x, pts, coef, q, inner):
@@ -423,8 +431,6 @@ def _source_dot(x, pts, coef, q, inner):
     the powers and the weights hold about 4 * 2^14 numbers.  A sum that
     leaves float64 is a DomainError.
     """
-    x, pts, q = (np.asarray(a, dtype=float) for a in (x, pts, q))
-    coef = np.asarray(coef, dtype=float)
     p, sets, h = len(coef), coef.shape[1:], q.shape[:-1]
     columns = coef.reshape(p, -1) * _leading(p)[:, None]   # (p, K), one column per set
     charges = q.reshape(math.prod(h), len(x))   # (H, M)
@@ -460,7 +466,7 @@ def _source_dot(x, pts, coef, q, inner):
 
 def kernel_matrix(x, y, p):
     """Reproducing kernel K(x, y) = sum_{n<p} (2n+1)/(4 pi) L_n(x, y), broadcast, p >= 1."""
-    return kernel_sum(x, y, _reproducing(_order(p)))
+    return kernel_sum(x, y, _reproducing(_integer(p, "order", 1)))
 
 
 def _reproducing(p):
@@ -509,10 +515,9 @@ def _normal_sums(a, x, n, coef, pair):
     per row block; P + Q does not depend on pair, bit for bit.  S_A is
     made as S_B + (S_A - S_B), whose coefficients (coef[m+1] - coef[m]) k_m
     are zero but for the last degree where coef is constant, as for the
-    flow rows (_normal_block).  Its callers give it coef (p,), p >= 1.
+    flow rows (_normal_block).  Its callers give it a float coef (p,), p >= 1.
     """
     lead = _leading(len(coef), 1.5)
-    coef = np.asarray(coef, dtype=float)
     c_b, c_d = coef * lead, (np.append(coef[1:], 0.0) - coef) * lead
     on_set = np.ndim(a) == 2 and np.shape(x)[-2:-1] == np.shape(n)[-2:-1] == (1,)
     batch, blocks = _row_blocks(a, x, n)

@@ -14,7 +14,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import CapacityError, DomainError, UnsupportedOrderError
-from .legendre import _order
+from .legendre import _integer
 
 __all__ = [
     "QuadratureRule",
@@ -44,11 +44,10 @@ class QuadratureRule:
     norm 1 within 1e-12; weights (N,), finite and positive, summing to 4 pi
     within 1e-12 relative; for every point an exact antipode with a
     bit-equal weight, which the kernel sums' folds rely on (legendre); and
-    an exactness degree that is an integer >= 0, not a bool (a numpy
-    integer is kept as an int).  ``antipodes`` maps each point to its
-    antipode, points[antipodes] == -points, matched by exact lexicographic
-    sorts as in symmetries, so points however close are told apart.
-    Points, weights and antipodes are read-only.
+    an integer exactness degree >= 0, kept as an int.  ``antipodes`` maps
+    each point to its antipode, points[antipodes] == -points, matched by
+    exact lexicographic sorts as in symmetries, so points however close are
+    told apart.  Points, weights and antipodes are read-only.
     """
 
     points: np.ndarray          # (N, 3) unit vectors
@@ -57,9 +56,7 @@ class QuadratureRule:
     antipodes: np.ndarray = field(init=False, repr=False)   # (N,) index of -points[i]
 
     def __post_init__(self):
-        degree = self.exactness_degree
-        if not isinstance(degree, Integral) or isinstance(degree, bool) or degree < 0:
-            raise DomainError("rule exactness degree must be an integer >= 0, not %r" % (degree,))
+        degree = _integer(self.exactness_degree, "rule exactness degree", 0)
         object.__setattr__(self, "exactness_degree", int(degree))
         points = np.asarray(self.points, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
@@ -231,7 +228,8 @@ def rule_for_expansion(p, min_order=None):
     that fix one grid across several expansion orders.  p and min_order,
     when given, must be integers >= 1 (a DomainError otherwise).
     """
-    need = max(2 * _order(p) - 2, 0 if min_order is None else _order(min_order))
+    need = max(2 * _integer(p, "order", 1) - 2,
+               0 if min_order is None else _integer(min_order, "min_order", 1))
     for order in _ORDERS:
         if order >= need:
             return lebedev_rule(order)

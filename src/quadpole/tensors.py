@@ -13,14 +13,13 @@ sum over the point set, with no expansion of P_n into powers.
 """
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .expansion import (PointCharges, SurfaceExpansion, _lines, _numbers, _radius,
                         _require_kind)
-from .legendre import _kernel_dot, _order, _points
+from .legendre import _integer, _kernel_dot, _points, _real
 from .quadrature import _double_factorial, rule_for_expansion
 
 double_factorial = _double_factorial   # not in __all__; tests/test_acceptance.py imports it
@@ -66,8 +65,7 @@ class Polytensor:
     coeffs: tuple    # one dict per order n
 
     def __post_init__(self):
-        if not (1 <= self.order <= MAX_ORDER):
-            raise DomainError("polytensor order must be in 1..%d" % MAX_ORDER)
+        _integer(self.order, "polytensor order", 1, MAX_ORDER)
         if len(self.coeffs) != self.order:
             raise DomainError("need one coefficient map per order 0..p-1")
         for n, c in enumerate(self.coeffs):
@@ -83,18 +81,9 @@ class Polytensor:
         return Polytensor(p, tuple({t: 0.0 for t in triples(n)} for n in range(p)))
 
 
-def _degree(pt, n):
-    """n, if it is an integer moment order 0 <= n < pt.order (not a bool), else a DomainError."""
-    if not isinstance(n, Integral) or isinstance(n, bool) or not 0 <= n < pt.order:
-        raise DomainError("moment order n must be an integer in 0..%d, not %r"
-                          % (pt.order - 1, n))
-    return n
-
-
 def moments_from_charges(sources, p):
     """Monomial moments M[n1,n2,n3] = sum_q q * x^n1 y^n2 z^n3, orders < p."""
-    if _order(p) > MAX_ORDER:
-        raise DomainError("polytensor order must be in 1..%d, not %d" % (MAX_ORDER, p))
+    _integer(p, "order", 1, MAX_ORDER)
     x, y, z = sources.positions.T
     q = sources.charges
     coeffs = []
@@ -106,7 +95,7 @@ def moments_from_charges(sources, p):
 
 def directional_moment(pt, r, n):
     """m_n(r) = sum multinomial(n; t) r^t M[t], the n-fold contraction with r."""
-    n, r = _degree(pt, n), _points(r, "directions r")
+    n, r = _integer(n, "moment order n", 0, pt.order - 1), _points(r, "directions r")
     out = 0.0
     for t, m in pt.coeffs[n].items():
         out = out + multinomial(n, t) * m \
@@ -114,8 +103,18 @@ def directional_moment(pt, r, n):
     return out
 
 
-def _order_of(a):
-    return sum(next(iter(a)))
+def _slice_degree(a, name):
+    """Degree of slice a, or a DomainError naming it unless nonempty, finite and of one degree."""
+    if not isinstance(a, dict) or not a:
+        raise DomainError("%s must be a nonempty dict of tensor components" % name)
+    if not all(isinstance(t, tuple) and len(t) == 3 for t in a):
+        raise DomainError("%s must be keyed by exponent triples" % name)
+    degrees = {sum(_integer(i, "an exponent of %s" % name, 0) for i in t) for t in a}
+    if len(degrees) > 1:
+        raise DomainError("%s mixes the degrees %s" % (name, sorted(degrees)))
+    if not np.all(np.isfinite(_real(list(a.values()), "components of %s" % name))):
+        raise DomainError("components of %s must be finite" % name)
+    return degrees.pop()
 
 
 def symmetric_product(a, b):
@@ -123,7 +122,7 @@ def symmetric_product(a, b):
 
     C[t] = sum_{u+v=t} multinomial(n; u) A[u] multinomial(m; v) B[v] / multinomial(n+m; t).
     """
-    n, m = _order_of(a), _order_of(b)
+    n, m = _slice_degree(a, "a"), _slice_degree(b, "b")
     wb = [(v, multinomial(m, v) * y) for v, y in b.items()]
     acc = dict.fromkeys(triples(n + m), 0.0)
     for u, x in a.items():
@@ -135,7 +134,7 @@ def symmetric_product(a, b):
 
 def contract(a, b):
     """Full n-fold contraction of two order-n slices."""
-    if _order_of(a) != _order_of(b):
+    if _slice_degree(a, "a") != _slice_degree(b, "b"):
         raise ContractViolation("full contraction needs equal orders")
     return partial_contract(a, b)[0, 0, 0]
 
@@ -146,8 +145,8 @@ def partial_contract(a, b):
     C[s] = sum_t multinomial(n; t) A[t] B[t + s]; a component missing from
     b reads as zero.
     """
-    n = _order_of(a)
-    m = _order_of(b) - n
+    n = _slice_degree(a, "a")
+    m = _slice_degree(b, "b") - n
     if m < 0:
         raise ContractViolation("second operand must have the higher order")
     wa = [(t, multinomial(n, t) * x) for t, x in a.items()]
@@ -163,7 +162,7 @@ def detrace_directional(pt, r, n):
     charges q at y it is n!/(2n-1)!! sum q |y|^n |r|^n P_n(rhat.yhat),
     homogeneous of degree n in r.
     """
-    n, r = _degree(pt, n), _points(r, "directions r")
+    n, r = _integer(n, "moment order n", 0, pt.order - 1), _points(r, "directions r")
     rule = rule_for_expansion(n + 1)
     coef = np.zeros(n + 1)
     coef[n] = (2 * n + 1) / (4.0 * np.pi)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .expansion import _SLACK, _center, _in_radii, _project, _radius, _require_kind
-from .legendre import _reproducing
+from .legendre import _apart, _reproducing
 from .quadrature import _orbits
 
 __all__ = ["shift_outer", "outer_to_inner", "shift_inner"]
@@ -36,8 +36,7 @@ def shift_outer(src, new_center, new_R):
     """Outer -> outer shift; the source sphere must fit inside the new one."""
     _require_kind(src, "outer")
     new_center, new_R = _center(new_center), _radius(new_R, divisor=True)
-    t = np.linalg.norm(new_center - src.center)
-    if t + src.radius > (1.0 + _SLACK) * new_R:
+    if _apart(new_center, src.center, 1.0) + src.radius > (1.0 + _SLACK) * new_R:
         raise GeometryError("source sphere not contained in the new sphere")
     return _refit(src, "outer", new_center, new_R)
 
@@ -46,9 +45,8 @@ def outer_to_inner(src, new_center, new_R):
     """Outer -> inner shift (multipole-to-local translation)."""
     _require_kind(src, "outer")
     new_center, new_R = _center(new_center), _radius(new_R, divisor=True)
-    with np.errstate(over="ignore"):   # too far to divide is far outside: _refit refuses it
-        dist = np.linalg.norm(src.surface_points - new_center, axis=1) / new_R
-    bad = np.nonzero(dist <= 1.0 + _SLACK)[0]
+    # a point too far to divide by new_R is far outside: _refit refuses it
+    bad = np.nonzero(_apart(src.surface_points, new_center, new_R) <= 1.0 + _SLACK)[0]
     if bad.size:
         raise GeometryError(
             "kernel argument reaches the unit sphere at source points %s" % bad.tolist()
@@ -60,7 +58,6 @@ def shift_inner(src, new_center, new_R):
     """Inner -> inner shift; the new sphere must fit inside the old one."""
     _require_kind(src, "inner")
     new_center, new_R = _center(new_center), _radius(new_R, divisor=True)
-    t = np.linalg.norm(new_center - src.center)
-    if t + new_R > (1.0 + _SLACK) * src.radius:
+    if _apart(new_center, src.center, 1.0) + new_R > (1.0 + _SLACK) * src.radius:
         raise GeometryError("new sphere not contained in the old sphere")
     return _refit(src, "inner", new_center, new_R)

@@ -146,6 +146,32 @@ def test_contract_order_mismatch():
         qp.contract(a.slice(2), a.slice(3))
 
 
+BAD_SLICES = {
+    "empty": ({}, "must be a nonempty dict"),
+    "list": ([((1, 0, 0), 1.0)], "must be a nonempty dict"),
+    "pair key": ({(1, 0): 1.0}, "keyed by exponent triples"),
+    "negative exponent": ({(2, -1, 0): 1.0}, "an exponent of %s must be an integer >= 0"),
+    "float exponent": ({(1.0, 0, 0): 1.0}, "an exponent of %s must be an integer >= 0"),
+    "mixed degrees": ({(2, 0, 0): 1.0, (1, 0, 0): 5.0}, "%s mixes the degrees \\[1, 2\\]"),
+    "nan": ({(1, 0, 0): np.nan, (0, 1, 0): 1.0}, "components of %s must be finite"),
+    "inf": ({(1, 0, 0): np.inf}, "components of %s must be finite"),
+    "string": ({(1, 0, 0): "1"}, "components of %s must be real numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SLICES))
+@pytest.mark.parametrize("call", [qp.symmetric_product, qp.contract, qp.partial_contract])
+def test_slice_operations_refuse_malformed_slices_by_name(call, case):
+    # an empty slice, keys that are not exponent triples of one degree and
+    # values that are not finite are each a DomainError naming the operand,
+    # not a StopIteration, a bare ValueError or a silent answer
+    bad, message = BAD_SLICES[case]
+    good = {t: 1.0 for t in triples(1)}
+    for name, args in (("a", (bad, good)), ("b", (good, bad))):
+        with pytest.raises(qp.DomainError, match=message.replace("%s", name)):
+            call(*args)
+
+
 def test_partial_contract_brute_force():
     rng = np.random.default_rng(137)
     a = random_polytensor(rng, 4)

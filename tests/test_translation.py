@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from test_bem import hand_built_scene, nudged_rule
+from test_bem import hand_built_scene, nudged_rule, three_sphere_scene
 
 import quadpole as qp
 from quadpole import legendre
@@ -217,6 +217,62 @@ def test_positions_that_leave_float64_in_radii_are_refused():
             call()
     diagnostics = qp.fit_inner(far, np.zeros(3), 1e-150, 4).diagnostics
     assert diagnostics["min_source_radius"] == pytest.approx(1e10, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_shifts_energies_and_flow_are_scale_free(k):
+    # every length scaled by 2^k, under warnings as errors.  The three shifts
+    # keep their weights and scale their spheres, and interaction_energy is
+    # 2^-k times the unit-scale energy, bit for bit at every k.  The Coulomb
+    # energy does so too, or refuses squared distances that leave float64;
+    # the flow weights, a length squared, are 2^2k times, or refused where
+    # that leaves float64's normal range; and boundary_error of zero weights
+    # is the unit-scale error, bit for bit.
+    rng = np.random.default_rng(53)
+    c, d = np.array([0.25, -0.5, 0.125]), np.array([8.0, 0.5, -0.25])
+    clouds = random_cloud(rng, 300, offset=c), random_cloud(rng, 300, offset=d)
+
+    def scene(k):
+        def up(v):
+            return np.ldexp(v, k)
+
+        a, b = (qp.fit_outer(qp.PointCharges(up(s.positions), s.charges), up(o), up(1.0), 10)
+                for s, o in zip(clouds, (c, d)))
+        shifted = qp.shift_outer(a, up(c + [0.5, 0.0, 0.0]), up(2.0))
+        local = qp.outer_to_inner(b, up(c + [0.5, 0.0, 0.0]), up(2.0))
+        moved = qp.shift_inner(local, up(c + [0.25, 0.0, 0.0]), up(1.0))
+        return a, b, shifted, local, moved
+
+    (a0, b0, *shifts0), (a, b, *shifts) = scene(0), scene(k)
+    for got, want in zip(shifts, shifts0):
+        assert np.array_equal(got.surface_weights, want.surface_weights)
+        assert np.array_equal(got.center, np.ldexp(want.center, k))
+        assert got.radius == np.ldexp(want.radius, k)
+    assert qp.interaction_energy(*shifts[:2]) == np.ldexp(qp.interaction_energy(*shifts0[:2]), -k)
+    if abs(k) > 500:
+        with pytest.raises(qp.DomainError, match="squared distances leave the range"):
+            qp.energy_between_outers(a, b)
+    else:
+        assert qp.energy_between_outers(a, b) == np.ldexp(qp.energy_between_outers(a0, b0), -k)
+
+    def flow(k):
+        spheres = [qp.SphereBoundary.make(np.ldexp(s.center, k), np.ldexp(s.radius, k),
+                                          s.velocity, 4) for s in three_sphere_scene(4)]
+        still = qp.FlowSolution(tuple(qp.SurfaceExpansion(s.center, s.radius, s.rule,
+                                                          np.zeros(len(s.rule)), 4, "outer")
+                                      for s in spheres), np.zeros(3), 48, 1.0)
+        return spheres, qp.boundary_error(still, spheres, qp.lebedev_rule(29))
+
+    (spheres0, still0), (spheres, still) = flow(0), flow(k)
+    assert np.array_equal(still, still0)
+    if abs(k) > 500:   # the largest radius, 3 2^k, is in [2^(k+1), 2^(k+2))
+        with pytest.raises(qp.DomainError, match="^flow weights of spheres of radius near "
+                                                 "2\\^%d leave the normal range" % (k + 2)):
+            qp.solve_potential_flow(spheres)
+    else:
+        for got, want in zip(qp.solve_potential_flow(spheres).expansions,
+                             qp.solve_potential_flow(spheres0).expansions):
+            assert np.array_equal(got.surface_weights, np.ldexp(want.surface_weights, 2 * k))
 
 
 # shift vectors d = src.center - new_center and the number of the rules' 48
