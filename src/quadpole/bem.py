@@ -11,15 +11,17 @@ half of each source rule, the classes that share a source rule and an
 order packed into shared calls of at most one row block (_orbit_blocks);
 boundary_error builds no matrix.
 """
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError, GeometryError, SolverError
 from .expansion import (SurfaceExpansion, _center, _half, _lines, _numbers, _radius,
                         _require_kind, _side_checked, _surface_set, _surface_sum)
-from .legendre import (_BLOCK_PAIRS, _apart, _integer, _kernel_dot, _normal_sums,
+from .legendre import (_BLOCK_PAIRS, _apart, _exponent, _integer, _kernel_dot, _normal_sums,
                        _points, _rescaled, kernel_matrix)
 from .quadrature import QuadratureRule, _offset_class, _orbits, rule_for_expansion
 
@@ -112,12 +114,18 @@ def outer_gradient(exp, x):
     """
     _require_kind(exp, "outer")
     rel = _side_checked(exp, x, outside=True)
+    # rel and R times 2^-e, so that both sums are combined before the
+    # gradient, a length^-2, is scaled back by 2^-2e
+    e = _exponent(max(np.abs(rel).max(initial=0.0), exp.radius), 3)
+    rel, R = np.ldexp(rel, -e), math.ldexp(exp.radius, -e)
     pts, fold = _surface_set(exp.rule, exp.surface_weights)   # rows w + w', w - w'
-    W = np.concatenate([fold[::-1, :, None] * (exp.radius * pts), fold[:, :, None]], axis=2)
     coef = np.ones((exp.order, 2))
     coef[-1, 0] = 0.0
-    sums = np.add(*_kernel_dot(rel, pts, exp.radius, coef, W, True, 1.5))
-    return sums[0, ..., :3] - rel * sums[1, ..., 3:]
+    with np.errstate(over="ignore", invalid="ignore"):   # a gradient out of range is refused below
+        W = np.concatenate([fold[::-1, :, None] * (R * pts), fold[:, :, None]], axis=2)
+        sums = _kernel_dot(rel, pts, R, coef, W, True, 1.5, True)
+        grad = sums[0, ..., :3] - rel * sums[1, ..., 3:]
+    return _rescaled(grad, -2 * e, "gradients at coordinates near 2^%d" % e)
 
 
 def _orbit_blocks(spheres, sources, rule):
@@ -252,10 +260,11 @@ def _harmonic_basis(rule, p):
 
 
 def _prescaled(spheres):
-    """e, the largest radius in [2^(e-1), 2^e), and the items, centers and radii times 2^-e."""
+    """e, the largest radius in [2^(e-1), 2^e), and the items, centers and radii times 2^-e,
+    as plain attribute holders: the items were validated when they were made."""
     e = int(np.frexp(max(s.radius for s in spheres))[1])
-    return e, [replace(s, center=np.ldexp(s.center, -e), radius=np.ldexp(s.radius, -e))
-               for s in spheres]
+    return e, [SimpleNamespace(**{**vars(s), "center": np.ldexp(s.center, -e),
+                                  "radius": math.ldexp(s.radius, -e)}) for s in spheres]
 
 
 def solve_potential_flow(spheres):

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
-from .legendre import (_BLOCK_PAIRS, _aligned, _apart, _integer, _kernel_dot, _points,
-                       _real, _reproducing, _row_blocks, _source_dot)
+from .legendre import (_BLOCK_PAIRS, _aligned, _apart, _exponent, _integer, _kernel_dot,
+                       _points, _real, _reproducing, _rescaled, _row_blocks, _source_dot)
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -169,17 +169,13 @@ def _fit(kind, sources, center, R, orders, rule=None):
     rel = _in_radii(sources.positions, center, R)
     dist = _apart(sources.positions, center, R)
     if kind == "outer":
-        diag = {
-            "n_sources_outside": int(np.sum(dist > 1.0)),
-            "max_source_radius": float(dist.max(initial=0.0) * R),
-        }
+        diag = {"n_sources_outside": int(np.sum(dist > 1.0)),
+                "max_source_radius": float(dist.max(initial=0.0) * R)}
     else:
         if np.any(np.abs(dist - 1.0) <= 1e-12):
             raise SingularityError("source lies on the bounding sphere")
-        diag = {
-            "n_sources_inside": int(np.sum(dist < 1.0)),
-            "min_source_radius": float(dist.min(initial=np.inf) * R),
-        }
+        diag = {"n_sources_inside": int(np.sum(dist < 1.0)),
+                "min_source_radius": float(dist.min(initial=np.inf) * R)}
     degrees = np.arange(max(orders))[:, None]
     coef = np.where(degrees < orders, _reproducing(len(degrees))[:, None], 0.0)   # (p, K)
     weights = _project(kind, rel, sources.charges, rule, coef)
@@ -254,7 +250,7 @@ def _surface_sum(exp, x, coef, outside):
     """
     rel = _side_checked(exp, x, outside)
     pts, w = _surface_set(exp.rule, exp.surface_weights)
-    return np.add(*_kernel_dot(rel, pts, exp.radius, coef, w, outside))
+    return _kernel_dot(rel, pts, exp.radius, coef, w, outside, 0.5, True)
 
 
 def _half(rule):
@@ -267,13 +263,15 @@ def _surface_set(rule, weights):
 
     weights holds h weights per rule point, shape (N,) + h.  The set is one
     point i of each antipodal pair i, i' = rule.antipodes[i], with the set
-    fold's rows w_i + w_i' and w_i - w_i' (legendre).
+    fold's rows w_i + w_i' and w_i - w_i' (legendre): a row that overflows
+    is an inf, which the kernel sum over the set refuses (legendre._rescaled).
     """
     half = _half(rule)
     w, w_anti = weights[half], weights[rule.antipodes[half]]
     folded = np.empty((2,) + w.shape)
-    np.add(w, w_anti, out=folded[0])
-    np.subtract(w, w_anti, out=folded[1])
+    with np.errstate(over="ignore"):
+        np.add(w, w_anti, out=folded[0])
+        np.subtract(w, w_anti, out=folded[1])
     return rule.points[half], folded
 
 
@@ -369,18 +367,18 @@ def direct_energy(a, b):
     return float(a.charges @ _coulomb(a.positions, b.positions, b.charges))
 
 
-def _coincidence(*arrays):
-    """The distance 1e-12 s below which a target coincides with a source.
+def _coulomb_scale(*arrays):
+    """e, the coincidence distance and the arrays times 2^-e, as the Coulomb sums run on them.
 
-    s is the largest |coordinate| of the arrays, the scale of the call.
-    Beyond 2^500, or below 2^-500 but not 0, squared distances would
-    overflow or fall into the subnormal numbers: a DomainError.
+    With s the largest |coordinate| of the arrays, the scale of the call,
+    e = legendre._exponent(s, 2), so that no squared distance leaves
+    float64, and a target within 1e-12 s 2^-e of a source at the scaled
+    coordinates coincides with it.  The sums, times 2^e there, leave through
+    legendre._rescaled.  At e = 0 the arrays are returned as given.
     """
     s = max(np.abs(a).max(initial=0.0) for a in arrays)
-    if s > 2.0 ** 500 or 0.0 < s < 2.0 ** -500:
-        raise DomainError("coordinates of size %.3g: squared distances leave the range of "
-                          "float64" % s)
-    return 1e-12 * s
+    e = _exponent(s, 2)
+    return e, 1e-12 * np.ldexp(s, -e), [np.ldexp(a, -e) if e else a for a in arrays]
 
 
 def _coulomb(x, positions, charges):
@@ -401,28 +399,30 @@ def _coulomb(x, positions, charges):
     against more than 2^14 sources stays one block, as splitting the
     sources would change the summation order.  A block costs 11 array
     passes; targets on rays r u from the origin are cheaper in
-    :func:`_coulomb_rays`.  A target within 1e-12 of the call's
-    coordinate scale of a source is a SingularityError (_coincidence).
+    :func:`_coulomb_rays`.  The sum runs on the coordinates scaled by
+    2^-e (_coulomb_scale), and a target within 1e-12 of the call's
+    coordinate scale of a source is a SingularityError.
     """
-    x = _points(x)
-    tol = _coincidence(x, positions)
+    e, tol, (x, positions) = _coulomb_scale(_points(x), positions)
     (n, m), blocks = _row_blocks(x.reshape(-1, 1, 3), positions)
     src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)
     out = np.empty((n,) + charges.shape[1:])
     if blocks:
         r2_buf, d_buf = _aligned(2, (len(blocks[0][1]), m))
-    for rows, xb, _ in blocks:
-        r2, d = r2_buf[:len(xb)], d_buf[:len(xb)]
-        np.subtract(xb[..., 0], src[0], out=r2)
-        r2 *= r2
-        for k in (1, 2):
-            np.subtract(xb[..., k], src[k], out=d)
-            d *= d
-            r2 += d
-        dist = np.sqrt(r2, out=r2)
-        if dist.min(initial=np.inf) <= tol:
-            raise SingularityError("evaluation point coincides with a source point")
-        np.matmul(np.reciprocal(dist, out=dist), charges, out=out[rows])
+    with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
+        for rows, xb, _ in blocks:
+            r2, d = r2_buf[:len(xb)], d_buf[:len(xb)]
+            np.subtract(xb[..., 0], src[0], out=r2)
+            r2 *= r2
+            for k in (1, 2):
+                np.subtract(xb[..., k], src[k], out=d)
+                d *= d
+                r2 += d
+            dist = np.sqrt(r2, out=r2)
+            if dist.min(initial=np.inf) <= tol:
+                raise SingularityError("evaluation point coincides with a source point")
+            np.matmul(np.reciprocal(dist, out=dist), charges, out=out[rows])
+    out = _rescaled(out, -e, "Coulomb sums at coordinates near 2^%d" % e)
     return out.reshape(x.shape[:-1] + charges.shape[1:])[()]
 
 
@@ -448,11 +448,12 @@ def _coulomb_rays(directions, radii, positions, charges):
     |s - a u| and |r - |s||, such a pair is looked for only in a block where
     some |s - a u| is that small, and only at a radius within a factor
     1 - 2^-16 of the range of |s|.  The distance is compared with the
-    coincidence distance of _coincidence, on the scale of the radii and
-    the sources, only in a block where some |s - a u| is below it.
+    coincidence distance of _coulomb_scale, on the scale of the radii and the
+    sources, only in a block where some |s - a u| is below it.  As in
+    _coulomb, the sum runs on the radii and sources scaled by 2^-e.
     """
     charges = np.asarray(charges, dtype=float)
-    tol = _coincidence(radii, positions)   # the directions are unit vectors
+    e, tol, (radii, positions) = _coulomb_scale(radii, positions)   # directions are unit
     src = np.ascontiguousarray(np.transpose(positions), dtype=float)   # (3, M)
     m = src.shape[1]
     out = np.empty((len(radii), len(directions)) + charges.shape[1:])
@@ -462,32 +463,33 @@ def _coulomb_rays(directions, radii, positions, charges):
     high = np.sqrt(s2.max(initial=0.0)) / (1.0 - 2.0 ** -16)
     step = max(1, 2 * _BLOCK_PAIRS // (3 * max(1, m)))
     a_buf, perp_buf, d_buf = _aligned(3, (min(step, len(directions)), m))
-    for start in range(0, len(directions), step):
-        u = directions[start:start + step]
-        a, perp, d = a_buf[:len(u)], perp_buf[:len(u)], d_buf[:len(u)]
-        np.matmul(u, src, out=a)
-        np.multiply(a, u[:, :1], out=perp)
-        np.subtract(src[0], perp, out=perp)
-        perp *= perp
-        for k in (1, 2):
-            np.multiply(a, u[:, k:k + 1], out=d)
-            np.subtract(src[k], d, out=d)
-            d *= d
-            perp += d
-        gap = perp.min(initial=np.inf)
-        near, close = gap <= tol * tol, gap < (2.0 ** -16 * high) ** 2
-        for k, r in enumerate(radii):
-            np.subtract(r, a, out=d)
-            d *= d
-            d += perp
-            if close and low < r < high:
-                i, j = np.nonzero(d < 2.0 ** -32 * np.maximum(r * r, s2))
-                d[i, j] = sum((r * u[i, c] - src[c, j]) ** 2 for c in range(3))
-            dist = np.sqrt(d, out=d)
-            if near and dist.min(initial=np.inf) <= tol:
-                raise SingularityError("evaluation point coincides with a source point")
-            np.matmul(np.reciprocal(dist, out=dist), charges, out=out[k, start:start + len(u)])
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
+        for start in range(0, len(directions), step):
+            u = directions[start:start + step]
+            a, perp, d = a_buf[:len(u)], perp_buf[:len(u)], d_buf[:len(u)]
+            np.matmul(u, src, out=a)
+            np.multiply(a, u[:, :1], out=perp)
+            np.subtract(src[0], perp, out=perp)
+            perp *= perp
+            for k in (1, 2):
+                np.multiply(a, u[:, k:k + 1], out=d)
+                np.subtract(src[k], d, out=d)
+                d *= d
+                perp += d
+            gap = perp.min(initial=np.inf)
+            near, close = gap <= tol * tol, gap < (2.0 ** -16 * high) ** 2
+            for k, r in enumerate(radii):
+                np.subtract(r, a, out=d)
+                d *= d
+                d += perp
+                if close and low < r < high:
+                    i, j = np.nonzero(d < 2.0 ** -32 * np.maximum(r * r, s2))
+                    d[i, j] = sum((r * u[i, c] - src[c, j]) ** 2 for c in range(3))
+                dist = np.sqrt(d, out=d)
+                if near and dist.min(initial=np.inf) <= tol:
+                    raise SingularityError("evaluation point coincides with a source point")
+                np.matmul(np.reciprocal(dist, out=dist), charges, out=out[k, start:start + len(u)])
+    return _rescaled(out, -e, "Coulomb sums at coordinates near 2^%d" % e)
 
 
 def expansion_to_text(exp):

@@ -350,7 +350,7 @@ def _cosine_blocks(x, pts, e, singular, step, p, lam):
         yield block, r, terms
 
 
-def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5):
+def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5, total=False):
     """Even- and odd-degree totals of sum_b [sum_n coef[n] T_n][..., b] w[n % P, b, ...] at rows x.
 
     T_n are the Gegenbauer terms at index lam (module docstring), L_n at
@@ -366,49 +366,59 @@ def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5):
     the sum with its own coefficients (p,) bit for bit, as only the last
     contraction is taken per set.  The result has shape
     (2,) + sets + x.shape[:-1] + h: the sum over the even degrees, then over
-    the odd, kept apart for the row fold.
+    the odd, kept apart for the row fold; with total, their sum, the sum
+    itself, added before it is scaled back, shape sets + x.shape[:-1] + h.
 
     The rows are the points of _cosine_blocks, and the sum contracts over
     the rule: T_n = (a/b)^n b^(-2 lam) k_n G_n(t), where a = R and b = |x|
     outside, a = |x| and b = R inside.  Each G_n is contracted with w by one
     matmul as it is made; degree 0 is the column sum of w[0], made once.
     The row factors (a/b)^n b^(-2 lam), with coef[n] k_n, scale only the
-    per-degree sums.  A result that leaves the normal range of float64 at
-    the original scale is a DomainError.  The matmuls are summed by the
-    BLAS, so the last bits of a result can depend on the block layout.
+    per-degree sums.  A result that overflows, or leaves the normal range
+    of float64 at the original scale, is a DomainError (_rescaled).  The
+    matmuls are summed by the BLAS, so the last bits of a result can depend
+    on the block layout.
     """
     p, sets, lead, h = len(coef), coef.shape[1:], x.shape[:-1], w.shape[2:]
     # T_n(2^-e x, 2^-e y) = 2^(2 lam e) T_n(x, y): the sum runs on x and R
     # scaled by 2^-e, exactly, and is scaled back at the end
-    power = round(2 * lam)
-    e = _exponent(max(np.abs(x).max(initial=0.0), R), power)
+    power, scale = round(2 * lam), max(np.abs(x).max(initial=0.0), R)
+    e = _exponent(scale, power)
     R = math.ldexp(R, -e)
     columns = coef.reshape(p, -1).T * _leading(p, lam)   # one row per set, in the sets' order
     out = np.empty((2, len(columns), math.prod(lead)) + h)
-    g0_sum = w[0].sum(axis=0)
     step = max(1, _BLOCK_PAIRS // max(1, len(pts)))
-    for block, r, terms in _cosine_blocks(x.reshape(-1, 3), pts, e, outside, step, p, lam):
-        sums = np.empty((p, len(r)) + h)
-        sums[0] = g0_sum
-        for n, g in enumerate(terms, 1):
-            np.matmul(g, w[n % len(w)], out=sums[n])
-        a, b = (R, r) if outside else (r, R)   # |x| and |y| of T_n(x, y)
-        # 1 / b ** (2 lam): b ** -1.0 can differ from 1 / b in the last bit
-        factors = columns[:, :, None] * (a / b) ** np.arange(p)[:, None] * (1.0 / b ** (2 * lam))
-        for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
-            for parity in (0, 1):
-                np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
-                          out=out[parity, k, block])
-    out = out.reshape((2,) + sets + lead + h)
-    return _rescaled(out, -power * e, "kernel sums at coordinates near 2^%d" % e) if e else out
+    with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
+        g0_sum = w[0].sum(axis=0)
+        for block, r, terms in _cosine_blocks(x.reshape(-1, 3), pts, e, outside, step, p, lam):
+            sums = np.empty((p, len(r)) + h)
+            sums[0] = g0_sum
+            for n, g in enumerate(terms, 1):
+                np.matmul(g, w[n % len(w)], out=sums[n])
+            a, b = (R, r) if outside else (r, R)   # |x| and |y| of T_n(x, y)
+            # 1 / b ** (2 lam): b ** -1.0 can differ from 1 / b in the last bit
+            factors = columns[:, :, None] * (a / b) ** np.arange(p)[:, None] * (1.0 / b ** (2 * lam))
+            for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
+                for parity in (0, 1):
+                    np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
+                              out=out[parity, k, block])
+        out = np.add(*out).reshape(sets + lead + h) if total else out.reshape((2,) + sets + lead + h)
+    return _rescaled(out, -power * e, "kernel sums at coordinates near 2^%d" % math.frexp(scale)[1])
 
 
 def _rescaled(a, k, what):
-    """a times 2^k; a DomainError, naming what, where a's top would leave float64's normal range."""
+    """a times 2^k: the one way out of the kernel and Coulomb sums, which run prescaled by 2^-e.
+
+    A DomainError, naming what, where a is not finite ("leave the range of
+    float64"), or where its largest |value| times 2^k would leave float64's
+    normal range, with a bit to spare, so that the even- and odd-degree
+    totals add without overflow ("leave the normal range of float64").
+    """
     top = np.abs(a).max(initial=0.0)
-    if top and not -1022 < math.frexp(top)[1] + k <= 1024:
-        raise DomainError("%s leave the normal range of float64" % what)
-    return np.ldexp(a, k)
+    finite = math.isfinite(top)
+    if not finite or top and not -1022 < math.frexp(top)[1] + k < 1024:
+        raise DomainError("%s leave the %srange of float64" % (what, "normal " if finite else ""))
+    return np.ldexp(a, k) if k else a
 
 
 def _source_dot(x, pts, coef, q, inner):
@@ -429,7 +439,7 @@ def _source_dot(x, pts, coef, q, inner):
     rows) matrix per degree, made once per block, and a degree is one
     matmul of them with G_n, added to its parity's total.  The block arrays,
     the powers and the weights hold about 4 * 2^14 numbers.  A sum that
-    leaves float64 is a DomainError.
+    leaves float64 is a DomainError (_rescaled).
     """
     p, sets, h = len(coef), coef.shape[1:], q.shape[:-1]
     columns = coef.reshape(p, -1) * _leading(p)[:, None]   # (p, K), one column per set
@@ -437,7 +447,8 @@ def _source_dot(x, pts, coef, q, inner):
     n_sets, n_pts = columns.shape[1], len(pts)
     width = n_sets * len(charges)   # the rows of a degree's weights and totals
     exponents = np.arange(p, dtype=float)[:, None] + (1.0 if inner else 0.0)   # n + o
-    e = _exponent(np.abs(x).max(initial=0.0), 2)
+    scale = np.abs(x).max(initial=0.0)
+    e = _exponent(scale, 2)
     step = max(1, 4 * _BLOCK_PAIRS // (4 * n_pts + p * width + p * n_sets))
     out = np.zeros((2, width, n_pts))
     totals = [out[n % 2] for n in range(1, p)]   # degree n's parity total
@@ -458,10 +469,8 @@ def _source_dot(x, pts, coef, q, inner):
             for total, w, g in zip(totals, weights[1:], terms):
                 total += np.matmul(w, g, out=tmp)
         out[0] += g0_sum[:, None]
-        if not np.all(np.isfinite(out)):
-            raise DomainError("kernel sums over sources near 2^%d leave the range of float64"
-                              % math.frexp(np.abs(x).max())[1])
-    return out.reshape((2,) + sets + h + (n_pts,))
+    what = "kernel sums over sources near 2^%d" % math.frexp(scale)[1]
+    return _rescaled(out, 0, what).reshape((2,) + sets + h + (n_pts,))
 
 
 def kernel_matrix(x, y, p):

@@ -14,7 +14,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import CapacityError, DomainError, UnsupportedOrderError
-from .legendre import _integer
+from .legendre import _integer, _real
 
 __all__ = [
     "QuadratureRule",
@@ -40,8 +40,9 @@ class QuadratureRule:
     """Centrally symmetric unit-sphere point set with positive weights summing to 4 pi.
 
     The constructor checks the contract that every kernel sum relies on and
-    raises a DomainError for any breach: points (N, 3), finite, each of
-    norm 1 within 1e-12; weights (N,), finite and positive, summing to 4 pi
+    raises a DomainError for any breach: real numbers (legendre._real), not
+    strings, bools or complex numbers; points (N, 3), finite, each of norm 1
+    within 1e-12; weights (N,), finite and positive, summing to 4 pi
     within 1e-12 relative; for every point an exact antipode with a
     bit-equal weight, which the kernel sums' folds rely on (legendre); and
     an integer exactness degree >= 0, kept as an int.  ``antipodes`` maps
@@ -58,8 +59,7 @@ class QuadratureRule:
     def __post_init__(self):
         degree = _integer(self.exactness_degree, "rule exactness degree", 0)
         object.__setattr__(self, "exactness_degree", int(degree))
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        points, weights = _real(self.points, "rule points"), _real(self.weights, "rule weights")
         if points.shape[1:] != (3,) or weights.shape != points.shape[:1]:
             raise DomainError("a rule needs points (N, 3) and weights (N,)")
         if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):

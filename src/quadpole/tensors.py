@@ -167,7 +167,7 @@ def detrace_directional(pt, r, n):
     coef = np.zeros(n + 1)
     coef[n] = (2 * n + 1) / (4.0 * np.pi)
     moments = rule.weights * directional_moment(pt, rule.points, n)
-    return np.add(*_kernel_dot(r, rule.points, 1.0, coef, moments[None], False))
+    return _kernel_dot(r, rule.points, 1.0, coef, moments[None], False, 0.5, True)
 
 
 def polytensor_from_expansion(exp):

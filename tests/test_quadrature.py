@@ -266,6 +266,20 @@ def test_rules_that_break_the_contract_are_refused(case):
         qp.QuadratureRule(points, weights, 7)
 
 
+@pytest.mark.parametrize("case", ["string weights", "complex points", "bool points"])
+def test_rules_take_real_numbers_only(case):
+    # numeric strings would be parsed and complex points cast to their real
+    # parts: each is refused, and the message names the argument
+    rule = qp.lebedev_rule(7)
+    points, weights, name = {
+        "string weights": (rule.points, rule.weights.astype(str), "rule weights"),
+        "complex points": (rule.points + 0j, rule.weights, "rule points"),
+        "bool points": (rule.points != 0.0, rule.weights, "rule points"),
+    }[case]
+    with pytest.raises(qp.DomainError, match="^%s must be real numbers" % name):
+        qp.QuadratureRule(points, weights, 7)
+
+
 @pytest.mark.parametrize("degree", [2.5, "abc", True, False, -1, None, 7.0, np.float64(7)])
 def test_exactness_degree_must_be_a_non_negative_integer(degree):
     # the degree decides which orders a rule may carry: a fraction, a word
