@@ -116,7 +116,7 @@ def outer_gradient(exp, x):
     rel = _side_checked(exp, x, outside=True)
     # rel and R times 2^-e, so that both sums are combined before the
     # gradient, a length^-2, is scaled back by 2^-2e
-    e = _exponent(max(np.abs(rel).max(initial=0.0), exp.radius), 3)
+    e = _exponent(rel, exp.radius)
     rel, R = np.ldexp(rel, -e), math.ldexp(exp.radius, -e)
     pts, fold = _surface_set(exp.rule, exp.surface_weights)   # rows w + w', w - w'
     coef = np.ones((exp.order, 2))
@@ -262,7 +262,7 @@ def _harmonic_basis(rule, p):
 def _prescaled(spheres):
     """e, the largest radius in [2^(e-1), 2^e), and the items, centers and radii times 2^-e,
     as plain attribute holders: the items were validated when they were made."""
-    e = int(np.frexp(max(s.radius for s in spheres))[1])
+    e = _exponent(*(s.radius for s in spheres))
     return e, [SimpleNamespace(**{**vars(s), "center": np.ldexp(s.center, -e),
                                   "radius": math.ldexp(s.radius, -e)}) for s in spheres]
 

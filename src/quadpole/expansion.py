@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (ContractViolation, DomainError, GeometryError, SingularityError,
                      UnsupportedOrderError)
 from .legendre import (_BLOCK_PAIRS, _aligned, _apart, _exponent, _integer, _kernel_dot,
-                       _points, _real, _reproducing, _rescaled, _row_blocks, _source_dot)
+                       _points, _real, _reproducing, _rescaled, _row_blocks, _source_dot, _top)
 from .quadrature import QuadratureRule, _antipodal_reps, lebedev_rule, rule_for_expansion
 
 __all__ = [
@@ -370,15 +370,15 @@ def direct_energy(a, b):
 def _coulomb_scale(*arrays):
     """e, the coincidence distance and the arrays times 2^-e, as the Coulomb sums run on them.
 
-    With s the largest |coordinate| of the arrays, the scale of the call,
-    e = legendre._exponent(s, 2), so that no squared distance leaves
+    With s the largest |coordinate| of the arrays, the scale of the call, in
+    [2^(e-1), 2^e) (legendre._exponent), no squared distance leaves
     float64, and a target within 1e-12 s 2^-e of a source at the scaled
     coordinates coincides with it.  The sums, times 2^e there, leave through
-    legendre._rescaled.  At e = 0 the arrays are returned as given.
+    legendre._rescaled.
     """
-    s = max(np.abs(a).max(initial=0.0) for a in arrays)
-    e = _exponent(s, 2)
-    return e, 1e-12 * np.ldexp(s, -e), [np.ldexp(a, -e) if e else a for a in arrays]
+    e = _exponent(*arrays)
+    scaled = [np.ldexp(a, -e) for a in arrays]
+    return e, 1e-12 * max(map(_top, scaled)), scaled
 
 
 def _coulomb(x, positions, charges):

@@ -179,20 +179,10 @@ def _set_dot(rows, pts):
     return rows[..., 0, :] @ pts.T
 
 
-def _inner_products(x, y):
-    """x.y, x.x and y.y over the last axis."""
-    x, y = (np.asarray(a, dtype=float) for a in (x, y))
-    return _dot(x, y), _dot(x, x), _dot(y, y)
-
-
 # About 7 working arrays of this many float64s fit a 2 MB L2 cache.  Blocks
 # of 2^15 pairs were 5-10% faster per kernel call, but raised the peak of a
 # tacc pass at p = 16, 30 from 1.79 to 2.36 MB.
 _BLOCK_PAIRS = 2 ** 14
-
-# Coordinates stay unscaled (_exponent) while 2 lam |e| is at most this:
-# the squares and the powers r^(2 lam) stay well inside float64 there.
-_SCALE_FREE = 256
 
 
 def _aligned(count, shape):
@@ -274,9 +264,15 @@ def _coefficients(coef):
 def f_sequence_raw(xy, xx, yy, p):
     """Sequence L_0..L_{p-1} from the inner products x.y, x.x, y.y.
 
-    Inputs broadcast; the result has shape (p,) + broadcast shape.
+    Inputs broadcast; the result has shape (p,) + broadcast shape.  The
+    inner products must be finite real numbers and p an integer >= 1, each
+    else a DomainError.
     """
-    out = np.empty((p,) + np.broadcast_shapes(np.shape(xy), np.shape(xx), np.shape(yy)))
+    p = _integer(p, "order", 1)
+    xy, xx, yy = (_real(a, name) for a, name in ((xy, "x.y"), (xx, "x.x"), (yy, "y.y")))
+    if not all(np.all(np.isfinite(a)) for a in (xy, xx, yy)):
+        raise DomainError("inner products must be finite")
+    out = np.empty((p,) + np.broadcast_shapes(xy.shape, xx.shape, yy.shape))
     for n, g in enumerate(_terms(*_ratios(xy, xx, yy), p)):
         out[n] = g
     out *= _leading(p, 0.5).reshape((p,) + (1,) * (out.ndim - 1))
@@ -284,8 +280,12 @@ def f_sequence_raw(xy, xx, yy, p):
 
 
 def scaled_legendre_stack(x, y, p):
-    """L_n stack for broadcast arrays of 3-vectors; shape (p,) + batch."""
-    return f_sequence_raw(*_inner_products(x, y), p)
+    """L_n stack for broadcast arrays of finite 3-vectors, shape (p,) + batch: f_sequence_raw
+    at 2^-e x, 2^-e y (_exponent), scaled back (_rescaled), as every sum runs."""
+    x, y = _points(x, "x"), _points(y, "y")
+    e = _exponent(x, y)
+    x, y = np.ldexp(x, -e), np.ldexp(y, -e)
+    return _rescaled(f_sequence_raw(_dot(x, y), _dot(x, x), _dot(y, y), p), -e, "L_n near 2^%d" % e)
 
 
 def kernel_sum(x, y, coef):
@@ -295,27 +295,34 @@ def kernel_sum(x, y, coef):
     each times coef[n] kappa_n, so no (p,) + batch stack is built.  The
     batch is summed in row blocks of about 2^14 pairs, so the recurrence's
     working arrays stay in cache; each element's arithmetic is that of one
-    unblocked sum, bit for bit.  x and y must be finite 3-vectors and coef
-    finite, each else a DomainError.
+    unblocked sum, bit for bit.  Each block runs at 2^-e x, 2^-e y
+    (_exponent), and the sums leave through _rescaled.  x and y must be
+    finite 3-vectors and coef finite, each else a DomainError.
     """
     x, y, coef = _points(x, "x"), _points(y, "y"), _coefficients(coef)
     coef = coef * _leading(len(coef), 0.5)
+    e = _exponent(x, y)
     batch, blocks = _row_blocks(x, y)
     out = np.empty(batch)
     for rows, xb, yb in blocks:
-        terms = _terms(*_ratios(*_inner_products(xb, yb)), len(coef))
+        xb, yb = np.ldexp(xb, -e), np.ldexp(yb, -e)
+        terms = _terms(*_ratios(_dot(xb, yb), _dot(xb, xb), _dot(yb, yb)), len(coef))
         total = np.multiply(next(terms), coef[0], out=out[rows])
         tmp = np.empty_like(total)
         for c, g in zip(coef[1:], terms):
             total += np.multiply(g, c, out=tmp)
-    return out[()]   # a numpy scalar for a scalar batch
+    return _rescaled(out, -e, "kernel sums near 2^%d" % e)[()]   # a numpy scalar for a scalar batch
 
 
-def _exponent(scale, power):
-    """The prescale 2^-e of a call whose largest |coordinate| is scale, in [2^(e-1), 2^e):
-    e, or 0 where power |e| is at most _SCALE_FREE."""
-    e = math.frexp(scale)[1]
-    return e if power * abs(e) > _SCALE_FREE else 0
+def _top(a):
+    """The largest |value| of the array or number a, 0 if empty, read without a copy of |a|."""
+    return max(np.max(a, initial=0.0), -np.min(a, initial=0.0))
+
+
+def _exponent(*values):
+    """e, with the largest |value| of the arrays and numbers values in [2^(e-1), 2^e), 0 for none:
+    every kernel and Coulomb sum runs on its coordinates times 2^-e, exactly."""
+    return math.frexp(max(map(_top, values)))[1]
 
 
 def _cosine_blocks(x, pts, e, singular, step, p, lam):
@@ -328,8 +335,8 @@ def _cosine_blocks(x, pts, e, singular, step, p, lam):
     _terms(t, 1, 1, p, lam).  Its steps are numbers, so a degree costs three
     passes over the block and no broadcast; the results differ from
     kernel_sum's by roundoff.  block is the slice of x, and r its norms at
-    2^-e x, e from _exponent, so that far from unit scale they are taken
-    without squaring x out of float64; the caller scales back.  A point at
+    2^-e x, e from _exponent, so that at any scale they are taken without
+    squaring x out of float64; the caller scales back.  A point at
     0 has direction 0, and is a SingularityError where it is the kernel's
     second argument (singular).  One matmul gives t, in the first of four
     block arrays from _aligned, shared by the blocks, and the terms are made
@@ -340,7 +347,7 @@ def _cosine_blocks(x, pts, e, singular, step, p, lam):
     work = _aligned(4, (min(step, len(x)), len(pts)))
     for start in range(0, len(x), step):
         block = slice(start, start + step)
-        xb = np.ldexp(x[block], -e) if e else x[block]
+        xb = np.ldexp(x[block], -e)
         r = np.sqrt(_dot(xb, xb))
         if singular and not r.all():
             raise SingularityError("second argument must be nonzero")
@@ -382,8 +389,7 @@ def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5, total=False):
     p, sets, lead, h = len(coef), coef.shape[1:], x.shape[:-1], w.shape[2:]
     # T_n(2^-e x, 2^-e y) = 2^(2 lam e) T_n(x, y): the sum runs on x and R
     # scaled by 2^-e, exactly, and is scaled back at the end
-    power, scale = round(2 * lam), max(np.abs(x).max(initial=0.0), R)
-    e = _exponent(scale, power)
+    e = _exponent(x, R)
     R = math.ldexp(R, -e)
     columns = coef.reshape(p, -1).T * _leading(p, lam)   # one row per set, in the sets' order
     out = np.empty((2, len(columns), math.prod(lead)) + h)
@@ -398,27 +404,26 @@ def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5, total=False):
             a, b = (R, r) if outside else (r, R)   # |x| and |y| of T_n(x, y)
             # 1 / b ** (2 lam): b ** -1.0 can differ from 1 / b in the last bit
             factors = columns[:, :, None] * (a / b) ** np.arange(p)[:, None] * (1.0 / b ** (2 * lam))
-            for k, factor in enumerate(factors):   # one set at a time: each sums as a (p,) coef
-                for parity in (0, 1):
-                    np.einsum("nr,nr...->r...", factor[parity::2], sums[parity::2],
-                              out=out[parity, k, block])
+            for parity in (0, 1):   # each set sums its degrees in order, as a (p,) coef alone
+                np.einsum("knr,nr...->kr...", factors[:, parity::2], sums[parity::2],
+                          out=out[parity, :, block])
         out = np.add(*out).reshape(sets + lead + h) if total else out.reshape((2,) + sets + lead + h)
-    return _rescaled(out, -power * e, "kernel sums at coordinates near 2^%d" % math.frexp(scale)[1])
+    return _rescaled(out, -round(2 * lam) * e, "kernel sums at coordinates near 2^%d" % e)
 
 
 def _rescaled(a, k, what):
-    """a times 2^k: the one way out of the kernel and Coulomb sums, which run prescaled by 2^-e.
+    """a times 2^k, in place: the one way out of the kernel and Coulomb sums, run at 2^-e.
 
     A DomainError, naming what, where a is not finite ("leave the range of
     float64"), or where its largest |value| times 2^k would leave float64's
     normal range, with a bit to spare, so that the even- and odd-degree
     totals add without overflow ("leave the normal range of float64").
     """
-    top = np.abs(a).max(initial=0.0)
+    top = _top(a)
     finite = math.isfinite(top)
     if not finite or top and not -1022 < math.frexp(top)[1] + k < 1024:
         raise DomainError("%s leave the %srange of float64" % (what, "normal " if finite else ""))
-    return np.ldexp(a, k) if k else a
+    return np.ldexp(a, k, out=a)
 
 
 def _source_dot(x, pts, coef, q, inner):
@@ -447,8 +452,7 @@ def _source_dot(x, pts, coef, q, inner):
     n_sets, n_pts = columns.shape[1], len(pts)
     width = n_sets * len(charges)   # the rows of a degree's weights and totals
     exponents = np.arange(p, dtype=float)[:, None] + (1.0 if inner else 0.0)   # n + o
-    scale = np.abs(x).max(initial=0.0)
-    e = _exponent(scale, 2)
+    e = _exponent(x)
     step = max(1, 4 * _BLOCK_PAIRS // (4 * n_pts + p * width + p * n_sets))
     out = np.zeros((2, width, n_pts))
     totals = [out[n % 2] for n in range(1, p)]   # degree n's parity total
@@ -469,7 +473,7 @@ def _source_dot(x, pts, coef, q, inner):
             for total, w, g in zip(totals, weights[1:], terms):
                 total += np.matmul(w, g, out=tmp)
         out[0] += g0_sum[:, None]
-    what = "kernel sums over sources near 2^%d" % math.frexp(scale)[1]
+    what = "kernel sums over sources near 2^%d" % e
     return _rescaled(out, 0, what).reshape((2,) + sets + h + (n_pts,))
 
 
@@ -503,16 +507,17 @@ def normal_kernel_sum(a, x, n, coef):
     bit-identical to an unblocked sum, except for a point set a (B, 3)
     against rows x and n (..., 1, 3), as the flow rows are: there x.a and
     n.a are one matmul per row block, whose last bits depend on the blocks.
-    a, x and n must be finite 3-vectors and coef finite, each else a
-    DomainError.
+    The blocks run at 2^-e a, 2^-e x (_exponent), and the sums leave
+    through _rescaled.  a, x and n must be finite 3-vectors and coef
+    finite, each else a DomainError.
     """
-    a, x, n = _points(a, "a"), _points(x, "x"), _points(n, "n")
-    sums = _normal_sums(a, x, n, _coefficients(coef), pair=False)
-    return sums[()]   # a numpy scalar for a scalar batch
+    a, x, n, coef = _points(a, "a"), _points(x, "x"), _points(n, "n"), _coefficients(coef)
+    e = _exponent(a, x)
+    return _rescaled(_normal_sums(a, x, n, coef, False, e), -2 * e, "normal sums near 2^%d" % e)[()]
 
 
-def _normal_sums(a, x, n, coef, pair):
-    """normal_kernel_sum(a, x, n, coef); with pair, also the same sum at -a, shape (2,) + batch.
+def _normal_sums(a, x, n, coef, pair, e=0):
+    """normal_kernel_sum(a, x, n, coef) at 2^-e a, 2^-e x; with pair, also at -a: (2,) + batch.
 
     By the parity of T_m in a (module docstring) and n.(-a) = -n.a, the
     parts of the sum even and odd in a are, with S_A and S_B split by the
@@ -524,7 +529,8 @@ def _normal_sums(a, x, n, coef, pair):
     per row block; P + Q does not depend on pair, bit for bit.  S_A is
     made as S_B + (S_A - S_B), whose coefficients (coef[m+1] - coef[m]) k_m
     are zero but for the last degree where coef is constant, as for the
-    flow rows (_normal_block).  Its callers give it a float coef (p,), p >= 1.
+    flow rows (_normal_block).  Its callers give it a float coef (p,), p >= 1,
+    and scale the sums back; the flow's rows come prescaled (bem._prescaled).
     """
     lead = _leading(len(coef), 1.5)
     c_b, c_d = coef * lead, (np.append(coef[1:], 0.0) - coef) * lead
@@ -532,6 +538,8 @@ def _normal_sums(a, x, n, coef, pair):
     batch, blocks = _row_blocks(a, x, n)
     out = np.empty((2,) + batch if pair else batch)
     for rows, ab, xb, nb in blocks:
+        if e:   # e = 0: rows that come prescaled, as the flow's, are not copied
+            ab, xb = np.ldexp(ab, -e), np.ldexp(xb, -e)
         even, odd = _normal_block(ab, xb, nb, c_b, c_d, on_set)
         if pair:   # out[1, rows], not out[1][rows]: a scalar batch's out[1] is a copy
             np.subtract(even, odd, out=out[1, rows])
@@ -579,4 +587,5 @@ def grad_scaled_legendre_stack(a, x, p):
     """Gradients d/dx of L_n(a, x), shape (p,) + batch + (3,), one degree per
     axis-normal :func:`normal_kernel_sum`; tests compare the fused sum against it."""
     a, x = np.expand_dims(a, -2), np.expand_dims(x, -2)
-    return np.stack([normal_kernel_sum(a, x, np.eye(3), np.eye(n + 1)[n]) for n in range(p)])
+    return np.stack([normal_kernel_sum(a, x, np.eye(3), np.eye(n + 1)[n])
+                     for n in range(_integer(p, "order", 1))])

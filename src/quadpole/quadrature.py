@@ -247,14 +247,14 @@ def sphere_monomial_integral(a, b, c):
     broadcast arrays of non-negative integer exponents; any other exponent,
     a bool or a float included, is a DomainError that names it.
     """
-    a, b, c = (_exponent(name, e) for name, e in zip("abc", (a, b, c)))
+    a, b, c = (_natural(name, e) for name, e in zip("abc", (a, b, c)))
     total = np.add(np.add(a, b), c)
     dfac = np.array([_double_factorial(k - 1) for k in range(np.max(total, initial=0) + 3)])
     even = np.where(np.arange(len(dfac)) % 2, 0.0, dfac)   # dfac[k] = (k-1)!!, 0 for odd k
     return (4.0 * np.pi * (even[a] * even[b] * even[c]) / dfac[total + 2])[()]
 
 
-def _exponent(name, value):
+def _natural(name, value):
     """value as an integer array, or a DomainError naming it unless each entry is an integer >= 0.
 
     A bool, a float or a string is refused even where it compares equal to an integer.

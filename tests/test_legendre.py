@@ -286,6 +286,30 @@ def test_normal_kernel_sum_refuses_non_finite_or_malformed_input(name, value, ma
         normal_kernel_sum(**args)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: legendre.f_sequence_raw(0.5, 0.25, 1.0, 2.5), "order must be an integer >= 1"),
+    (lambda: legendre.f_sequence_raw(0.5, 0.25, 1.0, 0), "order must be an integer >= 1"),
+    (lambda: legendre.f_sequence_raw(0.5, 0.25, 1.0, True), "order must be an integer >= 1"),
+    (lambda: legendre.f_sequence_raw([0.5, np.nan], 0.25, 1.0, 3), "inner products must be finite"),
+    (lambda: legendre.f_sequence_raw(0.5, 0.25, np.inf, 3), "inner products must be finite"),
+    (lambda: legendre.f_sequence_raw(0.5j, 0.25, 1.0, 3), "x.y must be real numbers"),
+    (lambda: scaled_legendre_stack(POINTS, SOURCES, 2.5), "order must be an integer >= 1"),
+    (lambda: scaled_legendre_stack(POINTS, SOURCES, 0), "order must be an integer >= 1"),
+    (lambda: scaled_legendre_stack([0.1, np.nan, 0.3], SOURCES, 3), "x must be finite 3-vectors"),
+    (lambda: scaled_legendre_stack(POINTS, [2.0, 0.0], 3), "y must be finite 3-vectors"),
+    (lambda: grad_scaled_legendre_stack(POINTS, SOURCES, 2.5), "order must be an integer >= 1"),
+    (lambda: grad_scaled_legendre_stack(POINTS, SOURCES, 0), "order must be an integer >= 1"),
+], ids=["raw-fractional-p", "raw-p0", "raw-bool-p", "raw-nan", "raw-inf", "raw-complex",
+        "stack-fractional-p", "stack-p0", "stack-nan-x", "stack-2-vector-y",
+        "grad-fractional-p", "grad-p0"])
+def test_test_only_stacks_refuse_malformed_input(call, match):
+    # the reference stacks check their arguments as every other entry does:
+    # a DomainError that names the argument, not a TypeError, an IndexError
+    # or NaN terms
+    with pytest.raises(qp.DomainError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("p", [1, 2, 30])
 @pytest.mark.parametrize("shapes", [
     # more pairs than one block, ending in a partial block, blocked along x,

@@ -16,7 +16,8 @@ from test_bem import three_sphere_scene
 
 import quadpole as qp
 from quadpole.expansion import _coulomb_rays
-from quadpole.legendre import _rescaled
+from quadpole.legendre import (_rescaled, grad_scaled_legendre_stack, normal_kernel_sum,
+                               scaled_legendre_stack)
 
 P = 8
 _rng = np.random.default_rng(211)
@@ -135,6 +136,51 @@ def test_every_public_sum_is_exact_under_a_power_of_two_scale(k):
                 continue
         for (value, _), (unit, power) in zip(got, want):
             assert np.array_equal(value, np.ldexp(unit, power * k)), (name, k)
+
+
+# the pairwise sums of quadpole.legendre on 5 pairs, |x| < |y|, and 8
+# coefficients: L_n is a length^-1 and its normal derivative a length^-2,
+# while the normals, directions, are not scaled
+X = 0.5 * CLOUD_A[0][:5] - 0.1 * C_A
+Y = _rng.uniform(-1.0, 1.0, (5, 3)) + np.array([1.5, -1.0, 0.5])
+NORMALS = _rng.standard_normal((5, 3))
+COEF = _rng.uniform(-1.0, 1.0, P)
+PAIRWISE = {
+    "kernel_sum": lambda up: (qp.kernel_sum(up(X), up(Y), COEF), -1),
+    "kernel_matrix": lambda up: (qp.kernel_matrix(up(X)[:, None], up(Y)[None], P), -1),
+    "normal_kernel_sum": lambda up: (normal_kernel_sum(up(X), up(Y), NORMALS, COEF), -2),
+    "scaled_legendre_stack": lambda up: (scaled_legendre_stack(up(X), up(Y), P), -1),
+    "grad_scaled_legendre_stack": lambda up: (grad_scaled_legendre_stack(up(X), up(Y), P), -2),
+}
+
+
+@settings(max_examples=20)
+@example(k=1000)
+@example(k=-1000)
+@example(k=600)
+@example(k=-600)
+@example(k=511)
+@example(k=-511)
+@example(k=400)
+@example(k=345)
+@example(k=-345)
+@example(k=-350)
+@example(k=0)
+@given(k=st.integers(-1000, 1000))
+def test_pairwise_sums_are_exact_under_a_power_of_two_scale(k):
+    # the sums prescale inside their row blocks, so each is its unit-scale
+    # value times 2^(power k) bit for bit, with no warning, or a typed error
+    # only where that value is not a normal float64
+    for name, call in PAIRWISE.items():
+        unit, power = call(lambda v: v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got, _ = call(lambda v: np.ldexp(v, k))
+            except qp.QuadpoleError:
+                assert not _normal(unit, power * k), (name, k)
+                continue
+        assert np.array_equal(got, np.ldexp(unit, power * k)), (name, k)
 
 
 @pytest.mark.parametrize("k", [300, -300, 600, -600, 1000, -1000])
