@@ -13,7 +13,9 @@ C^lambda_n, it runs on G_n = T_n / k_n,
     G_n = (x.y/y.y) G_{n-1} - b_n (x.x/y.y) G_{n-2},
     b_n = (n-1)(n+2 lambda-2) / (4(n+lambda-1)(n+lambda-2))
 
-_terms is the only code that runs it.  Its callers give it u = x.y/y.y,
+_terms runs it for every sum but those of fits and shifts: the pairwise
+kernel_sum and normal_kernel_sum, the reference stacks, legendre_poly,
+and _kernel_dot, the sums over a rule.  Its callers give it u = x.y/y.y,
 v = x.x/y.y and G_0 = |y|^(-2 lambda), numbers or one value per pair,
 which it yields unexpanded; the callers refuse y = 0, through _ratios or
 _cosine_blocks.  The monic form saves one array pass per degree over the
@@ -30,8 +32,16 @@ kernel_sum returns the sum for every pair.  Every other sum contracts it
 with weights, each term as the recurrence makes it, with no pair matrix,
 on the cosines between points and the unit points of a rule
 (_cosine_blocks).  Evaluations, energies, layers, de-tracing and the outer
-gradient contract over the rule's points with _kernel_dot; fits and shifts
-contract over their sources with _source_dot.
+gradient contract over the rule's points with _kernel_dot, on _terms;
+fits and shifts contract over their sources with _source_dot, on the
+recurrence T_m(t) = 2t T_{m-1}(t) - T_{m-2}(t) of the Chebyshev
+polynomials T_m(t) = cos(m arccos t), written with one argument, unlike
+the terms T_n(x, y) (_chebyshev_terms): two array passes per degree.  Its change of basis
+P_n = sum_m A[n, m] T_m (_chebyshev) has entries >= 0 that sum to 1 in
+each row, so it adds no cancellation, and it folds into the per-degree
+weights.  _kernel_dot stays monic: its weights may be one set per degree
+(P = p), and a term T_m would then meet the weights of every degree
+n >= m of its parity, not one set.
 
 Parity.  C^lambda_n has the parity of n, so for every lambda
 
@@ -156,6 +166,52 @@ def _terms(u, v, g0, p, lam=0.5, work=None):
             g_prev += np.multiply(u, g_cur, out=tmp)
         g_prev, g_cur = g_cur, g_prev
         yield g_cur
+
+
+@cache
+def _chebyshev(p):
+    """Change of basis A (p, p), P_n = sum_m A[n, m] T_m for n, m < p, each entry correctly rounded.
+
+    A[n, n-2k] = (2 - [2k = n]) C(2k, k) C(2n-2k, n-k) / 4^n (Alpert and
+    Rokhlin, SIAM J. Sci. Stat. Comput. 12, 1991), each the exact ratio of
+    integers, divided once.  Entries are >= 0 and zero where m and n
+    differ in parity, and each row sums to P_n(1) = 1.  Read-only.
+    """
+    a = np.zeros((p, p))
+    for n in range(p):
+        for k in range(n // 2 + 1):
+            a[n, n - 2 * k] = ((2 - (2 * k == n)) * math.comb(2 * k, k)
+                               * math.comb(2 * n - 2 * k, n - k) / 4 ** n)
+    a.setflags(write=False)
+    return a
+
+
+def _chebyshev_terms(t, p, work):
+    """Yield the Chebyshev polynomials T_1..T_{p-1} at the cosines t, T_0 = 1 left to the caller.
+
+    T_m = 2t T_{m-1} - T_{m-2} costs two array passes per degree:
+    tmp = 2t T_{m-1}, then T_{m-2} = tmp - T_{m-2} in place.  t is T_1,
+    yielded as given; work holds three arrays of t's shape, for 2t, T_2
+    and tmp, and T_3 is made in t's array, so the generator takes t over.
+    Only two terms are kept, so a consumer must use each term before
+    asking for the next.
+    """
+    if p < 2:
+        return
+    yield t
+    if p < 3:
+        return
+    two_t, cur, tmp = work
+    np.add(t, t, out=two_t)
+    np.multiply(two_t, t, out=cur)
+    cur -= 1.0
+    yield cur
+    prev = t
+    for _ in range(3, p):
+        np.multiply(two_t, cur, out=tmp)
+        np.subtract(tmp, prev, out=prev)
+        prev, cur = cur, prev
+        yield cur
 
 
 def _ratios(xy, xx, yy, lam=0.5):
@@ -325,24 +381,22 @@ def _exponent(*values):
     return math.frexp(max(map(_top, values)))[1]
 
 
-def _cosine_blocks(x, pts, e, singular, step, p, lam):
-    """Yield (block, r, terms) for blocks of step points x (M, 3) against the unit points pts.
+def _cosine_blocks(x, pts, e, singular, step):
+    """Yield (block, r, t, work) for blocks of step points x (M, 3) against the unit points pts.
 
     The geometry that _kernel_dot and _source_dot share.  pts (B, 3) must be
     unit vectors rhat_b, as the points of a QuadratureRule are, and are
-    taken as exact directions: with t = xhat.rhat_b, each term is G_n(t)
-    times radial powers, so the recurrence runs on the cosines alone,
-    _terms(t, 1, 1, p, lam).  Its steps are numbers, so a degree costs three
-    passes over the block and no broadcast; the results differ from
-    kernel_sum's by roundoff.  block is the slice of x, and r its norms at
-    2^-e x, e from _exponent, so that at any scale they are taken without
-    squaring x out of float64; the caller scales back.  A point at
+    taken as exact directions: with t = xhat.rhat_b, each term is a
+    polynomial in t times radial powers, so a recurrence runs on the
+    cosines alone, with number steps and no broadcast; the results differ
+    from kernel_sum's by roundoff.  block is the slice of x, and r its
+    norms at 2^-e x, e from _exponent, so that at any scale they are taken
+    without squaring x out of float64; the caller scales back.  A point at
     0 has direction 0, and is a SingularityError where it is the kernel's
     second argument (singular).  One matmul gives t, in the first of four
-    block arrays from _aligned, shared by the blocks, and the terms are made
-    in the other three.  terms yields G_1..G_{p-1}: G_0 = 1 is consumed, as
-    each caller sums its weights once.  A block's terms must be used before
-    the next block is asked for.
+    block arrays from _aligned, shared by the blocks; work is the other
+    three, cut to the block's rows, for the caller's recurrence.  A block's
+    arrays must be used before the next block is asked for.
     """
     work = _aligned(4, (min(step, len(x)), len(pts)))
     for start in range(0, len(x), step):
@@ -352,9 +406,7 @@ def _cosine_blocks(x, pts, e, singular, step, p, lam):
         if singular and not r.all():
             raise SingularityError("second argument must be nonzero")
         t = np.matmul(xb / np.where(r > 0.0, r, 1.0)[:, None], pts.T, out=work[0][:len(r)])
-        terms = _terms(t, 1.0, 1.0, p, lam, work=[a[:len(r)] for a in work[1:]])
-        next(terms)
-        yield block, r, terms
+        yield block, r, t, [a[:len(r)] for a in work[1:]]
 
 
 def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5, total=False):
@@ -396,7 +448,9 @@ def _kernel_dot(x, pts, R, coef, w, outside, lam=0.5, total=False):
     step = max(1, _BLOCK_PAIRS // max(1, len(pts)))
     with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
         g0_sum = w[0].sum(axis=0)
-        for block, r, terms in _cosine_blocks(x.reshape(-1, 3), pts, e, outside, step, p, lam):
+        for block, r, t, work in _cosine_blocks(x.reshape(-1, 3), pts, e, outside, step):
+            terms = _terms(t, 1.0, 1.0, p, lam, work)
+            next(terms)   # G_0 = 1, summed once
             sums = np.empty((p, len(r)) + h)
             sums[0] = g0_sum
             for n, g in enumerate(terms, 1):
@@ -438,16 +492,21 @@ def _source_dot(x, pts, coef, q, inner):
     over the even degrees, then over the odd, kept apart for the row fold.
 
     The sources are the points of _cosine_blocks, the rule taken whole:
-    L_n = a_i^(n+o) kappa_n G_n(t), with a_i = |x_i|, o = 0 for the outer
-    kind or a_i = 1/|x_i|, o = 1 for the inner.  The powers a_i^(n+o),
-    coef[n] kappa_n and the charges are folded into weights, one (sets h,
-    rows) matrix per degree, made once per block, and a degree is one
-    matmul of them with G_n, added to its parity's total.  The block arrays,
-    the powers and the weights hold about 4 * 2^14 numbers.  A sum that
-    leaves float64 is a DomainError (_rescaled).
+    L_n = a_i^(n+o) P_n(t) = a_i^(n+o) sum_m A[n, m] T_m(t), with
+    a_i = |x_i|, o = 0 for the outer kind or a_i = 1/|x_i|, o = 1 for the
+    inner, and A the change of basis to the Chebyshev polynomials
+    (_chebyshev).  The powers a_i^(n+o) times coef[n] are folded onto the
+    T_m by one (p, p) matmul with A^T per block, before the charges
+    multiply in, giving weights, one (sets h, rows) matrix per T_m.  A
+    degree is then one matmul of them with T_m (_chebyshev_terms), added to
+    the total of m's parity, which A keeps: A[n, m] is zero unless m and n
+    have one parity.  The block arrays, the powers and the weights hold
+    about 4 * 2^14 numbers.  A sum that leaves float64 is a DomainError
+    (_rescaled).
     """
     p, sets, h = len(coef), coef.shape[1:], q.shape[:-1]
-    columns = coef.reshape(p, -1) * _leading(p)[:, None]   # (p, K), one column per set
+    columns = coef.reshape(p, -1)   # (p, K), one column per set
+    fold = _chebyshev(p).T   # degree n's weights onto T_m: row m, column n
     charges = q.reshape(math.prod(h), len(x))   # (H, M)
     n_sets, n_pts = columns.shape[1], len(pts)
     width = n_sets * len(charges)   # the rows of a degree's weights and totals
@@ -455,23 +514,28 @@ def _source_dot(x, pts, coef, q, inner):
     e = _exponent(x)
     step = max(1, 4 * _BLOCK_PAIRS // (4 * n_pts + p * width + p * n_sets))
     out = np.zeros((2, width, n_pts))
-    totals = [out[n % 2] for n in range(1, p)]   # degree n's parity total
-    g0_sum = np.zeros(width)   # G_0 = 1: the weights of degree 0, summed
-    weights_buf, tmp = np.empty(p * width * min(step, len(x))), np.empty((width, n_pts))
+    totals = [out[m % 2] for m in range(1, p)]   # T_m's parity total
+    g0_sum = np.zeros(width)   # T_0 = 1: the weights of degree 0, summed
+    rows = min(step, len(x))
+    weights_buf, scaled_buf = np.empty(p * width * rows), np.empty(p * n_sets * rows)
+    tmp = np.empty((width, n_pts))
     with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
-        for block, r, terms in _cosine_blocks(x, pts, e, inner, step, p, 0.5):
+        for block, r, t, work in _cosine_blocks(x, pts, e, inner, step):
             np.ldexp(r, e, out=r)
-            # a^(n+o) coef[n] kappa_n, one row per set, times the charges
-            scaled = np.empty((p, n_sets, len(r)))
-            np.power(1.0 / r if inner else r, exponents, out=scaled[:, 0])
-            scaled[:, 1:] = scaled[:, :1]
-            scaled *= columns[:, :, None]
+            # a^(n+o) coef[n], one row per set, in the weights' buffer, folded
+            # onto the T_m, then times the charges
+            powers = weights_buf[:p * n_sets * len(r)].reshape(p, n_sets, len(r))
+            np.power(1.0 / r if inner else r, exponents, out=powers[:, 0])
+            powers[:, 1:] = powers[:, :1]
+            powers *= columns[:, :, None]
+            scaled = scaled_buf[:p * n_sets * len(r)].reshape(powers.shape)
+            np.matmul(fold, powers.reshape(p, -1), out=scaled.reshape(p, -1))
             weights = weights_buf[:p * width * len(r)].reshape(p, width, len(r))
             np.multiply(scaled[:, :, None, :], charges[:, block],
                         out=weights.reshape(p, n_sets, len(charges), len(r)))
             g0_sum += weights[0].sum(axis=-1)
-            for total, w, g in zip(totals, weights[1:], terms):
-                total += np.matmul(w, g, out=tmp)
+            for total, w, g in zip(totals, weights[1:], _chebyshev_terms(t, p, work)):
+                total += np.dot(w, g, out=tmp)
         out[0] += g0_sum[:, None]
     what = "kernel sums over sources near 2^%d" % e
     return _rescaled(out, 0, what).reshape((2,) + sets + h + (n_pts,))

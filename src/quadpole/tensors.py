@@ -82,14 +82,22 @@ class Polytensor:
 
 
 def moments_from_charges(sources, p):
-    """Monomial moments M[n1,n2,n3] = sum_q q * x^n1 y^n2 z^n3, orders < p."""
+    """Monomial moments M[n1,n2,n3] = sum_q q * x^n1 y^n2 z^n3, orders < p.
+
+    A DomainError, naming the positions, where a moment leaves the range of
+    float64.
+    """
     _integer(p, "order", 1, MAX_ORDER)
     x, y, z = sources.positions.T
     q = sources.charges
     coeffs = []
     for n in range(p):
-        coeffs.append({t: float(np.sum(q * x ** t[0] * y ** t[1] * z ** t[2]))
-                       for t in triples(n)})
+        with np.errstate(over="ignore", invalid="ignore"):   # a moment out of range is refused
+            coeffs.append({t: float(np.sum(q * x ** t[0] * y ** t[1] * z ** t[2]))
+                           for t in triples(n)})
+        if not all(map(math.isfinite, coeffs[n].values())):
+            raise DomainError("positions too large: their order-%d moments leave the range "
+                              "of float64" % n)
     return Polytensor(p, tuple(coeffs))
 
 

@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import LONG, legendre as long_legendre, require_long
 
 import quadpole as qp
 from quadpole import legendre
 from quadpole.legendre import (
     _aligned,
+    _chebyshev,
+    _chebyshev_terms,
     _kernel_dot,
     _leading,
     _normal_sums,
@@ -408,6 +411,55 @@ def test_terms_with_number_steps_match_array_steps(p, lam):
     assert len(pairs) == p
     for a, b in pairs:
         assert np.array_equal(np.broadcast_to(a, b.shape), b)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 30, 66])
+def test_chebyshev_change_of_basis_is_nonnegative_and_keeps_parity(p):
+    # A[n, m] > 0 for m <= n of n's parity and 0 elsewhere, read-only, and
+    # each order's A is the leading block of the largest order's
+    a = _chebyshev(p)
+    n, m = np.indices((p, p))
+    assert a.shape == (p, p) and not a.flags.writeable
+    assert np.all(a >= 0.0)
+    assert np.all(a[(m <= n) & ((n - m) % 2 == 0)] > 0.0)
+    assert np.all(a[(m > n) | ((n - m) % 2 == 1)] == 0.0)
+    assert np.array_equal(a, _chebyshev(66)[:p, :p])
+
+
+def test_chebyshev_change_of_basis_rows_sum_to_one():
+    # P_n(1) = 1 = sum_m A[n, m] T_m(1), up to p = 66, the largest order
+    # rule_for_expansion serves: each row of rounded entries sums to 1
+    # within 1 ulp
+    for row in _chebyshev(66):
+        assert abs(np.sum(row) - 1.0) <= np.spacing(1.0)
+
+
+def test_chebyshev_change_of_basis_gives_the_legendre_polynomials():
+    # sum_m A[n, m] cos(m theta) = P_n(cos theta), n < 66, within 2 eps of
+    # the longdouble Legendre recurrence: the entries are rounded once, and
+    # sum_m A[n, m] |cos(m theta)| <= 1
+    require_long()
+    theta = np.linspace(0.0, np.pi, 181).astype(LONG)
+    want = np.array(list(long_legendre(np.cos(theta), 66)))
+    got = _chebyshev(66).astype(LONG) @ np.cos(np.arange(66)[:, None] * theta)
+    assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
+def test_chebyshev_terms_are_the_chebyshev_polynomials(p):
+    # T_1..T_{p-1} at cosines t against cos(m arccos t) in longdouble,
+    # within 3e-14 (1.7e-14 the most seen over 20 draws at p = 30); t itself
+    # is T_1, and every term is made in t's array or in the three work arrays
+    require_long()
+    t = np.cos(np.random.default_rng(71 + p).uniform(0.0, np.pi, (13, 40)))
+    work = [np.empty((13, 40)) for _ in range(3)]
+    want = np.cos(np.arange(1, p)[:, None, None] * np.arccos(t.astype(LONG)))
+    seen = [(g is t, any(g is a for a in [t, *work]), g.copy())
+            for g in _chebyshev_terms(t, p, work)]
+    assert len(seen) == p - 1 and all(own for _, own, _ in seen)
+    assert p < 2 or seen[0][0]
+    for (_, _, g), w in zip(seen, want):
+        assert np.all(np.abs(g - w) <= 3e-14)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 30])
@@ -861,21 +913,23 @@ def test_kernel_dot_does_not_depend_on_where_its_inputs_sit(monkeypatch):
 
 
 def test_source_dot_gives_the_recurrence_aligned_block_arrays(monkeypatch):
-    # t and the three term arrays of every source block start on a cache
+    # t and the three work arrays of every source block start on a cache
     # line, in a sum of three blocks, the last one partial, and in a
-    # one-block sum; t and the steps of the recurrence are numbers
+    # one-block sum; the recurrence is the Chebyshev one on t, whose steps
+    # are numbers: every work array has t's shape, and _terms never runs
     seen = []
 
-    def checked_terms(u, v, g0, p, lam=0.5, work=None):
-        seen.append([_line_offset(a) for a in (u, *work)] + [np.ndim(v), np.ndim(g0)])
-        return _terms(u, v, g0, p, lam, work)
+    def checked_terms(t, p, work):
+        seen.append([_line_offset(a) for a in (t, *work)] + [{a.shape for a in work} - {t.shape}])
+        return _chebyshev_terms(t, p, work)
 
-    monkeypatch.setattr(legendre, "_terms", checked_terms)
+    monkeypatch.setattr(legendre, "_chebyshev_terms", checked_terms)
+    monkeypatch.setattr(legendre, "_terms", None)
     rng = np.random.default_rng(131)
     pts, coef = _shell(rng, (601,), 1.0, 1.0), rng.standard_normal(30)
     for m in (60, 5):
         _source_dot(_shell(rng, (m,), 0.1, 0.9), pts, coef, rng.standard_normal(m), False)
-    assert seen == [[0] * 6] * 4
+    assert seen == [[0] * 4 + [set()]] * 4
 
 
 @pytest.mark.parametrize("k", [300, 600])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,22 @@ def test_moments_from_charges_refuses_orders_that_are_not_polytensor_orders(p):
     with pytest.raises(qp.DomainError, match="order must be"):
         qp.moments_from_charges(cloud, p)
     assert qp.moments_from_charges(cloud, np.int64(3)).order == 3
+
+
+@pytest.mark.parametrize("k, n", [(600, 2), (400, 3)])
+def test_moments_from_charges_refuses_moments_that_leave_float64(k, n):
+    # 20 charges near 2^k at p = 4: the order-n moment, near 2^(nk), leaves
+    # float64, a DomainError that names the positions and the order, not an
+    # overflow warning or an inf, with warnings as errors; below that order
+    # they are returned
+    rng, p = np.random.default_rng(149), 4
+    cloud = qp.PointCharges(np.ldexp(rng.uniform(-1.0, 1.0, (20, 3)), k),
+                            rng.uniform(-1.0, 1.0, 20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qp.DomainError, match="^positions too large: their order-%d " % n):
+            qp.moments_from_charges(cloud, p)
+        assert qp.moments_from_charges(cloud, n).order == n
 
 
 @pytest.mark.parametrize("call", [qp.directional_moment, qp.detrace_directional])

@@ -6,7 +6,7 @@ from test_bem import hand_built_scene, nudged_rule, three_sphere_scene
 import quadpole as qp
 from quadpole import legendre
 from quadpole.expansion import _fit, _sums_on_rule
-from quadpole.legendre import _reproducing, _source_dot, _terms
+from quadpole.legendre import _chebyshev_terms, _reproducing, _source_dot, _terms
 from quadpole.quadrature import _orbits
 
 
@@ -467,43 +467,53 @@ def test_source_sum_matches_the_dense_projection(p, kind, h):
 
 
 def test_fits_and_shifts_run_the_recurrence_on_cosines_alone(monkeypatch):
-    # every recurrence that a fit, a shift or a sum over a surface runs (the
-    # evaluations, the four layers, the energy, the sums on a rule, the
-    # outer gradient and de-tracing) has x.x/y.y = 1 and G_0 = 1 as
-    # numbers: its steps are numbers, and no degree multiplies a block by
-    # one value per source or per set point
+    # every recurrence that a fit, a shift or a sum over a surface runs has
+    # steps that are numbers, so no degree multiplies a block by one value
+    # per source or per set point.  Fits and shifts run the Chebyshev
+    # recurrence on the cosines t, with t and its three work arrays of one
+    # shape, each starting on a cache line; the evaluations, the four
+    # layers, the energy, the sums on a rule, the outer gradient and
+    # de-tracing run _terms with x.x/y.y = 1 and G_0 = 1 as numbers
     seen = []
 
     def recorded(u, v, g0, p, lam=0.5, work=None):
-        seen[-1].append((np.ndim(v), np.ndim(g0)))
+        seen[-1].append(("monic", np.ndim(v), np.ndim(g0)))
         return _terms(u, v, g0, p, lam, work)
+
+    def chebyshev(t, p, work):
+        seen[-1].append(("chebyshev", {a.shape for a in work} == {t.shape},
+                         *(a.ctypes.data % 64 for a in (t, *work))))
+        return _chebyshev_terms(t, p, work)
 
     rng = np.random.default_rng(509)
     near, far = random_cloud(rng, 80), random_cloud(rng, 80, offset=(4.0, 0.0, 0.0))
     origin = np.zeros(3)
     outer, inner = qp.fit_outer(near, origin, 1.0, 16), qp.fit_inner(far, origin, 1.0, 16)
-    calls = [lambda: qp.fit_outer(near, origin, 1.0, 16),
-             lambda: qp.fit_inner(far, origin, 1.0, 16),
-             lambda: _fit("outer", near, origin, 1.0, [3, 6, 9]),
-             lambda: _fit("inner", far, origin, 1.0, [3, 6, 9]),
-             lambda: qp.shift_outer(outer, np.array([0.2, 0.0, 0.0]), 1.5),
-             lambda: qp.outer_to_inner(outer, np.array([5.0, 1.0, 0.0]), 1.0),
-             lambda: qp.shift_inner(inner, np.array([0.1, 0.2, 0.3]), 0.5)]
+    fits = [lambda: qp.fit_outer(near, origin, 1.0, 16),
+            lambda: qp.fit_inner(far, origin, 1.0, 16),
+            lambda: _fit("outer", near, origin, 1.0, [3, 6, 9]),
+            lambda: _fit("inner", far, origin, 1.0, [3, 6, 9]),
+            lambda: qp.shift_outer(outer, np.array([0.2, 0.0, 0.0]), 1.5),
+            lambda: qp.outer_to_inner(outer, np.array([5.0, 1.0, 0.0]), 1.0),
+            lambda: qp.shift_inner(inner, np.array([0.1, 0.2, 0.3]), 0.5)]
     x_out, x_in = np.array([[3.0, 0.5, -1.0], [0.0, 2.0, 2.0]]), np.array([0.3, -0.2, 0.1])
-    calls += [lambda: qp.eval_outer_potential(outer, x_out),
-              lambda: qp.eval_inner_potential(inner, x_in)]
-    calls += [lambda f=f, x=x: f(outer, x)
-              for f, x in ((qp.single_layer_ext, x_out), (qp.double_layer_ext, x_out),
-                           (qp.single_layer_int, x_in), (qp.double_layer_int, x_in))]
-    calls += [lambda: qp.interaction_energy(outer, inner),
-              lambda: _sums_on_rule([inner, inner], qp.lebedev_rule(15), 0.5, np.ones((16, 3))),
-              lambda: qp.outer_gradient(outer, x_out),
-              lambda: qp.detrace_directional(qp.moments_from_charges(near, 6), x_in, 5)]
+    sums = [lambda: qp.eval_outer_potential(outer, x_out),
+            lambda: qp.eval_inner_potential(inner, x_in)]
+    sums += [lambda f=f, x=x: f(outer, x)
+             for f, x in ((qp.single_layer_ext, x_out), (qp.double_layer_ext, x_out),
+                          (qp.single_layer_int, x_in), (qp.double_layer_int, x_in))]
+    sums += [lambda: qp.interaction_energy(outer, inner),
+             lambda: _sums_on_rule([inner, inner], qp.lebedev_rule(15), 0.5, np.ones((16, 3))),
+             lambda: qp.outer_gradient(outer, x_out),
+             lambda: qp.detrace_directional(qp.moments_from_charges(near, 6), x_in, 5)]
     monkeypatch.setattr(legendre, "_terms", recorded)
-    for call in calls:
+    monkeypatch.setattr(legendre, "_chebyshev_terms", chebyshev)
+    for call in fits + sums:
         seen.append([])
         call()
-    assert all(seen) and all(s == (0, 0) for calls in seen for s in calls)
+    assert all(seen)
+    assert all(s == ("chebyshev", True, 0, 0, 0, 0) for calls in seen[:len(fits)] for s in calls)
+    assert all(s == ("monic", 0, 0) for calls in seen[len(fits):] for s in calls)
 
 
 # shift vectors of each class, up to a signed axis permutation drawn with them

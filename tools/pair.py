@@ -34,15 +34,33 @@ import workloads  # noqa: E402  (the workload names)
 from run import median_and_quartiles  # noqa: E402
 
 
+def last_json(argv, checkout, env):
+    """The last line of standard output of argv run in checkout, as JSON; exits if argv fails."""
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit("%s: %s failed:\n%s" % (checkout, " ".join(argv), done.stderr))
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def _run(checkout, workload, seed, seconds):
     """The last JSON line of one perfbench/run.py --trace 0 run in checkout."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
-                          env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
-    if done.returncode:
-        sys.exit("%s: %s failed:\n%s" % (checkout, " ".join(argv), done.stderr))
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return last_json(argv, checkout, {k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
+
+
+def alternate(pairs, run):
+    """run("parent") and run("change"), pairs times each, the parent first in even pairs.
+
+    Returns ({side: [results]}, [the side run first, per pair]).
+    """
+    runs, first = {"parent": [], "change": []}, []
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run(side))
+        first.append(order[0])
+    return runs, first
 
 
 def _log(line):
@@ -59,6 +77,17 @@ def summary(parent, change, first, better):
     return {"parent_median": med, "parent_q1": q1, "parent_q3": q3,
             "change_median": statistics.median(change), "change_wins": wins, "ties": ties,
             "pairs": len(parent), "position_effect": statistics.median(position)}
+
+
+def log_table(summaries):
+    """Log one row per summary of {name: summary()}."""
+    _log("  %-14s %12s %12s %12s %12s %6s %5s %12s" % (
+        "metric", "parent_med", "parent_q1", "parent_q3", "change_med", "wins", "ties",
+        "first-second"))
+    for name, s in summaries.items():
+        _log("  %-14s %12.6g %12.6g %12.6g %12.6g %3d/%-2d %5d %12.3g" % (
+            name, s["parent_median"], s["parent_q1"], s["parent_q3"], s["change_median"],
+            s["change_wins"], s["pairs"], s["ties"], s["position_effect"]))
 
 
 def main(argv=None):
@@ -87,28 +116,18 @@ def main(argv=None):
               "parent_commit": head, "control": args.control, "workloads": {}}
     correct = True
     for workload in args.workload or list(workloads.WORKLOADS):
-        runs, first = {"parent": [], "change": []}, []
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                line = _run(parent if side == "parent" else ROOT, workload, args.seed,
-                            args.seconds)
-                correct &= line["correct"]
-                runs[side].append({**{k: m["value"] for k, m in line["metrics"].items()},
-                                   "correct": line["correct"]})
-            first.append(order[0])
+        def run(side):
+            line = _run(parent if side == "parent" else ROOT, workload, args.seed, args.seconds)
+            return {**{k: m["value"] for k, m in line["metrics"].items()},
+                    "correct": line["correct"]}
+        runs, first = alternate(args.pairs, run)
+        correct &= all(r["correct"] for side in runs.values() for r in side)
         _log("%s, seed %d, %d pairs:" % (workload, args.seed, args.pairs))
-        _log("  %-12s %12s %12s %12s %12s %6s %5s %12s" % (
-            "metric", "parent_med", "parent_q1", "parent_q3", "change_med", "wins", "ties",
-            "first-second"))
-        table = {}
-        for metric in bench["end_to_end"]:
-            name = metric["name"]
-            s = table[name] = summary([r[name] for r in runs["parent"]],
-                                      [r[name] for r in runs["change"]], first, metric["better"])
-            _log("  %-12s %12.6g %12.6g %12.6g %12.6g %3d/%-2d %5d %12.3g" % (
-                name, s["parent_median"], s["parent_q1"], s["parent_q3"], s["change_median"],
-                s["change_wins"], s["pairs"], s["ties"], s["position_effect"]))
+        table = {metric["name"]: summary([r[metric["name"]] for r in runs["parent"]],
+                                         [r[metric["name"]] for r in runs["change"]], first,
+                                         metric["better"])
+                 for metric in bench["end_to_end"]}
+        log_table(table)
         report["workloads"]["%s-seed%d" % (workload, args.seed)] = {
             "workload": workload, "seed": args.seed, "seconds": args.seconds, "trace": 0,
             "summary": table, "first": first, "runs": runs}
