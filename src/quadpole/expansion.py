@@ -154,7 +154,7 @@ def fit_inner(sources, center, R, p, rule=None):
     return _fit("inner", sources, center, R, [p], rule)[0]
 
 
-def _fit(kind, sources, center, R, orders, rule=None):
+def _fit(kind, sources, center, R, orders, rule=None, R_in=None):
     """Expansions of one kind of the sources at each of orders, all on one rule.
 
     The rule defaults to the one the largest order needs.  The orders share
@@ -162,37 +162,68 @@ def _fit(kind, sources, center, R, orders, rule=None):
     to the largest order, are one coefficient set of legendre._source_dot,
     so each order's weights equal those of a fit at that order alone to
     rounding.
+
+    The kind "twin" fits the sources and their Kelvin inversion
+    y -> c + R^2 (y - c) / |y - c|^2 in the sphere (center, R) in the same
+    sum, and returns two lists: the outer expansions of the sources on that
+    sphere and the inner expansions of the inversion on the sphere of
+    radius R_in about c.  The inversion keeps each direction from c and puts
+    a source at unit-scaled distance a = |y - c| / R at (R / R_in) / a in
+    radii R_in, so its inner terms are the sources' (R_in / R)^(n+1)
+    a^(n+1) P_n(t): coefficient sets (2n+1)/(4 pi) (R_in / R)^(n+1), with
+    the radial factor "kelvin", beside the outer sets, which stay those of
+    an outer fit alone bit for bit.  Each list keeps its kind's checks and
+    diagnostics.
     """
     R = _radius(R, divisor=True)
     rule = rule or rule_for_expansion(max(orders))
     center = _center(center)
     rel = _in_radii(sources.positions, center, R)
     dist = _apart(sources.positions, center, R)
-    if kind == "outer":
-        diag = {"n_sources_outside": int(np.sum(dist > 1.0)),
-                "max_source_radius": float(dist.max(initial=0.0) * R)}
-    else:
-        if np.any(np.abs(dist - 1.0) <= 1e-12):
-            raise SingularityError("source lies on the bounding sphere")
-        diag = {"n_sources_inside": int(np.sum(dist < 1.0)),
-                "min_source_radius": float(dist.min(initial=np.inf) * R)}
     degrees = np.arange(max(orders))[:, None]
     coef = np.where(degrees < orders, _reproducing(len(degrees))[:, None], 0.0)   # (p, K)
-    weights = _project(kind, rel, sources.charges, rule, coef)
-    return [SurfaceExpansion(center=center, radius=R, rule=rule, surface_weights=w, order=p,
-                             kind=kind, diagnostics=dict(diag))
-            for p, w in zip(orders, weights)]
+    if kind != "twin":
+        fits = [(kind, R, _fit_diagnostics(kind, dist, R))]   # kind, radius, diagnostics
+    else:
+        R_in = _radius(R_in, divisor=True)
+        with np.errstate(divide="ignore", over="ignore"):   # a source at c goes to infinity
+            fits = [("outer", R, _fit_diagnostics("outer", dist, R)),
+                    ("inner", R_in, _fit_diagnostics("inner", R / R_in / dist, R_in))]
+        coef = np.hstack([coef, coef * (R_in / R) ** (degrees + 1.0)])
+    del dist   # not held through the source sum
+    radial = ("outer", "kelvin") if kind == "twin" else kind
+    weights = _project(radial, rel, sources.charges, rule, coef)
+    # each expansion owns its weights: a view would hold every set's rows
+    out = [[SurfaceExpansion(center=center, radius=radius, rule=rule, surface_weights=w.copy(),
+                             order=p, kind=k, diagnostics=dict(diag))
+            for p, w in zip(orders, ws)]
+           for (k, radius, diag), ws in zip(fits, np.split(weights, len(fits)))]
+    return out if kind == "twin" else out[0]
 
 
-def _project(kind, rel, charges, rule, coef, group=None, reps=None):
+def _fit_diagnostics(kind, dist, R):
+    """The diagnostics of a fit of sources at distances dist, in radii R, or a
+    SingularityError where an inner fit's source lies on the sphere."""
+    if kind == "outer":
+        return {"n_sources_outside": int(np.sum(dist > 1.0)),
+                "max_source_radius": float(dist.max(initial=0.0) * R)}
+    if np.any(np.abs(dist - 1.0) <= 1e-12):
+        raise SingularityError("source lies on the bounding sphere")
+    return {"n_sources_inside": int(np.sum(dist < 1.0)),
+            "min_source_radius": float(dist.min(initial=np.inf) * R)}
+
+
+def _project(radial, rel, charges, rule, coef, group=None, reps=None):
     """Surface weights W_j sum_i charges[i] K(rel_i, rhat_j) of a fit on rule.
 
     rel holds the sources' unit-scaled positions (M, 3) and charges (M,) their
     charges.  K is the kernel sum with the per-degree coefficients coef (p,),
     (2n+1)/(4 pi) for an order-p fit, or coefficient sets (p, K), which
-    give K rows of weights (K, N).  It is one legendre._source_dot, which
-    contracts over the sources, at one point of each antipodal pair, whose
-    antipode takes legendre's row fold.
+    give K rows of weights (K, N), and radial names the radial factor of
+    every set, or of each run of sets, as in legendre._source_dot: "outer",
+    "inner" or "kelvin".  It is one legendre._source_dot, which contracts
+    over the sources, at one point of each antipodal pair, whose antipode
+    takes legendre's row fold.
 
     A shift, whose sources are the rule's own points, passes group, the
     indices of the symmetries that fix its offset, with reps one point per
@@ -211,7 +242,7 @@ def _project(kind, rel, charges, rule, coef, group=None, reps=None):
     reps = _antipodal_reps(rule, maps, reps)
     at = maps[:, reps]
     del maps
-    sums = _source_dot(rel, rule.points[reps], coef, charges, kind == "inner")
+    sums = _source_dot(rel, rule.points[reps], coef, charges, radial)
     # (2,) + sets + h + (reps,), as sets + at.shape
     sets = np.shape(coef)[1:]
     even, odd = sums.reshape((2,) + sets + at.shape)

@@ -480,63 +480,81 @@ def _rescaled(a, k, what):
     return np.ldexp(a, k, out=a)
 
 
-def _source_dot(x, pts, coef, q, inner):
-    """Even- and odd-degree totals of sum_i q[..., i] sum_n coef[n] L_n at each point of pts.
+# The radial factors of _source_dot, by name: the base, |x_i| or 1 / |x_i|,
+# and the offset o of the exponent n + o.
+_RADIAL = {"outer": (False, 0.0), "inner": (True, 1.0), "kelvin": (False, 1.0)}
+
+
+def _source_dot(x, pts, coef, q, radial):
+    """Even- and odd-degree totals of sum_i q[..., i] sum_n coef[n] a_i^(n+o) P_n(t) at pts.
 
     The contraction of _kernel_dot taken the other way round, over the
-    sources: the sum that fits and shifts make.  L_n is L_n(x_i, rhat_b)
-    for the outer kind and L_n(rhat_b, x_i) for the inner, with the sources
-    x (M, 3), their charges q, shape h + (M,), and the unit vectors rhat_b
-    of pts (B, 3).  coef holds per-degree coefficients (p,) or sets
-    (p,) + sets, and the result has shape (2,) + sets + h + (B,): the sum
-    over the even degrees, then over the odd, kept apart for the row fold.
+    sources: the sum that fits and shifts make, with the sources x (M, 3),
+    their charges q, shape h + (M,), the unit vectors rhat_b of pts (B, 3)
+    and t = xhat_i.rhat_b.  coef holds per-degree coefficients (p,) or sets
+    (p,) + sets, and radial names the radial factor a_i^(n+o): one name for
+    every set, or a sequence of G names that split the sets, in their
+    order, into G runs of equal size, one name per run.  The names are
+    "outer", |x_i|^n, the terms L_n(x_i, rhat_b) of an outer fit; "inner",
+    (1/|x_i|)^(n+1), the terms L_n(rhat_b, x_i) of an inner fit; and
+    "kelvin", |x_i|^(n+1), the inner terms of the Kelvin inversion
+    x_i / |x_i|^2, which keeps each direction (expansion._fit).  The result
+    has shape (2,) + sets + h + (B,): the sum over the even degrees, then
+    over the odd, kept apart for the row fold.
 
     The sources are the points of _cosine_blocks, the rule taken whole:
-    L_n = a_i^(n+o) P_n(t) = a_i^(n+o) sum_m A[n, m] T_m(t), with
-    a_i = |x_i|, o = 0 for the outer kind or a_i = 1/|x_i|, o = 1 for the
-    inner, and A the change of basis to the Chebyshev polynomials
-    (_chebyshev).  The powers a_i^(n+o) times coef[n] are folded onto the
-    T_m by one (p, p) matmul with A^T per block, before the charges
-    multiply in, giving weights, one (sets h, rows) matrix per T_m.  A
-    degree is then one matmul of them with T_m (_chebyshev_terms), added to
-    the total of m's parity, which A keeps: A[n, m] is zero unless m and n
-    have one parity.  The block arrays, the powers and the weights hold
-    about 4 * 2^14 numbers.  A sum that leaves float64 is a DomainError
-    (_rescaled).
+    P_n(t) = sum_m A[n, m] T_m(t), with A the change of basis to the
+    Chebyshev polynomials (_chebyshev).  The powers a_i^(n+o) times coef[n]
+    are folded onto the T_m by one (p, p) matmul with A^T per block, before
+    the charges multiply in, giving weights, one (sets h, rows) matrix per
+    T_m.  A degree is then one matmul of them with T_m (_chebyshev_terms),
+    added to the total of m's parity, which A keeps: A[n, m] is zero unless
+    m and n have one parity.  The runs share the cosines and the T_m; a
+    run's powers are made once per block for all its sets, and a degree is
+    one np.dot per run, in source blocks sized for one run: so each run's
+    sums are those of a call with its sets alone, bit for bit.  The block
+    arrays hold about 4 * 2^14 numbers, with the powers and the weights of
+    one run.  A source at 0 is a SingularityError where a run is "inner",
+    and a sum that leaves float64 is a DomainError (_rescaled).
     """
     p, sets, h = len(coef), coef.shape[1:], q.shape[:-1]
-    columns = coef.reshape(p, -1)   # (p, K), one column per set
+    radial = [radial] if isinstance(radial, str) else list(radial)
+    columns = coef.reshape(p, len(radial), -1)   # (p, G, K/G): G runs of sets
     fold = _chebyshev(p).T   # degree n's weights onto T_m: row m, column n
     charges = q.reshape(math.prod(h), len(x))   # (H, M)
-    n_sets, n_pts = columns.shape[1], len(pts)
-    width = n_sets * len(charges)   # the rows of a degree's weights and totals
-    exponents = np.arange(p, dtype=float)[:, None] + (1.0 if inner else 0.0)   # n + o
+    n_runs, run_sets, n_pts = len(radial), columns.shape[2], len(pts)
+    width = run_sets * len(charges)   # the rows of a run's weights and totals for a degree
+    degrees = np.arange(p, dtype=float)[:, None]
     e = _exponent(x)
-    step = max(1, 4 * _BLOCK_PAIRS // (4 * n_pts + p * width + p * n_sets))
-    out = np.zeros((2, width, n_pts))
+    step = max(1, 4 * _BLOCK_PAIRS // (4 * n_pts + p * width + p * run_sets))
+    out = np.zeros((2, n_runs, width, n_pts))
     totals = [out[m % 2] for m in range(1, p)]   # T_m's parity total
-    g0_sum = np.zeros(width)   # T_0 = 1: the weights of degree 0, summed
+    g0_sum = np.zeros((n_runs, width))   # T_0 = 1: the weights of degree 0, summed
     rows = min(step, len(x))
-    weights_buf, scaled_buf = np.empty(p * width * rows), np.empty(p * n_sets * rows)
-    tmp = np.empty((width, n_pts))
+    weights_buf, scaled_buf = np.empty(n_runs * p * width * rows), np.empty(p * run_sets * rows)
+    tmp = np.empty((n_runs, width, n_pts))
     with np.errstate(over="ignore", invalid="ignore"):   # a sum out of range is refused below
-        for block, r, t, work in _cosine_blocks(x, pts, e, inner, step):
+        for block, r, t, work in _cosine_blocks(x, pts, e, "inner" in radial, step):
             np.ldexp(r, e, out=r)
-            # a^(n+o) coef[n], one row per set, in the weights' buffer, folded
-            # onto the T_m, then times the charges
-            powers = weights_buf[:p * n_sets * len(r)].reshape(p, n_sets, len(r))
-            np.power(1.0 / r if inner else r, exponents, out=powers[:, 0])
-            powers[:, 1:] = powers[:, :1]
-            powers *= columns[:, :, None]
-            scaled = scaled_buf[:p * n_sets * len(r)].reshape(powers.shape)
-            np.matmul(fold, powers.reshape(p, -1), out=scaled.reshape(p, -1))
-            weights = weights_buf[:p * width * len(r)].reshape(p, width, len(r))
-            np.multiply(scaled[:, :, None, :], charges[:, block],
-                        out=weights.reshape(p, n_sets, len(charges), len(r)))
-            g0_sum += weights[0].sum(axis=-1)
-            for total, w, g in zip(totals, weights[1:], _chebyshev_terms(t, p, work)):
-                total += np.dot(w, g, out=tmp)
-        out[0] += g0_sum[:, None]
+            weights = weights_buf[:n_runs * p * width * len(r)].reshape(n_runs, p, width, len(r))
+            scaled = scaled_buf[:p * run_sets * len(r)].reshape(p, run_sets, len(r))
+            for name, c, w in zip(radial, columns.transpose(1, 0, 2), weights):
+                # a^(n+o) coef[n], one row per set, in the run's weights, folded
+                # onto the T_m, then times the charges
+                powers = w.reshape(-1)[:scaled.size].reshape(scaled.shape)
+                reciprocal, offset = _RADIAL[name]
+                np.power(1.0 / r if reciprocal else r, degrees + offset, out=powers[:, 0])
+                powers[:, 1:] = powers[:, :1]
+                powers *= c[:, :, None]
+                np.matmul(fold, powers.reshape(p, -1), out=scaled.reshape(p, -1))
+                np.multiply(scaled[:, :, None, :], charges[:, block],
+                            out=w.reshape(p, run_sets, len(charges), len(r)))
+            g0_sum += weights[:, 0].sum(axis=-1)
+            by_degree = weights.swapaxes(0, 1)[1:]   # (p - 1, runs, width, rows)
+            for total, w, g in zip(totals, by_degree, _chebyshev_terms(t, p, work)):
+                for k in range(n_runs):   # one np.dot per run: a batched matmul is slower
+                    total[k] += np.dot(w[k], g, out=tmp[k])
+        out[0] += g0_sum[..., None]
     what = "kernel sums over sources near 2^%d" % e
     return _rescaled(out, 0, what).reshape((2,) + sets + h + (n_pts,))
 

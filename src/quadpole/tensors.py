@@ -85,19 +85,37 @@ def moments_from_charges(sources, p):
     """Monomial moments M[n1,n2,n3] = sum_q q * x^n1 y^n2 z^n3, orders < p.
 
     A DomainError, naming the positions, where a moment leaves the range of
-    float64.
+    float64, and one naming the sources where a term of nonzero factors, or
+    a power or partial product on the way to it, falls below float64's
+    normal range, as it then loses digits or underflows to 0.  A moment
+    whose terms cancel to 0 is returned.
     """
     _integer(p, "order", 1, MAX_ORDER)
     x, y, z = sources.positions.T
     q = sources.charges
+    tiny = np.finfo(float).tiny
     coeffs = []
     for n in range(p):
+        lost = np.zeros(len(q), dtype=bool)   # sources with a term out of the normal range
+        coeffs.append({})
         with np.errstate(over="ignore", invalid="ignore"):   # a moment out of range is refused
-            coeffs.append({t: float(np.sum(q * x ** t[0] * y ** t[1] * z ** t[2]))
-                           for t in triples(n)})
+            for t in triples(n):
+                # q * x ** t[0] * y ** t[1] * z ** t[2], one factor at a time
+                term, nonzero, small = q, q != 0.0, np.abs(q) < tiny
+                for v, k in zip((x, y, z), t):
+                    if k:
+                        power = v ** k
+                        term = term * power
+                        nonzero &= v != 0.0
+                        small |= (np.abs(power) < tiny) | (np.abs(term) < tiny)
+                lost |= nonzero & small
+                coeffs[n][t] = float(np.sum(term))
         if not all(map(math.isfinite, coeffs[n].values())):
             raise DomainError("positions too large: their order-%d moments leave the range "
                               "of float64" % n)
+        if lost.any():
+            raise DomainError("positions too small: their order-%d moment terms leave the normal "
+                              "range of float64 at sources %s" % (n, np.flatnonzero(lost).tolist()))
     return Polytensor(p, tuple(coeffs))
 
 

@@ -118,22 +118,46 @@ def test_racc_matches_per_radius_loop(tmp_path):
 
 def test_racc_fits_each_cloud_once_per_rule(tmp_path, monkeypatch):
     # --orders 2,5,8 is p = 3, 6 and 9 on the rules of order 15, 15 and 17:
-    # per trial, one fit of the cloud and one of the inverted cloud per rule,
-    # each for all the orders on that rule
+    # per trial, one twin fit per rule, of the cloud and of its inversion in
+    # the unit sphere at radius 1, each for all the orders on that rule
     import quadpole.cli as cli
     calls = []
 
-    def counted(kind, sources, center, R, orders, rule=None):
-        calls.append((kind, tuple(orders), rule.exactness_degree))
-        return fit(kind, sources, center, R, orders, rule)
+    def counted(kind, sources, center, R, orders, rule=None, R_in=None):
+        calls.append((kind, tuple(orders), rule.exactness_degree, R_in))
+        return fit(kind, sources, center, R, orders, rule, R_in)
 
     fit = cli._fit
     monkeypatch.setattr(cli, "_fit", counted)
     assert run(["racc", "--charges", "50", "--trials", "3", "--orders", "2,5,8",
                 "--out", str(tmp_path / "racc.csv")]) == 0
-    per_trial = [("outer", (3, 6), 15), ("inner", (3, 6), 15),
-                 ("outer", (9,), 17), ("inner", (9,), 17)]
+    per_trial = [("twin", (3, 6), 15, 1.0), ("twin", (9,), 17, 1.0)]
     assert calls == per_trial * 3
+
+
+def test_tacc_fits_each_cloud_once_per_order(tmp_path, monkeypatch):
+    # per trial and order, one twin fit of the cloud and of its inversion at
+    # radius 0.5, which the inner cases shift; no separate fit of either cloud
+    import quadpole.cli as cli
+    import quadpole.expansion as expansion
+    calls = []
+
+    def counted(kind, sources, center, R, orders, rule=None, R_in=None):
+        calls.append((kind, tuple(orders), rule.exactness_degree, R_in))
+        return fit(kind, sources, center, R, orders, rule, R_in)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a separate fit")
+
+    fit = cli._fit
+    monkeypatch.setattr(cli, "_fit", counted)
+    for module in (cli, expansion):
+        for name in ("fit_outer", "fit_inner"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    assert run(["tacc", "--charges", "50", "--trials", "2", "--orders", "2,8",
+                "--out", str(tmp_path / "tacc.csv")]) == 0
+    assert calls == [("twin", (3,), 15, 0.5), ("twin", (9,), 17, 0.5)] * 2
 
 
 def test_racc_far_radius_is_allowed_at_low_order(tmp_path):

@@ -275,6 +275,59 @@ def test_orders_fitted_together_match_fits_at_each_order(kind):
         assert np.max(np.abs(got.surface_weights - w)) <= 1e-14 * np.max(np.abs(w))
 
 
+def test_twin_fit_is_the_outer_fit_and_the_inner_fit_of_the_inversion():
+    # one source sum for the cloud and its inversion y -> c + R^2 (y - c)/|y - c|^2
+    # in the sphere (c, R), at the orders 3, 6 and 9 on one rule: the outer
+    # expansions are those of _fit("outer") bit for bit, and the inner ones,
+    # on the sphere (c, R_in), those of _fit("inner") of the inverted cloud
+    # within 1e-14 of the largest weight, with its diagnostics
+    from quadpole.expansion import _fit
+    rng = np.random.default_rng(131)
+    center, R, rule = np.array([0.3, -0.2, 0.1]), 1.5, qp.lebedev_rule(17)
+    cloud = random_cloud(rng, 300, scale=0.8, offset=center)
+    rel = cloud.positions - center
+    inverted = qp.PointCharges(center + R * R * rel / np.sum(rel ** 2, axis=1)[:, None],
+                               cloud.charges)
+    for R_in in (R, 0.5 * R, 0.7):
+        outers, inners = _fit("twin", cloud, center, R, [3, 6, 9], rule, R_in)
+        alone = _fit("outer", cloud, center, R, [3, 6, 9], rule)
+        for p, got, want in zip((3, 6, 9), outers, alone):
+            assert (got.order, got.kind, got.radius) == (p, "outer", R)
+            assert np.array_equal(got.surface_weights, want.surface_weights)
+            assert got.diagnostics == want.diagnostics
+        for p, got, want in zip((3, 6, 9), inners,
+                                _fit("inner", inverted, center, R_in, [3, 6, 9], rule)):
+            assert (got.order, got.kind, got.radius, got.rule) == (p, "inner", R_in, rule)
+            assert got.diagnostics["n_sources_inside"] == want.diagnostics["n_sources_inside"]
+            assert got.diagnostics["min_source_radius"] == pytest.approx(
+                want.diagnostics["min_source_radius"], rel=1e-15)
+            w = want.surface_weights
+            assert np.max(np.abs(got.surface_weights - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+def test_twin_fit_refuses_an_inverted_source_on_the_sphere():
+    # a source at 2 from the center inverts, in the unit sphere, to radius
+    # 0.5: on the inner sphere at R_in = 0.5, as fit_inner refuses it.  A
+    # source at the center inverts to infinity and adds nothing inside
+    from quadpole.expansion import _fit
+    rng = np.random.default_rng(137)
+    cloud = random_cloud(rng, 20)
+    on = qp.PointCharges(np.vstack([cloud.positions, [[0.0, 2.0, 0.0]]]),
+                         np.append(cloud.charges, 1.0))
+    with pytest.raises(qp.SingularityError, match="on the bounding sphere"):
+        _fit("twin", on, np.zeros(3), 1.0, [4], None, 0.5)
+    (outer,), (inner,) = _fit("twin", on, np.zeros(3), 1.0, [4], None, 0.6)
+    assert outer.diagnostics["n_sources_outside"] == 1 and inner.diagnostics == {
+        "n_sources_inside": 1, "min_source_radius": pytest.approx(0.5)}
+    at_center = qp.PointCharges(np.vstack([cloud.positions, np.zeros((1, 3))]),
+                                np.append(cloud.charges, 1.0))
+    (_,), (inner,) = _fit("twin", at_center, np.zeros(3), 1.0, [4], None, 0.5)
+    (_,), (want,) = _fit("twin", cloud, np.zeros(3), 1.0, [4], None, 0.5)
+    assert inner.diagnostics == want.diagnostics
+    assert np.allclose(inner.surface_weights, want.surface_weights, rtol=0.0,
+                       atol=1e-15 * np.max(np.abs(want.surface_weights)))
+
+
 def test_inner_decay_slope():
     rng = np.random.default_rng(53)
     inside = random_cloud(rng, 150, scale=0.55)

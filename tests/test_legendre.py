@@ -928,7 +928,7 @@ def test_source_dot_gives_the_recurrence_aligned_block_arrays(monkeypatch):
     rng = np.random.default_rng(131)
     pts, coef = _shell(rng, (601,), 1.0, 1.0), rng.standard_normal(30)
     for m in (60, 5):
-        _source_dot(_shell(rng, (m,), 0.1, 0.9), pts, coef, rng.standard_normal(m), False)
+        _source_dot(_shell(rng, (m,), 0.1, 0.9), pts, coef, rng.standard_normal(m), "outer")
     assert seen == [[0] * 4 + [set()]] * 4
 
 
@@ -944,12 +944,33 @@ def test_source_dot_is_scale_free(k):
     pts, coef = _shell(rng, (50,), 1.0, 1.0), rng.standard_normal(30)
     x, q = _shell(rng, (40,), 1.2, 3.0), rng.standard_normal((2, 40))
     scale = np.abs(coef).sum() * np.abs(q).sum(axis=-1)[:, None]
-    even, odd = _source_dot(np.ldexp(x, k), pts, coef, q, True)
-    assert np.array_equal(even, np.ldexp(_source_dot(x, pts, coef[:1], q, True)[0], -k))
+    even, odd = _source_dot(np.ldexp(x, k), pts, coef, q, "inner")
+    assert np.array_equal(even, np.ldexp(_source_dot(x, pts, coef[:1], q, "inner")[0], -k))
     assert np.all(np.abs(odd) <= 2.0 ** (-2 * k) * scale)
-    even, odd = _source_dot(np.ldexp(x, -k), pts, coef, q, False)
-    assert np.array_equal(even, _source_dot(0.0 * x, pts, coef, q, False)[0])
+    even, odd = _source_dot(np.ldexp(x, -k), pts, coef, q, "outer")
+    assert np.array_equal(even, _source_dot(0.0 * x, pts, coef, q, "outer")[0])
     assert np.all(np.abs(odd) <= 2.0 ** (-k + 2) * scale)
+
+
+@pytest.mark.parametrize("h", [(), (3,)], ids=["one charge set", "3 charge sets"])
+def test_source_dot_sums_each_run_of_sets_as_alone(h):
+    # radial names split the coefficient sets into runs, each with its own
+    # radial factor: each run's sums are those of a call with that run's
+    # sets alone, bit for bit, so the fits and shifts that take one name are
+    # unchanged by the runs beside them.  "kelvin", |x|^(n+1), is "inner",
+    # (1/|x|)^(n+1), on the inverted sources, to rounding
+    rng = np.random.default_rng(149)
+    pts, x = _shell(rng, (601,), 1.0, 1.0), _shell(rng, (70,), 0.2, 0.9)
+    q = rng.standard_normal(h + (70,))
+    runs = {name: rng.standard_normal((30, 2)) for name in ("outer", "kelvin", "inner")}
+    got = _source_dot(x, pts, np.concatenate(list(runs.values()), axis=1), q, list(runs))
+    assert got.shape == (2, 6) + h + (601,)
+    for k, (name, coef) in enumerate(runs.items()):
+        assert np.array_equal(got[:, 2 * k:2 * k + 2], _source_dot(x, pts, coef, q, name))
+    inverted = x / np.sum(x * x, axis=1)[:, None]
+    want = _source_dot(inverted, pts, runs["kelvin"], q, "inner")
+    scale = np.multiply.outer(np.abs(runs["kelvin"]).sum(axis=0), np.abs(q).sum(axis=-1))
+    assert np.all(np.abs(got[:, 2:4] - want) <= 1e-14 * scale[..., None])
 
 
 def test_source_dot_refuses_sums_that_leave_float64():
@@ -960,11 +981,11 @@ def test_source_dot_refuses_sums_that_leave_float64():
     rng = np.random.default_rng(139)
     pts = _shell(rng, (50,), 1.0, 1.0)
     x, q = _shell(rng, (40,), 1.2, 3.0), rng.standard_normal(40)
-    for far, inner in ((np.ldexp(x, 600), False), (np.ldexp(x, -600), True)):
+    for far, radial in ((np.ldexp(x, 600), "outer"), (np.ldexp(x, -600), "inner")):
         with pytest.raises(qp.DomainError, match="leave the range of float64"):
-            _source_dot(far, pts, np.ones(4), q, inner)
-        assert np.all(np.isfinite(_source_dot(far, pts, np.ones(1), q, inner)))
+            _source_dot(far, pts, np.ones(4), q, radial)
+        assert np.all(np.isfinite(_source_dot(far, pts, np.ones(1), q, radial)))
     x[17] = 0.0
     with pytest.raises(qp.SingularityError):
-        _source_dot(x, pts, np.ones(4), q, True)
-    assert np.all(np.isfinite(_source_dot(x, pts, np.ones(4), q, False)))
+        _source_dot(x, pts, np.ones(4), q, "inner")
+    assert np.all(np.isfinite(_source_dot(x, pts, np.ones(4), q, "outer")))

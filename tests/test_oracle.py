@@ -80,3 +80,44 @@ def test_generic_shift_matches_the_longdouble_oracle():
                              _reproducing(p))
     w = out.rule.weights.astype(LONG)
     assert np.all(np.abs(out.surface_weights - w * want) <= 2e-14 * w * scale)
+
+
+def _invertible_cloud(rng, m):
+    """m charges in random directions, each at a radius 2^(-k/2), k = 1..8, whose
+    |y|^2, summed in float64, is exactly 2^-k: the inversion y / |y|^2 is then exact
+    and keeps the float64 directions, so its cosines are the cloud's own."""
+    pos = np.empty((m, 3))
+    for i in range(m):
+        target, s = 2.0 ** -int(rng.integers(1, 9)), 0.0
+        while s != target:
+            y = rng.standard_normal(3)
+            y *= np.sqrt(target) / np.linalg.norm(y)
+            for _ in range(8):   # move the last component an ulp at a time onto the target
+                s = np.sum(y * y)
+                if s == target:
+                    break
+                y[2] = np.nextafter(y[2], np.copysign(np.inf, y[2]) if s < target else 0.0)
+        pos[i] = y
+    return qp.PointCharges(pos, rng.uniform(-1.0, 1.0, m))
+
+
+@pytest.mark.parametrize("R_in", [1.0, 0.5])
+def test_twin_fit_matches_the_longdouble_oracle_on_the_inverted_cloud(R_in):
+    # a p = 30 twin fit on the 1202-point rule: its inner weights, summed
+    # over the cloud with the radial factors (R_in |y|)^(n+1), within 2e-14
+    # of sum |q||K| of the oracle's inner sum over the inverted cloud at
+    # radius R_in, and its outer weights those of fit_outer bit for bit
+    from quadpole.expansion import _fit
+    require_long()
+    p, rng = 30, np.random.default_rng(43)
+    cloud = _invertible_cloud(rng, 150)
+    (outer,), (inner,) = _fit("twin", cloud, np.zeros(3), 1.0, [p], None, R_in)
+    rule = inner.rule
+    assert len(rule) == 1202 and inner.radius == R_in
+    assert np.array_equal(outer.surface_weights,
+                          qp.fit_outer(cloud, np.zeros(3), 1.0, p).surface_weights)
+    inverted = cloud.positions / np.sum(cloud.positions ** 2, axis=1)[:, None]
+    want, scale = source_sum("inner", inverted / R_in, cloud.charges, rule.points,
+                             _reproducing(p))
+    w = rule.weights.astype(LONG)
+    assert np.all(np.abs(inner.surface_weights - w * want) <= 2e-14 * w * scale)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -77,6 +78,41 @@ def test_moments_from_charges_refuses_moments_that_leave_float64(k, n):
         with pytest.raises(qp.DomainError, match="^positions too large: their order-%d " % n):
             qp.moments_from_charges(cloud, p)
         assert qp.moments_from_charges(cloud, n).order == n
+
+
+def test_moments_from_charges_refuses_terms_that_leave_the_normal_range():
+    # the cloud above near 2^-600 at p = 4: its order-2 terms, near 2^-1200,
+    # underflow to 0, a DomainError naming the positions, not moments of 0.0;
+    # one source at 2^-600 among unit ones is named alone.  Terms that are 0
+    # as a factor is, a charge or a coordinate, are legal, and so is a
+    # moment whose terms cancel to 0.  At unit scale the moments are the sums
+    # of q x^n1 y^n2 z^n3, as numpy makes them, bit for bit
+    rng, p = np.random.default_rng(149), 4
+    pos, q = rng.uniform(-1.0, 1.0, (20, 3)), rng.uniform(-1.0, 1.0, 20)
+    small = re.escape("positions too small: their order-2 moment terms leave the normal range "
+                      "of float64 at sources ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        everyone = re.escape(str(list(range(20))))
+        with pytest.raises(qp.DomainError, match="^%s%s$" % (small, everyone)):
+            qp.moments_from_charges(qp.PointCharges(np.ldexp(pos, -600), q), p)
+        assert qp.moments_from_charges(qp.PointCharges(np.ldexp(pos, -600), q), 2).order == 2
+        lone = pos.copy()
+        lone[7] = np.ldexp(lone[7], -600)
+        with pytest.raises(qp.DomainError, match=r"^%s\[7\]$" % small):
+            qp.moments_from_charges(qp.PointCharges(lone, q), p)
+        zeros = pos.copy()
+        zeros[3], zeros[5, 1], q0 = 0.0, 0.0, q.copy()
+        q0[9] = 0.0
+        qp.moments_from_charges(qp.PointCharges(zeros, q0), MAX_ORDER)
+        pair = qp.PointCharges(np.ldexp(np.vstack([pos[:1], pos[:1]]), -100), np.array([1.0, -1.0]))
+        m = qp.moments_from_charges(pair, p)
+        assert all(v == 0.0 for n in range(p) for v in m.slice(n).values())
+    m = qp.moments_from_charges(qp.PointCharges(pos, q), MAX_ORDER)
+    x, y, z = pos.T
+    for n in range(MAX_ORDER):
+        assert m.slice(n) == {t: float(np.sum(q * x ** t[0] * y ** t[1] * z ** t[2]))
+                              for t in triples(n)}
 
 
 @pytest.mark.parametrize("call", [qp.directional_moment, qp.detrace_directional])

@@ -416,7 +416,7 @@ def test_shifts_on_a_rule_with_only_the_antipode_are_one_folded_sum(p):
         src = qp.SurfaceExpansion(center, radius, rule, weights, p, kind)
         out = shift(src, np.zeros(3), new_R)
         rel = src.surface_points / new_R
-        even, odd = _source_dot(rel, rule.points[half], coef, weights[None], out.kind == "inner")
+        even, odd = _source_dot(rel, rule.points[half], coef, weights[None], out.kind)
         oracle = np.empty(len(rule))
         oracle[half] = rule.weights[half] * (even + odd)[0]
         oracle[rule.antipodes[half]] = rule.weights[half] * (even - odd)[0]
@@ -446,7 +446,7 @@ def test_source_sum_matches_the_dense_projection(p, kind, h):
         d = rng.standard_normal((150, 3))
         rel = d * (rng.uniform(r_min, r_max, 150) / np.linalg.norm(d, axis=1))[:, None]
         q = rng.uniform(-1.0, 1.0, h + (150,))
-        even, odd = _source_dot(rel, rule.points[half], coef, q, kind == "inner")
+        even, odd = _source_dot(rel, rule.points[half], coef, q, kind)
         assert even.shape == odd.shape == (2,) + h + (len(half),)
         got = np.empty((2,) + h + (len(rule),))
         got[..., half] = rule.weights[half] * (even + odd)
@@ -461,8 +461,7 @@ def test_source_sum_matches_the_dense_projection(p, kind, h):
             assert np.all(np.abs(fitted - want) <= 1e-13 * bound)
             want, bound = rule.weights * (charges @ K), rule.weights * (np.abs(charges) @ np.abs(K))
             assert np.all(np.abs(drawn - want) <= 1e-13 * bound)
-    none = _source_dot(np.zeros((0, 3)), rule.points[half], coef, np.zeros(h + (0,)),
-                       kind == "inner")
+    none = _source_dot(np.zeros((0, 3)), rule.points[half], coef, np.zeros(h + (0,)), kind)
     assert none.shape == (2, 2) + h + (len(half),) and np.all(none == 0.0)
 
 

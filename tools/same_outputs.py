@@ -11,7 +11,8 @@ and its own src/ on the path:
 
 For each CSV, flow .exp file and demo stdout, prints "identical" when the
 bytes are equal, else the largest absolute and relative difference over
-the numbers that differ.  Exits 1 on any difference.
+the numbers that differ, and for a CSV the same two for each column that
+differs, on a line of its own.  Exits 1 on any difference.
 """
 import os
 import re
@@ -84,6 +85,21 @@ def difference(a, b):
     return worst_abs, worst_rel
 
 
+def column_differences(a, b):
+    """[(column, (max abs, max rel))] for each column of the CSV texts a and b whose cells
+    differ, by difference over the column's cells; None unless both hold one header and
+    rows of its width, after their '#' note lines."""
+    tables = [[line.split(",") for line in text.splitlines() if not line.startswith("#")]
+              for text in (a, b)]
+    header = tables[0][0] if tables[0] else None
+    if (not header or tables[1][:1] != [header] or len(tables[0]) != len(tables[1])
+            or any(len(row) != len(header) for table in tables for row in table)):
+        return None
+    cells = [["\n".join(column) for column in zip(*table[1:])] for table in tables]
+    return [(name, diff) for name, ca, cb in zip(header, *cells)
+            if (diff := difference(ca, cb)) is not None]
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -104,6 +120,9 @@ def main(argv=None):
             print("%-42s identical" % name)
         else:
             print("%-42s differs: max abs %.3g, max rel %.3g" % (name, *diff))
+            if name.endswith(".csv"):
+                for column, col_diff in column_differences(mine[name], theirs[name]) or ():
+                    print("    column %-31s max abs %.3g, max rel %.3g" % (column, *col_diff))
             differ += 1
     print("%d of %d outputs differ" % (differ, len(mine.keys() | theirs.keys())))
     return 1 if differ else 0
